@@ -5,6 +5,16 @@ select small-loss samples, mask unconfident examples, and replace their
 labels with soft pseudo-labels from the broadcast global model.
 """
 
+import os
+
+# BLAS is pinned to one thread before numpy is first imported: with more
+# threads, OpenBLAS splits large matrix products differently and the
+# metrics CSV changes in its last digits. Plain assignment, so an
+# inherited setting cannot break the same-config-same-bytes contract.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+del _var
+
 from .bench import (
     DatasetSpec,
     ExperimentConfig,

@@ -86,10 +86,9 @@ class ExperimentConfig:
     method: str = "proposed"
     seed: int = 0
     output: str = ""
-    workers: int | None = None
 
 
-_TOP_LEVEL_TYPES = {"method": "str", "seed": "int", "output": "str", "workers": "int | None"}
+_TOP_LEVEL_TYPES = {"method": "str", "seed": "int", "output": "str"}
 
 
 def _parse_value(raw: str, type_str: str, key: str):
@@ -185,8 +184,6 @@ def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("seed: must be >= 0")
     if out.noise.seed < 0:
         raise ConfigError("noise.seed: must be >= 0")
-    if out.workers is not None and out.workers < 1:
-        raise ConfigError("workers: must be >= 1")
     return out
 
 
@@ -245,7 +242,6 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[ModelParams, list[MetricsReco
         rcfg.hp,
         rcfg.seed,
         method=rcfg.method,
-        workers=rcfg.workers,
     )
     if rcfg.output:
         write_csv(rcfg.output, records)
@@ -286,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--method", choices=METHODS, help="shortcut for --override method=...")
     p_run.add_argument("--seed", type=int, help="shortcut for --override seed=...")
     p_run.add_argument("--output", help="shortcut for --override output=...")
-    p_run.add_argument("--workers", type=int, help="shortcut for --override workers=...")
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="grid over noise ratios (and methods)")
@@ -310,8 +305,6 @@ def _cmd_run(args) -> int:
         extra.append(f"seed={args.seed}")
     if args.output is not None:
         extra.append(f"output={args.output}")
-    if args.workers is not None:
-        extra.append(f"workers={args.workers}")
     cfg = load_config(args.config, extra + list(args.override))
     _, records = run_experiment(cfg)
     line = (

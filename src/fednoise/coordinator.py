@@ -1,21 +1,18 @@
 """Server side of the simulation: rounds, aggregation, evaluation.
 
 Each round: sample a client subset, broadcast global weights and
-centroids, run the selected clients' local updates (optionally in a
-thread pool), average weights by shard size, and fold the uploaded
-class centroids into the global set by cosine-weighted averaging.
+centroids, run the selected clients' local updates one after another,
+average weights by shard size, and fold the uploaded class centroids
+into the global set by cosine-weighted averaging.
 
 Determinism contract: every random draw comes from a Philox stream keyed
 by (seed, stream, round, client), and client results are always reduced
-in ascending client-id order, so the trajectory is byte-identical for
-any worker-pool size.
+in ascending client-id order, so reruns are byte-identical.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,14 +28,12 @@ from .localnode import (
     local_update,
 )
 from .metrics import MetricsRecord, detection_from_counts, weight_divergence
-from .numkit import ModelParams, flatten_params, init_params, mlp_forward, zeros_params
+from .numkit import ModelParams, cosine_similarity, init_params, mlp_forward
 from .seeds import STREAM_INIT, STREAM_LOCAL, STREAM_SELECT, make_rng
 
 # Cosine weights below this floor are clamped so a disagreeing client
 # still contributes, and so an all-zero weight vector cannot occur.
 CENTROID_WEIGHT_FLOOR = 1e-6
-
-WORKERS_ENV_VAR = "FEDNOISE_WORKERS"
 
 
 @dataclass
@@ -91,7 +86,7 @@ def select_clients(num_clients: int, clients_per_round: int, rng: np.random.Gene
 
 
 def fedavg(results: list[LocalUpdateResult], shard_sizes: list[int]) -> ModelParams:
-    """Shard-size weighted average of client weights; velocity starts at zero.
+    """Shard-size weighted average of client weights.
 
     Weights are n_k over the total examples of the participating clients
     only. Accumulation runs in the given (ascending client id) order.
@@ -104,13 +99,9 @@ def fedavg(results: list[LocalUpdateResult], shard_sizes: list[int]) -> ModelPar
     if total <= 0:
         raise ContractViolation("fedavg: total shard size must be positive")
     first = results[0].params
-    out = zeros_params(first.d_in, first.d_h, first.n_classes)
+    out = ModelParams.zeros(first.d_in, first.d_h, first.n_classes)
     for res, n_k in zip(results, shard_sizes):
-        w = n_k / total
-        out.W1 += w * res.params.W1
-        out.b1 += w * res.params.b1
-        out.W2 += w * res.params.W2
-        out.b2 += w * res.params.b2
+        out.theta += (n_k / total) * res.params.theta
     return out
 
 
@@ -134,7 +125,10 @@ def aggregate_global_centroids(
         if not holders:
             continue
         weights = np.array(
-            [max(_cos(prev_global.vectors[c], cs.vectors[c]), w_floor) for cs in holders]
+            [
+                max(cosine_similarity(prev_global.vectors[c], cs.vectors[c]), w_floor)
+                for cs in holders
+            ]
             if prev_global.presence[c]
             else [1.0] * len(holders)
         )
@@ -146,14 +140,6 @@ def aggregate_global_centroids(
     return out
 
 
-def _cos(u: np.ndarray, v: np.ndarray) -> float:
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu < 1e-12 or nv < 1e-12:
-        return 0.0
-    return float(u @ v) / (nu * nv)
-
-
 def evaluate_accuracy(params: ModelParams, dataset: Dataset) -> float:
     """Fraction of examples whose argmax prediction matches the true label."""
     if dataset.n == 0:
@@ -161,22 +147,6 @@ def evaluate_accuracy(params: ModelParams, dataset: Dataset) -> float:
     rec = mlp_forward(params, dataset.X)
     pred = rec.logits.argmax(axis=1)
     return float((pred == dataset.true_labels).mean())
-
-
-def resolve_workers(workers: int | None) -> int:
-    """Explicit argument wins, then the environment variable, then 1."""
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV_VAR, "").strip()
-        if raw:
-            try:
-                workers = int(raw)
-            except ValueError:
-                raise ConfigError(f"{WORKERS_ENV_VAR}: not an integer: {raw!r}")
-        else:
-            workers = 1
-    if workers < 1:
-        raise ConfigError(f"worker count must be >= 1, got {workers}")
-    return workers
 
 
 def run_training(
@@ -187,8 +157,6 @@ def run_training(
     hp: HyperParams,
     seed: int,
     method: str = METHOD_PROPOSED,
-    hidden_dim: int | None = None,
-    workers: int | None = None,
 ) -> tuple[ModelParams, list[MetricsRecord]]:
     """Full federated run; returns the final global model and round records."""
     fed.validate()
@@ -199,8 +167,7 @@ def run_training(
         raise ContractViolation(
             f"run_training: got {len(shards)} shards for {fed.num_clients} clients"
         )
-    workers = resolve_workers(workers)
-    d_h = hidden_dim if hidden_dim is not None else hp.hidden_dim
+    d_h = hp.hidden_dim
 
     params = init_params(train.d_in, d_h, train.C, make_rng(seed, STREAM_INIT))
     state = RoundState(t=0, params=params, centroids=CentroidSet.empty(train.C, d_h))
@@ -212,7 +179,7 @@ def run_training(
         chosen = select_clients(
             fed.num_clients, fed.clients_per_round, make_rng(seed, STREAM_SELECT, t)
         )
-        results = _run_clients(train, shards, state, chosen, hp, seed, method, workers)
+        results = _run_clients(train, shards, state, chosen, hp, seed, method)
         sizes = [len(shards[cid].indices) for cid in chosen]
 
         state.params = fedavg(results, sizes)
@@ -235,32 +202,28 @@ def _run_clients(
     hp: HyperParams,
     seed: int,
     method: str,
-    workers: int,
 ) -> list[LocalUpdateResult]:
-    """Run the chosen clients, serially or pooled; order of returns is fixed."""
-
-    def one(cid: int) -> LocalUpdateResult:
+    """Run the chosen clients in ascending id order."""
+    results = []
+    for cid in chosen.tolist():
         rng = make_rng(seed, STREAM_LOCAL, state.t, cid)
         try:
-            return local_update(
-                train,
-                shards[cid],
-                state.params,
-                state.centroids,
-                state.t,
-                state.r_t,
-                hp,
-                rng,
-                method=method,
+            results.append(
+                local_update(
+                    train,
+                    shards[cid],
+                    state.params,
+                    state.centroids,
+                    state.t,
+                    state.r_t,
+                    hp,
+                    rng,
+                    method=method,
+                )
             )
         except Exception as e:
             raise _with_context(e, f"round {state.t}, client {cid}") from e
-
-    if workers == 1:
-        return [one(int(cid)) for cid in chosen]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(one, int(cid)) for cid in chosen]
-        return [f.result() for f in futures]
+    return results
 
 
 def _with_context(e: Exception, ctx: str) -> Exception:
@@ -286,7 +249,7 @@ def _round_record(
     precision, recall = detection_from_counts(det_true, det_noisy, actual)
     # Divergence is undefined for a single participant; record 0.0 then.
     if len(results) >= 2:
-        wdiv = weight_divergence([flatten_params(r.params) for r in results])
+        wdiv = weight_divergence([r.params.theta for r in results])
     else:
         wdiv = 0.0
     return MetricsRecord(

@@ -3,15 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, FormatError
 from .seeds import STREAM_BLOBS, STREAM_PARTITION, make_rng
-
-if TYPE_CHECKING:
-    from .localnode import CentroidSet
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -41,13 +37,10 @@ class Dataset:
 
 @dataclass
 class ClientShard:
-    """One client's slice of the training set plus its mutable local state."""
+    """One client's slice of the training set."""
 
     client_id: int
     indices: np.ndarray  # into the parent Dataset
-    pseudo_labels: np.ndarray | None = None  # (n_k, C) soft rows, set at broadcast
-    confident_mask: np.ndarray | None = None  # (n_k,) 0/1, latest per-example value
-    local_centroids: "CentroidSet | None" = None
 
 
 def make_blobs(

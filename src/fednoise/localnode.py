@@ -7,8 +7,8 @@ loss (classification + centroid-alignment + entropy) optimized with
 momentum SGD.
 
 The update is a pure function of (shard data, broadcast state, round
-index, rng stream): many clients can run in parallel with no shared
-mutable state, and results do not depend on scheduling.
+index, rng stream): it writes nothing it is given, so results do not
+depend on the order clients run in.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .numkit import (
     ForwardRecord,
     ModelParams,
     ZERO_NORM_EPS,
+    cosine_similarity,
     log_softmax_rows,
     mlp_backward,
     mlp_forward,
@@ -190,18 +191,10 @@ def blend_with_global(prev: CentroidSet, fresh: CentroidSet) -> CentroidSet:
             out.vectors[c] = fresh.vectors[c]
             out.presence[c] = True
             continue
-        s = _cosine(prev.vectors[c], fresh.vectors[c])
+        s = cosine_similarity(prev.vectors[c], fresh.vectors[c])
         w = s * s
         out.vectors[c] = (1.0 - w) * prev.vectors[c] + w * fresh.vectors[c]
     return out
-
-
-def _cosine(u: np.ndarray, v: np.ndarray) -> float:
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu < ZERO_NORM_EPS or nv < ZERO_NORM_EPS:
-        return 0.0
-    return float(u @ v) / (nu * nv)
 
 
 def similarity_labels(features: np.ndarray, centroids: CentroidSet) -> np.ndarray:
@@ -255,9 +248,9 @@ def total_loss_and_grads(
     params: ModelParams,
     X: np.ndarray,
     y: np.ndarray,
-    y_pseudo: np.ndarray,
+    y_pseudo: np.ndarray | None,
     mask: np.ndarray,
-    centroids: CentroidSet,
+    centroids: CentroidSet | None,
     hp: HyperParams,
     use_pseudo: bool,
     lambda_cen_eff: float | None = None,
@@ -266,8 +259,10 @@ def total_loss_and_grads(
     """Three-term loss and its exact output partials, all as batch means.
 
     Classification: masked CE against given labels, unmasked against the
-    pseudo-labels (or against given labels again when use_pseudo is off).
-    Centroid: masked squared distance of features to their class centroid.
+    pseudo-labels (or against given labels again when use_pseudo is off;
+    y_pseudo may then be None).
+    Centroid: masked squared distance of features to their class centroid;
+    the term is off (0) when centroids is None.
     Entropy: of every softmax row. Returns (breakdown, forward record,
     dLoss/dlogits, dLoss/dhidden) ready for mlp_backward.
     """
@@ -298,12 +293,14 @@ def total_loss_and_grads(
 
     # Centroid term: confident samples only. A confident sample's class is
     # always present in the centroid set (its similarity label matched).
-    mf = mask.astype(np.float64)
-    diff = rec.hidden - centroids.vectors[y]
-    l_centroid = float((mf * (diff**2).sum(axis=1)).sum() / B)
+    l_centroid = 0.0
     d_hidden = np.zeros_like(rec.hidden)
-    if lam_cen != 0.0:
-        d_hidden = lam_cen * (2.0 * mf[:, None] * diff) / B
+    if centroids is not None:
+        mf = mask.astype(np.float64)
+        diff = rec.hidden - centroids.vectors[y]
+        l_centroid = float((mf * (diff**2).sum(axis=1)).sum() / B)
+        if lam_cen != 0.0:
+            d_hidden = lam_cen * (2.0 * mf[:, None] * diff) / B
 
     total = l_class + lam_cen * l_centroid + lam_e * l_entropy
     for name, value in (
@@ -339,19 +336,22 @@ def local_update(
 ) -> LocalUpdateResult:
     """Run one client's full local round and return its upload.
 
-    Loads the broadcast weights (momentum reset), seeds running centroids
-    from the global set (or from the shard's own class means at round 1),
-    fixes pseudo-labels once, then walks shuffled mini-batches for
-    local_epochs epochs: forward, small-loss filter, confident mask from
-    the current running centroids, one SGD step on the composite loss, and
-    finally a fresh-feature class-mean blend into the running centroids.
+    Loads the broadcast weights with zero momentum, seeds running
+    centroids from the global set (or from the shard's own class means at
+    round 1), fixes pseudo-labels once, then walks shuffled mini-batches
+    for local_epochs epochs: forward, small-loss filter, confident mask
+    from the current running centroids, one SGD step on the composite
+    loss, and finally a fresh-feature class-mean blend into the running
+    centroids.
+
+    CE_BASELINE runs the same loop with every extra term off: cross-entropy
+    on the given labels, an all-ones mask, and no centroid or pseudo-label
+    work at all.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
     if len(shard.indices) == 0:
         raise ContractViolation(f"local_update: client {shard.client_id} shard is empty")
-    if method == METHOD_CE_BASELINE:
-        return _local_update_ce(dataset, shard, global_params, hp, rng)
 
     X = dataset.X[shard.indices]
     y = dataset.given_labels[shard.indices]
@@ -359,20 +359,28 @@ def local_update(
     C = dataset.C
     n_k = len(y)
 
-    params = global_params.copy(reset_velocity=True)
+    params = global_params.copy()
+    velocity = np.zeros_like(params.theta)
+    exchange = method != METHOD_CE_BASELINE
     local_only = method == METHOD_NO_GLOBAL_CENTROIDS
 
-    if round_t <= 1 or local_only or not global_centroids.presence.any():
-        rec0 = mlp_forward(params, X)
-        running, _ = class_mean_features(rec0.hidden, y, np.arange(n_k), C)
+    if not exchange:
+        hp = replace(hp, lambda_cen=0.0, lambda_e=0.0)
+        mask = np.ones(n_k, dtype=np.int64)
+        running = None
+        pseudo = None
     else:
-        running = global_centroids.copy()
-
-    pseudo = global_pseudo_labels(global_params, X)
-    use_pseudo = round_t >= hp.t_pl
+        # Latest per-example mask; a zero-epoch round flags every example.
+        mask = np.zeros(n_k, dtype=np.int64)
+        if round_t <= 1 or local_only or not global_centroids.presence.any():
+            rec0 = mlp_forward(params, X)
+            running, _ = class_mean_features(rec0.hidden, y, np.arange(n_k), C)
+        else:
+            running = global_centroids.copy()
+        pseudo = global_pseudo_labels(global_params, X)
+    use_pseudo = exchange and round_t >= hp.t_pl
     lam_cen = lambda_cen_schedule(round_t, hp)
 
-    mask_latest = np.zeros(n_k, dtype=np.int64)
     loss_sum = 0.0
     n_batches = 0
 
@@ -385,32 +393,32 @@ def local_update(
         for idx in _batches(perm, hp.batch_size):
             Xb, yb = X[idx], y[idx]
             rec = mlp_forward(params, Xb)
-            ce = per_example_ce(rec.logits, yb)
-            sel = small_loss_filter(ce, r_t)
-            m = confident_mask(similarity_labels(rec.hidden, running), yb)
+            if exchange:
+                sel = small_loss_filter(per_example_ce(rec.logits, yb), r_t)
+                mask[idx] = confident_mask(similarity_labels(rec.hidden, running), yb)
+            yp = pseudo[idx] if use_pseudo else None
             losses, rec, d_logits, d_hidden = total_loss_and_grads(
-                params, Xb, yb, pseudo[idx], m, running, hp, use_pseudo, lam_cen, rec=rec
+                params, Xb, yb, yp, mask[idx], running, hp, use_pseudo, lam_cen, rec=rec
             )
             grads = mlp_backward(params, Xb, rec, d_logits, d_hidden)
-            params = sgd_step(params, grads, hp.learning_rate, hp.momentum, hp.weight_decay)
-            # Class means come from the just-updated extractor, on the
-            # small-loss subset only, then fold into the running centroids.
-            rec_sel = mlp_forward(params, Xb[sel])
-            fresh, _ = class_mean_features(
-                rec_sel.hidden, yb[sel], np.arange(len(sel)), C
-            )
-            if local_only:
-                running = _adopt_fresh(running, fresh)
-            else:
-                running = blend_with_global(running, fresh)
-            mask_latest[idx] = m
+            sgd_step(params, grads, velocity, hp.learning_rate, hp.momentum, hp.weight_decay)
+            if exchange:
+                # Class means come from the just-updated extractor, on the
+                # small-loss subset only, then fold into the running centroids.
+                rec_sel = mlp_forward(params, Xb[sel])
+                fresh, _ = class_mean_features(
+                    rec_sel.hidden, yb[sel], np.arange(len(sel)), C
+                )
+                if local_only:
+                    running = _adopt_fresh(running, fresh)
+                else:
+                    running = blend_with_global(running, fresh)
             loss_sum += losses.total
             n_batches += 1
 
-    stats = _make_stats(loss_sum, n_batches, mask_latest, y, y_true)
-    shard.pseudo_labels = pseudo
-    shard.confident_mask = mask_latest
-    shard.local_centroids = running
+    if running is None:
+        running = CentroidSet.empty(C, params.d_h)
+    stats = _make_stats(loss_sum, n_batches, mask, y, y_true)
     return LocalUpdateResult(params=params, centroids=running, stats=stats)
 
 
@@ -421,47 +429,6 @@ def _adopt_fresh(running: CentroidSet, fresh: CentroidSet) -> CentroidSet:
     out.vectors[has] = fresh.vectors[has]
     out.presence |= has
     return out
-
-
-def _local_update_ce(
-    dataset: Dataset,
-    shard: ClientShard,
-    global_params: ModelParams,
-    hp: HyperParams,
-    rng: np.random.Generator,
-) -> LocalUpdateResult:
-    """Plain FedAvg client: mean cross-entropy on given labels, nothing else."""
-    X = dataset.X[shard.indices]
-    y = dataset.given_labels[shard.indices]
-    y_true = dataset.true_labels[shard.indices]
-    n_k = len(y)
-    params = global_params.copy(reset_velocity=True)
-
-    loss_sum = 0.0
-    n_batches = 0
-    for _epoch in range(hp.local_epochs):
-        perm = rng.permutation(n_k)
-        for idx in _batches(perm, hp.batch_size):
-            Xb, yb = X[idx], y[idx]
-            rec = mlp_forward(params, Xb)
-            B = len(idx)
-            onehot = np.zeros_like(rec.probs)
-            onehot[np.arange(B), yb] = 1.0
-            logp = log_softmax_rows(rec.logits)
-            loss_sum += float(-(onehot * logp).sum() / B)
-            d_logits = (rec.probs - onehot) / B
-            grads = mlp_backward(params, Xb, rec, d_logits, np.zeros_like(rec.hidden))
-            params = sgd_step(params, grads, hp.learning_rate, hp.momentum, hp.weight_decay)
-            n_batches += 1
-
-    mask = np.ones(n_k, dtype=np.int64)
-    stats = _make_stats(loss_sum, n_batches, mask, y, y_true)
-    shard.confident_mask = mask
-    return LocalUpdateResult(
-        params=params,
-        centroids=CentroidSet.empty(dataset.C, params.d_h),
-        stats=stats,
-    )
 
 
 def _make_stats(

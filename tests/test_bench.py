@@ -22,8 +22,9 @@ from fednoise.errors import ConfigError
 from fednoise.metrics import read_csv
 from fednoise.noise import apply_noise
 from fednoise.datagen import partition_iid
-from fednoise.numkit import flatten_params
 from fednoise.seeds import STREAM_INIT, STREAM_LOCAL, STREAM_SELECT, make_rng
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 # ------------------------------------------------------------ config parsing
@@ -58,8 +59,6 @@ def test_apply_item_type_checking():
     assert cfg.hp.tau is None
     apply_item(cfg, "hp.tau", "0.3")
     assert cfg.hp.tau == 0.3
-    apply_item(cfg, "workers", "2")
-    assert cfg.workers == 2
     with pytest.raises(ConfigError, match="unknown"):
         apply_item(cfg, "noise.flavor", "sour")
     with pytest.raises(ConfigError, match="unknown"):
@@ -258,7 +257,7 @@ def test_ce_baseline_bit_equals_reference_fedavg():
     cfg = _desk_cfg(method="ce_baseline")
     params, _ = run_experiment(cfg)
     expected = reference_fedavg_ce(_desk_cfg(method="ce_baseline"))
-    np.testing.assert_array_equal(flatten_params(params), expected)
+    np.testing.assert_array_equal(params.theta, expected)
 
 
 # ---------------------------------------------------------------------- CLI
@@ -320,8 +319,9 @@ def test_cli_validate_config(tmp_path, capsys):
 
 def test_cli_validate_rejects_unknown_key(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
-    code = main(["validate-config", "--config", cfg, "--override", "hp.warp=9"])
-    assert code == 1
+    for override in ("hp.warp=9", "workers=2"):
+        code = main(["validate-config", "--config", cfg, "--override", override])
+        assert code == 1
 
 
 def test_cli_sweep(tmp_path, capsys):
@@ -356,17 +356,21 @@ def test_cli_entry_point_subprocess(tmp_path):
     assert "acc_last10=" in proc.stdout
 
 
-def test_workers_env_var_flows_through(tmp_path):
-    cfg = _write_cfg(tmp_path)
-    out1, out2 = str(tmp_path / "w1.csv"), str(tmp_path / "w2.csv")
-    env = dict(os.environ, FEDNOISE_WORKERS="1")
-    subprocess.run(
-        [sys.executable, "-m", "fednoise", "run", "--config", cfg, "--output", out1],
-        check=True, env=env, capture_output=True,
+def test_blas_thread_count_does_not_change_csv(tmp_path):
+    # 784-d products are large enough for OpenBLAS to split them across
+    # threads, which changes float rounding unless the package pins BLAS.
+    overrides = (
+        "dataset.dim=784", "dataset.classes=10", "dataset.train_per_class=1000",
+        "dataset.test_per_class=200", "fed.rounds=3", "method=ce_baseline",
     )
-    env["FEDNOISE_WORKERS"] = "3"
-    subprocess.run(
-        [sys.executable, "-m", "fednoise", "run", "--config", cfg, "--output", out2],
-        check=True, env=env, capture_output=True,
-    )
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    blobs = []
+    for threads in ("1", "2"):
+        out = str(tmp_path / f"blas{threads}.csv")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        cmd = [sys.executable, "-m", "fednoise", "run", "--config", "configs/blobs.cfg",
+               "--output", out]
+        for ov in overrides:
+            cmd += ["--override", ov]
+        subprocess.run(cmd, check=True, env=env, capture_output=True, cwd=REPO_ROOT)
+        blobs.append(open(out, "rb").read())
+    assert blobs[0] == blobs[1]

@@ -9,7 +9,6 @@ from fednoise.coordinator import (
     evaluate_accuracy,
     fedavg,
     r_schedule,
-    resolve_workers,
     run_training,
     select_clients,
 )
@@ -17,7 +16,7 @@ from fednoise.datagen import make_blobs, partition_iid, split_per_class
 from fednoise.errors import ConfigError, ContractViolation
 from fednoise.localnode import CentroidSet, HyperParams, LocalUpdateResult
 from fednoise.localnode import LocalStats
-from fednoise.numkit import cosine_similarity, flatten_params, init_params, zeros_params
+from fednoise.numkit import ModelParams, cosine_similarity, init_params
 from fednoise.seeds import make_rng
 
 
@@ -71,46 +70,45 @@ def _result(params, C=2, d_h=3) -> LocalUpdateResult:
 
 
 def _const_params(value, d_in=2, d_h=3, C=2):
-    p = zeros_params(d_in, d_h, C)
-    p.W1 += value
-    p.b1 += value
-    p.W2 += value
-    p.b2 += value
+    p = ModelParams.zeros(d_in, d_h, C)
+    p.theta += value
     return p
 
 
 def test_fedavg_single_client_verbatim(rng):
     p = init_params(3, 4, 2, rng)
     out = fedavg([_result(p, C=2, d_h=4)], [17])
-    np.testing.assert_array_equal(flatten_params(out), flatten_params(p))
+    np.testing.assert_array_equal(out.theta, p.theta)
 
 
 def test_fedavg_equal_sizes_mean():
     out = fedavg([_result(_const_params(0.0)), _result(_const_params(2.0))], [5, 5])
-    np.testing.assert_allclose(flatten_params(out), 1.0)
+    np.testing.assert_allclose(out.theta, 1.0)
 
 
 def test_fedavg_weighted_hand_case():
     # n_k = 1 and 3: the average is 0.25*0 + 0.75*4 = 3.
     out = fedavg([_result(_const_params(0.0)), _result(_const_params(4.0))], [1, 3])
-    np.testing.assert_allclose(flatten_params(out), 3.0)
+    np.testing.assert_allclose(out.theta, 3.0)
 
 
 def test_fedavg_convex_envelope(rng):
     results = [_result(init_params(2, 3, 2, rng)) for _ in range(4)]
     sizes = [1, 2, 3, 4]
     out = fedavg(results, sizes)
-    stack = np.stack([flatten_params(r.params) for r in results])
-    flat = flatten_params(out)
+    stack = np.stack([r.params.theta for r in results])
+    flat = out.theta
     assert (flat >= stack.min(axis=0) - 1e-12).all()
     assert (flat <= stack.max(axis=0) + 1e-12).all()
 
 
-def test_fedavg_resets_velocity(rng):
+def test_fedavg_returns_fresh_params(rng):
     p = init_params(2, 3, 2, rng)
-    p.velocity.W1 += 5.0
+    before = p.theta.copy()
     out = fedavg([_result(p)], [1])
-    assert (out.velocity.W1 == 0).all()
+    assert not np.shares_memory(out.theta, p.theta)
+    out.theta += 5.0
+    np.testing.assert_array_equal(p.theta, before)
 
 
 def test_fedavg_guards():
@@ -203,23 +201,10 @@ def test_aggregate_requires_uploads():
 
 def test_evaluate_accuracy_trivial():
     ds = make_blobs(C=2, per_class=20, d_in=3, spread=0.4, seed=0)
-    p = zeros_params(3, 4, 2)
+    p = ModelParams.zeros(3, 4, 2)
     acc = evaluate_accuracy(p, ds)
     # Zero model predicts class 0 everywhere on a balanced set.
     assert acc == pytest.approx(0.5)
-
-
-def test_resolve_workers(monkeypatch):
-    monkeypatch.delenv("FEDNOISE_WORKERS", raising=False)
-    assert resolve_workers(None) == 1
-    assert resolve_workers(4) == 4
-    monkeypatch.setenv("FEDNOISE_WORKERS", "3")
-    assert resolve_workers(None) == 3
-    monkeypatch.setenv("FEDNOISE_WORKERS", "zebra")
-    with pytest.raises(ConfigError):
-        resolve_workers(None)
-    with pytest.raises(ConfigError):
-        resolve_workers(0)
 
 
 def _tiny_setup(eps=0.0, seed=0):
@@ -263,18 +248,16 @@ def test_run_training_records_well_formed():
         assert r.r_t == pytest.approx(r_schedule(r.round - 1, hp))
 
 
-def test_run_training_deterministic_and_pool_invariant():
+def test_run_training_deterministic():
     train, test, shards, fed, hp = _tiny_setup(eps=0.3)
     import copy
 
     runs = []
-    for workers in (1, 2, 3):
+    for _ in range(3):
         t2 = copy.deepcopy(train)
         s2 = copy.deepcopy(shards)
-        params, records = run_training(
-            t2, test, s2, fed, hp, seed=4, workers=workers
-        )
-        runs.append((flatten_params(params), records))
+        params, records = run_training(t2, test, s2, fed, hp, seed=4)
+        runs.append((params.theta, records))
     for flat, records in runs[1:]:
         np.testing.assert_array_equal(runs[0][0], flat)
         for a, b in zip(runs[0][1], records):

@@ -22,7 +22,7 @@ from fednoise.localnode import (
     small_loss_filter,
     total_loss_and_grads,
 )
-from fednoise.numkit import init_params, flatten_params, log_softmax_rows, mlp_backward, mlp_forward
+from fednoise.numkit import ModelParams, init_params, log_softmax_rows, mlp_backward, mlp_forward
 from fednoise.seeds import make_rng
 
 
@@ -270,10 +270,8 @@ def test_loss_ignores_pseudo_before_gate(rng):
 
 def test_loss_uniform_logit_entropy(rng):
     # Zero weights make logits zero, so every term is computable by hand.
-    from fednoise.numkit import zeros_params
-
     B, C = 4, 3
-    params = zeros_params(2, 3, C)
+    params = ModelParams.zeros(2, 3, C)
     X = rng.normal(size=(B, 2))
     y = np.array([0, 1, 2, 0])
     pseudo = np.full((B, C), 1.0 / C)
@@ -331,23 +329,16 @@ def test_composite_grads_match_finite_differences(rng):
     )
     grads = mlp_backward(params, X, rec, d_logits, d_hidden)
     h = 1e-6
-    for arr, g in (
-        (params.W1, grads.W1),
-        (params.b1, grads.b1),
-        (params.W2, grads.W2),
-        (params.b2, grads.b2),
-    ):
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            i = it.multi_index
-            keep = arr[i]
-            arr[i] = keep + h
-            up = loss(params)
-            arr[i] = keep - h
-            down = loss(params)
-            arr[i] = keep
-            fd = (up - down) / (2 * h)
-            assert abs(fd - g[i]) < 1e-6 * max(1.0, abs(fd))
+    theta = params.theta
+    for i in range(theta.size):
+        keep = theta[i]
+        theta[i] = keep + h
+        up = loss(params)
+        theta[i] = keep - h
+        down = loss(params)
+        theta[i] = keep
+        fd = (up - down) / (2 * h)
+        assert abs(fd - grads[i]) < 1e-6 * max(1.0, abs(fd))
 
 
 # ------------------------------------------------------------- local_update
@@ -383,7 +374,7 @@ def test_local_update_deterministic():
     gc = CentroidSet.empty(3, 8)
     a = local_update(ds, shard, gp, gc, 2, 0.9, hp, make_rng(0, 6, 2, 0))
     b = local_update(ds, shard, gp, gc, 2, 0.9, hp, make_rng(0, 6, 2, 0))
-    np.testing.assert_array_equal(flatten_params(a.params), flatten_params(b.params))
+    np.testing.assert_array_equal(a.params.theta, b.params.theta)
     np.testing.assert_array_equal(a.centroids.vectors, b.centroids.vectors)
     assert a.stats == b.stats
 
@@ -398,53 +389,71 @@ def test_local_update_pure_function_across_clients():
     other = ClientShard(client_id=1, indices=shard.indices.copy())
     a = local_update(ds, shard, gp, gc, 1, 1.0, hp, make_rng(0, 6, 1, 0))
     b = local_update(ds, other, gp, gc, 1, 1.0, hp, make_rng(0, 6, 1, 0))
-    np.testing.assert_array_equal(flatten_params(a.params), flatten_params(b.params))
+    np.testing.assert_array_equal(a.params.theta, b.params.theta)
 
 
 def test_local_update_zero_epochs_keeps_broadcast():
     ds, shard = _blob_client()
     hp = _hp(local_epochs=0)
     gp = init_params(5, 8, 3, make_rng(0, 4))
-    gp.velocity.W1 += 7.0  # stale server-side buffer must not leak through
     res = local_update(ds, shard, gp, CentroidSet.empty(3, 8), 1, 1.0, hp, make_rng(0, 6, 1, 0))
-    np.testing.assert_array_equal(flatten_params(res.params), flatten_params(gp))
-    assert (res.params.velocity.W1 == 0).all()
+    np.testing.assert_array_equal(res.params.theta, gp.theta)
+    assert res.params.theta is not gp.theta
 
 
 def test_local_update_does_not_mutate_broadcast():
     ds, shard = _blob_client(noisy=True)
     hp = _hp()
     gp = init_params(5, 8, 3, make_rng(0, 4))
-    before = flatten_params(gp).copy()
+    before = gp.theta.copy()
     gc = CentroidSet.empty(3, 8)
     local_update(ds, shard, gp, gc, 1, 1.0, hp, make_rng(0, 6, 1, 0))
-    np.testing.assert_array_equal(before, flatten_params(gp))
+    np.testing.assert_array_equal(before, gp.theta)
     assert not gc.presence.any()
 
 
-def test_local_update_populates_shard_state():
+def test_local_update_reports_local_state():
     ds, shard = _blob_client(noisy=True)
     hp = _hp()
     gp = init_params(5, 8, 3, make_rng(0, 4))
     res = local_update(ds, shard, gp, CentroidSet.empty(3, 8), 1, 0.8, hp, make_rng(0, 6, 1, 0))
-    assert shard.pseudo_labels.shape == (ds.n, 3)
-    np.testing.assert_allclose(shard.pseudo_labels.sum(axis=1), 1.0, atol=1e-12)
-    assert set(np.unique(shard.confident_mask)) <= {0, 1}
-    assert shard.local_centroids is res.centroids
+    s = res.stats
+    # The 0/1 mask shows through the stats: every example is either
+    # confident or flagged.
+    assert 0 <= s.detected_noisy <= s.n_examples
+    assert s.confident_fraction * s.n_examples + s.detected_noisy == pytest.approx(s.n_examples)
     assert res.centroids.presence.any()
     assert 0.0 <= res.stats.confident_fraction <= 1.0
     assert res.stats.n_examples == ds.n
     assert np.isfinite(res.stats.mean_train_loss)
 
 
-def test_local_update_ce_baseline_is_maskless(rng):
+def test_local_update_ce_baseline_is_maskless(monkeypatch):
+    import fednoise.localnode as localnode
+
     ds, shard = _blob_client(noisy=True)
     hp = _hp()
     gp = init_params(5, 8, 3, make_rng(0, 4))
+    forwards = []
+
+    def counting_forward(params, X):
+        forwards.append(len(X))
+        return mlp_forward(params, X)
+
+    def no_centroid_work(*args, **kwargs):
+        raise AssertionError("ce_baseline must do no centroid or pseudo-label work")
+
+    monkeypatch.setattr(localnode, "mlp_forward", counting_forward)
+    for name in ("class_mean_features", "similarity_labels", "blend_with_global",
+                 "global_pseudo_labels", "small_loss_filter"):
+        monkeypatch.setattr(localnode, name, no_centroid_work)
     res = local_update(
         ds, shard, gp, CentroidSet.empty(3, 8), 1, 1.0, hp, make_rng(0, 6, 1, 0),
         method="ce_baseline",
     )
+    # One forward per SGD step, over that step's batch only.
+    steps = hp.local_epochs * math.ceil(ds.n / hp.batch_size)
+    assert len(forwards) == steps and sum(forwards) == hp.local_epochs * ds.n
     assert res.stats.confident_fraction == 1.0
     assert res.stats.detected_noisy == 0
     assert not res.centroids.presence.any()
@@ -480,7 +489,7 @@ def test_naive_pseudo_differs_after_gate():
     b = local_update(
         ds, shard, gp, gc, 2, 0.8, hp, make_rng(0, 6, 2, 0), method="naive_pseudo_ablation"
     )
-    assert not np.array_equal(flatten_params(a.params), flatten_params(b.params))
+    assert not np.array_equal(a.params.theta, b.params.theta)
 
 
 def test_methods_identical_before_gate():
@@ -494,7 +503,7 @@ def test_methods_identical_before_gate():
     b = local_update(
         ds, shard, gp, gc, 2, 0.8, hp, make_rng(0, 6, 2, 0), method="naive_pseudo_ablation"
     )
-    np.testing.assert_array_equal(flatten_params(a.params), flatten_params(b.params))
+    np.testing.assert_array_equal(a.params.theta, b.params.theta)
 
 
 def test_no_global_centroids_ignores_broadcast_centroids():
@@ -513,7 +522,7 @@ def test_no_global_centroids_ignores_broadcast_centroids():
         ds, shard, gp, empty, 2, 0.8, hp, make_rng(0, 6, 2, 0),
         method="no_global_centroids_ablation",
     )
-    np.testing.assert_array_equal(flatten_params(a.params), flatten_params(b.params))
+    np.testing.assert_array_equal(a.params.theta, b.params.theta)
     np.testing.assert_array_equal(a.centroids.vectors, b.centroids.vectors)
 
 
@@ -525,4 +534,5 @@ def test_detection_counts_add_up():
     s = res.stats
     assert s.actual_noisy == int((ds.given_labels != ds.true_labels).sum())
     assert 0 <= s.detected_true_noisy <= min(s.detected_noisy, s.actual_noisy)
-    assert s.detected_noisy == int((shard.confident_mask == 0).sum())
+    assert s.n_examples == ds.n
+    assert s.detected_noisy == round((1.0 - s.confident_fraction) * s.n_examples)

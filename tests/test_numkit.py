@@ -8,17 +8,14 @@ from hypothesis.extra.numpy import arrays
 
 from fednoise.errors import ContractViolation, TrainingDiverged
 from fednoise.numkit import (
-    GradSet,
     ModelParams,
     cosine_similarity,
-    flatten_params,
     init_params,
     log_softmax_rows,
     mlp_backward,
     mlp_forward,
     sgd_step,
     softmax_rows,
-    zeros_params,
 )
 
 
@@ -55,7 +52,6 @@ def test_init_params_shapes_and_zero_biases(rng):
     assert p.W1.shape == (7, 5) and p.b1.shape == (5,)
     assert p.W2.shape == (5, 3) and p.b2.shape == (3,)
     assert (p.b1 == 0).all() and (p.b2 == 0).all()
-    assert (p.velocity.W1 == 0).all() and (p.velocity.W2 == 0).all()
 
 
 def test_init_params_deterministic():
@@ -67,21 +63,38 @@ def test_init_params_deterministic():
     np.testing.assert_array_equal(a.W2, b.W2)
 
 
-def test_flatten_excludes_velocity(rng):
+def test_params_are_views_of_one_vector(rng):
     p = tiny_params(rng)
-    flat = flatten_params(p)
-    assert flat.shape == (3 * 4 + 4 + 4 * 3 + 3,)
-    p.velocity.W1 += 99.0
-    np.testing.assert_array_equal(flat, flatten_params(p))
+    assert p.theta.shape == (3 * 4 + 4 + 4 * 3 + 3,)
+    flat = np.concatenate([p.W1.ravel(), p.b1, p.W2.ravel(), p.b2])
+    np.testing.assert_array_equal(p.theta, flat)
+    for block in (p.W1, p.b1, p.W2, p.b2):
+        assert block.base is p.theta
+    p.theta[0] = 42.0
+    assert p.W1[0, 0] == 42.0
+    p.b2[-1] = -7.0
+    assert p.theta[-1] == -7.0
+    p.W2 = 0.5  # assignment copies into theta
+    assert p.W2.base is p.theta and (p.W2 == 0.5).all()
+    # sgd_step writes the same two buffers it was given and allocates no
+    # new parameter or velocity buffer.
+    theta, velocity = p.theta, np.zeros_like(p.theta)
+    before = theta.copy()
+    grads = rng.normal(size=theta.shape)
+    assert sgd_step(p, grads, velocity, lr=0.1, momentum=0.5, weight_decay=0.1) is None
+    assert p.theta is theta
+    assert all(block.base is theta for block in (p.W1, p.b1, p.W2, p.b2))
+    assert not np.array_equal(velocity, 0.0)
+    np.testing.assert_array_equal(p.theta, before - 0.1 * velocity)
 
 
 def test_forward_hand_computed():
     # Single example through a 2-2-2 net with fixed round-number weights.
-    p = zeros_params(2, 2, 2)
-    p.W1 = np.array([[1.0, 0.0], [0.0, -1.0]])
-    p.b1 = np.array([0.5, 0.5])
-    p.W2 = np.array([[2.0, 0.0], [0.0, 2.0]])
-    p.b2 = np.array([0.0, 1.0])
+    p = ModelParams.zeros(2, 2, 2)
+    p.W1[...] = [[1.0, 0.0], [0.0, -1.0]]
+    p.b1[...] = [0.5, 0.5]
+    p.W2[...] = [[2.0, 0.0], [0.0, 2.0]]
+    p.b2[...] = [0.0, 1.0]
     X = np.array([[1.0, 2.0]])
     rec = mlp_forward(p, X)
     h0 = math.tanh(1.0 + 0.5)
@@ -94,7 +107,7 @@ def test_forward_hand_computed():
 
 
 def test_forward_dim_mismatch():
-    p = zeros_params(3, 2, 2)
+    p = ModelParams.zeros(3, 2, 2)
     with pytest.raises(ContractViolation):
         mlp_forward(p, np.zeros((4, 5)))
 
@@ -116,19 +129,17 @@ def test_backward_matches_finite_differences_on_ce(rng):
     onehot[np.arange(B), y] = 1.0
     grads = mlp_backward(p, X, rec, (rec.probs - onehot) / B, np.zeros((B, d_h)))
 
+    assert grads.shape == p.theta.shape
     h = 1e-6
-    for arr, g in ((p.W1, grads.W1), (p.b1, grads.b1), (p.W2, grads.W2), (p.b2, grads.b2)):
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            i = it.multi_index
-            keep = arr[i]
-            arr[i] = keep + h
-            up = loss(p)
-            arr[i] = keep - h
-            down = loss(p)
-            arr[i] = keep
-            fd = (up - down) / (2 * h)
-            assert abs(fd - g[i]) < 1e-7 * max(1.0, abs(fd))
+    for i in range(p.theta.size):
+        keep = p.theta[i]
+        p.theta[i] = keep + h
+        up = loss(p)
+        p.theta[i] = keep - h
+        down = loss(p)
+        p.theta[i] = keep
+        fd = (up - down) / (2 * h)
+        assert abs(fd - grads[i]) < 1e-7 * max(1.0, abs(fd))
 
 
 def test_backward_uses_hidden_partials(rng):
@@ -144,7 +155,8 @@ def test_backward_uses_hidden_partials(rng):
         return float(((r.hidden - target) ** 2).sum() / B)
 
     grads = mlp_backward(p, X, rec, np.zeros((B, C)), 2.0 * (rec.hidden - target) / B)
-    assert (grads.W2 == 0).all() and (grads.b2 == 0).all()
+    gW1, _, gW2, gb2 = p.blocks(grads)
+    assert (gW2 == 0).all() and (gb2 == 0).all()
     h = 1e-6
     it = np.nditer(p.W1, flags=["multi_index"])
     for _ in it:
@@ -156,69 +168,85 @@ def test_backward_uses_hidden_partials(rng):
         down = loss(p)
         p.W1[i] = keep
         fd = (up - down) / (2 * h)
-        assert abs(fd - grads.W1[i]) < 1e-7 * max(1.0, abs(fd))
+        assert abs(fd - gW1[i]) < 1e-7 * max(1.0, abs(fd))
 
 
 def test_sgd_step_hand_computed():
-    p = zeros_params(1, 1, 1)
+    p = ModelParams.zeros(1, 1, 1)
     p.W1[0, 0] = 1.0
-    g = GradSet.zeros(1, 1, 1)
-    g.W1[0, 0] = 0.5
-    q = sgd_step(p, g, lr=0.1, momentum=0.5, weight_decay=0.0)
-    assert q.velocity.W1[0, 0] == pytest.approx(0.5)
-    assert q.W1[0, 0] == pytest.approx(0.95)
-    g.W1[0, 0] = 0.1
-    q2 = sgd_step(q, g, lr=0.1, momentum=0.5, weight_decay=0.0)
+    g = np.zeros_like(p.theta)
+    v = np.zeros_like(p.theta)
+    gW1 = p.blocks(g)[0]
+    vW1 = p.blocks(v)[0]
+    gW1[0, 0] = 0.5
+    sgd_step(p, g, v, lr=0.1, momentum=0.5, weight_decay=0.0)
+    assert vW1[0, 0] == pytest.approx(0.5)
+    assert p.W1[0, 0] == pytest.approx(0.95)
+    gW1[0, 0] = 0.1
+    sgd_step(p, g, v, lr=0.1, momentum=0.5, weight_decay=0.0)
     # v = 0.5*0.5 + 0.1 = 0.35; w = 0.95 - 0.1*0.35
-    assert q2.velocity.W1[0, 0] == pytest.approx(0.35)
-    assert q2.W1[0, 0] == pytest.approx(0.915)
+    assert vW1[0, 0] == pytest.approx(0.35)
+    assert p.W1[0, 0] == pytest.approx(0.915)
 
 
 def test_sgd_weight_decay_skips_biases():
-    p = zeros_params(2, 2, 2)
+    p = ModelParams.zeros(2, 2, 2)
     p.W1 += 1.0
     p.b1 += 1.0
-    g = GradSet.zeros(2, 2, 2)
-    q = sgd_step(p, g, lr=0.1, momentum=0.0, weight_decay=0.5)
-    np.testing.assert_allclose(q.W1, 1.0 - 0.1 * 0.5)
-    np.testing.assert_allclose(q.b1, 1.0)
+    g = np.zeros_like(p.theta)
+    sgd_step(p, g, np.zeros_like(g), lr=0.1, momentum=0.0, weight_decay=0.5)
+    np.testing.assert_allclose(p.W1, 1.0 - 0.1 * 0.5)
+    np.testing.assert_allclose(p.b1, 1.0)
 
 
-def test_sgd_step_pure(rng):
+def test_sgd_step_writes_only_params_and_velocity(rng):
     p = tiny_params(rng)
-    before = flatten_params(p).copy()
-    g = GradSet.zeros(3, 4, 3)
-    g.W1 += 1.0
-    sgd_step(p, g, lr=0.1, momentum=0.5, weight_decay=0.0)
-    np.testing.assert_array_equal(before, flatten_params(p))
+    g = rng.normal(size=p.theta.shape)
+    g_before = g.copy()
+    v = np.zeros_like(g)
+    other = p.copy()
+    sgd_step(p, g, v, lr=0.1, momentum=0.5, weight_decay=0.01)
+    np.testing.assert_array_equal(g, g_before)
+    assert not np.array_equal(p.theta, other.theta)
+    assert not np.array_equal(v, 0.0)
+
+
+def test_model_params_rejects_bad_theta():
+    with pytest.raises(ContractViolation):
+        ModelParams(np.zeros(10), 2, 2, 2)  # 2*2 + 2 + 2*2 + 2 = 12
+    with pytest.raises(ContractViolation):
+        ModelParams(np.zeros(12, dtype=np.float32), 2, 2, 2)
+    assert ModelParams(np.zeros(12), 2, 2, 2).W2.shape == (2, 2)
 
 
 def test_sgd_rejects_bad_hyperparams(rng):
     p = tiny_params(rng)
-    g = GradSet.zeros(3, 4, 3)
+    g = np.zeros_like(p.theta)
     with pytest.raises(ContractViolation):
-        sgd_step(p, g, lr=0.0, momentum=0.5, weight_decay=0.0)
+        sgd_step(p, g, np.zeros_like(g), lr=0.0, momentum=0.5, weight_decay=0.0)
     with pytest.raises(ContractViolation):
-        sgd_step(p, g, lr=0.1, momentum=1.0, weight_decay=0.0)
+        sgd_step(p, g, np.zeros_like(g), lr=0.1, momentum=1.0, weight_decay=0.0)
+    with pytest.raises(ContractViolation):
+        sgd_step(p, g, np.zeros(3), lr=0.1, momentum=0.5, weight_decay=0.0)
 
 
 def test_sgd_diverged_gradient(rng):
     p = tiny_params(rng)
-    g = GradSet.zeros(3, 4, 3)
-    g.W2[0, 0] = np.nan
+    before = p.theta.copy()
+    g = np.zeros_like(p.theta)
+    p.blocks(g)[2][0, 0] = np.nan
     with pytest.raises(TrainingDiverged):
-        sgd_step(p, g, lr=0.1, momentum=0.5, weight_decay=0.0)
+        sgd_step(p, g, np.zeros_like(g), lr=0.1, momentum=0.5, weight_decay=0.0)
+    np.testing.assert_array_equal(p.theta, before)
 
 
-def test_copy_reset_velocity(rng):
+def test_copy_is_independent(rng):
     p = tiny_params(rng)
-    p.velocity.W1 += 3.0
-    kept = p.copy()
-    reset = p.copy(reset_velocity=True)
-    assert (kept.velocity.W1 == 3.0).all()
-    assert (reset.velocity.W1 == 0.0).all()
-    reset.W1 += 1.0
-    assert not np.allclose(reset.W1, p.W1)
+    q = p.copy()
+    np.testing.assert_array_equal(q.theta, p.theta)
+    q.W1 += 1.0
+    assert not np.allclose(q.W1, p.W1)
+    np.testing.assert_array_equal(q.theta[: q.W1.size], q.W1.ravel())
 
 
 def test_cosine_basic_directions():
