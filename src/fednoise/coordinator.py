@@ -1,18 +1,31 @@
 """Server side of the simulation: rounds, aggregation, evaluation.
 
 Each round: sample a client subset, broadcast global weights and
-centroids, run the selected clients' local updates one after another,
-average weights by shard size, and fold the uploaded class centroids
-into the global set by cosine-weighted averaging.
+centroids, run the selected clients' local updates, average weights by
+shard size, and fold the uploaded class centroids into the global set by
+cosine-weighted averaging.
+
+The selected clients run on every CPU the process may use. run_training
+forks one worker process per extra CPU (never more processes than
+clients per round), and every round gives each process a fixed share of
+the clients by their position in the sorted selection.
 
 Determinism contract: every random draw comes from a Philox stream keyed
 by (seed, stream, round, client), and client results are always reduced
-in ascending client-id order, so reruns are byte-identical.
+in ascending client-id order, so reruns are byte-identical whatever the
+number of processes or the CPU affinity.
 """
 
 from __future__ import annotations
 
+import functools
+import mmap
+import multiprocessing
+import os
+import pickle
+import threading
 import time
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,59 +184,221 @@ def run_training(
 
     params = init_params(train.d_in, d_h, train.C, make_rng(seed, STREAM_INIT))
     state = RoundState(t=0, params=params, centroids=CentroidSet.empty(train.C, d_h))
+    run_share = functools.partial(_run_share, train, shards, hp, seed, method)
+    processes = min(_usable_cpus(), fed.clients_per_round)
 
-    for t in range(1, fed.rounds + 1):
-        started = time.perf_counter()
-        state.t = t
-        state.r_t = r_schedule(t - 1, hp)
-        chosen = select_clients(
-            fed.num_clients, fed.clients_per_round, make_rng(seed, STREAM_SELECT, t)
-        )
-        results = _run_clients(train, shards, state, chosen, hp, seed, method)
-        sizes = [len(shards[cid].indices) for cid in chosen]
+    with _ClientProcesses(processes, fed.clients_per_round, params, run_share) as clients:
+        for t in range(1, fed.rounds + 1):
+            started = time.perf_counter()
+            state.t = t
+            state.r_t = r_schedule(t - 1, hp)
+            chosen = select_clients(
+                fed.num_clients, fed.clients_per_round, make_rng(seed, STREAM_SELECT, t)
+            )
+            results = clients.run(state, chosen)
+            sizes = [len(shards[cid].indices) for cid in chosen]
 
-        state.params = fedavg(results, sizes)
-        uploaded = [r.centroids for r in results if r.centroids.presence.any()]
-        if uploaded:
-            state.centroids = aggregate_global_centroids(state.centroids, uploaded)
+            state.params = fedavg(results, sizes)
+            uploaded = [r.centroids for r in results if r.centroids.presence.any()]
+            if uploaded:
+                state.centroids = aggregate_global_centroids(state.centroids, uploaded)
 
-        state.records.append(
-            _round_record(state, results, sizes, test, started)
-        )
+            state.records.append(
+                _round_record(state, results, sizes, test, started)
+            )
 
     return state.params, state.records
 
 
-def _run_clients(
+def _usable_cpus() -> int:
+    """CPUs this process may run on, or 1 where run_training does not fork
+    workers: no CPU affinity to read, no fork start method, a daemonic
+    process (which may not have children), or other threads running (a
+    lock one of them holds at the fork would stay held in the worker)."""
+    if (
+        not hasattr(os, "sched_getaffinity")
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.current_process().daemon
+        or threading.active_count() > 1
+    ):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _run_share(
     train: Dataset,
     shards: list[ClientShard],
-    state: RoundState,
-    chosen: np.ndarray,
     hp: HyperParams,
     seed: int,
     method: str,
-) -> list[LocalUpdateResult]:
-    """Run the chosen clients in ascending id order."""
+    ids: list[int],
+    params: ModelParams,
+    centroids: CentroidSet,
+    t: int,
+    r_t: float,
+) -> tuple[list[LocalUpdateResult], tuple[int, Exception] | None]:
+    """Run the given clients of round t in order. Returns their results
+    and, if one fails, (its index in ids, an error naming round and
+    client); the clients after a failure do not run."""
     results = []
-    for cid in chosen.tolist():
-        rng = make_rng(seed, STREAM_LOCAL, state.t, cid)
+    for i, cid in enumerate(ids):
+        rng = make_rng(seed, STREAM_LOCAL, t, cid)
         try:
             results.append(
-                local_update(
-                    train,
-                    shards[cid],
-                    state.params,
-                    state.centroids,
-                    state.t,
-                    state.r_t,
-                    hp,
-                    rng,
-                    method=method,
-                )
+                local_update(train, shards[cid], params, centroids, t, r_t, hp, rng, method=method)
             )
         except Exception as e:
-            raise _with_context(e, f"round {state.t}, client {cid}") from e
-    return results
+            err = _with_context(e, f"round {t}, client {cid}")
+            err.__cause__ = e
+            return results, (i, err)
+    return results, None
+
+
+# How long closing waits for a worker to exit before terminating it.
+WORKER_EXIT_TIMEOUT_S = 1.0
+
+
+class _ClientProcesses:
+    """The processes that run each round's clients: this one (process 0)
+    and, for n processes, n - 1 forked workers.
+
+    Process w runs the clients at positions w, w+n, w+2n, ... of the
+    round's sorted selection. The workers are forked once per
+    run_training call, after the data exists, so they inherit the
+    datasets, shards and settings. Weights pass through memory shared
+    with them: `broadcast` holds the round's global weights and
+    `uploads[p]` the result of the client at position p. A pipe carries
+    only client ids, centroids and statistics. Closing the pipes ends
+    the workers.
+    """
+
+    def __init__(self, processes: int, clients: int, like: ModelParams, run_share):
+        self.processes = processes
+        self.run_share = run_share
+        self.conns = []
+        self.procs = []
+        if processes == 1:
+            return
+        dims = (like.d_in, like.d_h, like.n_classes)
+        rows = np.frombuffer(mmap.mmap(-1, (clients + 1) * like.theta.nbytes))
+        rows = rows.reshape(clients + 1, like.theta.size)
+        self.broadcast = ModelParams(rows[0], *dims)
+        self.uploads = [ModelParams(row, *dims) for row in rows[1:]]
+        ctx = multiprocessing.get_context("fork")
+        try:
+            for w in range(1, processes):
+                conn, child_conn = ctx.Pipe()
+                self.conns.append(conn)
+                proc = ctx.Process(
+                    target=self._serve, args=(w, child_conn, list(self.conns)), daemon=True
+                )
+                proc.start()
+                child_conn.close()
+                self.procs.append(proc)
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self) -> "_ClientProcesses":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def run(self, state: RoundState, chosen: np.ndarray) -> list[LocalUpdateResult]:
+        """Run the chosen clients of the round and return their results in
+        ascending id order. If clients fail, raise the error of the first
+        failing position."""
+        ids = chosen.tolist()
+        n = self.processes
+        if n > 1:
+            self.broadcast.theta[...] = state.params.theta
+        for w, conn in enumerate(self.conns, 1):
+            try:
+                conn.send((ids[w::n], state.centroids, state.t, state.r_t))
+            except OSError:
+                raise self._died(w, state.t) from None
+        shares = [self.run_share(ids[0::n], state.params, state.centroids, state.t, state.r_t)]
+        shares += [self._receive(w, state.t) for w in range(1, n)]
+
+        results: list = [None] * len(ids)
+        errors = {}
+        for w, (done, failure) in enumerate(shares):
+            for i, res in enumerate(done):
+                results[w + i * n] = res
+            if failure is not None:
+                i, err = failure
+                errors[w + i * n] = err
+        if errors:
+            raise errors[min(errors)]
+        return results
+
+    def _serve(self, w: int, conn, inherited) -> None:
+        """Body of worker w: run its share of each round until the
+        coordinator closes its end of the pipe."""
+        # The fork copied the coordinator's end of this pipe and of every
+        # earlier worker's; holding them open would keep those pipes from
+        # ever reading as closed.
+        for end in inherited:
+            end.close()
+        try:
+            while True:
+                ids, centroids, t, r_t = conn.recv()
+                done, failure = self.run_share(ids, self.broadcast, centroids, t, r_t)
+                for i, res in enumerate(done):
+                    self.uploads[w + i * self.processes].theta[...] = res.params.theta
+                    res.params = None
+                if failure is not None:
+                    failure = _portable(*failure)
+                conn.send((done, failure))
+        except (EOFError, OSError, KeyboardInterrupt):
+            pass  # the coordinator closed its end or is stopping
+
+    def _receive(self, w: int, t: int):
+        """Worker w's (results, failure) for round t."""
+        try:
+            done, failure = self.conns[w - 1].recv()
+        except (EOFError, OSError):
+            raise self._died(w, t) from None
+        for i, res in enumerate(done):
+            res.params = self.uploads[w + i * self.processes]
+        if failure is not None:
+            i, err, tb = failure
+            err.__cause__ = WorkerTraceback(tb)
+            failure = (i, err)
+        return done, failure
+
+    def _died(self, w: int, t: int) -> RuntimeError:
+        proc = self.procs[w - 1]
+        proc.join(WORKER_EXIT_TIMEOUT_S)
+        return RuntimeError(
+            f"round {t}: client worker process {proc.pid} exited (exit code "
+            f"{proc.exitcode}) before returning its clients' results"
+        )
+
+    def close(self) -> None:
+        for conn in self.conns:
+            conn.close()
+        for proc in self.procs:
+            proc.join(WORKER_EXIT_TIMEOUT_S)
+            if proc.exitcode is None:
+                proc.terminate()
+                proc.join()
+
+
+def _portable(i: int, err: Exception) -> tuple[int, Exception, str]:
+    """A failure that survives the pipe: an error that pickles, and the
+    traceback of the exception behind it as text (pickling drops it)."""
+    tb = "".join(traceback.format_exception(err.__cause__ or err))
+    try:
+        pickle.loads(pickle.dumps(err))
+    except Exception:
+        err = RuntimeError(str(err))
+    return i, err, tb
+
+
+class WorkerTraceback(Exception):
+    """The traceback, as text, of a client error in a worker process."""
 
 
 def _with_context(e: Exception, ctx: str) -> Exception:

@@ -263,8 +263,9 @@ def total_loss_and_grads(
     y_pseudo may then be None).
     Centroid: masked squared distance of features to their class centroid;
     the term is off (0) when centroids is None.
-    Entropy: of every softmax row. Returns (breakdown, forward record,
-    dLoss/dlogits, dLoss/dhidden) ready for mlp_backward.
+    Entropy: of every softmax row; the term is off (reported as 0) when
+    hp.lambda_e is 0. Returns (breakdown, forward record, dLoss/dlogits,
+    dLoss/dhidden) ready for mlp_backward.
     """
     if rec is None:
         rec = mlp_forward(params, X)
@@ -286,9 +287,10 @@ def total_loss_and_grads(
 
     # Entropy term: p*logp is exactly 0 for underflowed probabilities
     # because logp stays finite.
-    row_entropy = -(rec.probs * logp).sum(axis=1)
-    l_entropy = float(row_entropy.sum() / B)
+    l_entropy = 0.0
     if lam_e != 0.0:
+        row_entropy = -(rec.probs * logp).sum(axis=1)
+        l_entropy = float(row_entropy.sum() / B)
         d_logits = d_logits + lam_e * (-rec.probs * (logp + row_entropy[:, None])) / B
 
     # Centroid term: confident samples only. A confident sample's class is
@@ -308,7 +310,7 @@ def total_loss_and_grads(
         ("centroid", l_centroid),
         ("entropy", l_entropy),
     ):
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise TrainingDiverged(f"{name} loss became non-finite")
     return (
         LossBreakdown(l_class, l_centroid, l_entropy, total),

@@ -95,6 +95,11 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams(self.theta.copy(), self.d_in, self.d_h, self.n_classes)
 
+    def __reduce__(self):
+        # Rebuild through __init__ so pickled and deep-copied params get
+        # views into their own theta, not detached copies of the blocks.
+        return ModelParams, (self.theta, self.d_in, self.d_h, self.n_classes)
+
 
 @dataclass
 class ForwardRecord:

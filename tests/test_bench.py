@@ -18,13 +18,16 @@ from fednoise.bench import (
     run_experiment,
     summary_accuracy,
 )
+from fednoise import coordinator
 from fednoise.errors import ConfigError
+from fednoise.localnode import METHODS
 from fednoise.metrics import read_csv
 from fednoise.noise import apply_noise
 from fednoise.datagen import partition_iid
 from fednoise.seeds import STREAM_INIT, STREAM_LOCAL, STREAM_SELECT, make_rng
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BLOBS_CFG = os.path.join(REPO_ROOT, "configs", "blobs.cfg")
 
 
 # ------------------------------------------------------------ config parsing
@@ -356,21 +359,72 @@ def test_cli_entry_point_subprocess(tmp_path):
     assert "acc_last10=" in proc.stdout
 
 
+# blobs.cfg made MNIST-shaped: 784-d, 10 classes, 10k training points.
+MNIST_SHAPED_CE_3_ROUNDS = (
+    "dataset.dim=784", "dataset.classes=10", "dataset.train_per_class=1000",
+    "dataset.test_per_class=200", "fed.rounds=3", "method=ce_baseline",
+)
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _cli_csv(path, overrides, env=None, preexec_fn=None) -> bytes:
+    """CSV bytes of `fednoise run` on blobs.cfg with overrides, in a subprocess."""
+    cmd = [sys.executable, "-m", "fednoise", "run", "--config", BLOBS_CFG, "--output", str(path)]
+    for ov in overrides:
+        cmd += ["--override", ov]
+    subprocess.run(cmd, check=True, env=env, capture_output=True, cwd=REPO_ROOT,
+                   preexec_fn=preexec_fn)
+    return path.read_bytes()
+
+
 def test_blas_thread_count_does_not_change_csv(tmp_path):
     # 784-d products are large enough for OpenBLAS to split them across
     # threads, which changes float rounding unless the package pins BLAS.
-    overrides = (
-        "dataset.dim=784", "dataset.classes=10", "dataset.train_per_class=1000",
-        "dataset.test_per_class=200", "fed.rounds=3", "method=ce_baseline",
-    )
     blobs = []
     for threads in ("1", "2"):
-        out = str(tmp_path / f"blas{threads}.csv")
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        cmd = [sys.executable, "-m", "fednoise", "run", "--config", "configs/blobs.cfg",
-               "--output", out]
-        for ov in overrides:
-            cmd += ["--override", ov]
-        subprocess.run(cmd, check=True, env=env, capture_output=True, cwd=REPO_ROOT)
-        blobs.append(open(out, "rb").read())
+        blobs.append(_cli_csv(tmp_path / f"blas{threads}.csv", MNIST_SHAPED_CE_3_ROUNDS, env))
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    # 32 rounds reach the pseudo-label phase (hp.t_pl = 30) and the end of
+    # the keep-fraction decay (hp.t_horizon = 10).
+    [("fed.rounds=32", f"method={m}") for m in METHODS] + [MNIST_SHAPED_CE_3_ROUNDS],
+    ids=list(METHODS) + ["mnist_shaped_ce_baseline"],
+)
+def test_csv_bytes_do_not_depend_on_processes(tmp_path, monkeypatch, overrides):
+    # One CPU means one process; every CPU means one per CPU (at most one
+    # per selected client); three forced processes split blobs.cfg's five
+    # clients per round 2 + 2 + 1.
+    cpu = min(os.sched_getaffinity(0))
+    one_cpu = _cli_csv(
+        tmp_path / "one_cpu.csv", overrides, preexec_fn=lambda: os.sched_setaffinity(0, {cpu})
+    )
+    every_cpu = _cli_csv(tmp_path / "every_cpu.csv", overrides)
+    monkeypatch.setattr(coordinator, "_usable_cpus", lambda: 3)
+    three = tmp_path / "three.csv"
+    run_experiment(load_config(BLOBS_CFG, list(overrides) + [f"output={three}"]))
+    assert one_cpu == every_cpu == three.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "code, preset, warns",
+    [
+        ("import numpy; import fednoise", None, True),
+        ("import fednoise; import numpy", None, False),
+        ("import numpy; import fednoise", "1", False),
+    ],
+    ids=["numpy_first", "fednoise_first", "numpy_first_pinned_by_env"],
+)
+def test_blas_pin_warns_when_numpy_came_first(code, preset, warns):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    if preset is not None:
+        env.update({v: preset for v in BLAS_THREAD_VARS})
+    proc = subprocess.run(
+        [sys.executable, "-W", "always", "-c", code],
+        env=env, capture_output=True, text=True, cwd=REPO_ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert ("RuntimeWarning" in proc.stderr and "one thread" in proc.stderr) == warns, proc.stderr

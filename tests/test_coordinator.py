@@ -1,8 +1,15 @@
+import dataclasses
+import multiprocessing
+import os
+import signal
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fednoise import coordinator
 from fednoise.coordinator import (
     FederationConfig,
     aggregate_global_centroids,
@@ -14,7 +21,7 @@ from fednoise.coordinator import (
 )
 from fednoise.datagen import make_blobs, partition_iid, split_per_class
 from fednoise.errors import ConfigError, ContractViolation
-from fednoise.localnode import CentroidSet, HyperParams, LocalUpdateResult
+from fednoise.localnode import METHODS, CentroidSet, HyperParams, LocalUpdateResult
 from fednoise.localnode import LocalStats
 from fednoise.numkit import ModelParams, cosine_similarity, init_params
 from fednoise.seeds import make_rng
@@ -283,6 +290,138 @@ def test_run_training_client_failure_context():
         # Selecting all clients guarantees the broken one participates.
         fed2 = FederationConfig(num_clients=6, clients_per_round=6, rounds=2)
         run_training(train, test, shards, fed2, hp, seed=0)
+
+
+def _processes(monkeypatch, n):
+    """Make run_training use n processes (n - 1 forked workers)."""
+    monkeypatch.setattr(coordinator, "_usable_cpus", lambda: n)
+
+
+def _deterministic_fields(records):
+    return [{k: v for k, v in dataclasses.asdict(r).items() if k != "wall_ms"} for r in records]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_run_training_same_result_in_any_number_of_processes(monkeypatch, method):
+    train, test, shards, fed, hp = _tiny_setup(eps=0.3)
+    fed.clients_per_round = 5  # three processes take 2 + 2 + 1 clients
+    runs = []
+    for n in (1, 2, 3, 5):
+        _processes(monkeypatch, n)
+        params, records = run_training(train, test, shards, fed, hp, seed=4, method=method)
+        runs.append((params.theta, _deterministic_fields(records)))
+    for theta, records in runs[1:]:
+        np.testing.assert_array_equal(runs[0][0], theta)
+        assert records == runs[0][1]
+
+
+def test_workers_exit_by_themselves_when_run_training_ends(monkeypatch):
+    # Exit code 0, not a terminate after the join timeout: every worker
+    # sees its pipe close, which needs each to close the pipe ends it
+    # inherited from the coordinator.
+    _processes(monkeypatch, 3)
+    exit_codes = []
+    close = coordinator._ClientProcesses.close
+
+    def recording_close(self):
+        close(self)
+        exit_codes.extend(proc.exitcode for proc in self.procs)
+
+    monkeypatch.setattr(coordinator._ClientProcesses, "close", recording_close)
+    train, test, shards, fed, hp = _tiny_setup()
+    run_training(train, test, shards, fed, hp, seed=0)
+    assert exit_codes == [0, 0]
+
+
+@pytest.mark.parametrize("processes", [1, 3])
+@pytest.mark.parametrize(
+    "broken, named",
+    # With three processes, position 4 runs in worker 1 and position 3 in
+    # the coordinator, after position 0.
+    [((4,), 4), ((3, 4), 3), ((4, 5), 4)],
+)
+def test_run_training_client_error_names_round_and_client(monkeypatch, processes, broken, named):
+    _processes(monkeypatch, processes)
+    train, test, shards, _, hp = _tiny_setup()
+    for cid in broken:
+        shards[cid].indices = np.array([], dtype=np.int64)
+    fed = FederationConfig(num_clients=6, clients_per_round=6, rounds=2)
+    with pytest.raises(ContractViolation, match=rf"round 1, client {named}: ") as exc:
+        run_training(train, test, shards, fed, hp, seed=0)
+    # The original error, or a worker's traceback of it, stays attached.
+    cause = exc.value.__cause__
+    if named % processes:  # the client ran in a worker
+        assert isinstance(cause, coordinator.WorkerTraceback)
+        assert "in local_update" in str(cause)
+    else:
+        assert isinstance(cause, ContractViolation) and cause.__traceback__ is not None
+
+
+def test_usable_cpus_is_one_while_other_threads_run():
+    assert coordinator._usable_cpus() == len(os.sched_getaffinity(0))
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert coordinator._usable_cpus() == 1
+    finally:
+        release.set()
+        other.join(10)
+    assert not other.is_alive()
+    assert coordinator._usable_cpus() == len(os.sched_getaffinity(0))
+
+
+def _dies_in_worker_in_round_2(monkeypatch):
+    """Make the worker exit with code 7 in its first client of round 2."""
+    coordinator_pid = os.getpid()
+    local_update = coordinator.local_update
+
+    def dies(*args, **kwargs):
+        if os.getpid() != coordinator_pid and args[4] == 2:
+            os._exit(7)
+        return local_update(*args, **kwargs)
+
+    monkeypatch.setattr(coordinator, "local_update", dies)
+    return 7
+
+
+def _killed_after_round_1(monkeypatch):
+    """Kill the idle worker once round 1's results are in."""
+    fedavg = coordinator.fedavg
+
+    def kills(results, sizes):
+        if len(fedavg_calls) == 0:
+            for child in multiprocessing.active_children():
+                child.kill()
+                child.join(10)
+        fedavg_calls.append(1)
+        return fedavg(results, sizes)
+
+    fedavg_calls = []
+    monkeypatch.setattr(coordinator, "fedavg", kills)
+    return -signal.SIGKILL
+
+
+@pytest.mark.parametrize("death", [_dies_in_worker_in_round_2, _killed_after_round_1])
+def test_run_training_worker_death_is_an_error(monkeypatch, death):
+    _processes(monkeypatch, 2)
+    train, test, shards, fed, hp = _tiny_setup()
+    code = death(monkeypatch)
+
+    def hung(signum, frame):
+        raise TimeoutError("run_training hung after a worker died")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(
+            RuntimeError, match=rf"round 2: client worker process \d+ exited \(exit code {code}\)"
+        ):
+            run_training(train, test, shards, fed, hp, seed=0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
 
 
 def test_run_training_shard_count_mismatch():

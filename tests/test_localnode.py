@@ -287,6 +287,24 @@ def test_loss_uniform_logit_entropy(rng):
     assert bd.total == pytest.approx(2 * math.log(C), rel=1e-12)
 
 
+def test_entropy_term_off_when_its_weight_is_zero(rng):
+    params, X, y, pseudo, mask, cents = _loss_instance(rng)
+    on = HyperParams(lambda_cen=1.0, lambda_e=0.8)
+    off = HyperParams(lambda_cen=1.0, lambda_e=0.0)
+    bd_on, _, _, _ = total_loss_and_grads(params, X, y, pseudo, mask, cents, on, use_pseudo=True)
+    bd_off, _, d_logits, _ = total_loss_and_grads(
+        params, X, y, pseudo, mask, cents, off, use_pseudo=True
+    )
+    assert bd_on.entropy > 0.0 and bd_off.entropy == 0.0
+    assert bd_off.classification == bd_on.classification
+    assert bd_off.total == bd_off.classification + 1.0 * bd_off.centroid
+    # Without the entropy term the logit gradient is plain cross-entropy's.
+    rec = mlp_forward(params, X)
+    m = mask.astype(float)[:, None]
+    targets = m * np.eye(pseudo.shape[1])[y] + (1.0 - m) * pseudo
+    np.testing.assert_allclose(d_logits, (rec.probs - targets) / len(y), rtol=1e-12)
+
+
 def test_centroid_term_hand_value(rng):
     params, X, y, pseudo, _, _ = _loss_instance(rng, B=3, C=3, d_h=5)
     mask = np.array([1, 0, 1])

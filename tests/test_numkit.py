@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -247,6 +249,20 @@ def test_copy_is_independent(rng):
     q.W1 += 1.0
     assert not np.allclose(q.W1, p.W1)
     np.testing.assert_array_equal(q.theta[: q.W1.size], q.W1.ravel())
+
+
+@pytest.mark.parametrize(
+    "clone", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy], ids=["pickle", "deepcopy"]
+)
+def test_copied_params_keep_their_views(rng, clone):
+    p = tiny_params(rng)
+    q = clone(p)
+    np.testing.assert_array_equal(q.theta, p.theta)
+    assert (q.d_in, q.d_h, q.n_classes) == (p.d_in, p.d_h, p.n_classes)
+    assert not np.shares_memory(q.theta, p.theta)
+    assert all(block.base is q.theta for block in (q.W1, q.b1, q.W2, q.b2))
+    q.theta[0] = 42.0
+    assert q.W1[0, 0] == 42.0 and p.W1[0, 0] != 42.0
 
 
 def test_cosine_basic_directions():
