@@ -66,7 +66,11 @@ def make_blobs(
     if 0 < dmin < target:
         centers = centers * (target / dmin)
     labels = np.repeat(np.arange(C, dtype=np.int64), per_class)
-    X = centers[labels] + spread * rng.standard_normal((C * per_class, d_in))
+    # Built in place, class by contiguous row block: no full-size temporary.
+    X = rng.standard_normal((C * per_class, d_in))
+    X *= spread
+    blocks = X.reshape(C, per_class, d_in)
+    blocks += centers[:, None, :]
     return Dataset(X=X, true_labels=labels, given_labels=labels.copy(), C=C)
 
 
@@ -90,10 +94,11 @@ def split_per_class(dataset: Dataset, train_per_class: int) -> tuple[Dataset, Da
     te = np.concatenate(test_idx)
 
     def take(idx: np.ndarray) -> Dataset:
+        # Fancy indexing copies, so the three arrays share no memory.
         return Dataset(
-            X=dataset.X[idx].copy(),
-            true_labels=dataset.true_labels[idx].copy(),
-            given_labels=dataset.true_labels[idx].copy(),
+            X=dataset.X[idx],
+            true_labels=dataset.true_labels[idx],
+            given_labels=dataset.true_labels[idx],
             C=dataset.C,
         )
 

@@ -24,9 +24,9 @@ from .numkit import (
     ForwardRecord,
     ModelParams,
     ZERO_NORM_EPS,
-    cosine_similarity,
     log_softmax_rows,
     mlp_backward,
+    mlp_features,
     mlp_forward,
     sgd_step,
 )
@@ -160,17 +160,17 @@ def class_mean_features(
     Classes with no selected example get a zero vector and presence False.
     Also returns the per-class selected counts.
     """
-    d_h = features.shape[1]
-    vectors = np.zeros((C, d_h))
-    counts = np.zeros(C, dtype=np.int64)
     sel_labels = labels[selected]
-    sel_features = features[selected]
-    for c in range(C):
-        rows = sel_features[sel_labels == c]
-        counts[c] = rows.shape[0]
-        if counts[c] > 0:
-            vectors[c] = rows.mean(axis=0)
-    return CentroidSet(C=C, vectors=vectors, presence=counts > 0), counts
+    counts = np.bincount(sel_labels, minlength=C)
+    presence = counts > 0
+    # add.at sums each class's rows in row order from zero, as a per-class
+    # rows.mean(axis=0) does for rows of two or more features, so the means
+    # are the same bits. (numpy sums a one-feature column pairwise instead;
+    # with hidden_dim = 1 the two may differ in the last place.)
+    vectors = np.zeros((C, features.shape[1]))
+    np.add.at(vectors, sel_labels, features[selected])
+    np.divide(vectors, counts[:, None], out=vectors, where=presence[:, None])
+    return CentroidSet(C=C, vectors=vectors, presence=presence), counts
 
 
 def blend_with_global(prev: CentroidSet, fresh: CentroidSet) -> CentroidSet:
@@ -183,18 +183,23 @@ def blend_with_global(prev: CentroidSet, fresh: CentroidSet) -> CentroidSet:
     """
     if prev.C != fresh.C or prev.d_h != fresh.d_h:
         raise ContractViolation("blend_with_global: centroid sets have mismatched dims")
-    out = prev.copy()
-    for c in range(prev.C):
-        if not fresh.presence[c]:
-            continue
-        if not prev.presence[c]:
-            out.vectors[c] = fresh.vectors[c]
-            out.presence[c] = True
-            continue
-        s = cosine_similarity(prev.vectors[c], fresh.vectors[c])
-        w = s * s
-        out.vectors[c] = (1.0 - w) * prev.vectors[c] + w * fresh.vectors[c]
-    return out
+    P, F = prev.vectors, fresh.vectors
+    # Row-wise cosine as cosine_similarity computes it: matmul of (1, d)
+    # by (d, 1) is one dot product per row, the same bits as u @ v.
+    dots = np.matmul(P[:, None, :], F[:, :, None])[:, 0, 0]
+    norms_p = np.sqrt(np.matmul(P[:, None, :], P[:, :, None])[:, 0, 0])
+    norms_f = np.sqrt(np.matmul(F[:, None, :], F[:, :, None])[:, 0, 0])
+    ok = ~((norms_p < ZERO_NORM_EPS) | (norms_f < ZERO_NORM_EPS))
+    s = np.zeros(prev.C)
+    np.divide(dots, norms_p * norms_f, out=s, where=ok)
+    w = (s * s)[:, None]
+    blended = (1.0 - w) * P + w * F
+    vectors = np.where(
+        (prev.presence & fresh.presence)[:, None],
+        blended,
+        np.where(fresh.presence[:, None], F, P),
+    )
+    return CentroidSet(prev.C, vectors, prev.presence | fresh.presence)
 
 
 def similarity_labels(features: np.ndarray, centroids: CentroidSet) -> np.ndarray:
@@ -222,8 +227,9 @@ def confident_mask(sim_labels: np.ndarray, given_labels: np.ndarray) -> np.ndarr
 def global_pseudo_labels(global_params: ModelParams, X: np.ndarray) -> np.ndarray:
     """Soft targets: the broadcast model's softmax rows over the shard.
 
-    Computed once per round at broadcast time and held fixed across local
-    epochs; callers must not recompute inside the epoch loop.
+    Computed from round t_pl on, once per local update at broadcast time,
+    and held fixed across local epochs; callers must not recompute inside
+    the epoch loop.
     """
     return mlp_forward(global_params, X).probs
 
@@ -281,7 +287,7 @@ def total_loss_and_grads(
     else:
         targets = onehot
 
-    logp = log_softmax_rows(rec.logits)
+    logp = rec.logp
     l_class = float(-(targets * logp).sum() / B)
     d_logits = (rec.probs - targets) / B
 
@@ -340,11 +346,11 @@ def local_update(
 
     Loads the broadcast weights with zero momentum, seeds running
     centroids from the global set (or from the shard's own class means at
-    round 1), fixes pseudo-labels once, then walks shuffled mini-batches
-    for local_epochs epochs: forward, small-loss filter, confident mask
-    from the current running centroids, one SGD step on the composite
-    loss, and finally a fresh-feature class-mean blend into the running
-    centroids.
+    round 1), fixes pseudo-labels once from round t_pl on, then walks
+    shuffled mini-batches for local_epochs epochs: forward, small-loss
+    filter, confident mask from the current running centroids, one SGD
+    step on the composite loss, and finally a fresh-feature class-mean
+    blend into the running centroids.
 
     CE_BASELINE runs the same loop with every extra term off: cross-entropy
     on the given labels, an all-ones mask, and no centroid or pseudo-label
@@ -375,19 +381,21 @@ def local_update(
         # Latest per-example mask; a zero-epoch round flags every example.
         mask = np.zeros(n_k, dtype=np.int64)
         if round_t <= 1 or local_only or not global_centroids.presence.any():
-            rec0 = mlp_forward(params, X)
-            running, _ = class_mean_features(rec0.hidden, y, np.arange(n_k), C)
+            running, _ = class_mean_features(mlp_features(params, X), y, np.arange(n_k), C)
         else:
             running = global_centroids.copy()
-        pseudo = global_pseudo_labels(global_params, X)
     use_pseudo = exchange and round_t >= hp.t_pl
+    naive = method == METHOD_NAIVE_PSEUDO
+    pseudo = None
+    if use_pseudo and not naive:
+        pseudo = global_pseudo_labels(global_params, X)
     lam_cen = lambda_cen_schedule(round_t, hp)
 
     loss_sum = 0.0
     n_batches = 0
 
     for _epoch in range(hp.local_epochs):
-        if method == METHOD_NAIVE_PSEUDO:
+        if use_pseudo and naive:
             # Self-training variant: pseudo-labels from the current local
             # model, refreshed every epoch.
             pseudo = global_pseudo_labels(params, X)
@@ -396,7 +404,9 @@ def local_update(
             Xb, yb = X[idx], y[idx]
             rec = mlp_forward(params, Xb)
             if exchange:
-                sel = small_loss_filter(per_example_ce(rec.logits, yb), r_t)
+                # Per-example cross-entropy, as per_example_ce computes it.
+                ce = -rec.logp[np.arange(len(yb)), yb]
+                sel = small_loss_filter(ce, r_t)
                 mask[idx] = confident_mask(similarity_labels(rec.hidden, running), yb)
             yp = pseudo[idx] if use_pseudo else None
             losses, rec, d_logits, d_hidden = total_loss_and_grads(
@@ -407,9 +417,8 @@ def local_update(
             if exchange:
                 # Class means come from the just-updated extractor, on the
                 # small-loss subset only, then fold into the running centroids.
-                rec_sel = mlp_forward(params, Xb[sel])
                 fresh, _ = class_mean_features(
-                    rec_sel.hidden, yb[sel], np.arange(len(sel)), C
+                    mlp_features(params, Xb[sel]), yb[sel], np.arange(len(sel)), C
                 )
                 if local_only:
                     running = _adopt_fresh(running, fresh)

@@ -108,6 +108,7 @@ class ForwardRecord:
     hidden: np.ndarray  # (B, d_h) post-tanh features
     probs: np.ndarray  # (B, C) softmax rows
     logits: np.ndarray  # (B, C)
+    logp: np.ndarray  # (B, C) log-softmax rows, from the same exponentials as probs
 
 
 def init_params(d_in: int, d_h: int, n_classes: int, rng: np.random.Generator) -> ModelParams:
@@ -118,28 +119,43 @@ def init_params(d_in: int, d_h: int, n_classes: int, rng: np.random.Generator) -
     return params
 
 
-def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, stabilized by max subtraction."""
+def _softmax_and_log(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise softmax and log-softmax from one set of exponentials,
+    stabilized by max subtraction; the log is finite for finite logits."""
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    total = e.sum(axis=1, keepdims=True)
+    return e / total, z - np.log(total)
+
+
+def softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax."""
+    return _softmax_and_log(logits)[0]
 
 
 def log_softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax; always finite for finite logits."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    """Row-wise log-softmax."""
+    return _softmax_and_log(logits)[1]
+
+
+def _check_input(params: ModelParams, X: np.ndarray, who: str) -> None:
+    if X.ndim != 2 or X.shape[1] != params.d_in:
+        raise ContractViolation(f"{who}: X has shape {X.shape}, expected (B, {params.d_in})")
+
+
+def mlp_features(params: ModelParams, X: np.ndarray) -> np.ndarray:
+    """Hidden features alone: tanh(X W1 + b1), as mlp_forward computes them."""
+    _check_input(params, X, "mlp_features")
+    return np.tanh(X @ params.W1 + params.b1)
 
 
 def mlp_forward(params: ModelParams, X: np.ndarray) -> ForwardRecord:
     """Forward pass: hidden = tanh(X W1 + b1), probs = softmax(hidden W2 + b2)."""
-    if X.ndim != 2 or X.shape[1] != params.d_in:
-        raise ContractViolation(
-            f"mlp_forward: X has shape {X.shape}, expected (B, {params.d_in})"
-        )
+    _check_input(params, X, "mlp_forward")
     hidden = np.tanh(X @ params.W1 + params.b1)
     logits = hidden @ params.W2 + params.b2
-    return ForwardRecord(hidden=hidden, probs=softmax_rows(logits), logits=logits)
+    probs, logp = _softmax_and_log(logits)
+    return ForwardRecord(hidden=hidden, probs=probs, logits=logits, logp=logp)
 
 
 def mlp_backward(

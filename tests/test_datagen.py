@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -13,6 +14,7 @@ from fednoise.datagen import (
     split_per_class,
     subset,
 )
+from fednoise.bench import DatasetSpec, build_datasets
 from fednoise.errors import ConfigError, FormatError
 
 
@@ -62,6 +64,34 @@ def test_split_per_class_counts():
     joined = np.vstack([train.X, test.X])
     assert joined.shape == ds.X.shape
     assert len(np.unique(joined, axis=0)) == ds.n
+
+
+@pytest.mark.parametrize(
+    "spec, digest",
+    [
+        # blobs.cfg's dataset.
+        (DatasetSpec(), "4dd62c37c0d26707bdc7647dac2418f9314151075ffbf1737046e0fcc9f9a84b"),
+        # The MNIST-shaped benchmark dataset at seed 1.
+        (
+            DatasetSpec(classes=10, dim=784, train_per_class=1000, test_per_class=200, seed=1),
+            "0dba552eb4f5b7ae0872de19318296e2fe63ad9560467fa9fc339f25956bd17e",
+        ),
+    ],
+    ids=["desk", "mnist_shaped"],
+)
+def test_build_datasets_bytes_are_pinned(spec, digest):
+    # Digests of the arrays the generator wrote before X was built in
+    # place; every CSV hash depends on these bytes.
+    train, test = build_datasets(spec)
+    h = hashlib.sha256()
+    for ds in (train, test):
+        for arr in (ds.X, ds.true_labels, ds.given_labels):
+            h.update(arr.tobytes())
+        # Noise is applied to given_labels in place; it must not reach
+        # the true labels.
+        assert not np.shares_memory(ds.true_labels, ds.given_labels)
+        assert not np.shares_memory(ds.X, ds.true_labels)
+    assert h.hexdigest() == digest
 
 
 def test_split_per_class_needs_leftover():

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fednoise.bench import load_config, run_experiment
 from fednoise.datagen import ClientShard, Dataset, make_blobs, partition_iid
 from fednoise.errors import ConfigError, ContractViolation
 from fednoise.localnode import (
@@ -22,8 +24,18 @@ from fednoise.localnode import (
     small_loss_filter,
     total_loss_and_grads,
 )
-from fednoise.numkit import ModelParams, init_params, log_softmax_rows, mlp_backward, mlp_forward
+from fednoise.numkit import (
+    ModelParams,
+    cosine_similarity,
+    init_params,
+    log_softmax_rows,
+    mlp_backward,
+    mlp_forward,
+)
 from fednoise.seeds import make_rng
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BLOBS_CFG = os.path.join(REPO_ROOT, "configs", "blobs.cfg")
 
 
 # ---------------------------------------------------------------- filtering
@@ -150,6 +162,146 @@ def test_blend_output_on_segment(p, f):
     w = float((out - p) @ seg) / L
     assert -1e-9 <= w <= 1.0 + 1e-9
     np.testing.assert_allclose(out, p + w * seg, atol=1e-9)
+
+
+# The per-class loop versions that class_mean_features and
+# blend_with_global replaced; the vectorized code must give their bits.
+
+
+def loop_class_mean_features(features, labels, selected, C):
+    d_h = features.shape[1]
+    vectors = np.zeros((C, d_h))
+    counts = np.zeros(C, dtype=np.int64)
+    sel_labels = labels[selected]
+    sel_features = features[selected]
+    for c in range(C):
+        rows = sel_features[sel_labels == c]
+        counts[c] = rows.shape[0]
+        if counts[c] > 0:
+            vectors[c] = rows.mean(axis=0)
+    return CentroidSet(C=C, vectors=vectors, presence=counts > 0), counts
+
+
+def loop_blend_with_global(prev, fresh):
+    if prev.C != fresh.C or prev.d_h != fresh.d_h:
+        raise ContractViolation("blend_with_global: centroid sets have mismatched dims")
+    out = prev.copy()
+    for c in range(prev.C):
+        if not fresh.presence[c]:
+            continue
+        if not prev.presence[c]:
+            out.vectors[c] = fresh.vectors[c]
+            out.presence[c] = True
+            continue
+        s = cosine_similarity(prev.vectors[c], fresh.vectors[c])
+        w = s * s
+        out.vectors[c] = (1.0 - w) * prev.vectors[c] + w * fresh.vectors[c]
+    return out
+
+
+def _same_centroids(a, b):
+    return np.array_equal(a.vectors, b.vectors) and np.array_equal(a.presence, b.presence)
+
+
+@st.composite
+def mean_cases(draw):
+    C = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 40))
+    d_h = draw(st.integers(2, 9))
+    features = draw(arrays(np.float64, (n, d_h), elements=st.floats(-1, 1)))
+    # Labels from a prefix of the classes, so some classes are absent.
+    labels = draw(arrays(np.int64, n, elements=st.integers(0, draw(st.integers(0, C - 1)))))
+    keep = draw(arrays(np.bool_, n))
+    return features, labels, np.flatnonzero(keep), C
+
+
+@given(mean_cases())
+def test_class_mean_features_bit_equals_loop(case):
+    features, labels, selected, C = case
+    got, got_counts = class_mean_features(features, labels, selected, C)
+    want, want_counts = loop_class_mean_features(features, labels, selected, C)
+    assert _same_centroids(got, want)
+    np.testing.assert_array_equal(got_counts, want_counts)
+    assert got_counts.dtype == want_counts.dtype
+
+
+def test_class_mean_features_one_feature_matches_loop_to_rounding(rng):
+    # numpy's mean sums a single column pairwise, add.at in row order, so
+    # with one feature the two agree only to rounding.
+    for n in (1, 5, 9, 40):
+        feats = rng.uniform(-1, 1, size=(n, 1))
+        labels = rng.integers(0, 3, size=n)
+        got, got_counts = class_mean_features(feats, labels, np.arange(n), 3)
+        want, want_counts = loop_class_mean_features(feats, labels, np.arange(n), 3)
+        np.testing.assert_allclose(got.vectors, want.vectors, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(got.presence, want.presence)
+        np.testing.assert_array_equal(got_counts, want_counts)
+
+
+def test_class_mean_features_edge_cases_bit_equal_loop(rng):
+    feats = rng.uniform(-1, 1, size=(6, 4))
+    cases = [
+        (feats, np.array([1, 1, 1, 1, 1, 1]), np.array([3]), 2),  # one selected row
+        (feats, np.array([0, 1, 0, 1, 0, 1]), np.arange(6), 2),  # C = 2
+        (feats, np.array([0, 4, 0, 4, 0, 4]), np.arange(6), 5),  # absent classes
+        (feats, np.array([0, 1, 2, 0, 1, 2]), np.array([], dtype=np.int64), 3),  # none
+        (np.zeros((6, 4)), np.array([0, 0, 1, 1, 2, 2]), np.arange(6), 3),  # zero rows
+    ]
+    for features, labels, selected, C in cases:
+        got, got_counts = class_mean_features(features, labels, selected, C)
+        want, want_counts = loop_class_mean_features(features, labels, selected, C)
+        assert _same_centroids(got, want)
+        np.testing.assert_array_equal(got_counts, want_counts)
+
+
+@st.composite
+def blend_cases(draw):
+    C = draw(st.integers(2, 6))
+    d_h = draw(st.integers(1, 9))
+    sets = []
+    for _ in range(2):
+        vectors = draw(arrays(np.float64, (C, d_h), elements=st.floats(-5, 5)))
+        # Zero rows and rows below the cosine's zero-norm threshold.
+        vectors[draw(arrays(np.bool_, C))] = 0.0
+        vectors[draw(arrays(np.bool_, C))] *= 1e-14
+        sets.append(CentroidSet(C=C, vectors=vectors, presence=draw(arrays(np.bool_, C))))
+    return sets
+
+
+@given(blend_cases())
+def test_blend_with_global_bit_equals_loop(case):
+    prev, fresh = case
+    before = prev.copy(), fresh.copy()
+    assert _same_centroids(blend_with_global(prev, fresh), loop_blend_with_global(prev, fresh))
+    # Neither input is written.
+    assert _same_centroids(prev, before[0]) and _same_centroids(fresh, before[1])
+
+
+def test_blend_with_global_edge_cases_bit_equal_loop(rng):
+    v = rng.normal(size=(2, 5))
+    cases = [
+        (_cset(v), _cset(v[::-1].copy())),  # C = 2, both present
+        (_cset(v, [True, False]), _cset(v * 3.0, [False, True])),  # one-sided presence
+        (_cset(np.zeros((2, 5))), _cset(v)),  # zero-norm previous rows
+        (_cset(v), _cset(np.zeros((2, 5)), [True, False])),  # zero-norm fresh row
+    ]
+    for prev, fresh in cases:
+        assert _same_centroids(blend_with_global(prev, fresh), loop_blend_with_global(prev, fresh))
+
+
+def test_desk_run_with_loop_centroids_writes_same_csv(tmp_path, monkeypatch):
+    import fednoise.localnode as localnode
+
+    def run(name):
+        path = tmp_path / name
+        run_experiment(load_config(BLOBS_CFG, ["method=proposed", f"output={path}"]))
+        return path.read_bytes()
+
+    vectorized = run("vectorized.csv")
+    # Forked client workers inherit the patched module attributes.
+    monkeypatch.setattr(localnode, "class_mean_features", loop_class_mean_features)
+    monkeypatch.setattr(localnode, "blend_with_global", loop_blend_with_global)
+    assert run("loop.csv") == vectorized
 
 
 # ------------------------------------------------------- similarity labeling
@@ -463,7 +615,7 @@ def test_local_update_ce_baseline_is_maskless(monkeypatch):
 
     monkeypatch.setattr(localnode, "mlp_forward", counting_forward)
     for name in ("class_mean_features", "similarity_labels", "blend_with_global",
-                 "global_pseudo_labels", "small_loss_filter"):
+                 "global_pseudo_labels", "small_loss_filter", "mlp_features"):
         monkeypatch.setattr(localnode, name, no_centroid_work)
     res = local_update(
         ds, shard, gp, CentroidSet.empty(3, 8), 1, 1.0, hp, make_rng(0, 6, 1, 0),
@@ -475,6 +627,47 @@ def test_local_update_ce_baseline_is_maskless(monkeypatch):
     assert res.stats.confident_fraction == 1.0
     assert res.stats.detected_noisy == 0
     assert not res.centroids.presence.any()
+
+
+@pytest.mark.parametrize(
+    "method, per_update",
+    [
+        ("proposed", lambda hp: 1),
+        ("no_global_centroids_ablation", lambda hp: 1),
+        ("naive_pseudo_ablation", lambda hp: hp.local_epochs),
+        ("ce_baseline", lambda hp: 0),
+    ],
+)
+def test_pseudo_labels_computed_only_from_t_pl(monkeypatch, method, per_update):
+    import fednoise.localnode as localnode
+
+    ds, shard = _blob_client(noisy=True)
+    hp = _hp(t_pl=3, local_epochs=3)
+    gp = init_params(5, 8, 3, make_rng(0, 4))
+    pseudo_calls, forwards = [], []
+
+    def counting_pseudo(params, X):
+        pseudo_calls.append(len(X))
+        return global_pseudo_labels(params, X)
+
+    def counting_forward(params, X):
+        forwards.append(len(X))
+        return mlp_forward(params, X)
+
+    monkeypatch.setattr(localnode, "global_pseudo_labels", counting_pseudo)
+    monkeypatch.setattr(localnode, "mlp_forward", counting_forward)
+    steps = hp.local_epochs * math.ceil(ds.n / hp.batch_size)
+    for round_t in (1, 2, 3, 4):
+        del pseudo_calls[:], forwards[:]
+        local_update(
+            ds, shard, gp, CentroidSet.empty(3, 8), round_t, 0.8, hp,
+            make_rng(0, 6, round_t, 0), method=method,
+        )
+        want = per_update(hp) if round_t >= hp.t_pl else 0
+        assert pseudo_calls == [ds.n] * want, (method, round_t)
+        # Besides pseudo-labels, one full forward per step: the class means
+        # after each step need only the features.
+        assert len(forwards) == steps + want, (method, round_t)
 
 
 def test_local_update_unknown_method():

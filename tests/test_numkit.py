@@ -15,6 +15,7 @@ from fednoise.numkit import (
     init_params,
     log_softmax_rows,
     mlp_backward,
+    mlp_features,
     mlp_forward,
     sgd_step,
     softmax_rows,
@@ -112,6 +113,20 @@ def test_forward_dim_mismatch():
     p = ModelParams.zeros(3, 2, 2)
     with pytest.raises(ContractViolation):
         mlp_forward(p, np.zeros((4, 5)))
+    with pytest.raises(ContractViolation):
+        mlp_features(p, np.zeros((4, 5)))
+
+
+def test_forward_record_fields_are_the_standalone_bits(rng):
+    # The training loop reads logp off the record instead of recomputing
+    # it, and the post-step pass asks for the features alone; both must
+    # be the bits the standalone functions give.
+    p = tiny_params(rng, 4, 5, 3)
+    X = rng.normal(size=(7, 4)) * 10.0
+    rec = mlp_forward(p, X)
+    np.testing.assert_array_equal(rec.logp, log_softmax_rows(rec.logits))
+    np.testing.assert_array_equal(rec.probs, softmax_rows(rec.logits))
+    np.testing.assert_array_equal(mlp_features(p, X), rec.hidden)
 
 
 def test_backward_matches_finite_differences_on_ce(rng):
