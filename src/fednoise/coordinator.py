@@ -19,19 +19,19 @@ number of processes or the CPU affinity.
 from __future__ import annotations
 
 import functools
+import math
 import mmap
 import multiprocessing
 import os
 import pickle
 import threading
-import time
 import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .datagen import ClientShard, Dataset
-from .errors import ConfigError, ContractViolation
+from .errors import ConfigError, ContractViolation, TrainingDiverged
 from .localnode import (
     CentroidSet,
     HyperParams,
@@ -40,7 +40,7 @@ from .localnode import (
     METHODS,
     local_update,
 )
-from .metrics import MetricsRecord, detection_from_counts, weight_divergence
+from .metrics import CSV_COLUMNS, MetricsRecord, detection_from_counts, weight_divergence
 from .numkit import ModelParams, cosine_similarity, init_params, mlp_forward
 from .seeds import STREAM_INIT, STREAM_LOCAL, STREAM_SELECT, make_rng
 
@@ -189,7 +189,6 @@ def run_training(
 
     with _ClientProcesses(processes, fed.clients_per_round, params, run_share) as clients:
         for t in range(1, fed.rounds + 1):
-            started = time.perf_counter()
             state.t = t
             state.r_t = r_schedule(t - 1, hp)
             chosen = select_clients(
@@ -203,9 +202,7 @@ def run_training(
             if uploaded:
                 state.centroids = aggregate_global_centroids(state.centroids, uploaded)
 
-            state.records.append(
-                _round_record(state, results, sizes, test, started)
-            )
+            state.records.append(_round_record(state, results, sizes, test))
 
     return state.params, state.records
 
@@ -413,8 +410,9 @@ def _round_record(
     results: list[LocalUpdateResult],
     sizes: list[int],
     test: Dataset,
-    started: float,
 ) -> MetricsRecord:
+    """Round t's CSV row; raises TrainingDiverged if any value in it is
+    not finite."""
     total = sum(sizes)
     loss = sum(r.stats.mean_train_loss * n for r, n in zip(results, sizes)) / total
     confident = sum(r.stats.confident_fraction * n for r, n in zip(results, sizes)) / total
@@ -427,7 +425,7 @@ def _round_record(
         wdiv = weight_divergence([r.params.theta for r in results])
     else:
         wdiv = 0.0
-    return MetricsRecord(
+    record = MetricsRecord(
         round=state.t,
         test_accuracy=evaluate_accuracy(state.params, test),
         mean_train_loss=loss,
@@ -436,5 +434,8 @@ def _round_record(
         mask_recall=recall,
         weight_divergence=wdiv,
         r_t=state.r_t,
-        wall_ms=(time.perf_counter() - started) * 1e3,
     )
+    for column in CSV_COLUMNS:
+        if not math.isfinite(getattr(record, column)):
+            raise TrainingDiverged(f"round {state.t}: {column} is not finite")
+    return record

@@ -4,7 +4,9 @@ Implements the full local pipeline: small-loss filtering, running
 class-wise centroids blended against the broadcast global centroids,
 confident-sample masking, pseudo-label substitution, and the three-term
 loss (classification + centroid-alignment + entropy) optimized with
-momentum SGD.
+momentum SGD. Each extra term has one switch: pseudo-targets when they
+are given, the centroid term when centroids are given, entropy when its
+weight is non-zero. CE_BASELINE is the same loop with every one off.
 
 The update is a pure function of (shard data, broadcast state, round
 index, rng stream): it writes nothing it is given, so results do not
@@ -24,7 +26,6 @@ from .numkit import (
     ForwardRecord,
     ModelParams,
     ZERO_NORM_EPS,
-    log_softmax_rows,
     mlp_backward,
     mlp_features,
     mlp_forward,
@@ -122,7 +123,6 @@ class LocalStats:
     detected_noisy: int
     detected_true_noisy: int
     actual_noisy: int
-    n_examples: int
 
 
 @dataclass
@@ -154,11 +154,10 @@ def small_loss_filter(losses: np.ndarray, r_t: float) -> np.ndarray:
 
 def class_mean_features(
     features: np.ndarray, labels: np.ndarray, selected: np.ndarray, C: int
-) -> tuple[CentroidSet, np.ndarray]:
+) -> CentroidSet:
     """Per-class mean feature of the selected examples.
 
     Classes with no selected example get a zero vector and presence False.
-    Also returns the per-class selected counts.
     """
     sel_labels = labels[selected]
     counts = np.bincount(sel_labels, minlength=C)
@@ -170,7 +169,7 @@ def class_mean_features(
     vectors = np.zeros((C, features.shape[1]))
     np.add.at(vectors, sel_labels, features[selected])
     np.divide(vectors, counts[:, None], out=vectors, where=presence[:, None])
-    return CentroidSet(C=C, vectors=vectors, presence=presence), counts
+    return CentroidSet(C=C, vectors=vectors, presence=presence)
 
 
 def blend_with_global(prev: CentroidSet, fresh: CentroidSet) -> CentroidSet:
@@ -234,9 +233,8 @@ def global_pseudo_labels(global_params: ModelParams, X: np.ndarray) -> np.ndarra
     return mlp_forward(global_params, X).probs
 
 
-def per_example_ce(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Cross-entropy of each row against its integer label."""
-    logp = log_softmax_rows(logits)
+def per_example_ce(logp: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Cross-entropy of each log-softmax row against its integer label."""
     return -logp[np.arange(len(labels)), labels]
 
 
@@ -251,37 +249,30 @@ def lambda_cen_schedule(t: int, hp: HyperParams) -> float:
 
 
 def total_loss_and_grads(
-    params: ModelParams,
-    X: np.ndarray,
+    rec: ForwardRecord,
     y: np.ndarray,
     y_pseudo: np.ndarray | None,
     mask: np.ndarray,
     centroids: CentroidSet | None,
-    hp: HyperParams,
-    use_pseudo: bool,
-    lambda_cen_eff: float | None = None,
-    rec: ForwardRecord | None = None,
-) -> tuple[LossBreakdown, ForwardRecord, np.ndarray, np.ndarray]:
-    """Three-term loss and its exact output partials, all as batch means.
+    lam_cen: float,
+    lam_e: float,
+) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
+    """Three-term loss of one forward record and its exact output
+    partials, all as batch means.
 
-    Classification: masked CE against given labels, unmasked against the
-    pseudo-labels (or against given labels again when use_pseudo is off;
-    y_pseudo may then be None).
+    Classification: cross-entropy against the given labels; when y_pseudo
+    is given, confident rows (mask 1) keep their label and the others take
+    the pseudo-label rows as soft targets.
     Centroid: masked squared distance of features to their class centroid;
     the term is off (0) when centroids is None.
     Entropy: of every softmax row; the term is off (reported as 0) when
-    hp.lambda_e is 0. Returns (breakdown, forward record, dLoss/dlogits,
-    dLoss/dhidden) ready for mlp_backward.
+    lam_e is 0. Returns (breakdown, dLoss/dlogits, dLoss/dhidden) ready
+    for mlp_backward.
     """
-    if rec is None:
-        rec = mlp_forward(params, X)
     B, C = rec.probs.shape
-    lam_cen = hp.lambda_cen if lambda_cen_eff is None else lambda_cen_eff
-    lam_e = hp.lambda_e
-
     onehot = np.zeros((B, C))
     onehot[np.arange(B), y] = 1.0
-    if use_pseudo:
+    if y_pseudo is not None:
         m = mask.astype(np.float64)[:, None]
         targets = m * onehot + (1.0 - m) * y_pseudo
     else:
@@ -318,12 +309,7 @@ def total_loss_and_grads(
     ):
         if not math.isfinite(value):
             raise TrainingDiverged(f"{name} loss became non-finite")
-    return (
-        LossBreakdown(l_class, l_centroid, l_entropy, total),
-        rec,
-        d_logits,
-        d_hidden,
-    )
+    return LossBreakdown(l_class, l_centroid, l_entropy, total), d_logits, d_hidden
 
 
 def _batches(perm: np.ndarray, batch_size: int):
@@ -352,9 +338,11 @@ def local_update(
     step on the composite loss, and finally a fresh-feature class-mean
     blend into the running centroids.
 
-    CE_BASELINE runs the same loop with every extra term off: cross-entropy
-    on the given labels, an all-ones mask, and no centroid or pseudo-label
-    work at all.
+    CE_BASELINE runs the same loop with every extra term off: no
+    pseudo-targets, no centroids, both loss weights 0 whatever hp says,
+    and an all-ones mask, so it does no centroid or pseudo-label work.
+
+    Raises TrainingDiverged if the weights it would return are not finite.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
@@ -373,29 +361,28 @@ def local_update(
     local_only = method == METHOD_NO_GLOBAL_CENTROIDS
 
     if not exchange:
-        hp = replace(hp, lambda_cen=0.0, lambda_e=0.0)
         mask = np.ones(n_k, dtype=np.int64)
         running = None
-        pseudo = None
+        lam_cen = lam_e = 0.0
     else:
         # Latest per-example mask; a zero-epoch round flags every example.
         mask = np.zeros(n_k, dtype=np.int64)
         if round_t <= 1 or local_only or not global_centroids.presence.any():
-            running, _ = class_mean_features(mlp_features(params, X), y, np.arange(n_k), C)
+            running = class_mean_features(mlp_features(params, X), y, np.arange(n_k), C)
         else:
             running = global_centroids.copy()
-    use_pseudo = exchange and round_t >= hp.t_pl
+        lam_cen, lam_e = lambda_cen_schedule(round_t, hp), hp.lambda_e
+    pseudo_phase = exchange and round_t >= hp.t_pl
     naive = method == METHOD_NAIVE_PSEUDO
     pseudo = None
-    if use_pseudo and not naive:
+    if pseudo_phase and not naive:
         pseudo = global_pseudo_labels(global_params, X)
-    lam_cen = lambda_cen_schedule(round_t, hp)
 
     loss_sum = 0.0
     n_batches = 0
 
     for _epoch in range(hp.local_epochs):
-        if use_pseudo and naive:
+        if pseudo_phase and naive:
             # Self-training variant: pseudo-labels from the current local
             # model, refreshed every epoch.
             pseudo = global_pseudo_labels(params, X)
@@ -404,20 +391,18 @@ def local_update(
             Xb, yb = X[idx], y[idx]
             rec = mlp_forward(params, Xb)
             if exchange:
-                # Per-example cross-entropy, as per_example_ce computes it.
-                ce = -rec.logp[np.arange(len(yb)), yb]
-                sel = small_loss_filter(ce, r_t)
+                sel = small_loss_filter(per_example_ce(rec.logp, yb), r_t)
                 mask[idx] = confident_mask(similarity_labels(rec.hidden, running), yb)
-            yp = pseudo[idx] if use_pseudo else None
-            losses, rec, d_logits, d_hidden = total_loss_and_grads(
-                params, Xb, yb, yp, mask[idx], running, hp, use_pseudo, lam_cen, rec=rec
+            yp = None if pseudo is None else pseudo[idx]
+            losses, d_logits, d_hidden = total_loss_and_grads(
+                rec, yb, yp, mask[idx], running, lam_cen, lam_e
             )
             grads = mlp_backward(params, Xb, rec, d_logits, d_hidden)
             sgd_step(params, grads, velocity, hp.learning_rate, hp.momentum, hp.weight_decay)
             if exchange:
                 # Class means come from the just-updated extractor, on the
                 # small-loss subset only, then fold into the running centroids.
-                fresh, _ = class_mean_features(
+                fresh = class_mean_features(
                     mlp_features(params, Xb[sel]), yb[sel], np.arange(len(sel)), C
                 )
                 if local_only:
@@ -427,6 +412,8 @@ def local_update(
             loss_sum += losses.total
             n_batches += 1
 
+    if not np.isfinite(params.theta).all():
+        raise TrainingDiverged("local weights became non-finite")
     if running is None:
         running = CentroidSet.empty(C, params.d_h)
     stats = _make_stats(loss_sum, n_batches, mask, y, y_true)
@@ -457,5 +444,4 @@ def _make_stats(
         detected_noisy=int(detected.sum()),
         detected_true_noisy=int((detected & actual).sum()),
         actual_noisy=int(actual.sum()),
-        n_examples=len(mask),
     )

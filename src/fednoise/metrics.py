@@ -33,11 +33,7 @@ _INT_COLUMNS = {"round"}
 
 @dataclass
 class MetricsRecord:
-    """One federated round's summary row.
-
-    wall_ms is informational only and never serialized; everything else
-    must be a pure function of (config, seed).
-    """
+    """One federated round's summary row, a pure function of (config, seed)."""
 
     round: int
     test_accuracy: float
@@ -47,7 +43,6 @@ class MetricsRecord:
     mask_recall: float
     weight_divergence: float
     r_t: float
-    wall_ms: float = 0.0
 
 
 def detection_metrics(
@@ -128,7 +123,7 @@ def write_csv(path: str, records: list[MetricsRecord]) -> None:
 
 
 def read_csv(path: str) -> list[MetricsRecord]:
-    """Parse a file written by write_csv back into records (wall_ms = 0)."""
+    """Parse a file written by write_csv back into records."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CSV_HEADER_TAG:

@@ -29,7 +29,7 @@ from fednoise.localnode import (
 )
 from fednoise.metrics import detection_metrics
 from fednoise.noise import corrupt, pair_transition, symmetric_transition
-from fednoise.numkit import ModelParams, cosine_similarity, init_params, mlp_backward
+from fednoise.numkit import ModelParams, cosine_similarity, init_params, mlp_backward, mlp_forward
 
 # Desk-scale reference setup: 2,000 training points (4 classes x 500) in
 # 10-d, 20 clients with 5 selected per round, 100 rounds.
@@ -96,17 +96,13 @@ def test_criterion_1_gradient_correctness():
         cents = CentroidSet(
             C=C, vectors=rng.normal(size=(C, d_h)), presence=np.ones(C, dtype=bool)
         )
-        hp = HyperParams(lambda_cen=1.0, lambda_e=0.8)
 
         def loss(q):
-            bd, _, _, _ = total_loss_and_grads(
-                q, X, y, pseudo, mask, cents, hp, use_pseudo=True, lambda_cen_eff=0.6
-            )
+            bd, _, _ = total_loss_and_grads(mlp_forward(q, X), y, pseudo, mask, cents, 0.6, 0.8)
             return bd.total
 
-        bd, rec, d_logits, d_hidden = total_loss_and_grads(
-            params, X, y, pseudo, mask, cents, hp, use_pseudo=True, lambda_cen_eff=0.6
-        )
+        rec = mlp_forward(params, X)
+        bd, d_logits, d_hidden = total_loss_and_grads(rec, y, pseudo, mask, cents, 0.6, 0.8)
         grads = mlp_backward(params, X, rec, d_logits, d_hidden)
         h = 1e-6
         for arr, g in zip(
@@ -177,7 +173,7 @@ def test_criterion_2_oracle_equivalence():
         return LocalUpdateResult(
             params=p,
             centroids=CentroidSet.empty(C, d_h),
-            stats=LocalStats(0.0, 1.0, 0, 0, 0, 1),
+            stats=LocalStats(0.0, 1.0, 0, 0, 0),
         )
 
     for _ in range(1000):

@@ -19,7 +19,7 @@ from fednoise.bench import (
     summary_accuracy,
 )
 from fednoise import coordinator
-from fednoise.errors import ConfigError
+from fednoise.errors import ConfigError, TrainingDiverged
 from fednoise.localnode import METHODS
 from fednoise.metrics import read_csv
 from fednoise.noise import apply_noise
@@ -357,6 +357,52 @@ def test_cli_entry_point_subprocess(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "acc_last10=" in proc.stdout
+
+
+@pytest.mark.parametrize("processes", [1, 3])
+@pytest.mark.parametrize(
+    "lr, error",
+    [
+        # Round 1's last SGD step turns every client's weights to inf.
+        ("1e300", "round 1, client {first}: local weights became non-finite"),
+        # The weights stay finite (about 1e295), but the norms inside
+        # weight_divergence overflow.
+        ("1e150", "round 1: weight_divergence is not finite"),
+    ],
+    ids=["weights_overflow", "divergence_overflows"],
+)
+def test_diverging_run_fails_in_the_round_it_diverges(monkeypatch, processes, lr, error):
+    monkeypatch.setattr(coordinator, "_usable_cpus", lambda: processes)
+    cfg = load_config(BLOBS_CFG, [f"hp.learning_rate={lr}", "fed.rounds=2", "hp.local_epochs=1"])
+    first = coordinator.select_clients(
+        cfg.fed.num_clients, cfg.fed.clients_per_round, make_rng(cfg.seed, STREAM_SELECT, 1)
+    )[0]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDiverged) as exc:
+        run_experiment(cfg)
+    assert str(exc.value) == error.format(first=first)
+
+
+def test_cli_diverging_run_exits_two(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    args = ["hp.learning_rate=1e300", "fed.rounds=1", "hp.local_epochs=1", f"output={out}"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["run", "--config", BLOBS_CFG] + [a for ov in args for a in ("--override", ov)])
+    assert code == 2
+    assert "round 1, client" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ablation_suite_script_runs():
+    proc = subprocess.run(
+        [sys.executable, os.path.join("scripts", "ablation_suite.py"), "--override", "fed.rounds=2"],
+        capture_output=True, text=True, cwd=REPO_ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split()[0] for line in proc.stdout.splitlines() if "acc_last10=" in line]
+    assert rows == [
+        "ce_baseline", "naive_pseudo_ablation", "no_global_centroids_ablation", "proposed",
+        "eta=0", "eta=0.2", "per_class_mode",
+    ], proc.stdout
 
 
 # blobs.cfg made MNIST-shaped: 784-d, 10 classes, 10k training points.

@@ -1,4 +1,3 @@
-import dataclasses
 import multiprocessing
 import os
 import signal
@@ -72,7 +71,7 @@ def _result(params, C=2, d_h=3) -> LocalUpdateResult:
     return LocalUpdateResult(
         params=params,
         centroids=CentroidSet.empty(C, d_h),
-        stats=LocalStats(0.0, 1.0, 0, 0, 0, 1),
+        stats=LocalStats(0.0, 1.0, 0, 0, 0),
     )
 
 
@@ -249,7 +248,6 @@ def test_run_training_records_well_formed():
         assert 0.0 <= r.mask_recall <= 1.0
         assert np.isfinite(r.mean_train_loss)
         assert np.isfinite(r.weight_divergence)
-        assert r.wall_ms >= 0.0
     # R_t follows the published schedule given the round index.
     for r in records:
         assert r.r_t == pytest.approx(r_schedule(r.round - 1, hp))
@@ -297,10 +295,6 @@ def _processes(monkeypatch, n):
     monkeypatch.setattr(coordinator, "_usable_cpus", lambda: n)
 
 
-def _deterministic_fields(records):
-    return [{k: v for k, v in dataclasses.asdict(r).items() if k != "wall_ms"} for r in records]
-
-
 @pytest.mark.parametrize("method", METHODS)
 def test_run_training_same_result_in_any_number_of_processes(monkeypatch, method):
     train, test, shards, fed, hp = _tiny_setup(eps=0.3)
@@ -309,7 +303,7 @@ def test_run_training_same_result_in_any_number_of_processes(monkeypatch, method
     for n in (1, 2, 3, 5):
         _processes(monkeypatch, n)
         params, records = run_training(train, test, shards, fed, hp, seed=4, method=method)
-        runs.append((params.theta, _deterministic_fields(records)))
+        runs.append((params.theta, records))
     for theta, records in runs[1:]:
         np.testing.assert_array_equal(runs[0][0], theta)
         assert records == runs[0][1]

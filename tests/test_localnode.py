@@ -80,7 +80,7 @@ def test_small_loss_filter_rejects_bad_input():
 
 def test_per_example_ce_hand_case():
     logits = np.array([[0.0, 0.0], [math.log(3.0), 0.0]])
-    ce = per_example_ce(logits, np.array([0, 0]))
+    ce = per_example_ce(log_softmax_rows(logits), np.array([0, 0]))
     assert ce[0] == pytest.approx(math.log(2.0))
     assert ce[1] == pytest.approx(math.log(4.0 / 3.0))
 
@@ -90,19 +90,17 @@ def test_per_example_ce_hand_case():
 
 def test_class_mean_features_hand_case():
     feats = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    cents, counts = class_mean_features(feats, np.array([0, 0, 1]), np.arange(3), C=3)
+    cents = class_mean_features(feats, np.array([0, 0, 1]), np.arange(3), C=3)
     np.testing.assert_allclose(cents.vectors[0], [2.0, 3.0])
     np.testing.assert_allclose(cents.vectors[1], [5.0, 6.0])
     np.testing.assert_array_equal(cents.presence, [True, True, False])
-    np.testing.assert_array_equal(counts, [2, 1, 0])
     np.testing.assert_array_equal(cents.vectors[2], [0.0, 0.0])
 
 
 def test_class_mean_features_respects_selection():
     feats = np.array([[1.0], [100.0], [3.0]])
-    cents, counts = class_mean_features(feats, np.array([0, 0, 0]), np.array([0, 2]), C=1)
+    cents = class_mean_features(feats, np.array([0, 0, 0]), np.array([0, 2]), C=1)
     np.testing.assert_allclose(cents.vectors[0], [2.0])
-    assert counts[0] == 2
 
 
 def _cset(vectors, presence=None):
@@ -171,15 +169,15 @@ def test_blend_output_on_segment(p, f):
 def loop_class_mean_features(features, labels, selected, C):
     d_h = features.shape[1]
     vectors = np.zeros((C, d_h))
-    counts = np.zeros(C, dtype=np.int64)
+    presence = np.zeros(C, dtype=bool)
     sel_labels = labels[selected]
     sel_features = features[selected]
     for c in range(C):
         rows = sel_features[sel_labels == c]
-        counts[c] = rows.shape[0]
-        if counts[c] > 0:
+        presence[c] = rows.shape[0] > 0
+        if presence[c]:
             vectors[c] = rows.mean(axis=0)
-    return CentroidSet(C=C, vectors=vectors, presence=counts > 0), counts
+    return CentroidSet(C=C, vectors=vectors, presence=presence)
 
 
 def loop_blend_with_global(prev, fresh):
@@ -218,11 +216,9 @@ def mean_cases(draw):
 @given(mean_cases())
 def test_class_mean_features_bit_equals_loop(case):
     features, labels, selected, C = case
-    got, got_counts = class_mean_features(features, labels, selected, C)
-    want, want_counts = loop_class_mean_features(features, labels, selected, C)
+    got = class_mean_features(features, labels, selected, C)
+    want = loop_class_mean_features(features, labels, selected, C)
     assert _same_centroids(got, want)
-    np.testing.assert_array_equal(got_counts, want_counts)
-    assert got_counts.dtype == want_counts.dtype
 
 
 def test_class_mean_features_one_feature_matches_loop_to_rounding(rng):
@@ -231,11 +227,10 @@ def test_class_mean_features_one_feature_matches_loop_to_rounding(rng):
     for n in (1, 5, 9, 40):
         feats = rng.uniform(-1, 1, size=(n, 1))
         labels = rng.integers(0, 3, size=n)
-        got, got_counts = class_mean_features(feats, labels, np.arange(n), 3)
-        want, want_counts = loop_class_mean_features(feats, labels, np.arange(n), 3)
+        got = class_mean_features(feats, labels, np.arange(n), 3)
+        want = loop_class_mean_features(feats, labels, np.arange(n), 3)
         np.testing.assert_allclose(got.vectors, want.vectors, rtol=0, atol=1e-15)
         np.testing.assert_array_equal(got.presence, want.presence)
-        np.testing.assert_array_equal(got_counts, want_counts)
 
 
 def test_class_mean_features_edge_cases_bit_equal_loop(rng):
@@ -248,10 +243,9 @@ def test_class_mean_features_edge_cases_bit_equal_loop(rng):
         (np.zeros((6, 4)), np.array([0, 0, 1, 1, 2, 2]), np.arange(6), 3),  # zero rows
     ]
     for features, labels, selected, C in cases:
-        got, got_counts = class_mean_features(features, labels, selected, C)
-        want, want_counts = loop_class_mean_features(features, labels, selected, C)
+        got = class_mean_features(features, labels, selected, C)
+        want = loop_class_mean_features(features, labels, selected, C)
         assert _same_centroids(got, want)
-        np.testing.assert_array_equal(got_counts, want_counts)
 
 
 @st.composite
@@ -398,24 +392,24 @@ def _loss_instance(rng, B=6, d_in=4, d_h=5, C=3):
 
 def test_loss_reduces_to_plain_ce_when_all_confident(rng):
     params, X, y, pseudo, _, cents = _loss_instance(rng)
-    hp = HyperParams(lambda_cen=0.0, lambda_e=0.0)
-    bd, rec, d_logits, d_hidden = total_loss_and_grads(
-        params, X, y, pseudo, np.ones(len(y), dtype=int), cents, hp, use_pseudo=True
+    rec = mlp_forward(params, X)
+    bd, d_logits, d_hidden = total_loss_and_grads(
+        rec, y, pseudo, np.ones(len(y), dtype=int), cents, 0.0, 0.0
     )
-    expected = float(per_example_ce(rec.logits, y).mean())
+    expected = float(per_example_ce(log_softmax_rows(rec.logits), y).mean())
     assert bd.classification == pytest.approx(expected, rel=1e-12)
     assert bd.total == pytest.approx(expected, rel=1e-12)
     assert (d_hidden == 0).all()
 
 
 def test_loss_ignores_pseudo_before_gate(rng):
+    # Without pseudo-targets (before t_pl) the mask does not touch the
+    # classification term.
     params, X, y, pseudo, mask, cents = _loss_instance(rng)
-    hp = HyperParams(lambda_cen=0.0, lambda_e=0.0)
-    bd, _, _, _ = total_loss_and_grads(
-        params, X, y, pseudo, mask, cents, hp, use_pseudo=False
-    )
-    bd_ref, rec, _, _ = total_loss_and_grads(
-        params, X, y, pseudo, np.ones(len(y), dtype=int), cents, hp, use_pseudo=True
+    rec = mlp_forward(params, X)
+    bd, _, _ = total_loss_and_grads(rec, y, None, mask, cents, 0.0, 0.0)
+    bd_ref, _, _ = total_loss_and_grads(
+        rec, y, pseudo, np.ones(len(y), dtype=int), cents, 0.0, 0.0
     )
     assert bd.classification == pytest.approx(bd_ref.classification, rel=1e-12)
 
@@ -429,10 +423,7 @@ def test_loss_uniform_logit_entropy(rng):
     pseudo = np.full((B, C), 1.0 / C)
     mask = np.zeros(B, dtype=int)
     cents = _cset(np.zeros((C, 3)))
-    hp = HyperParams(lambda_cen=1.0, lambda_e=1.0)
-    bd, _, _, _ = total_loss_and_grads(
-        params, X, y, pseudo, mask, cents, hp, use_pseudo=True, lambda_cen_eff=1.0
-    )
+    bd, _, _ = total_loss_and_grads(mlp_forward(params, X), y, pseudo, mask, cents, 1.0, 1.0)
     assert bd.entropy == pytest.approx(math.log(C), rel=1e-12)
     assert bd.classification == pytest.approx(math.log(C), rel=1e-12)
     assert bd.centroid == 0.0  # mask all zero
@@ -441,17 +432,13 @@ def test_loss_uniform_logit_entropy(rng):
 
 def test_entropy_term_off_when_its_weight_is_zero(rng):
     params, X, y, pseudo, mask, cents = _loss_instance(rng)
-    on = HyperParams(lambda_cen=1.0, lambda_e=0.8)
-    off = HyperParams(lambda_cen=1.0, lambda_e=0.0)
-    bd_on, _, _, _ = total_loss_and_grads(params, X, y, pseudo, mask, cents, on, use_pseudo=True)
-    bd_off, _, d_logits, _ = total_loss_and_grads(
-        params, X, y, pseudo, mask, cents, off, use_pseudo=True
-    )
+    rec = mlp_forward(params, X)
+    bd_on, _, _ = total_loss_and_grads(rec, y, pseudo, mask, cents, 1.0, 0.8)
+    bd_off, d_logits, _ = total_loss_and_grads(rec, y, pseudo, mask, cents, 1.0, 0.0)
     assert bd_on.entropy > 0.0 and bd_off.entropy == 0.0
     assert bd_off.classification == bd_on.classification
     assert bd_off.total == bd_off.classification + 1.0 * bd_off.centroid
     # Without the entropy term the logit gradient is plain cross-entropy's.
-    rec = mlp_forward(params, X)
     m = mask.astype(float)[:, None]
     targets = m * np.eye(pseudo.shape[1])[y] + (1.0 - m) * pseudo
     np.testing.assert_allclose(d_logits, (rec.probs - targets) / len(y), rtol=1e-12)
@@ -462,10 +449,7 @@ def test_centroid_term_hand_value(rng):
     mask = np.array([1, 0, 1])
     rec = mlp_forward(params, X)
     cents = _cset(rng.normal(size=(3, 5)))
-    hp = HyperParams(lambda_cen=1.0, lambda_e=0.0)
-    bd, _, _, _ = total_loss_and_grads(
-        params, X, y, pseudo, mask, cents, hp, use_pseudo=True, lambda_cen_eff=1.0
-    )
+    bd, _, _ = total_loss_and_grads(rec, y, pseudo, mask, cents, 1.0, 0.0)
     expected = sum(
         mask[i] * float(((rec.hidden[i] - cents.vectors[y[i]]) ** 2).sum())
         for i in range(3)
@@ -475,10 +459,7 @@ def test_centroid_term_hand_value(rng):
 
 def test_loss_total_combines_terms(rng):
     params, X, y, pseudo, mask, cents = _loss_instance(rng)
-    hp = HyperParams(lambda_cen=1.5, lambda_e=0.8)
-    bd, _, _, _ = total_loss_and_grads(
-        params, X, y, pseudo, mask, cents, hp, use_pseudo=True, lambda_cen_eff=0.6
-    )
+    bd, _, _ = total_loss_and_grads(mlp_forward(params, X), y, pseudo, mask, cents, 0.6, 0.8)
     assert bd.total == pytest.approx(
         bd.classification + 0.6 * bd.centroid + 0.8 * bd.entropy, rel=1e-12
     )
@@ -486,17 +467,13 @@ def test_loss_total_combines_terms(rng):
 
 def test_composite_grads_match_finite_differences(rng):
     params, X, y, pseudo, mask, cents = _loss_instance(rng)
-    hp = HyperParams(lambda_cen=1.0, lambda_e=0.8)
 
     def loss(q):
-        bd, _, _, _ = total_loss_and_grads(
-            q, X, y, pseudo, mask, cents, hp, use_pseudo=True, lambda_cen_eff=0.7
-        )
+        bd, _, _ = total_loss_and_grads(mlp_forward(q, X), y, pseudo, mask, cents, 0.7, 0.8)
         return bd.total
 
-    bd, rec, d_logits, d_hidden = total_loss_and_grads(
-        params, X, y, pseudo, mask, cents, hp, use_pseudo=True, lambda_cen_eff=0.7
-    )
+    rec = mlp_forward(params, X)
+    bd, d_logits, d_hidden = total_loss_and_grads(rec, y, pseudo, mask, cents, 0.7, 0.8)
     grads = mlp_backward(params, X, rec, d_logits, d_hidden)
     h = 1e-6
     theta = params.theta
@@ -590,11 +567,10 @@ def test_local_update_reports_local_state():
     s = res.stats
     # The 0/1 mask shows through the stats: every example is either
     # confident or flagged.
-    assert 0 <= s.detected_noisy <= s.n_examples
-    assert s.confident_fraction * s.n_examples + s.detected_noisy == pytest.approx(s.n_examples)
+    assert 0 <= s.detected_noisy <= ds.n
+    assert s.confident_fraction * ds.n + s.detected_noisy == pytest.approx(ds.n)
     assert res.centroids.presence.any()
     assert 0.0 <= res.stats.confident_fraction <= 1.0
-    assert res.stats.n_examples == ds.n
     assert np.isfinite(res.stats.mean_train_loss)
 
 
@@ -745,5 +721,4 @@ def test_detection_counts_add_up():
     s = res.stats
     assert s.actual_noisy == int((ds.given_labels != ds.true_labels).sum())
     assert 0 <= s.detected_true_noisy <= min(s.detected_noisy, s.actual_noisy)
-    assert s.n_examples == ds.n
-    assert s.detected_noisy == round((1.0 - s.confident_fraction) * s.n_examples)
+    assert s.detected_noisy == round((1.0 - s.confident_fraction) * ds.n)

@@ -114,7 +114,6 @@ def _records(n=3):
             mask_recall=0.8,
             weight_divergence=0.01 * t,
             r_t=1.0 - 0.04 * t,
-            wall_ms=123.4 * t,  # must not appear in the CSV
         )
         for t in range(1, n + 1)
     ]
@@ -139,7 +138,6 @@ def test_csv_roundtrip(tmp_path):
         assert a.round == b.round
         assert a.test_accuracy == b.test_accuracy  # repr round-trips exactly
         assert a.r_t == b.r_t
-        assert b.wall_ms == 0.0
 
 
 def test_csv_byte_stable():
