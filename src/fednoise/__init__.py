@@ -51,9 +51,9 @@ from .datagen import (
     ClientShard,
     Dataset,
     load_idx,
+    make_blob_split,
     make_blobs,
     partition_iid,
-    split_per_class,
 )
 from .errors import (
     ConfigError,
@@ -126,6 +126,7 @@ __all__ = [
     "load_config",
     "load_idx",
     "local_update",
+    "make_blob_split",
     "make_blobs",
     "mlp_backward",
     "mlp_forward",
@@ -139,7 +140,6 @@ __all__ = [
     "similarity_labels",
     "single_class_corruption",
     "small_loss_filter",
-    "split_per_class",
     "summary_accuracy",
     "symmetric_transition",
     "total_loss_and_grads",

@@ -5,6 +5,10 @@ Config files are flat `key = value` lines with dotted section prefixes
 overridden on the command line with `--override key=value`, so a single
 checked-in config plus a short command line fully determines a run.
 
+`build_datasets` writes each dataset array once: blobs are drawn
+straight into the train/test split, and an IDX training file is decoded
+only for the `dataset.subset` rows a run keeps.
+
 Exit codes: 0 ok, 1 config error, 2 runtime error.
 """
 
@@ -19,14 +23,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .coordinator import FederationConfig, run_training
-from .datagen import (
-    Dataset,
-    load_idx,
-    make_blobs,
-    partition_iid,
-    split_per_class,
-    subset,
-)
+from .datagen import Dataset, load_idx, make_blob_split, partition_iid
 from .errors import ConfigError, FednoiseError
 from .localnode import HyperParams, METHODS
 from .metrics import MetricsRecord, write_csv
@@ -208,23 +205,23 @@ def config_items(cfg: ExperimentConfig) -> list[tuple[str, str]]:
 
 
 def build_datasets(spec: DatasetSpec) -> tuple[Dataset, Dataset]:
-    """(train, test) pair per the dataset spec; given labels still clean."""
+    """(train, test) pair per the validated dataset spec, each array
+    written once; given labels still clean."""
+    spec.validate()
     if spec.kind == "blobs":
-        full = make_blobs(
+        return make_blob_split(
             C=spec.classes,
-            per_class=spec.train_per_class + spec.test_per_class,
+            train_per_class=spec.train_per_class,
+            test_per_class=spec.test_per_class,
             d_in=spec.dim,
             spread=spec.spread,
             seed=spec.seed,
         )
-        return split_per_class(full, spec.train_per_class)
-    train = load_idx(spec.images, spec.labels)
+    train = load_idx(spec.images, spec.labels, keep=spec.subset)
     test = load_idx(spec.test_images, spec.test_labels)
     C = max(train.C, test.C)
     train.C = C
     test.C = C
-    if spec.subset > 0:
-        train = subset(train, spec.subset)
     return train, test
 
 

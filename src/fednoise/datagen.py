@@ -1,7 +1,13 @@
-"""Dataset construction: Gaussian blobs, IDX image files, i.i.d. partitioning."""
+"""Dataset construction: Gaussian blobs, IDX image files, i.i.d. partitioning.
+
+Set-up writes every array once: the blob generator draws each class's
+train and test rows straight into the final arrays, and the IDX reader
+reads and converts only the rows a run keeps.
+"""
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,19 +49,27 @@ class ClientShard:
     indices: np.ndarray  # into the parent Dataset
 
 
-def make_blobs(
-    C: int, per_class: int, d_in: int, spread: float, seed: int
-) -> Dataset:
-    """Balanced isotropic Gaussian clusters with well-separated centers.
+def make_blob_split(
+    C: int,
+    train_per_class: int,
+    test_per_class: int,
+    d_in: int,
+    spread: float,
+    seed: int,
+) -> tuple[Dataset, Dataset]:
+    """Balanced isotropic Gaussian clusters, drawn straight into (train, test).
 
     Centers are standard-normal draws, rescaled (up only) so the closest
-    pair sits at least CENTER_SEPARATION * spread apart. Deterministic in
-    the seed.
+    pair sits at least CENTER_SEPARATION * spread apart. Then, class by
+    class, it draws that class's train rows and then its test rows into
+    the final arrays, so every array is written once. Deterministic in
+    the seed; rows within a class are i.i.d., so the positional split is
+    unbiased and both sides are exactly balanced.
     """
     if C < 2:
-        raise ConfigError(f"make_blobs: need C >= 2, got {C}")
-    if per_class < 1 or d_in < 1:
-        raise ConfigError("make_blobs: per_class and d_in must be positive")
+        raise ConfigError(f"blobs: need C >= 2, got {C}")
+    if train_per_class < 1 or test_per_class < 0 or d_in < 1:
+        raise ConfigError("blobs: need d_in >= 1, train rows >= 1 and test rows >= 0 per class")
     rng = make_rng(seed, STREAM_BLOBS)
     centers = rng.standard_normal((C, d_in))
     diffs = centers[:, None, :] - centers[None, :, :]
@@ -65,44 +79,28 @@ def make_blobs(
     target = CENTER_SEPARATION * spread
     if 0 < dmin < target:
         centers = centers * (target / dmin)
-    labels = np.repeat(np.arange(C, dtype=np.int64), per_class)
-    # Built in place, class by contiguous row block: no full-size temporary.
-    X = rng.standard_normal((C * per_class, d_in))
-    X *= spread
-    blocks = X.reshape(C, per_class, d_in)
-    blocks += centers[:, None, :]
-    return Dataset(X=X, true_labels=labels, given_labels=labels.copy(), C=C)
+    sizes = (train_per_class, test_per_class)
+    Xs = [np.empty((C * m, d_in)) for m in sizes]
+    blocks = [X.reshape(C, m, d_in) for X, m in zip(Xs, sizes)]
+    # Class c's train rows, then its test rows: the order of one
+    # (C, train + test, d_in) draw, so the bytes match drawing it whole.
+    for c in range(C):
+        for block in blocks:
+            rng.standard_normal(out=block[c])
+            block[c] *= spread
+            block[c] += centers[c]
+    labels = [np.repeat(np.arange(C, dtype=np.int64), m) for m in sizes]
+    train, test = (
+        Dataset(X=X, true_labels=y, given_labels=y.copy(), C=C) for X, y in zip(Xs, labels)
+    )
+    return train, test
 
 
-def split_per_class(dataset: Dataset, train_per_class: int) -> tuple[Dataset, Dataset]:
-    """First train_per_class rows of each class to train, the rest to test.
-
-    Rows within a class are i.i.d. draws, so positional splitting is
-    unbiased and keeps both sides exactly balanced on balanced input.
-    """
-    train_idx, test_idx = [], []
-    for c in range(dataset.C):
-        idx_c = np.flatnonzero(dataset.true_labels == c)
-        if len(idx_c) <= train_per_class:
-            raise ConfigError(
-                f"split_per_class: class {c} has {len(idx_c)} rows, "
-                f"need more than train_per_class={train_per_class}"
-            )
-        train_idx.append(idx_c[:train_per_class])
-        test_idx.append(idx_c[train_per_class:])
-    tr = np.concatenate(train_idx)
-    te = np.concatenate(test_idx)
-
-    def take(idx: np.ndarray) -> Dataset:
-        # Fancy indexing copies, so the three arrays share no memory.
-        return Dataset(
-            X=dataset.X[idx],
-            true_labels=dataset.true_labels[idx],
-            given_labels=dataset.true_labels[idx],
-            C=dataset.C,
-        )
-
-    return take(tr), take(te)
+def make_blobs(
+    C: int, per_class: int, d_in: int, spread: float, seed: int
+) -> Dataset:
+    """One balanced blob set: make_blob_split with no test rows."""
+    return make_blob_split(C, per_class, 0, d_in, spread, seed)[0]
 
 
 def partition_iid(dataset: Dataset, num_clients: int, seed: int) -> list[ClientShard]:
@@ -128,33 +126,40 @@ def _read_be32(data: bytes, offset: int, path: str, what: str) -> int:
     return int.from_bytes(data[offset : offset + 4], "big")
 
 
-def load_idx(images_path: str, labels_path: str) -> Dataset:
+def load_idx(images_path: str, labels_path: str, keep: int = 0) -> Dataset:
     """Read an IDX image/label file pair into a flattened float dataset.
+
+    Only the first `keep` rows are read and converted (0, or at least the
+    file's count, keeps all; IDX files are already shuffled upstream of
+    us). The whole of both files is still checked, and C comes from every
+    label in the file, so a prefix cannot shrink the class count.
 
     Big-endian headers; pixel bytes are scaled to [0,1]. Raises FormatError
     (with the offending byte offset) on bad magic, truncation, or an
     image/label count mismatch.
     """
     with open(images_path, "rb") as f:
-        img = f.read()
+        head = f.read(16)
+        magic = _read_be32(head, 0, images_path, "magic")
+        if magic != IDX_IMAGE_MAGIC:
+            raise FormatError(
+                f"{images_path}: bad image magic 0x{magic:08x} at byte 0, "
+                f"expected 0x{IDX_IMAGE_MAGIC:08x}"
+            )
+        n = _read_be32(head, 4, images_path, "count")
+        rows = _read_be32(head, 8, images_path, "row count")
+        cols = _read_be32(head, 12, images_path, "column count")
+        size = os.fstat(f.fileno()).st_size
+        need = 16 + n * rows * cols
+        if size < need:
+            raise FormatError(
+                f"{images_path}: truncated pixel data at byte {size}, expected {need} bytes"
+            )
+        m = n if keep <= 0 or keep >= n else keep
+        pixels = f.read(m * rows * cols)
+
     with open(labels_path, "rb") as f:
         lab = f.read()
-
-    magic = _read_be32(img, 0, images_path, "magic")
-    if magic != IDX_IMAGE_MAGIC:
-        raise FormatError(
-            f"{images_path}: bad image magic 0x{magic:08x} at byte 0, "
-            f"expected 0x{IDX_IMAGE_MAGIC:08x}"
-        )
-    n = _read_be32(img, 4, images_path, "count")
-    rows = _read_be32(img, 8, images_path, "row count")
-    cols = _read_be32(img, 12, images_path, "column count")
-    need = 16 + n * rows * cols
-    if len(img) < need:
-        raise FormatError(
-            f"{images_path}: truncated pixel data at byte {len(img)}, expected {need} bytes"
-        )
-
     magic_l = _read_be32(lab, 0, labels_path, "magic")
     if magic_l != IDX_LABEL_MAGIC:
         raise FormatError(
@@ -171,20 +176,9 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
             f"image/label count mismatch: {images_path} has {n}, {labels_path} has {n_l}"
         )
 
-    pixels = np.frombuffer(img, dtype=np.uint8, count=n * rows * cols, offset=16)
-    X = pixels.astype(np.float64).reshape(n, rows * cols) / 255.0
-    labels = np.frombuffer(lab, dtype=np.uint8, count=n, offset=8).astype(np.int64)
+    X = np.frombuffer(pixels, dtype=np.uint8).reshape(m, rows * cols).astype(np.float64)
+    X /= 255.0
+    labels = np.frombuffer(lab, dtype=np.uint8, count=n, offset=8)
     C = int(labels.max()) + 1 if n else 0
-    return Dataset(X=X, true_labels=labels, given_labels=labels.copy(), C=C)
-
-
-def subset(dataset: Dataset, n: int) -> Dataset:
-    """First n rows (IDX files are already shuffled upstream of us)."""
-    if n <= 0 or n >= dataset.n:
-        return dataset
-    return Dataset(
-        X=dataset.X[:n].copy(),
-        true_labels=dataset.true_labels[:n].copy(),
-        given_labels=dataset.given_labels[:n].copy(),
-        C=dataset.C,
-    )
+    kept = labels[:m].astype(np.int64)
+    return Dataset(X=X, true_labels=kept, given_labels=kept.copy(), C=C)

@@ -224,11 +224,13 @@ def confident_mask(sim_labels: np.ndarray, given_labels: np.ndarray) -> np.ndarr
 
 
 def global_pseudo_labels(global_params: ModelParams, X: np.ndarray) -> np.ndarray:
-    """Soft targets: the broadcast model's softmax rows over the shard.
+    """Soft targets: the given model's softmax rows over the shard.
 
-    Computed from round t_pl on, once per local update at broadcast time,
-    and held fixed across local epochs; callers must not recompute inside
-    the epoch loop.
+    Used from round t_pl on, in two ways. The proposed method and
+    no_global_centroids_ablation pass the broadcast global model, once
+    per local update, and hold the result fixed across local epochs.
+    naive_pseudo_ablation passes the client's own current weights and
+    recomputes at the start of every local epoch (self-training).
     """
     return mlp_forward(global_params, X).probs
 

@@ -18,7 +18,7 @@ from fednoise.coordinator import (
     run_training,
     select_clients,
 )
-from fednoise.datagen import make_blobs, partition_iid, split_per_class
+from fednoise.datagen import make_blob_split, make_blobs, partition_iid
 from fednoise.errors import ConfigError, ContractViolation
 from fednoise.localnode import METHODS, CentroidSet, HyperParams, LocalUpdateResult
 from fednoise.localnode import LocalStats
@@ -214,8 +214,7 @@ def test_evaluate_accuracy_trivial():
 
 
 def _tiny_setup(eps=0.0, seed=0):
-    full = make_blobs(C=3, per_class=60, d_in=4, spread=0.6, seed=seed)
-    train, test = split_per_class(full, 40)
+    train, test = make_blob_split(C=3, train_per_class=40, test_per_class=20, d_in=4, spread=0.6, seed=seed)
     shards = partition_iid(train, 6, seed=seed)
     if eps > 0:
         from fednoise.noise import NoiseSpec, apply_noise
