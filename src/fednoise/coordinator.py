@@ -132,25 +132,22 @@ def aggregate_global_centroids(
     """
     if not client_sets:
         raise ContractViolation("aggregate_global_centroids: no client centroid sets")
-    out = prev_global.copy()
-    for c in range(prev_global.C):
-        holders = [cs for cs in client_sets if cs.presence[c]]
-        if not holders:
-            continue
-        weights = np.array(
-            [
-                max(cosine_similarity(prev_global.vectors[c], cs.vectors[c]), w_floor)
-                for cs in holders
-            ]
-            if prev_global.presence[c]
-            else [1.0] * len(holders)
-        )
-        weights = weights / weights.sum()
-        out.vectors[c] = sum(
-            w * cs.vectors[c] for w, cs in zip(weights, holders)
-        )
-        out.presence[c] = True
-    return out
+    has = np.stack([cs.presence for cs in client_sets])  # (K, C)
+    held = has.any(axis=0)
+    # (K, C, d_h), with the rows a client did not report zeroed: they add nothing.
+    uploads = np.where(has[:, :, None], np.stack([cs.vectors for cs in client_sets]), 0.0)
+    w = cosine_similarity(prev_global.vectors[:, None, :], uploads[:, :, None, :])[..., 0, 0]
+    w = np.where(prev_global.presence, np.maximum(w, w_floor), 1.0)
+    # A class's total is a 1-D sum over its holders alone: numpy adds eight
+    # or more values pairwise, so a masked column sum could differ.
+    totals = np.where(held, [row[h].sum() for row, h in zip(w.T, has.T)], 1.0)
+    w = w / totals
+    # Client by client from zeros, as a loop over holders adds: an axis-0 sum may reorder.
+    merged = np.zeros_like(prev_global.vectors)
+    for wk, vk in zip(w, uploads):
+        merged += wk[:, None] * vk
+    vectors = np.where(held[:, None], merged, prev_global.vectors)
+    return CentroidSet(prev_global.C, vectors, prev_global.presence | held)
 
 
 def evaluate_accuracy(params: ModelParams, dataset: Dataset) -> float:

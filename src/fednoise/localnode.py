@@ -22,10 +22,11 @@ import numpy as np
 
 from .datagen import ClientShard, Dataset
 from .errors import ConfigError, ContractViolation, TrainingDiverged
+from .metrics import detection_counts
 from .numkit import (
     ForwardRecord,
     ModelParams,
-    ZERO_NORM_EPS,
+    cosine_similarity,
     mlp_backward,
     mlp_features,
     mlp_forward,
@@ -152,22 +153,19 @@ def small_loss_filter(losses: np.ndarray, r_t: float) -> np.ndarray:
     return np.sort(order[:k])
 
 
-def class_mean_features(
-    features: np.ndarray, labels: np.ndarray, selected: np.ndarray, C: int
-) -> CentroidSet:
-    """Per-class mean feature of the selected examples.
+def class_mean_features(features: np.ndarray, labels: np.ndarray, C: int) -> CentroidSet:
+    """Per-class mean of the feature rows.
 
-    Classes with no selected example get a zero vector and presence False.
+    Classes with no row get a zero vector and presence False.
     """
-    sel_labels = labels[selected]
-    counts = np.bincount(sel_labels, minlength=C)
+    counts = np.bincount(labels, minlength=C)
     presence = counts > 0
     # add.at sums each class's rows in row order from zero, as a per-class
     # rows.mean(axis=0) does for rows of two or more features, so the means
     # are the same bits. (numpy sums a one-feature column pairwise instead;
     # with hidden_dim = 1 the two may differ in the last place.)
     vectors = np.zeros((C, features.shape[1]))
-    np.add.at(vectors, sel_labels, features[selected])
+    np.add.at(vectors, labels, features)
     np.divide(vectors, counts[:, None], out=vectors, where=presence[:, None])
     return CentroidSet(C=C, vectors=vectors, presence=presence)
 
@@ -183,15 +181,8 @@ def blend_with_global(prev: CentroidSet, fresh: CentroidSet) -> CentroidSet:
     if prev.C != fresh.C or prev.d_h != fresh.d_h:
         raise ContractViolation("blend_with_global: centroid sets have mismatched dims")
     P, F = prev.vectors, fresh.vectors
-    # Row-wise cosine as cosine_similarity computes it: matmul of (1, d)
-    # by (d, 1) is one dot product per row, the same bits as u @ v.
-    dots = np.matmul(P[:, None, :], F[:, :, None])[:, 0, 0]
-    norms_p = np.sqrt(np.matmul(P[:, None, :], P[:, :, None])[:, 0, 0])
-    norms_f = np.sqrt(np.matmul(F[:, None, :], F[:, :, None])[:, 0, 0])
-    ok = ~((norms_p < ZERO_NORM_EPS) | (norms_f < ZERO_NORM_EPS))
-    s = np.zeros(prev.C)
-    np.divide(dots, norms_p * norms_f, out=s, where=ok)
-    w = (s * s)[:, None]
+    s = cosine_similarity(P[:, None, :], F[:, None, :])[:, :, 0]
+    w = s * s
     blended = (1.0 - w) * P + w * F
     vectors = np.where(
         (prev.presence & fresh.presence)[:, None],
@@ -205,13 +196,7 @@ def similarity_labels(features: np.ndarray, centroids: CentroidSet) -> np.ndarra
     """Nearest present centroid by cosine similarity; ties to the lowest class."""
     if not centroids.presence.any():
         raise ContractViolation("similarity_labels: no class has a centroid yet")
-    dots = features @ centroids.vectors.T
-    fn = np.linalg.norm(features, axis=1)
-    cn = np.linalg.norm(centroids.vectors, axis=1)
-    denom = np.outer(fn, cn)
-    sims = np.zeros_like(dots)
-    ok = (fn[:, None] >= ZERO_NORM_EPS) & (cn[None, :] >= ZERO_NORM_EPS)
-    np.divide(dots, denom, out=sims, where=ok)
+    sims = cosine_similarity(features, centroids.vectors)
     sims[:, ~centroids.presence] = -np.inf
     return sims.argmax(axis=1).astype(np.int64)
 
@@ -370,7 +355,7 @@ def local_update(
         # Latest per-example mask; a zero-epoch round flags every example.
         mask = np.zeros(n_k, dtype=np.int64)
         if round_t <= 1 or local_only or not global_centroids.presence.any():
-            running = class_mean_features(mlp_features(params, X), y, np.arange(n_k), C)
+            running = class_mean_features(mlp_features(params, X), y, C)
         else:
             running = global_centroids.copy()
         lam_cen, lam_e = lambda_cen_schedule(round_t, hp), hp.lambda_e
@@ -404,9 +389,7 @@ def local_update(
             if exchange:
                 # Class means come from the just-updated extractor, on the
                 # small-loss subset only, then fold into the running centroids.
-                fresh = class_mean_features(
-                    mlp_features(params, Xb[sel]), yb[sel], np.arange(len(sel)), C
-                )
+                fresh = class_mean_features(mlp_features(params, Xb[sel]), yb[sel], C)
                 if local_only:
                     running = _adopt_fresh(running, fresh)
                 else:
@@ -438,12 +421,11 @@ def _make_stats(
     given: np.ndarray,
     true: np.ndarray,
 ) -> LocalStats:
-    detected = mask == 0
-    actual = given != true
+    detected_true, detected, actual = detection_counts(mask, given, true)
     return LocalStats(
         mean_train_loss=loss_sum / n_batches if n_batches else 0.0,
         confident_fraction=float(mask.mean()) if len(mask) else 0.0,
-        detected_noisy=int(detected.sum()),
-        detected_true_noisy=int((detected & actual).sum()),
-        actual_noisy=int(actual.sum()),
+        detected_noisy=detected,
+        detected_true_noisy=detected_true,
+        actual_noisy=actual,
     )

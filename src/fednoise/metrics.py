@@ -45,26 +45,31 @@ class MetricsRecord:
     r_t: float
 
 
-def detection_metrics(
+def detection_counts(
     mask: np.ndarray, given_labels: np.ndarray, true_labels: np.ndarray
-) -> tuple[float, float]:
-    """(precision, recall) of noisy-sample detection.
+) -> tuple[int, int, int]:
+    """(detected_true_noisy, detected_noisy, actual_noisy) of one mask.
 
     An example counts as detected when its confident mask is 0 and as
     actually noisy when its given label differs from its true label.
+    """
+    mask, given_labels, true_labels = map(np.asarray, (mask, given_labels, true_labels))
+    if not (mask.shape == given_labels.shape == true_labels.shape):
+        raise ContractViolation("detection_counts: input arrays must align")
+    detected = mask == 0
+    actual = given_labels != true_labels
+    return int((detected & actual).sum()), int(detected.sum()), int(actual.sum())
+
+
+def detection_metrics(
+    mask: np.ndarray, given_labels: np.ndarray, true_labels: np.ndarray
+) -> tuple[float, float]:
+    """(precision, recall) of noisy-sample detection, from detection_counts.
+
     Degenerate denominators yield 1.0: flagging nothing means no false
     positives, and a clean shard has nothing to miss.
     """
-    mask = np.asarray(mask)
-    given_labels = np.asarray(given_labels)
-    true_labels = np.asarray(true_labels)
-    if not (mask.shape == given_labels.shape == true_labels.shape):
-        raise ContractViolation("detection_metrics: input arrays must align")
-    detected = mask == 0
-    actual = given_labels != true_labels
-    return detection_from_counts(
-        int((detected & actual).sum()), int(detected.sum()), int(actual.sum())
-    )
+    return detection_from_counts(*detection_counts(mask, given_labels, true_labels))
 
 
 def detection_from_counts(

@@ -60,12 +60,18 @@ class NoiseSpec:
             raise ConfigError("noise.client_variance: must be >= 0")
         if self.client_variance > 0:
             lo, hi_r = self.epsilon - self.client_variance, self.epsilon + self.client_variance
-            if lo < 0 or hi_r >= 1:
+            if lo < 0 or hi_r >= hi:
                 raise ConfigError(
-                    f"noise.client_variance: ratio range [{lo}, {hi_r}] escapes [0,1)"
+                    f"noise.client_variance: ratio range [{lo}, {hi_r}] escapes [0,{hi}) "
+                    f"for {self.kind}"
                 )
         if self.client_variance > 0 and self.per_class_mode:
             raise ConfigError("noise: client_variance and per_class_mode are mutually exclusive")
+        if self.per_class_mode and self.kind != "symmetric":
+            raise ConfigError(
+                f"noise.per_class_mode flips the other classes symmetrically, "
+                f"so noise.kind must be symmetric, got {self.kind!r}"
+            )
 
 
 def symmetric_transition(epsilon: float, C: int) -> TransitionMatrix:

@@ -223,14 +223,22 @@ def sgd_step(
     params.theta -= lr * velocity
 
 
-def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
-    """u.v / (|u||v|); 0 when either vector is (numerically) zero."""
-    if u.shape != v.shape:
-        raise ContractViolation(
-            f"cosine_similarity: shapes {u.shape} and {v.shape} differ"
-        )
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu < ZERO_NORM_EPS or nv < ZERO_NORM_EPS:
-        return 0.0
-    return float(u @ v) / (nu * nv)
+def cosine_similarity(U: np.ndarray, V: np.ndarray) -> np.ndarray | float:
+    """Cosines between the rows of U and the rows of V: (..., n, d) and
+    (..., m, d) give (..., n, m), the leading axes broadcast; two vectors
+    give a float.
+
+    The dots are U @ V^T: a GEMM for all pairs, and for stacked one-row
+    pairs one BLAS dot each, the bits of u @ v. A norm is the root of its
+    row's dot with itself. A pair with a norm below ZERO_NORM_EPS has
+    cosine 0; a row with a NaN entry gives NaN, even against a zero row.
+    """
+    if min(U.ndim, V.ndim) < 1 or U.shape[-1] != V.shape[-1] or (U.ndim == 1) != (V.ndim == 1):
+        raise ContractViolation(f"cosine_similarity: shapes {U.shape} and {V.shape} differ")
+    if U.ndim == 1:
+        return float(cosine_similarity(U[None], V[None])[0, 0])
+    dots = U @ np.swapaxes(V, -1, -2)
+    nu, nv = (np.sqrt((A[..., None, :] @ A[..., :, None])[..., 0, 0]) for A in (U, V))
+    nu, nv = nu[..., :, None], nv[..., None, :]
+    zero = np.minimum(nu, nv) < ZERO_NORM_EPS  # False where either norm is NaN
+    return np.divide(dots, nu * nv, out=np.zeros(dots.shape), where=~zero)

@@ -327,6 +327,27 @@ def test_cli_validate_rejects_unknown_key(tmp_path, capsys):
         assert code == 1
 
 
+def test_cli_validate_rejects_per_class_mode_with_pair(tmp_path, capsys):
+    # per_class_mode flips the other classes symmetrically whatever
+    # noise.kind says, so any other kind is refused, naming both keys.
+    cfg = _write_cfg(tmp_path)
+    overrides = ["--override", "noise.kind=pair", "--override", "noise.per_class_mode=true"]
+    assert main(["validate-config", "--config", cfg] + overrides) == 1
+    err = capsys.readouterr().err
+    assert "noise.per_class_mode" in err and "noise.kind" in err
+
+
+def test_cli_validate_checks_client_variance_against_the_kind(tmp_path, capsys):
+    # Pair noise needs every client group's ratio below 0.5, not below 1.
+    cfg = _write_cfg(tmp_path)
+    pair = ["validate-config", "--config", cfg, "--override", "noise.kind=pair"]
+    for eps, spread, code in [("0.4", "0.2", 1), ("0.3", "0.2", 1), ("0.3", "0.15", 0)]:
+        overrides = [f"noise.epsilon={eps}", f"noise.client_variance={spread}"]
+        assert main(pair + [arg for ov in overrides for arg in ("--override", ov)]) == code
+        if code:
+            assert "noise.client_variance" in capsys.readouterr().err
+
+
 def test_cli_sweep(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
     outdir = str(tmp_path / "sweep")

@@ -1,3 +1,4 @@
+import itertools
 import multiprocessing
 import os
 import signal
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fednoise import coordinator
 from fednoise.coordinator import (
@@ -198,6 +200,84 @@ def test_aggregate_brute_force_oracle(rng):
             )
             np.testing.assert_allclose(got.vectors[c], expect, atol=1e-10)
             assert got.presence[c]
+
+
+# The per-class loop that aggregate_global_centroids replaced; the
+# vectorized merge must give its bits.
+
+
+def loop_aggregate_global_centroids(prev_global, client_sets, w_floor=1e-6):
+    if not client_sets:
+        raise ContractViolation("aggregate_global_centroids: no client centroid sets")
+    out = prev_global.copy()
+    for c in range(prev_global.C):
+        holders = [cs for cs in client_sets if cs.presence[c]]
+        if not holders:
+            continue
+        weights = np.array(
+            [
+                max(cosine_similarity(prev_global.vectors[c], cs.vectors[c]), w_floor)
+                for cs in holders
+            ]
+            if prev_global.presence[c]
+            else [1.0] * len(holders)
+        )
+        weights = weights / weights.sum()
+        out.vectors[c] = sum(w * cs.vectors[c] for w, cs in zip(weights, holders))
+        out.presence[c] = True
+    return out
+
+
+def _centroid_rows(draw, C, d_h):
+    vectors = draw(arrays(np.float64, (C, d_h), elements=st.floats(-5, 5)))
+    # Zero rows and rows below the cosine's zero-norm threshold.
+    vectors[draw(arrays(np.bool_, C))] = 0.0
+    vectors[draw(arrays(np.bool_, C))] *= 1e-14
+    return CentroidSet(C=C, vectors=vectors, presence=draw(arrays(np.bool_, C)))
+
+
+@st.composite
+def aggregate_cases(draw):
+    # K from 1 to 10: numpy sums eight or more weights pairwise.
+    C, d_h, K = draw(st.integers(1, 6)), draw(st.integers(1, 9)), draw(st.integers(1, 10))
+    prev = _centroid_rows(draw, C, d_h)
+    return prev, [_centroid_rows(draw, C, d_h) for _ in range(K)]
+
+
+def _same_centroids(a, b):
+    return np.array_equal(a.vectors, b.vectors) and np.array_equal(a.presence, b.presence)
+
+
+@given(aggregate_cases())
+def test_aggregate_bit_equals_loop(case):
+    prev, uploads = case
+    before = [cs.copy() for cs in [prev] + uploads]
+    got = aggregate_global_centroids(prev, uploads)
+    assert _same_centroids(got, loop_aggregate_global_centroids(prev, uploads))
+    # No input is written.
+    assert all(_same_centroids(a, b) for a, b in zip([prev] + uploads, before))
+
+
+def test_aggregate_many_holders_bit_equal_loop(rng):
+    # Every class held by 8 to 10 clients, and by a ragged subset. With a
+    # single entry per upload, numpy would sum an axis pairwise.
+    for C, d, K in itertools.product((1, 4), (1, 16), (8, 9, 10)):
+        for _ in range(20):
+            prev = CentroidSet(C, rng.normal(size=(C, d)), np.ones(C, bool))
+            full = [CentroidSet(C, rng.normal(size=(C, d)), np.ones(C, bool)) for _ in range(K)]
+            ragged = [CentroidSet(C, u.vectors, rng.random(C) > 0.2) for u in full]
+            for uploads in (full, ragged):
+                got = aggregate_global_centroids(prev, uploads)
+                assert _same_centroids(got, loop_aggregate_global_centroids(prev, uploads))
+
+
+def test_aggregate_ignores_unreported_rows():
+    # A row a client did not report does not reach the result, even if
+    # it is not finite.
+    prev = _cents([[1.0, 0.0], [0.0, 1.0]])
+    upload = _cents([[2.0, 1.0], [np.nan, np.inf]], presence=[True, False])
+    out = aggregate_global_centroids(prev, [upload])
+    np.testing.assert_array_equal(out.vectors, [[2.0, 1.0], [0.0, 1.0]])
 
 
 def test_aggregate_requires_uploads():

@@ -90,17 +90,11 @@ def test_per_example_ce_hand_case():
 
 def test_class_mean_features_hand_case():
     feats = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    cents = class_mean_features(feats, np.array([0, 0, 1]), np.arange(3), C=3)
+    cents = class_mean_features(feats, np.array([0, 0, 1]), C=3)
     np.testing.assert_allclose(cents.vectors[0], [2.0, 3.0])
     np.testing.assert_allclose(cents.vectors[1], [5.0, 6.0])
     np.testing.assert_array_equal(cents.presence, [True, True, False])
     np.testing.assert_array_equal(cents.vectors[2], [0.0, 0.0])
-
-
-def test_class_mean_features_respects_selection():
-    feats = np.array([[1.0], [100.0], [3.0]])
-    cents = class_mean_features(feats, np.array([0, 0, 0]), np.array([0, 2]), C=1)
-    np.testing.assert_allclose(cents.vectors[0], [2.0])
 
 
 def _cset(vectors, presence=None):
@@ -164,16 +158,15 @@ def test_blend_output_on_segment(p, f):
 
 # The per-class loop versions that class_mean_features and
 # blend_with_global replaced; the vectorized code must give their bits.
+# (The loop aggregation lives in test_coordinator.py.)
 
 
-def loop_class_mean_features(features, labels, selected, C):
+def loop_class_mean_features(features, labels, C):
     d_h = features.shape[1]
     vectors = np.zeros((C, d_h))
     presence = np.zeros(C, dtype=bool)
-    sel_labels = labels[selected]
-    sel_features = features[selected]
     for c in range(C):
-        rows = sel_features[sel_labels == c]
+        rows = features[labels == c]
         presence[c] = rows.shape[0] > 0
         if presence[c]:
             vectors[c] = rows.mean(axis=0)
@@ -209,15 +202,16 @@ def mean_cases(draw):
     features = draw(arrays(np.float64, (n, d_h), elements=st.floats(-1, 1)))
     # Labels from a prefix of the classes, so some classes are absent.
     labels = draw(arrays(np.int64, n, elements=st.integers(0, draw(st.integers(0, C - 1)))))
-    keep = draw(arrays(np.bool_, n))
-    return features, labels, np.flatnonzero(keep), C
+    # The rows a caller keeps (the small-loss subset), sliced before the call.
+    keep = np.flatnonzero(draw(arrays(np.bool_, n)))
+    return features[keep], labels[keep], C
 
 
 @given(mean_cases())
 def test_class_mean_features_bit_equals_loop(case):
-    features, labels, selected, C = case
-    got = class_mean_features(features, labels, selected, C)
-    want = loop_class_mean_features(features, labels, selected, C)
+    features, labels, C = case
+    got = class_mean_features(features, labels, C)
+    want = loop_class_mean_features(features, labels, C)
     assert _same_centroids(got, want)
 
 
@@ -227,8 +221,8 @@ def test_class_mean_features_one_feature_matches_loop_to_rounding(rng):
     for n in (1, 5, 9, 40):
         feats = rng.uniform(-1, 1, size=(n, 1))
         labels = rng.integers(0, 3, size=n)
-        got = class_mean_features(feats, labels, np.arange(n), 3)
-        want = loop_class_mean_features(feats, labels, np.arange(n), 3)
+        got = class_mean_features(feats, labels, 3)
+        want = loop_class_mean_features(feats, labels, 3)
         np.testing.assert_allclose(got.vectors, want.vectors, rtol=0, atol=1e-15)
         np.testing.assert_array_equal(got.presence, want.presence)
 
@@ -236,15 +230,15 @@ def test_class_mean_features_one_feature_matches_loop_to_rounding(rng):
 def test_class_mean_features_edge_cases_bit_equal_loop(rng):
     feats = rng.uniform(-1, 1, size=(6, 4))
     cases = [
-        (feats, np.array([1, 1, 1, 1, 1, 1]), np.array([3]), 2),  # one selected row
-        (feats, np.array([0, 1, 0, 1, 0, 1]), np.arange(6), 2),  # C = 2
-        (feats, np.array([0, 4, 0, 4, 0, 4]), np.arange(6), 5),  # absent classes
-        (feats, np.array([0, 1, 2, 0, 1, 2]), np.array([], dtype=np.int64), 3),  # none
-        (np.zeros((6, 4)), np.array([0, 0, 1, 1, 2, 2]), np.arange(6), 3),  # zero rows
+        (feats[3:4], np.array([1]), 2),  # one row
+        (feats, np.array([0, 1, 0, 1, 0, 1]), 2),  # C = 2
+        (feats, np.array([0, 4, 0, 4, 0, 4]), 5),  # absent classes
+        (feats[:0], np.array([], dtype=np.int64), 3),  # no rows
+        (np.zeros((6, 4)), np.array([0, 0, 1, 1, 2, 2]), 3),  # zero rows
     ]
-    for features, labels, selected, C in cases:
-        got = class_mean_features(features, labels, selected, C)
-        want = loop_class_mean_features(features, labels, selected, C)
+    for features, labels, C in cases:
+        got = class_mean_features(features, labels, C)
+        want = loop_class_mean_features(features, labels, C)
         assert _same_centroids(got, want)
 
 
@@ -284,7 +278,9 @@ def test_blend_with_global_edge_cases_bit_equal_loop(rng):
 
 
 def test_desk_run_with_loop_centroids_writes_same_csv(tmp_path, monkeypatch):
+    import fednoise.coordinator as coordinator
     import fednoise.localnode as localnode
+    from test_coordinator import loop_aggregate_global_centroids
 
     def run(name):
         path = tmp_path / name
@@ -295,6 +291,7 @@ def test_desk_run_with_loop_centroids_writes_same_csv(tmp_path, monkeypatch):
     # Forked client workers inherit the patched module attributes.
     monkeypatch.setattr(localnode, "class_mean_features", loop_class_mean_features)
     monkeypatch.setattr(localnode, "blend_with_global", loop_blend_with_global)
+    monkeypatch.setattr(coordinator, "aggregate_global_centroids", loop_aggregate_global_centroids)
     assert run("loop.csv") == vectorized
 
 

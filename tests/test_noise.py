@@ -206,6 +206,15 @@ def test_noise_spec_validation():
         NoiseSpec(
             kind="symmetric", epsilon=0.2, client_variance=0.1, per_class_mode=True
         ).validate()
+    # The spread is bounded by the kind's own upper bound.
+    NoiseSpec(kind="symmetric", epsilon=0.4, client_variance=0.2).validate()
+    NoiseSpec(kind="pair", epsilon=0.3, client_variance=0.15).validate()
+    with pytest.raises(ConfigError, match="noise.client_variance"):
+        NoiseSpec(kind="pair", epsilon=0.4, client_variance=0.2).validate()
+    # per_class_mode corrupts symmetrically; it cannot honour another kind.
+    NoiseSpec(kind="symmetric", epsilon=0.2, per_class_mode=True).validate()
+    with pytest.raises(ConfigError, match="noise.per_class_mode.*noise.kind"):
+        NoiseSpec(kind="pair", epsilon=0.2, per_class_mode=True).validate()
 
 
 def test_corrupt_accepts_generator(rng):

@@ -289,8 +289,85 @@ def test_cosine_basic_directions():
 
 
 def test_cosine_shape_mismatch():
-    with pytest.raises(ContractViolation):
-        cosine_similarity(np.zeros(2), np.zeros(3))
+    for u, v in [
+        (np.zeros(2), np.zeros(3)),  # 1-D, last axes differ
+        (np.zeros((4, 2)), np.zeros((3, 3))),  # rows, last axes differ
+        (np.zeros(2), np.zeros((3, 2))),  # a vector against rows
+        (np.float64(1.0), np.float64(1.0)),  # no axis at all
+    ]:
+        with pytest.raises(ContractViolation):
+            cosine_similarity(u, v)
+
+
+def scalar_cosine(u, v):
+    """The scalar cosine the row-wise helper replaced."""
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu < 1e-12 or nv < 1e-12:
+        return 0.0
+    return float(u @ v) / (nu * nv)
+
+
+def _rows(draw, shape):
+    rows = draw(arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
+    # Zero rows and rows below the zero-norm threshold.
+    rows[draw(arrays(np.bool_, shape[:-1]))] = 0.0
+    rows[draw(arrays(np.bool_, shape[:-1]))] *= 1e-14
+    return rows
+
+
+@given(st.data())
+def test_cosine_vector_call_bit_equals_scalar(data):
+    d = data.draw(st.integers(1, 80))
+    u, v = _rows(data.draw, (2, d))
+    assert isinstance(cosine_similarity(u, v), float)
+    assert cosine_similarity(u, v) == scalar_cosine(u, v)
+
+
+@given(st.data())
+def test_cosine_row_wise_layouts_bit_equal_vector_calls(data):
+    C, d, K = (data.draw(st.integers(1, hi)) for hi in (6, 80, 10))
+    P, F = _rows(data.draw, (C, d)), _rows(data.draw, (C, d))
+    U = _rows(data.draw, (K, C, d))
+    # blend_with_global: class c of one set against class c of another.
+    got = cosine_similarity(P[:, None, :], F[:, None, :])
+    assert got.shape == (C, 1, 1)
+    assert np.array_equal(got[:, 0, 0], [cosine_similarity(P[c], F[c]) for c in range(C)])
+    # aggregate_global_centroids: class c of the previous set against
+    # class c of each of K uploads.
+    got = cosine_similarity(P[:, None, :], U[:, :, None, :])
+    assert got.shape == (K, C, 1, 1)
+    want = [[cosine_similarity(P[c], U[k, c]) for c in range(C)] for k in range(K)]
+    assert np.array_equal(got[..., 0, 0], want)
+
+
+def test_cosine_row_wise_bit_equal_at_wide_rows(rng):
+    for d in (64, 784, 1000):
+        P, F = rng.normal(size=(2, 10, d))
+        got = cosine_similarity(P[:, None, :], F[:, None, :])[:, 0, 0]
+        assert np.array_equal(got, [scalar_cosine(p, f) for p, f in zip(P, F)])
+
+
+def test_cosine_all_pairs_matches_vector_calls(rng):
+    U, V = rng.normal(size=(7, 5)), rng.normal(size=(3, 5))
+    V[1] = 0.0
+    got = cosine_similarity(U, V)
+    assert got.shape == (7, 3)
+    want = [[scalar_cosine(u, v) for v in V] for u in U]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+    np.testing.assert_array_equal(got[:, 1], 0.0)
+
+
+def test_cosine_zero_norm_gives_zero_and_nan_gives_nan():
+    U = np.array([[0.0, 0.0], [1e-13, 0.0], [3.0, 4.0], [np.nan, 1.0]])
+    V = np.array([[3.0, 4.0], [0.0, 0.0]])
+    got = cosine_similarity(U, V)
+    np.testing.assert_array_equal(got[:2], 0.0)  # a zero-norm row
+    np.testing.assert_array_equal(got[:3, 1], 0.0)  # against a zero-norm row
+    assert got[2, 0] == 1.0
+    assert np.isnan(got[3]).all()  # never a silent 0, even against a zero row
+    assert np.isnan(cosine_similarity(U[3], V[0])) and np.isnan(cosine_similarity(U[3], V[1]))
+    assert cosine_similarity(U[0], V[0]) == 0.0
 
 
 @given(
