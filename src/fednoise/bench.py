@@ -168,7 +168,7 @@ def load_config(path: str | None = None, overrides: list[str] = ()) -> Experimen
 
 
 def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Validated deep copy with derived defaults (tau, warmup) filled in."""
+    """Validated deep copy with the derived default (tau) filled in."""
     out = copy.deepcopy(cfg)
     out.dataset.validate()
     out.noise.validate()
@@ -329,18 +329,21 @@ def _cmd_sweep(args) -> int:
         if args.methods
         else [base.method]
     )
-    os.makedirs(args.output_dir, exist_ok=True)
+    # Every cell is checked before the first runs: a bad cell trains nothing.
+    cells = []
     for method in methods:
         for eps in eps_list:
-            cfg = copy.deepcopy(base)
-            cfg.method = method
-            cfg.noise.epsilon = eps
-            cfg.output = os.path.join(args.output_dir, f"{method}_eps{eps:g}.csv")
-            _, records = run_experiment(cfg)
-            print(
-                f"method={method} epsilon={eps:g} "
-                f"acc_last10={summary_accuracy(records):.4f} csv={cfg.output}"
-            )
+            base.method, base.noise.epsilon = method, eps
+            base.output = os.path.join(args.output_dir, f"{method}_eps{eps:g}.csv")
+            cells.append(resolve_config(base))  # a checked deep copy
+    os.makedirs(args.output_dir, exist_ok=True)
+    for cfg in cells:
+        _, records = run_experiment(cfg)
+        wdiv = f" wdiv_final={records[-1].weight_divergence:.5f}" if records else ""
+        print(
+            f"method={cfg.method} epsilon={cfg.noise.epsilon:g} "
+            f"acc_last10={summary_accuracy(records):.4f}{wdiv} csv={cfg.output}"
+        )
     return 0
 
 

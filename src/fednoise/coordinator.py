@@ -26,7 +26,7 @@ import os
 import pickle
 import threading
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,13 +69,11 @@ class FederationConfig:
 
 @dataclass
 class RoundState:
-    """Mutable server state carried between rounds."""
+    """Server state that the next round reads, and nothing else."""
 
     t: int
     params: ModelParams
     centroids: CentroidSet
-    r_t: float = 1.0
-    records: list[MetricsRecord] = field(default_factory=list)
 
 
 def r_schedule(t: int, hp: HyperParams) -> float:
@@ -181,17 +179,18 @@ def run_training(
 
     params = init_params(train.d_in, d_h, train.C, make_rng(seed, STREAM_INIT))
     state = RoundState(t=0, params=params, centroids=CentroidSet.empty(train.C, d_h))
+    records = []
     run_share = functools.partial(_run_share, train, shards, hp, seed, method)
     processes = min(_usable_cpus(), fed.clients_per_round)
 
     with _ClientProcesses(processes, fed.clients_per_round, params, run_share) as clients:
         for t in range(1, fed.rounds + 1):
             state.t = t
-            state.r_t = r_schedule(t - 1, hp)
+            r_t = r_schedule(t - 1, hp)
             chosen = select_clients(
                 fed.num_clients, fed.clients_per_round, make_rng(seed, STREAM_SELECT, t)
             )
-            results = clients.run(state, chosen)
+            results = clients.run(state, r_t, chosen)
             sizes = [len(shards[cid].indices) for cid in chosen]
 
             state.params = fedavg(results, sizes)
@@ -199,9 +198,9 @@ def run_training(
             if uploaded:
                 state.centroids = aggregate_global_centroids(state.centroids, uploaded)
 
-            state.records.append(_round_record(state, results, sizes, test))
+            records.append(_round_record(state, r_t, results, sizes, test))
 
-    return state.params, state.records
+    return state.params, records
 
 
 def _usable_cpus() -> int:
@@ -299,20 +298,20 @@ class _ClientProcesses:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def run(self, state: RoundState, chosen: np.ndarray) -> list[LocalUpdateResult]:
-        """Run the chosen clients of the round and return their results in
-        ascending id order. If clients fail, raise the error of the first
-        failing position."""
+    def run(self, state: RoundState, r_t: float, chosen: np.ndarray) -> list[LocalUpdateResult]:
+        """Run the chosen clients of round state.t with keep-fraction r_t
+        and return their results in ascending id order. If clients fail,
+        raise the error of the first failing position."""
         ids = chosen.tolist()
         n = self.processes
         if n > 1:
             self.broadcast.theta[...] = state.params.theta
         for w, conn in enumerate(self.conns, 1):
             try:
-                conn.send((ids[w::n], state.centroids, state.t, state.r_t))
+                conn.send((ids[w::n], state.centroids, state.t, r_t))
             except OSError:
                 raise self._died(w, state.t) from None
-        shares = [self.run_share(ids[0::n], state.params, state.centroids, state.t, state.r_t)]
+        shares = [self.run_share(ids[0::n], state.params, state.centroids, state.t, r_t)]
         shares += [self._receive(w, state.t) for w in range(1, n)]
 
         results: list = [None] * len(ids)
@@ -404,6 +403,7 @@ def _with_context(e: Exception, ctx: str) -> Exception:
 
 def _round_record(
     state: RoundState,
+    r_t: float,
     results: list[LocalUpdateResult],
     sizes: list[int],
     test: Dataset,
@@ -430,7 +430,7 @@ def _round_record(
         mask_precision=precision,
         mask_recall=recall,
         weight_divergence=wdiv,
-        r_t=state.r_t,
+        r_t=r_t,
     )
     for column in CSV_COLUMNS:
         if not math.isfinite(getattr(record, column)):

@@ -70,11 +70,8 @@ class CentroidSet:
 
 @dataclass
 class HyperParams:
-    """Training knobs shared by all method variants.
-
-    tau and lambda_cen_warmup_rounds may be left as None in configs; they
-    resolve to the noise ratio and to t_pl respectively (see resolved()).
-    """
+    """Training knobs shared by all method variants. A tau left as None
+    resolves to the noise ratio (see resolved())."""
 
     hidden_dim: int = 64
     lambda_cen: float = 1.0
@@ -87,14 +84,11 @@ class HyperParams:
     learning_rate: float = 0.25
     momentum: float = 0.5
     weight_decay: float = 1e-4
-    lambda_cen_warmup_rounds: int | None = None
 
     def resolved(self, noise_epsilon: float) -> "HyperParams":
         hp = replace(self)
         if hp.tau is None:
             hp.tau = noise_epsilon
-        if hp.lambda_cen_warmup_rounds is None:
-            hp.lambda_cen_warmup_rounds = hp.t_pl
         return hp
 
     def validate(self) -> None:
@@ -226,13 +220,10 @@ def per_example_ce(logp: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def lambda_cen_schedule(t: int, hp: HyperParams) -> float:
-    """Linear ramp of the centroid-loss weight from 0 to lambda_cen."""
-    warmup = hp.lambda_cen_warmup_rounds
-    if warmup is None:
-        warmup = hp.t_pl
-    if warmup <= 0:
+    """Centroid-loss weight: a linear ramp from 0 to lambda_cen over t_pl rounds."""
+    if hp.t_pl <= 0:
         return hp.lambda_cen
-    return hp.lambda_cen * min(1.0, t / warmup)
+    return hp.lambda_cen * min(1.0, t / hp.t_pl)
 
 
 def total_loss_and_grads(
@@ -328,6 +319,8 @@ def local_update(
     CE_BASELINE runs the same loop with every extra term off: no
     pseudo-targets, no centroids, both loss weights 0 whatever hp says,
     and an all-ones mask, so it does no centroid or pseudo-label work.
+    It and NO_GLOBAL_CENTROIDS, whose clients never read the global
+    set, upload an empty centroid set, so the server merges nothing.
 
     Raises TrainingDiverged if the weights it would return are not finite.
     """
@@ -399,7 +392,7 @@ def local_update(
 
     if not np.isfinite(params.theta).all():
         raise TrainingDiverged("local weights became non-finite")
-    if running is None:
+    if running is None or local_only:
         running = CentroidSet.empty(C, params.d_h)
     stats = _make_stats(loss_sum, n_batches, mask, y, y_true)
     return LocalUpdateResult(params=params, centroids=running, stats=stats)

@@ -97,7 +97,6 @@ def test_resolve_config_fills_tau():
     cfg.noise.epsilon = 0.35
     rcfg = resolve_config(cfg)
     assert rcfg.hp.tau == 0.35
-    assert rcfg.hp.lambda_cen_warmup_rounds == rcfg.hp.t_pl
     assert cfg.hp.tau is None  # original untouched
 
 
@@ -322,7 +321,7 @@ def test_cli_validate_config(tmp_path, capsys):
 
 def test_cli_validate_rejects_unknown_key(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
-    for override in ("hp.warp=9", "workers=2"):
+    for override in ("hp.warp=9", "workers=2", "hp.lambda_cen_warmup_rounds=5"):
         code = main(["validate-config", "--config", cfg, "--override", override])
         assert code == 1
 
@@ -361,6 +360,27 @@ def test_cli_sweep(tmp_path, capsys):
     assert sorted(os.listdir(outdir)) == ["ce_baseline_eps0.1.csv", "ce_baseline_eps0.3.csv"]
     lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("method=")]
     assert len(lines) == 2
+    for line in lines:
+        fields = dict(item.split("=", 1) for item in line.split())
+        last = read_csv(fields["csv"])[-1]
+        assert fields["wdiv_final"] == f"{last.weight_divergence:.5f}"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # Pair noise needs epsilon below 0.5, so only the second cell is bad.
+        ["--epsilon", "0.2,0.6", "--override", "noise.kind=pair"],
+        ["--epsilon", "0.2", "--methods", "proposed,bogus"],
+    ],
+    ids=["pair_epsilon", "unknown_method"],
+)
+def test_cli_sweep_checks_every_cell_before_it_runs(tmp_path, capsys, args):
+    outdir = tmp_path / "sweep"
+    code = main(["sweep", "--config", _write_cfg(tmp_path), "--output-dir", str(outdir)] + args)
+    assert code == 1
+    assert list(outdir.glob("*.csv")) == []
+    assert "method=" not in capsys.readouterr().out
 
 
 def test_cli_usage_error_exits_one():
@@ -411,19 +431,6 @@ def test_cli_diverging_run_exits_two(tmp_path, capsys):
     assert code == 2
     assert "round 1, client" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_ablation_suite_script_runs():
-    proc = subprocess.run(
-        [sys.executable, os.path.join("scripts", "ablation_suite.py"), "--override", "fed.rounds=2"],
-        capture_output=True, text=True, cwd=REPO_ROOT,
-    )
-    assert proc.returncode == 0, proc.stderr
-    rows = [line.split()[0] for line in proc.stdout.splitlines() if "acc_last10=" in line]
-    assert rows == [
-        "ce_baseline", "naive_pseudo_ablation", "no_global_centroids_ablation", "proposed",
-        "eta=0", "eta=0.2", "per_class_mode",
-    ], proc.stdout
 
 
 # blobs.cfg made MNIST-shaped: 784-d, 10 classes, 10k training points.

@@ -388,6 +388,31 @@ def test_run_training_same_result_in_any_number_of_processes(monkeypatch, method
         assert records == runs[0][1]
 
 
+class _MergeReached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("processes", [1, 3])
+@pytest.mark.parametrize("method", METHODS)
+def test_only_methods_that_read_global_centroids_merge_them(monkeypatch, processes, method):
+    # ce_baseline and no_global_centroids_ablation clients never read the
+    # global centroids, so they upload none and the server merges nothing.
+    _processes(monkeypatch, processes)
+
+    def merge(prev_global, client_sets):
+        raise _MergeReached
+
+    monkeypatch.setattr(coordinator, "aggregate_global_centroids", merge)
+    train, test, shards, fed, hp = _tiny_setup(eps=0.3)
+    fed.rounds = 2
+    if method in ("proposed", "naive_pseudo_ablation"):
+        with pytest.raises(_MergeReached):
+            run_training(train, test, shards, fed, hp, seed=0, method=method)
+    else:
+        _, records = run_training(train, test, shards, fed, hp, seed=0, method=method)
+        assert len(records) == 2
+
+
 def test_workers_exit_by_themselves_when_run_training_ends(monkeypatch):
     # Exit code 0, not a terminate after the join timeout: every worker
     # sees its pipe close, which needs each to close the pipe ends it

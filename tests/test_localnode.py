@@ -368,7 +368,7 @@ def test_global_pseudo_labels_are_model_softmax(rng):
 
 
 def test_lambda_cen_schedule_ramp():
-    hp = HyperParams(lambda_cen=2.0, lambda_cen_warmup_rounds=30)
+    hp = HyperParams(lambda_cen=2.0)
     assert lambda_cen_schedule(0, hp) == 0.0
     assert lambda_cen_schedule(15, hp) == pytest.approx(1.0)
     assert lambda_cen_schedule(30, hp) == pytest.approx(2.0)
@@ -707,7 +707,8 @@ def test_no_global_centroids_ignores_broadcast_centroids():
         method="no_global_centroids_ablation",
     )
     np.testing.assert_array_equal(a.params.theta, b.params.theta)
-    np.testing.assert_array_equal(a.centroids.vectors, b.centroids.vectors)
+    # Both uploads are empty: no client of this method reads the merged set.
+    assert not a.centroids.presence.any() and not b.centroids.presence.any()
 
 
 def test_detection_counts_add_up():
