@@ -7,8 +7,10 @@ cosine-weighted averaging.
 
 The selected clients run on every CPU the process may use. run_training
 forks one worker process per extra CPU (never more processes than
-clients per round), and every round gives each process a fixed share of
-the clients by their position in the sorted selection.
+clients per round). Every round, plan_round evens out the SGD steps:
+no process gets more than the round's longest client or its total over
+the processes, whichever is more. A client cut at the boundary of two
+processes starts in one and finishes in the other.
 
 Determinism contract: every random draw comes from a Philox stream keyed
 by (seed, stream, round, client), and client results are always reduced
@@ -26,7 +28,8 @@ import os
 import pickle
 import threading
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,13 +38,15 @@ from .errors import ConfigError, ContractViolation, TrainingDiverged
 from .localnode import (
     CentroidSet,
     HyperParams,
+    LocalJob,
+    LocalProgress,
     LocalUpdateResult,
     METHOD_PROPOSED,
     METHODS,
     local_update,
 )
 from .metrics import CSV_COLUMNS, MetricsRecord, detection_from_counts, weight_divergence
-from .numkit import ModelParams, cosine_similarity, init_params, mlp_forward
+from .numkit import ModelParams, cosine_similarity, init_params, mlp_features
 from .seeds import STREAM_INIT, STREAM_LOCAL, STREAM_SELECT, make_rng
 
 # Cosine weights below this floor are clamped so a disagreeing client
@@ -152,8 +157,9 @@ def evaluate_accuracy(params: ModelParams, dataset: Dataset) -> float:
     """Fraction of examples whose argmax prediction matches the true label."""
     if dataset.n == 0:
         raise ContractViolation("evaluate_accuracy: empty dataset")
-    rec = mlp_forward(params, dataset.X)
-    pred = rec.logits.argmax(axis=1)
+    # The logits as mlp_forward computes them, without its softmax rows.
+    logits = mlp_features(params, dataset.X) @ params.W2 + params.b2
+    pred = logits.argmax(axis=1)
     return float((pred == dataset.true_labels).mean())
 
 
@@ -190,8 +196,9 @@ def run_training(
             chosen = select_clients(
                 fed.num_clients, fed.clients_per_round, make_rng(seed, STREAM_SELECT, t)
             )
-            results = clients.run(state, r_t, chosen)
             sizes = [len(shards[cid].indices) for cid in chosen]
+            plan = plan_round([hp.local_steps(n_k) for n_k in sizes], processes)
+            results = clients.run(state, r_t, chosen, plan)
 
             state.params = fedavg(results, sizes)
             uploaded = [r.centroids for r in results if r.centroids.presence.any()]
@@ -201,6 +208,45 @@ def run_training(
             records.append(_round_record(state, r_t, results, sizes, test))
 
     return state.params, records
+
+
+class Piece(NamedTuple):
+    """SGD steps [start, stop) of the client at position pos of a round's
+    sorted selection."""
+
+    pos: int
+    start: int
+    stop: int
+
+
+def plan_round(steps: list[int], processes: int) -> list[list[Piece]]:
+    """Each process's pieces of a round whose clients take the given
+    numbers of SGD steps, by McNaughton's wrap-around rule.
+
+    The clients lie end to end in the given order and are cut at
+    multiples of T = max(longest client, ceil(total / processes)), so no
+    process gets more than T steps. A client cut between processes w and
+    w+1 runs its first part as w+1's first piece and the rest as w's last
+    piece: w+1 ends the first part after at most T minus the rest's
+    steps, before w starts the rest. A process may get no piece.
+    """
+    if processes < 1:
+        raise ContractViolation(f"plan_round: need at least one process, got {processes}")
+    limit = max(max(steps, default=0), -(-sum(steps) // processes))
+    shares: list[list[Piece]] = [[] for _ in range(processes)]
+    w = used = 0
+    for pos, n in enumerate(steps):
+        room = limit - used
+        if n <= room:
+            shares[w].append(Piece(pos, 0, n))
+            used += n
+            continue
+        if room:
+            shares[w].append(Piece(pos, n - room, n))
+        w += 1
+        used = n - room
+        shares[w].append(Piece(pos, 0, used))
+    return shares
 
 
 def _usable_cpus() -> int:
@@ -225,26 +271,60 @@ def _run_share(
     seed: int,
     method: str,
     ids: list[int],
+    pieces: list[Piece],
     params: ModelParams,
     centroids: CentroidSet,
     t: int,
     r_t: float,
-) -> tuple[list[LocalUpdateResult], tuple[int, Exception] | None]:
-    """Run the given clients of round t in order. Returns their results
-    and, if one fails, (its index in ids, an error naming round and
-    client); the clients after a failure do not run."""
-    results = []
-    for i, cid in enumerate(ids):
-        rng = make_rng(seed, STREAM_LOCAL, t, cid)
+    take_over,
+    hand_over,
+) -> tuple[list[tuple[int, LocalUpdateResult]], tuple[int, Exception] | None]:
+    """Run one process's pieces of round t in order (see plan_round).
+
+    A whole client is one local_update. A client's first part ends by
+    hand_over(progress), or hand_over(None) if it fails; its rest begins
+    with take_over(), which returns that progress, or None when the
+    first part failed or its process exited (which that process or the
+    coordinator reports). Returns (position, result) for each client
+    finished here and, if one fails, (its position, an error naming
+    round and client); the pieces after a failure do not run.
+    """
+    done, failure = [], None
+    for pos, start, stop in pieces:
+        if failure is not None:
+            if start:
+                take_over()  # so the next process never waits on a full pipe
+            continue
+        cid = ids[pos]
+        shard = shards[cid]
+        whole = stop - start == hp.local_steps(len(shard.indices))
+        first_part = start == 0 and not whole
         try:
-            results.append(
-                local_update(train, shards[cid], params, centroids, t, r_t, hp, rng, method=method)
-            )
+            if whole:
+                rng = make_rng(seed, STREAM_LOCAL, t, cid)
+                done.append(
+                    (pos, local_update(train, shard, params, centroids, t, r_t, hp, rng, method=method))
+                )
+                continue
+            if not first_part:
+                progress = take_over()
+                if progress is None:
+                    continue
+            job = LocalJob(train, shard, t, r_t, hp, method)
+            if first_part:
+                progress = job.start(params, centroids, make_rng(seed, STREAM_LOCAL, t, cid))
+            job.advance(progress, stop - start)
+            if first_part:
+                hand_over(progress)
+            else:
+                done.append((pos, job.finish(progress)))
         except Exception as e:
+            if first_part:
+                hand_over(None)
             err = _with_context(e, f"round {t}, client {cid}")
             err.__cause__ = e
-            return results, (i, err)
-    return results, None
+            failure = (pos, err)
+    return done, failure
 
 
 # How long closing waits for a worker to exit before terminating it.
@@ -255,14 +335,18 @@ class _ClientProcesses:
     """The processes that run each round's clients: this one (process 0)
     and, for n processes, n - 1 forked workers.
 
-    Process w runs the clients at positions w, w+n, w+2n, ... of the
-    round's sorted selection. The workers are forked once per
-    run_training call, after the data exists, so they inherit the
-    datasets, shards and settings. Weights pass through memory shared
-    with them: `broadcast` holds the round's global weights and
-    `uploads[p]` the result of the client at position p. A pipe carries
-    only client ids, centroids and statistics. Closing the pipes ends
-    the workers.
+    Every round, process w runs plan[w]: whole clients, and at most one
+    client cut at each end of its share. A client cut between processes
+    w and w+1 starts in w+1, which hands its LocalProgress to w, which
+    finishes it. The workers are forked once per run_training call,
+    after the data exists, so they inherit the datasets, shards and
+    settings. Weights pass through memory shared with them: `broadcast`
+    holds the round's global weights, `uploads[p]` the result of the
+    client at position p, and `handover[w]` the weights and momentum
+    buffer that process w+1 hands to w. Pipes carry the rest: client
+    ids, the plan, centroids, statistics, and the small part of a
+    handed-over progress, on one one-way pipe per pair of neighbours.
+    Closing the pipes ends the workers.
     """
 
     def __init__(self, processes: int, clients: int, like: ModelParams, run_share):
@@ -270,27 +354,36 @@ class _ClientProcesses:
         self.run_share = run_share
         self.conns = []
         self.procs = []
+        self.takes = self.gives = []
         if processes == 1:
             return
-        dims = (like.d_in, like.d_h, like.n_classes)
-        rows = np.frombuffer(mmap.mmap(-1, (clients + 1) * like.theta.nbytes))
-        rows = rows.reshape(clients + 1, like.theta.size)
-        self.broadcast = ModelParams(rows[0], *dims)
-        self.uploads = [ModelParams(row, *dims) for row in rows[1:]]
+        self.dims = (like.d_in, like.d_h, like.n_classes)
+        rows = clients + 1 + 2 * (processes - 1)
+        rows = np.frombuffer(mmap.mmap(-1, rows * like.theta.nbytes)).reshape(rows, -1)
+        self.broadcast = ModelParams(rows[0], *self.dims)
+        self.uploads = [ModelParams(row, *self.dims) for row in rows[1 : clients + 1]]
+        self.handover = rows[clients + 1 :].reshape(processes - 1, 2, -1)
         ctx = multiprocessing.get_context("fork")
+        # takes[w] is process w's end of the pipe from w+1, gives[w] w+1's end.
+        pipes = [ctx.Pipe(duplex=False) for _ in range(processes - 1)]
+        self.takes = [take for take, _ in pipes]
+        self.gives = [give for _, give in pipes]
         try:
             for w in range(1, processes):
                 conn, child_conn = ctx.Pipe()
                 self.conns.append(conn)
-                proc = ctx.Process(
-                    target=self._serve, args=(w, child_conn, list(self.conns)), daemon=True
-                )
+                own = [self.gives[w - 1]] + self.takes[w : w + 1]
+                inherited = self.conns + [e for e in self.takes + self.gives if e not in own]
+                proc = ctx.Process(target=self._serve, args=(w, child_conn, inherited), daemon=True)
                 proc.start()
                 child_conn.close()
                 self.procs.append(proc)
         except BaseException:
             self.close()
             raise
+        # Only the workers write to these pipes, so a worker's exit reads as EOF.
+        for end in self.gives + self.takes[1:]:
+            end.close()
 
     def __enter__(self) -> "_ClientProcesses":
         return self
@@ -298,48 +391,82 @@ class _ClientProcesses:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def run(self, state: RoundState, r_t: float, chosen: np.ndarray) -> list[LocalUpdateResult]:
+    def run(
+        self, state: RoundState, r_t: float, chosen: np.ndarray, plan: list[list[Piece]]
+    ) -> list[LocalUpdateResult]:
         """Run the chosen clients of round state.t with keep-fraction r_t
-        and return their results in ascending id order. If clients fail,
-        raise the error of the first failing position."""
+        as planned, and return their results in ascending id order. If
+        clients fail, raise the error of the first failing position."""
         ids = chosen.tolist()
-        n = self.processes
-        if n > 1:
+        if self.processes > 1:
             self.broadcast.theta[...] = state.params.theta
         for w, conn in enumerate(self.conns, 1):
             try:
-                conn.send((ids[w::n], state.centroids, state.t, r_t))
+                conn.send((ids, plan[w], state.centroids, state.t, r_t))
             except OSError:
                 raise self._died(w, state.t) from None
-        shares = [self.run_share(ids[0::n], state.params, state.centroids, state.t, r_t)]
-        shares += [self._receive(w, state.t) for w in range(1, n)]
+        shares = [self._share(0, ids, plan[0], state.params, state.centroids, state.t, r_t)]
+        shares += [self._receive(w, state.t) for w in range(1, self.processes)]
 
         results: list = [None] * len(ids)
         errors = {}
-        for w, (done, failure) in enumerate(shares):
-            for i, res in enumerate(done):
-                results[w + i * n] = res
+        for done, failure in shares:
+            for pos, res in done:
+                results[pos] = res
             if failure is not None:
-                i, err = failure
-                errors[w + i * n] = err
+                pos, err = failure
+                errors[pos] = err
         if errors:
             raise errors[min(errors)]
         return results
+
+    def _share(self, w: int, *args):
+        """Process w's (results, failure) for run_share's arguments."""
+        take_over = functools.partial(self._take_over, w)
+        hand_over = functools.partial(self._hand_over, w)
+        return self.run_share(*args, take_over, hand_over)
+
+    def _hand_over(self, w: int, progress: LocalProgress | None) -> None:
+        """Pass process w's first part of a client, or None if it failed,
+        to process w - 1. The weights and momentum buffer go through
+        shared memory, so the pipe carries only the small rest, which it
+        holds until w - 1 reads it."""
+        if progress is not None:
+            theta, velocity = self.handover[w - 1]
+            theta[...] = progress.params.theta
+            velocity[...] = progress.velocity
+            progress = replace(progress, params=None, velocity=None)
+        try:
+            self.gives[w - 1].send(progress)
+        except OSError:
+            pass  # process w - 1 exited, which the coordinator reports
+
+    def _take_over(self, w: int) -> LocalProgress | None:
+        """The progress that process w + 1 hands to w, or None."""
+        try:
+            progress = self.takes[w].recv()
+        except (EOFError, OSError):
+            return None  # process w + 1 exited, which the coordinator reports
+        if progress is not None:
+            theta, velocity = self.handover[w]
+            progress.params = ModelParams(theta.copy(), *self.dims)
+            progress.velocity = velocity.copy()
+        return progress
 
     def _serve(self, w: int, conn, inherited) -> None:
         """Body of worker w: run its share of each round until the
         coordinator closes its end of the pipe."""
         # The fork copied the coordinator's end of this pipe and of every
-        # earlier worker's; holding them open would keep those pipes from
-        # ever reading as closed.
+        # earlier worker's, and every hand-over pipe end; holding them
+        # open would keep those pipes from ever reading as closed.
         for end in inherited:
             end.close()
         try:
             while True:
-                ids, centroids, t, r_t = conn.recv()
-                done, failure = self.run_share(ids, self.broadcast, centroids, t, r_t)
-                for i, res in enumerate(done):
-                    self.uploads[w + i * self.processes].theta[...] = res.params.theta
+                ids, pieces, centroids, t, r_t = conn.recv()
+                done, failure = self._share(w, ids, pieces, self.broadcast, centroids, t, r_t)
+                for pos, res in done:
+                    self.uploads[pos].theta[...] = res.params.theta
                     res.params = None
                 if failure is not None:
                     failure = _portable(*failure)
@@ -353,12 +480,12 @@ class _ClientProcesses:
             done, failure = self.conns[w - 1].recv()
         except (EOFError, OSError):
             raise self._died(w, t) from None
-        for i, res in enumerate(done):
-            res.params = self.uploads[w + i * self.processes]
+        for pos, res in done:
+            res.params = self.uploads[pos]
         if failure is not None:
-            i, err, tb = failure
+            pos, err, tb = failure
             err.__cause__ = WorkerTraceback(tb)
-            failure = (i, err)
+            failure = (pos, err)
         return done, failure
 
     def _died(self, w: int, t: int) -> RuntimeError:
@@ -370,7 +497,7 @@ class _ClientProcesses:
         )
 
     def close(self) -> None:
-        for conn in self.conns:
+        for conn in self.conns + self.takes + self.gives:
             conn.close()
         for proc in self.procs:
             proc.join(WORKER_EXIT_TIMEOUT_S)

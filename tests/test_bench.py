@@ -434,10 +434,11 @@ def test_cli_diverging_run_exits_two(tmp_path, capsys):
 
 
 # blobs.cfg made MNIST-shaped: 784-d, 10 classes, 10k training points.
-MNIST_SHAPED_CE_3_ROUNDS = (
+MNIST_SHAPED_3_ROUNDS = (
     "dataset.dim=784", "dataset.classes=10", "dataset.train_per_class=1000",
-    "dataset.test_per_class=200", "fed.rounds=3", "method=ce_baseline",
+    "dataset.test_per_class=200", "fed.rounds=3",
 )
+MNIST_SHAPED_CE_3_ROUNDS = MNIST_SHAPED_3_ROUNDS + ("method=ce_baseline",)
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -465,13 +466,17 @@ def test_blas_thread_count_does_not_change_csv(tmp_path):
     "overrides",
     # 32 rounds reach the pseudo-label phase (hp.t_pl = 30) and the end of
     # the keep-fraction decay (hp.t_horizon = 10).
-    [("fed.rounds=32", f"method={m}") for m in METHODS] + [MNIST_SHAPED_CE_3_ROUNDS],
-    ids=list(METHODS) + ["mnist_shaped_ce_baseline"],
+    # The MNIST-shaped proposed run reaches pseudo-labels in round 2, so
+    # a client cut between processes carries 784-d pseudo-label rows and
+    # running centroids across the pipe.
+    [("fed.rounds=32", f"method={m}") for m in METHODS]
+    + [MNIST_SHAPED_CE_3_ROUNDS, MNIST_SHAPED_3_ROUNDS + ("method=proposed", "hp.t_pl=2")],
+    ids=list(METHODS) + ["mnist_shaped_ce_baseline", "mnist_shaped_proposed"],
 )
 def test_csv_bytes_do_not_depend_on_processes(tmp_path, monkeypatch, overrides):
     # One CPU means one process; every CPU means one per CPU (at most one
-    # per selected client); three forced processes split blobs.cfg's five
-    # clients per round 2 + 2 + 1.
+    # per selected client); three forced processes cut two of blobs.cfg's
+    # five clients per round, each of 50 steps: 84 + 84 + 82 steps.
     cpu = min(os.sched_getaffinity(0))
     one_cpu = _cli_csv(
         tmp_path / "one_cpu.csv", overrides, preexec_fn=lambda: os.sched_setaffinity(0, {cpu})

@@ -1,4 +1,5 @@
 import itertools
+import math
 import multiprocessing
 import os
 import signal
@@ -10,12 +11,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fednoise import coordinator
+from fednoise import coordinator, localnode
 from fednoise.coordinator import (
     FederationConfig,
     aggregate_global_centroids,
     evaluate_accuracy,
     fedavg,
+    plan_round,
     r_schedule,
     run_training,
     select_clients,
@@ -24,8 +26,8 @@ from fednoise.datagen import make_blob_split, make_blobs, partition_iid
 from fednoise.errors import ConfigError, ContractViolation
 from fednoise.localnode import METHODS, CentroidSet, HyperParams, LocalUpdateResult
 from fednoise.localnode import LocalStats
-from fednoise.numkit import ModelParams, cosine_similarity, init_params
-from fednoise.seeds import make_rng
+from fednoise.numkit import ModelParams, cosine_similarity, init_params, mlp_forward
+from fednoise.seeds import STREAM_SELECT, make_rng
 
 
 def test_r_schedule_values():
@@ -293,6 +295,13 @@ def test_evaluate_accuracy_trivial():
     assert acc == pytest.approx(0.5)
 
 
+def test_evaluate_accuracy_is_argmax_of_forward_logits(rng):
+    ds = make_blobs(C=10, per_class=20, d_in=784, spread=0.6, seed=0)
+    p = init_params(784, 64, 10, rng)
+    pred = mlp_forward(p, ds.X).logits.argmax(axis=1)
+    assert evaluate_accuracy(p, ds) == float((pred == ds.true_labels).mean())
+
+
 def _tiny_setup(eps=0.0, seed=0):
     train, test = make_blob_split(C=3, train_per_class=40, test_per_class=20, d_in=4, spread=0.6, seed=seed)
     shards = partition_iid(train, 6, seed=seed)
@@ -374,12 +383,92 @@ def _processes(monkeypatch, n):
     monkeypatch.setattr(coordinator, "_usable_cpus", lambda: n)
 
 
+def _check_plan(steps, processes):
+    """Every property plan_round promises, for one input."""
+    plan = plan_round(steps, processes)
+    assert len(plan) == processes
+    limit = max(max(steps, default=0), math.ceil(sum(steps) / processes))
+    for share in plan:
+        assert sum(stop - start for _, start, stop in share) <= limit
+    pieces = {}
+    for w, share in enumerate(plan):
+        for i, piece in enumerate(share):
+            pieces.setdefault(piece.pos, []).append((piece.start, piece.stop, w, i))
+    # Each client's steps are given out exactly once, in order.
+    assert sorted(pieces) == list(range(len(steps)))
+    cuts = set()
+    for pos, parts in pieces.items():
+        parts.sort()
+        assert parts[0][0] == 0 and parts[-1][1] == steps[pos]
+        assert all(a[1] == b[0] for a, b in zip(parts, parts[1:]))
+        assert len(parts) <= 2
+        if len(parts) == 2:
+            (_, _, w1, i1), (_, _, w, i) = parts
+            assert steps[pos] > 0
+            # First part: process w+1's first piece. Rest: process w's last.
+            assert w1 == w + 1 and i1 == 0 and i == len(plan[w]) - 1
+            assert w not in cuts
+            cuts.add(w)
+    # Positions never go back from one process to the next.
+    order = [piece.pos for share in plan for piece in share]
+    assert order == sorted(order)
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [[50] * 5, [4] * 5, [3, 7, 1, 12, 5, 5, 2], [0, 4, 4, 0, 4, 0], [0] * 5, [9], [1, 1, 40]],
+    ids=["equal", "tiny_equal", "ragged", "some_empty", "all_zero", "one", "one_long"],
+)
+def test_plan_round_properties(steps):
+    for processes in range(1, len(steps) + 1):
+        _check_plan(steps, processes)
+
+
+@given(st.lists(st.integers(0, 30), min_size=1, max_size=12), st.integers(1, 12))
+def test_plan_round_properties_hypothesis(steps, processes):
+    _check_plan(steps, min(processes, len(steps)))
+
+
+def test_plan_round_hand_cases():
+    P = coordinator.Piece
+    # The benchmark's round: 5 clients of 50 steps on 2 processes, 125 each.
+    assert plan_round([50] * 5, 2) == [
+        [P(0, 0, 50), P(1, 0, 50), P(2, 25, 50)],
+        [P(2, 0, 25), P(3, 0, 50), P(4, 0, 50)],
+    ]
+    # One process runs the same plan, with no cut.
+    assert plan_round([50] * 5, 1) == [[P(k, 0, 50) for k in range(5)]]
+    # The longest client bounds the share, so a process may get nothing.
+    assert plan_round([1, 1, 40], 3) == [[P(0, 0, 1), P(1, 0, 1), P(2, 2, 40)], [P(2, 0, 2)], []]
+    # Zero local epochs: all on process 0.
+    assert plan_round([0, 0, 0], 3) == [[P(0, 0, 0), P(1, 0, 0), P(2, 0, 0)], [], []]
+    with pytest.raises(ContractViolation):
+        plan_round([1], 0)
+
+
+def test_run_training_with_idle_processes(monkeypatch):
+    # With zero local epochs the plan gives every client to process 0;
+    # the idle workers still answer each round.
+    train, test, shards, fed, hp = _tiny_setup(eps=0.3)
+    hp.local_epochs = 0
+    fed.rounds = 3
+    runs = []
+    for n in (1, 3):
+        _processes(monkeypatch, n)
+        runs.append(run_training(train, test, shards, fed, hp, seed=4))
+    np.testing.assert_array_equal(runs[0][0].theta, runs[1][0].theta)
+    assert runs[0][1] == runs[1][1]
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_run_training_same_result_in_any_number_of_processes(monkeypatch, method):
     train, test, shards, fed, hp = _tiny_setup(eps=0.3)
-    fed.clients_per_round = 5  # three processes take 2 + 2 + 1 clients
+    # Five clients of four steps, two an epoch: two processes cut one
+    # client at an epoch boundary, three cut one mid-epoch and one at a
+    # boundary, four cut three, after 3, 2 and 1 steps; five cut none.
+    fed.clients_per_round = 5
     runs = []
-    for n in (1, 2, 3, 5):
+    for n in (1, 2, 3, 4, 5):
         _processes(monkeypatch, n)
         params, records = run_training(train, test, shards, fed, hp, seed=4, method=method)
         runs.append((params.theta, records))
@@ -431,11 +520,16 @@ def test_workers_exit_by_themselves_when_run_training_ends(monkeypatch):
     assert exit_codes == [0, 0]
 
 
+def _process_of(plan, pos):
+    """The process that runs the first piece of position pos."""
+    return next(w for w, share in enumerate(plan) for p in share if p.pos == pos and p.start == 0)
+
+
 @pytest.mark.parametrize("processes", [1, 3])
 @pytest.mark.parametrize(
     "broken, named",
-    # With three processes, position 4 runs in worker 1 and position 3 in
-    # the coordinator, after position 0.
+    # An empty shard takes no steps. With three processes, 3 and 4 both
+    # run in worker 1, 3 first; 4 and 5 both in worker 2, 4 first.
     [((4,), 4), ((3, 4), 3), ((4, 5), 4)],
 )
 def test_run_training_client_error_names_round_and_client(monkeypatch, processes, broken, named):
@@ -448,11 +542,42 @@ def test_run_training_client_error_names_round_and_client(monkeypatch, processes
         run_training(train, test, shards, fed, hp, seed=0)
     # The original error, or a worker's traceback of it, stays attached.
     cause = exc.value.__cause__
-    if named % processes:  # the client ran in a worker
+    steps = [hp.local_steps(len(shard.indices)) for shard in shards]
+    if _process_of(plan_round(steps, processes), named):  # the client ran in a worker
         assert isinstance(cause, coordinator.WorkerTraceback)
         assert "in local_update" in str(cause)
     else:
         assert isinstance(cause, ContractViolation) and cause.__traceback__ is not None
+
+
+def test_run_training_first_part_error_names_round_and_client(monkeypatch):
+    # Two processes cut one client of round 1: worker 1 runs its first
+    # part, the coordinator would run the rest. Its rows are NaN, so its
+    # first step fails.
+    _processes(monkeypatch, 2)
+    train, test, shards, fed, hp = _tiny_setup()
+    fed.clients_per_round = 5
+    chosen = select_clients(fed.num_clients, fed.clients_per_round, make_rng(0, STREAM_SELECT, 1))
+    plan = plan_round([hp.local_steps(len(shards[c].indices)) for c in chosen], 2)
+    cut = chosen[plan[1][0].pos]
+    assert plan[1][0].start == 0 and plan[0][-1].pos == plan[1][0].pos
+    train.X[shards[cut].indices] = np.nan
+    resumed = []
+    advance = localnode.LocalJob.advance
+
+    def recording_advance(self, progress, n):
+        if progress.n_batches:
+            resumed.append(os.getpid())
+        return advance(self, progress, n)
+
+    monkeypatch.setattr(localnode.LocalJob, "advance", recording_advance)
+    with np.errstate(invalid="ignore"), pytest.raises(
+        coordinator.TrainingDiverged, match=rf"^round 1, client {cut}: classification loss"
+    ) as exc:
+        run_training(train, test, shards, fed, hp, seed=0)
+    assert isinstance(exc.value.__cause__, coordinator.WorkerTraceback)
+    # The rest of the client never ran in the coordinator.
+    assert os.getpid() not in resumed
 
 
 def test_usable_cpus_is_one_while_other_threads_run():
@@ -480,7 +605,7 @@ def _dies_in_worker_in_round_2(monkeypatch):
         return local_update(*args, **kwargs)
 
     monkeypatch.setattr(coordinator, "local_update", dies)
-    return 7
+    return 7, 2, _tiny_setup()[3]
 
 
 def _killed_after_round_1(monkeypatch):
@@ -497,14 +622,42 @@ def _killed_after_round_1(monkeypatch):
 
     fedavg_calls = []
     monkeypatch.setattr(coordinator, "fedavg", kills)
-    return -signal.SIGKILL
+    return -signal.SIGKILL, 2, _tiny_setup()[3]
 
 
-@pytest.mark.parametrize("death", [_dies_in_worker_in_round_2, _killed_after_round_1])
-def test_run_training_worker_death_is_an_error(monkeypatch, death):
-    _processes(monkeypatch, 2)
+def _dies_owing_a_hand_over_in_round_2(monkeypatch):
+    """Three processes, five clients: make worker 2 exit with code 5 as
+    it starts its first piece of round 2, the first part of a client
+    whose rest worker 1 waits for."""
     train, test, shards, fed, hp = _tiny_setup()
-    code = death(monkeypatch)
+    fed.clients_per_round = 5
+    chosen = select_clients(fed.num_clients, fed.clients_per_round, make_rng(0, STREAM_SELECT, 2))
+    plan = plan_round([hp.local_steps(len(shards[c].indices)) for c in chosen], 3)
+    owed = plan[2][0]
+    assert owed.start == 0 and plan[1][-1].pos == owed.pos
+
+    class Dying(localnode.LocalJob):
+        def __init__(self, dataset, shard, *args):
+            super().__init__(dataset, shard, *args)
+            self.owed = shard.client_id == chosen[owed.pos]
+
+        def start(self, *args):  # only a first part starts a job
+            if self.round_t == 2 and self.owed:
+                os._exit(5)
+            return super().start(*args)
+
+    monkeypatch.setattr(coordinator, "LocalJob", Dying)
+    return 5, 3, fed
+
+
+@pytest.mark.parametrize(
+    "death",
+    [_dies_in_worker_in_round_2, _killed_after_round_1, _dies_owing_a_hand_over_in_round_2],
+)
+def test_run_training_worker_death_is_an_error(monkeypatch, death):
+    train, test, shards, fed, hp = _tiny_setup()
+    code, processes, fed = death(monkeypatch)
+    _processes(monkeypatch, processes)
 
     def hung(signum, frame):
         raise TimeoutError("run_training hung after a worker died")

@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from fednoise.bench import load_config, run_experiment
 from fednoise.datagen import ClientShard, Dataset, make_blobs, partition_iid
 from fednoise.errors import ConfigError, ContractViolation
 from fednoise.localnode import (
+    METHODS,
     CentroidSet,
     HyperParams,
+    LocalJob,
     blend_with_global,
     class_mean_features,
     confident_mask,
@@ -509,6 +512,71 @@ def _hp(**kw):
     )
     base.update(kw)
     return HyperParams(**base)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_local_update_cut_anywhere_and_resumed_gives_same_bytes(monkeypatch, method):
+    # 90 examples in batches of 16: six steps an epoch, the last one short.
+    # Round 4 is past t_pl, so pseudo-labels, running centroids seeded
+    # from the broadcast set and (naive) per-epoch refreshes all cross the cut.
+    import fednoise.localnode as localnode
+
+    ds, shard = _blob_client(noisy=True)
+    hp = _hp(local_epochs=3)
+    gp = init_params(5, 8, 3, make_rng(0, 4))
+    gc = local_update(ds, shard, gp, CentroidSet.empty(3, 8), 1, 1.0, hp, make_rng(0, 6, 1, 0)).centroids
+    args = (ds, shard, 4, 0.8, hp, method)
+    whole = local_update(ds, shard, gp, gc, *args[2:5], make_rng(0, 6, 4, 0), method=method)
+    refreshes = []
+
+    def counting_pseudo(params, X):
+        refreshes.append(1)
+        return global_pseudo_labels(params, X)
+
+    monkeypatch.setattr(localnode, "global_pseudo_labels", counting_pseudo)
+    job = LocalJob(*args)
+    batches = math.ceil(ds.n / hp.batch_size)
+    assert job.steps == hp.local_epochs * batches == 18
+    for cut in range(job.steps + 1):
+        rng = make_rng(0, 6, 4, 0)
+        del refreshes[:]
+        progress = job.start(gp, gc, rng)
+        job.advance(progress, cut)
+        # A cut at an epoch boundary comes before that epoch's shuffle and
+        # before naive_pseudo_ablation's refresh.
+        epochs_begun = math.ceil(cut / batches)
+        fresh = make_rng(0, 6, 4, 0)
+        for _ in range(epochs_begun):
+            fresh.permutation(ds.n)
+        assert pickle.loads(pickle.dumps(rng)).random(4).tolist() == fresh.random(4).tolist(), cut
+        want = {"proposed": 1, "no_global_centroids_ablation": 1,
+                "naive_pseudo_ablation": epochs_begun, "ce_baseline": 0}[method]
+        assert len(refreshes) == want, cut
+        # The second half runs from a pickled copy, under a job built anew,
+        # as in another process.
+        resumed = pickle.loads(pickle.dumps(progress))
+        other = LocalJob(*args)
+        other.advance(resumed, job.steps - cut)
+        res = other.finish(resumed)
+        assert res.params.theta.tobytes() == whole.params.theta.tobytes(), cut
+        assert res.centroids.vectors.tobytes() == whole.centroids.vectors.tobytes(), cut
+        np.testing.assert_array_equal(res.centroids.presence, whole.centroids.presence)
+        assert res.stats == whole.stats, cut
+
+
+def test_local_job_takes_exactly_its_steps():
+    ds, shard = _blob_client()
+    job = LocalJob(ds, shard, 1, 1.0, _hp())
+    progress = job.start(init_params(5, 8, 3, make_rng(0, 4)), CentroidSet.empty(3, 8), make_rng(0, 6, 1, 0))
+    job.advance(progress, 5)
+    with pytest.raises(ContractViolation, match="5 of 12"):
+        job.finish(progress)
+    with pytest.raises(ContractViolation):
+        job.advance(progress, 8)
+    with pytest.raises(ContractViolation):
+        job.advance(progress, -1)
+    job.advance(progress, 7)
+    job.finish(progress)
 
 
 def test_local_update_deterministic():
