@@ -9,9 +9,14 @@ versions, since the bytes depend on them, and the number of processes
 each run trains in, which they must not depend on; then one
 `<sha256>  <run>` line per run.
 
+With --check, the digests are also compared with the reference ones
+below, which hold for numpy 2.4.6 with scipy-openblas 0.3.31: the script
+exits 1 and names each run whose digest differs, or exits 2 at once on
+other versions, where the references do not apply.
+
 Usage, from the root of a checkout (about 15 s on one CPU):
 
-    python3 scripts/csv_digests.py
+    python3 scripts/csv_digests.py [--check]
 """
 
 import hashlib
@@ -29,10 +34,30 @@ DESK_CONFIG = os.path.join(ROOT, "configs", "blobs.cfg")
 BENCH_WORKLOADS = ("mnist784-ce", "mnist784-proposed-pool2")
 BENCH_SEED = 1
 
+REFERENCE_NUMPY = "2.4.6"
+REFERENCE_BLAS = "scipy-openblas 0.3.31"
+REFERENCE_DIGESTS = {
+    "desk proposed": "46d1d043612bb0287daea02b8625b0482cee30b8a60206805bc12b3d31ae0d7c",
+    "desk ce_baseline": "2c7abada98e425a756555373c950ab8a53d5d105e5b693457e3277387d448061",
+    "desk naive_pseudo_ablation": "d829c947090969744c9576bcc86015d33faeebb25197b635f52b5b981e1db144",
+    "desk no_global_centroids_ablation": "548da1e0a2427f274bb9f87636cacb0042b93e670bf05ca33df00463e767d830",
+    "mnist784-ce seed 1": "4ea99e3ed66a9b0da97c348ff5230492ca92fd0e742041f026b595676f2c62ad",
+    "mnist784-proposed-pool2 seed 1": "2f78d47978ca71840a6a0783d04fd5fd8dc9e670811798502d235e39933cd8de",
+}
+
 
 def main() -> int:
+    check = "--check" in sys.argv[1:]
     pkg = perfbench.import_fednoise()
     env = perfbench.environment()
+    # A BLAS version may carry a build suffix, as in scipy-openblas 0.3.31.188.0.
+    known = env["numpy"] == REFERENCE_NUMPY and f"{env['blas']}.".startswith(f"{REFERENCE_BLAS}.")
+    if check and not known:
+        print(
+            f"no reference digests for numpy {env['numpy']}, BLAS {env['blas']}: "
+            f"they hold for numpy {REFERENCE_NUMPY}, BLAS {REFERENCE_BLAS}"
+        )
+        return 2
     runs = [
         (f"desk {method}", pkg.bench.load_config(DESK_CONFIG, [f"method={method}"]))
         for method in pkg.localnode.METHODS
@@ -44,12 +69,21 @@ def main() -> int:
     # As run_training chooses: one per usable CPU, at most one per client of a round.
     processes = sorted({min(pkg.coordinator._usable_cpus(), cfg.fed.clients_per_round) for _, cfg in runs})
     print(f"numpy {env['numpy']}, BLAS {env['blas']}, processes {'/'.join(map(str, processes))}")
+    differ = []
     with tempfile.TemporaryDirectory() as tmp:
         for label, cfg in runs:
             cfg.output = os.path.join(tmp, "metrics.csv")
             pkg.bench.run_experiment(cfg)
             with open(cfg.output, "rb") as fh:
-                print(f"{hashlib.sha256(fh.read()).hexdigest()}  {label}", flush=True)
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            print(f"{digest}  {label}", flush=True)
+            if digest != REFERENCE_DIGESTS[label]:
+                differ.append(label)
+    if check:
+        for label in differ:
+            print(f"differs from the reference: {label}")
+        print("check failed" if differ else "check passed: all six digests match the reference")
+        return 1 if differ else 0
     return 0
 
 

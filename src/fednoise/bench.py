@@ -20,6 +20,7 @@ import dataclasses
 import math
 import os
 import sys
+import typing
 from dataclasses import dataclass, field
 
 from .coordinator import FederationConfig, run_training
@@ -85,50 +86,57 @@ class ExperimentConfig:
     output: str = ""
 
 
-_TOP_LEVEL_TYPES = {"method": "str", "seed": "int", "output": "str"}
+def _config_keys(cls: type = ExperimentConfig, prefix: str = "") -> dict[str, type]:
+    """The type of every config key, from the dataclass fields' types."""
+    keys = {}
+    for name, kind in typing.get_type_hints(cls).items():
+        if dataclasses.is_dataclass(kind):
+            keys.update(_config_keys(kind, f"{prefix}{name}."))
+        else:
+            keys[prefix + name] = kind
+    return keys
 
 
-def _parse_value(raw: str, type_str: str, key: str):
-    ts = type_str.replace(" ", "")
-    optional = "None" in ts
-    base = ts.replace("|None", "").replace("None|", "")
-    if optional and raw.lower() in ("none", "null"):
-        return None
+# Top-level keys first, then each section's, in field order.
+_CONFIG_KEYS = dict(sorted(_config_keys().items(), key=lambda item: "." in item[0]))
+
+
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _parse_value(raw: str, kind, key: str):
+    """raw as a value of type kind: int, float, bool, str, or one of
+    those or None."""
+    if type(None) in typing.get_args(kind):
+        if raw.lower() in ("none", "null"):
+            return None
+        (kind,) = [k for k in typing.get_args(kind) if k is not type(None)]
     try:
-        if base == "int":
-            return int(raw)
-        if base == "float":
-            return float(raw)
-        if base == "bool":
-            lower = raw.lower()
-            if lower in ("true", "yes", "1"):
-                return True
-            if lower in ("false", "no", "0"):
-                return False
-            raise ValueError(raw)
-        if base == "str":
-            return raw
-    except ValueError:
-        raise ConfigError(f"{key}: expected {base}, got {raw!r}") from None
-    raise ConfigError(f"{key}: unsupported value type {type_str!r}")
+        if kind is bool:
+            return _BOOLS[raw.lower()]
+        if kind in (int, float, str):
+            return kind(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{key}: expected {kind.__name__}, got {raw!r}") from None
+    raise ConfigError(f"{key}: unsupported value type {kind!r}")
+
+
+def _holder(cfg: ExperimentConfig, key: str) -> tuple[object, str]:
+    """The object that holds a config key's value, and its field name there."""
+    section, dot, name = key.partition(".")
+    return (getattr(cfg, section), name) if dot else (cfg, key)
 
 
 def apply_item(cfg: ExperimentConfig, key: str, raw: str) -> None:
     """Set one dotted config key, with type checking against the schema."""
-    sections = {"dataset": cfg.dataset, "noise": cfg.noise, "fed": cfg.fed, "hp": cfg.hp}
-    if "." in key:
-        sec_name, _, field_name = key.partition(".")
-        sec = sections.get(sec_name)
-        if sec is None:
-            raise ConfigError(f"{key}: unknown section {sec_name!r}")
-        fmap = {f.name: f for f in dataclasses.fields(sec)}
-        if field_name not in fmap:
-            raise ConfigError(f"{key}: unknown key in section {sec_name!r}")
-        setattr(sec, field_name, _parse_value(raw, str(fmap[field_name].type), key))
-    else:
-        if key not in _TOP_LEVEL_TYPES:
+    if key not in _CONFIG_KEYS:
+        section, dot, _ = key.partition(".")
+        if not dot:
             raise ConfigError(f"{key}: unknown top-level key")
-        setattr(cfg, key, _parse_value(raw, _TOP_LEVEL_TYPES[key], key))
+        if not any(k.startswith(f"{section}.") for k in _CONFIG_KEYS):
+            raise ConfigError(f"{key}: unknown section {section!r}")
+        raise ConfigError(f"{key}: unknown key in section {section!r}")
+    setattr(*_holder(cfg, key), _parse_value(raw, _CONFIG_KEYS[key], key))
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
@@ -196,12 +204,7 @@ def _format_value(value) -> str:
 
 def config_items(cfg: ExperimentConfig) -> list[tuple[str, str]]:
     """All config keys with their current values, in stable order."""
-    out = [(k, _format_value(getattr(cfg, k))) for k in _TOP_LEVEL_TYPES]
-    for sec_name in ("dataset", "noise", "fed", "hp"):
-        sec = getattr(cfg, sec_name)
-        for f in dataclasses.fields(sec):
-            out.append((f"{sec_name}.{f.name}", _format_value(getattr(sec, f.name))))
-    return out
+    return [(key, _format_value(getattr(*_holder(cfg, key)))) for key in _CONFIG_KEYS]
 
 
 def build_datasets(spec: DatasetSpec) -> tuple[Dataset, Dataset]:
@@ -245,11 +248,11 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[ModelParams, list[MetricsReco
     return params, records
 
 
-def summary_accuracy(records: list[MetricsRecord], window: int = SUMMARY_WINDOW) -> float:
-    """Mean test accuracy over the last `window` rounds (all, if fewer)."""
+def summary_accuracy(records: list[MetricsRecord]) -> float:
+    """Mean test accuracy over the last SUMMARY_WINDOW rounds (all, if fewer)."""
     if not records:
         return math.nan
-    tail = records[-window:]
+    tail = records[-SUMMARY_WINDOW:]
     return sum(r.test_accuracy for r in tail) / len(tail)
 
 
@@ -295,13 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    extra = []
-    if args.method is not None:
-        extra.append(f"method={args.method}")
-    if args.seed is not None:
-        extra.append(f"seed={args.seed}")
-    if args.output is not None:
-        extra.append(f"output={args.output}")
+    sugar = {"method": args.method, "seed": args.seed, "output": args.output}
+    extra = [f"{key}={value}" for key, value in sugar.items() if value is not None]
     cfg = load_config(args.config, extra + list(args.override))
     _, records = run_experiment(cfg)
     line = (

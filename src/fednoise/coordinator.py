@@ -20,7 +20,8 @@ number of processes or the CPU affinity.
 
 from __future__ import annotations
 
-import functools
+import contextlib
+import fcntl
 import math
 import mmap
 import multiprocessing
@@ -122,32 +123,30 @@ def fedavg(results: list[LocalUpdateResult], shard_sizes: list[int]) -> ModelPar
 
 
 def aggregate_global_centroids(
-    prev_global: CentroidSet,
-    client_sets: list[CentroidSet],
-    w_floor: float = CENTROID_WEIGHT_FLOOR,
+    prev_global: CentroidSet, client_sets: list[CentroidSet]
 ) -> CentroidSet:
     """Cosine-weighted per-class average of uploaded centroids.
 
     Each client's weight for class c is its centroid's cosine similarity
-    to the previous global centroid, clamped below at w_floor, then
-    normalized over the clients that reported the class. Classes nobody
-    reported keep the previous global value.
+    to the previous global centroid, clamped below at
+    CENTROID_WEIGHT_FLOOR, then normalized over the clients that reported
+    the class. Classes nobody reported keep the previous global value.
     """
     if not client_sets:
         raise ContractViolation("aggregate_global_centroids: no client centroid sets")
     has = np.stack([cs.presence for cs in client_sets])  # (K, C)
     held = has.any(axis=0)
     # (K, C, d_h), with the rows a client did not report zeroed: they add nothing.
-    uploads = np.where(has[:, :, None], np.stack([cs.vectors for cs in client_sets]), 0.0)
-    w = cosine_similarity(prev_global.vectors[:, None, :], uploads[:, :, None, :])[..., 0, 0]
-    w = np.where(prev_global.presence, np.maximum(w, w_floor), 1.0)
+    sent = np.where(has[:, :, None], np.stack([cs.vectors for cs in client_sets]), 0.0)
+    w = cosine_similarity(prev_global.vectors[:, None, :], sent[:, :, None, :])[..., 0, 0]
+    w = np.where(prev_global.presence, np.maximum(w, CENTROID_WEIGHT_FLOOR), 1.0)
     # A class's total is a 1-D sum over its holders alone: numpy adds eight
     # or more values pairwise, so a masked column sum could differ.
     totals = np.where(held, [row[h].sum() for row, h in zip(w.T, has.T)], 1.0)
     w = w / totals
     # Client by client from zeros, as a loop over holders adds: an axis-0 sum may reorder.
     merged = np.zeros_like(prev_global.vectors)
-    for wk, vk in zip(w, uploads):
+    for wk, vk in zip(w, sent):
         merged += wk[:, None] * vk
     vectors = np.where(held[:, None], merged, prev_global.vectors)
     return CentroidSet(prev_global.C, vectors, prev_global.presence | held)
@@ -186,10 +185,11 @@ def run_training(
     params = init_params(train.d_in, d_h, train.C, make_rng(seed, STREAM_INIT))
     state = RoundState(t=0, params=params, centroids=CentroidSet.empty(train.C, d_h))
     records = []
-    run_share = functools.partial(_run_share, train, shards, hp, seed, method)
     processes = min(_usable_cpus(), fed.clients_per_round)
 
-    with _ClientProcesses(processes, fed.clients_per_round, params, run_share) as clients:
+    with contextlib.closing(
+        _ClientProcesses(processes, fed.clients_per_round, params, train, shards, hp, seed, method)
+    ) as clients:
         for t in range(1, fed.rounds + 1):
             state.t = t
             r_t = r_schedule(t - 1, hp)
@@ -264,108 +264,46 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _run_share(
-    train: Dataset,
-    shards: list[ClientShard],
-    hp: HyperParams,
-    seed: int,
-    method: str,
-    ids: list[int],
-    pieces: list[Piece],
-    params: ModelParams,
-    centroids: CentroidSet,
-    t: int,
-    r_t: float,
-    take_over,
-    hand_over,
-) -> tuple[list[tuple[int, LocalUpdateResult]], tuple[int, Exception] | None]:
-    """Run one process's pieces of round t in order (see plan_round).
-
-    A whole client is one local_update. A client's first part ends by
-    hand_over(progress), or hand_over(None) if it fails; its rest begins
-    with take_over(), which returns that progress, or None when the
-    first part failed or its process exited (which that process or the
-    coordinator reports). Returns (position, result) for each client
-    finished here and, if one fails, (its position, an error naming
-    round and client); the pieces after a failure do not run.
-    """
-    done, failure = [], None
-    for pos, start, stop in pieces:
-        if failure is not None:
-            if start:
-                take_over()  # so the next process never waits on a full pipe
-            continue
-        cid = ids[pos]
-        shard = shards[cid]
-        whole = stop - start == hp.local_steps(len(shard.indices))
-        first_part = start == 0 and not whole
-        try:
-            if whole:
-                rng = make_rng(seed, STREAM_LOCAL, t, cid)
-                done.append(
-                    (pos, local_update(train, shard, params, centroids, t, r_t, hp, rng, method=method))
-                )
-                continue
-            if not first_part:
-                progress = take_over()
-                if progress is None:
-                    continue
-            job = LocalJob(train, shard, t, r_t, hp, method)
-            if first_part:
-                progress = job.start(params, centroids, make_rng(seed, STREAM_LOCAL, t, cid))
-            job.advance(progress, stop - start)
-            if first_part:
-                hand_over(progress)
-            else:
-                done.append((pos, job.finish(progress)))
-        except Exception as e:
-            if first_part:
-                hand_over(None)
-            err = _with_context(e, f"round {t}, client {cid}")
-            err.__cause__ = e
-            failure = (pos, err)
-    return done, failure
-
-
 # How long closing waits for a worker to exit before terminating it.
 WORKER_EXIT_TIMEOUT_S = 1.0
 
 
 class _ClientProcesses:
-    """The processes that run each round's clients: this one (process 0)
-    and, for n processes, n - 1 forked workers.
+    """The processes that run each round's clients, one per rank: this
+    one (rank 0) and, for n processes, n - 1 forked workers.
 
-    Every round, process w runs plan[w]: whole clients, and at most one
-    client cut at each end of its share. A client cut between processes
-    w and w+1 starts in w+1, which hands its LocalProgress to w, which
-    finishes it. The workers are forked once per run_training call,
-    after the data exists, so they inherit the datasets, shards and
-    settings. Weights pass through memory shared with them: `broadcast`
-    holds the round's global weights, `uploads[p]` the result of the
-    client at position p, and `handover[w]` the weights and momentum
-    buffer that process w+1 hands to w. Pipes carry the rest: client
-    ids, the plan, centroids, statistics, and the small part of a
-    handed-over progress, on one one-way pipe per pair of neighbours.
+    Every round, rank w runs plan[w]: whole clients, and at most one
+    client cut at each end of its share. A client cut between ranks w
+    and w+1 starts in w+1 and finishes in w. Every rank reads the run's
+    data and settings (train, shards, hp, seed, method) from this
+    object; `like` gives the weights' shape. The workers are forked once
+    per run_training call, after the data exists, so they inherit all of
+    it. Weights pass through memory shared with them: `broadcast` holds
+    the round's global weights, and `slots[p]` the weights and momentum
+    buffer of the client at position p, written by the worker that
+    finished it or ran its first part. Pipes carry the rest: client ids,
+    the plan, centroids, statistics, and the rest of a cut client's
+    progress, on one one-way pipe per pair of neighbouring ranks.
     Closing the pipes ends the workers.
     """
 
-    def __init__(self, processes: int, clients: int, like: ModelParams, run_share):
+    def __init__(self, processes, clients, like, train, shards, hp, seed, method):
         self.processes = processes
-        self.run_share = run_share
+        self.train, self.shards, self.hp, self.seed, self.method = train, shards, hp, seed, method
+        self.rank = 0
         self.conns = []
         self.procs = []
         self.takes = self.gives = []
         if processes == 1:
             return
         self.dims = (like.d_in, like.d_h, like.n_classes)
-        rows = clients + 1 + 2 * (processes - 1)
+        rows = 1 + 2 * clients
         rows = np.frombuffer(mmap.mmap(-1, rows * like.theta.nbytes)).reshape(rows, -1)
         self.broadcast = ModelParams(rows[0], *self.dims)
-        self.uploads = [ModelParams(row, *self.dims) for row in rows[1 : clients + 1]]
-        self.handover = rows[clients + 1 :].reshape(processes - 1, 2, -1)
+        self.slots = rows[1:].reshape(clients, 2, -1)
         ctx = multiprocessing.get_context("fork")
-        # takes[w] is process w's end of the pipe from w+1, gives[w] w+1's end.
-        pipes = [ctx.Pipe(duplex=False) for _ in range(processes - 1)]
+        # takes[w] is rank w's end of the pipe from w+1, gives[w] w+1's end.
+        pipes = [_hand_over_pipe(ctx) for _ in range(processes - 1)]
         self.takes = [take for take, _ in pipes]
         self.gives = [give for _, give in pipes]
         try:
@@ -385,12 +323,6 @@ class _ClientProcesses:
         for end in self.gives + self.takes[1:]:
             end.close()
 
-    def __enter__(self) -> "_ClientProcesses":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def run(
         self, state: RoundState, r_t: float, chosen: np.ndarray, plan: list[list[Piece]]
     ) -> list[LocalUpdateResult]:
@@ -405,57 +337,98 @@ class _ClientProcesses:
                 conn.send((ids, plan[w], state.centroids, state.t, r_t))
             except OSError:
                 raise self._died(w, state.t) from None
-        shares = [self._share(0, ids, plan[0], state.params, state.centroids, state.t, r_t)]
+        shares = [self._run_share(ids, plan[0], state.params, state.centroids, state.t, r_t)]
         shares += [self._receive(w, state.t) for w in range(1, self.processes)]
 
         results: list = [None] * len(ids)
-        errors = {}
-        for done, failure in shares:
+        for done, _ in shares:
             for pos, res in done:
                 results[pos] = res
-            if failure is not None:
-                pos, err = failure
-                errors[pos] = err
+        errors = dict(failure for _, failure in shares if failure is not None)
         if errors:
             raise errors[min(errors)]
         return results
 
-    def _share(self, w: int, *args):
-        """Process w's (results, failure) for run_share's arguments."""
-        take_over = functools.partial(self._take_over, w)
-        hand_over = functools.partial(self._hand_over, w)
-        return self.run_share(*args, take_over, hand_over)
+    def _run_share(self, ids, pieces, params, centroids, t, r_t):
+        """Run this rank's pieces of round t in order (see plan_round).
 
-    def _hand_over(self, w: int, progress: LocalProgress | None) -> None:
-        """Pass process w's first part of a client, or None if it failed,
-        to process w - 1. The weights and momentum buffer go through
-        shared memory, so the pipe carries only the small rest, which it
-        holds until w - 1 reads it."""
+        A whole client is one local_update. A cut client's first part
+        ends by handing its progress, or None if it fails, to the rank
+        below; its rest begins by taking that over, and is skipped on
+        None: the first part failed or its process exited, which that
+        process or the coordinator reports. Returns (position, result)
+        for each client finished here and, if one fails, (its position,
+        an error naming round and client); the pieces after a failure do
+        not run.
+        """
+        done, failure = [], None
+        for pos, start, stop in pieces:
+            if failure is not None:
+                if start:
+                    self._take_over(pos)  # so the next process never waits on a full pipe
+                continue
+            cid = ids[pos]
+            shard = self.shards[cid]
+            whole = stop - start == self.hp.local_steps(len(shard.indices))
+            first_part = start == 0 and not whole
+            rng = make_rng(self.seed, STREAM_LOCAL, t, cid) if start == 0 else None
+            try:
+                if whole:
+                    args = (self.train, shard, params, centroids, t, r_t, self.hp, rng)
+                    done.append((pos, local_update(*args, method=self.method)))
+                    continue
+                if not first_part:
+                    progress = self._take_over(pos)
+                    if progress is None:
+                        continue
+                job = LocalJob(self.train, shard, t, r_t, self.hp, self.method)
+                if first_part:
+                    progress = job.start(params, centroids, rng)
+                job.advance(progress, stop - start)
+                if first_part:
+                    self._hand_over(pos, progress)
+                else:
+                    done.append((pos, job.finish(progress)))
+            except Exception as e:
+                if first_part:
+                    self._hand_over(pos, None)
+                err = _with_context(e, f"round {t}, client {cid}")
+                err.__cause__ = e
+                failure = (pos, err)
+        return done, failure
+
+    def _hand_over(self, pos: int, progress: LocalProgress | None) -> None:
+        """Pass this rank's first part of the client at position pos, or
+        None if it failed, to the rank below. The weights and momentum
+        buffer go into the client's slot, and the pipe carries the rest
+        and holds it until it is read (see _hand_over_pipe)."""
         if progress is not None:
-            theta, velocity = self.handover[w - 1]
+            theta, velocity = self.slots[pos]
             theta[...] = progress.params.theta
             velocity[...] = progress.velocity
             progress = replace(progress, params=None, velocity=None)
         try:
-            self.gives[w - 1].send(progress)
+            self.gives[self.rank - 1].send(progress)
         except OSError:
-            pass  # process w - 1 exited, which the coordinator reports
+            pass  # the rank below exited, which the coordinator reports
 
-    def _take_over(self, w: int) -> LocalProgress | None:
-        """The progress that process w + 1 hands to w, or None."""
+    def _take_over(self, pos: int) -> LocalProgress | None:
+        """The progress of the client at position pos that the rank above
+        hands to this one, or None."""
         try:
-            progress = self.takes[w].recv()
+            progress = self.takes[self.rank].recv()
         except (EOFError, OSError):
-            return None  # process w + 1 exited, which the coordinator reports
+            return None  # the rank above exited, which the coordinator reports
         if progress is not None:
-            theta, velocity = self.handover[w]
+            theta, velocity = self.slots[pos]
             progress.params = ModelParams(theta.copy(), *self.dims)
             progress.velocity = velocity.copy()
         return progress
 
-    def _serve(self, w: int, conn, inherited) -> None:
-        """Body of worker w: run its share of each round until the
-        coordinator closes its end of the pipe."""
+    def _serve(self, rank: int, conn, inherited) -> None:
+        """Body of the worker of the given rank: run its share of each
+        round until the coordinator closes its end of the pipe."""
+        self.rank = rank
         # The fork copied the coordinator's end of this pipe and of every
         # earlier worker's, and every hand-over pipe end; holding them
         # open would keep those pipes from ever reading as closed.
@@ -464,9 +437,9 @@ class _ClientProcesses:
         try:
             while True:
                 ids, pieces, centroids, t, r_t = conn.recv()
-                done, failure = self._share(w, ids, pieces, self.broadcast, centroids, t, r_t)
+                done, failure = self._run_share(ids, pieces, self.broadcast, centroids, t, r_t)
                 for pos, res in done:
-                    self.uploads[pos].theta[...] = res.params.theta
+                    self.slots[pos, 0] = res.params.theta
                     res.params = None
                 if failure is not None:
                     failure = _portable(*failure)
@@ -481,7 +454,7 @@ class _ClientProcesses:
         except (EOFError, OSError):
             raise self._died(w, t) from None
         for pos, res in done:
-            res.params = self.uploads[pos]
+            res.params = ModelParams(self.slots[pos, 0], *self.dims)
         if failure is not None:
             pos, err, tb = failure
             err.__cause__ = WorkerTraceback(tb)
@@ -504,6 +477,20 @@ class _ClientProcesses:
             if proc.exitcode is None:
                 proc.terminate()
                 proc.join()
+
+
+def _hand_over_pipe(ctx) -> tuple:
+    """A one-way pipe (reader, writer) as large as a process may make one
+    (/proc/sys/fs/pipe-max-size, 1 MiB by default on Linux). A hand-over's
+    rest grows with shard size times classes; up to the pipe's size, its
+    sender does not wait for the reader."""
+    take, give = ctx.Pipe(duplex=False)
+    try:
+        with open("/proc/sys/fs/pipe-max-size") as fh:
+            fcntl.fcntl(give.fileno(), fcntl.F_SETPIPE_SZ, int(fh.read()))
+    except (OSError, ValueError, AttributeError):
+        pass  # refused or unknown: the default size (64 KiB on Linux)
+    return take, give
 
 
 def _portable(i: int, err: Exception) -> tuple[int, Exception, str]:

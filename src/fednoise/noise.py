@@ -23,6 +23,10 @@ ROW_SUM_TOL = 1e-12
 
 NOISE_KINDS = ("symmetric", "pair")
 
+# Under noise.client_variance, clients fall by id into this many equal
+# groups, each with its own noise ratio (client_noise_ratios).
+CLIENT_VARIANCE_GROUPS = 5
+
 
 @dataclass(frozen=True)
 class TransitionMatrix:
@@ -129,16 +133,12 @@ def corrupt(
     return np.minimum(out, tm.C - 1).astype(np.int64)
 
 
-def client_noise_ratios(epsilon: float, eta: float, groups: int = 5) -> np.ndarray:
-    """Evenly spaced ratios spanning [eps-eta, eps+eta] inclusive."""
+def client_noise_ratios(epsilon: float, eta: float) -> np.ndarray:
+    """CLIENT_VARIANCE_GROUPS evenly spaced ratios spanning [eps-eta, eps+eta]."""
     lo, hi = epsilon - eta, epsilon + eta
     if lo < 0 or hi >= 1:
         raise ConfigError(f"client_noise_ratios: range [{lo}, {hi}] escapes [0,1)")
-    if groups < 1:
-        raise ConfigError("client_noise_ratios: groups must be >= 1")
-    if groups == 1:
-        return np.array([epsilon])
-    return np.linspace(lo, hi, groups)
+    return np.linspace(lo, hi, CLIENT_VARIANCE_GROUPS)
 
 
 def single_class_corruption(
@@ -188,10 +188,8 @@ def apply_noise(dataset: "Dataset", shards: list["ClientShard"], spec: NoiseSpec
         return
     if spec.client_variance > 0:
         ratios = client_noise_ratios(spec.epsilon, spec.client_variance)
-        groups = len(ratios)
-        n_clients = len(shards)
         for shard in shards:
-            group = shard.client_id * groups // n_clients
+            group = shard.client_id * CLIENT_VARIANCE_GROUPS // len(shards)
             tm = transition_for(spec.kind, float(ratios[group]), dataset.C)
             rng = make_rng(spec.seed, STREAM_NOISE, shard.client_id)
             dataset.given_labels[shard.indices] = corrupt(

@@ -4,7 +4,7 @@ Every random draw in the simulator comes from a Philox counter-based
 generator keyed by a tuple of non-negative integers, hashed through
 numpy's SeedSequence. Both algorithms are documented and platform
 independent, so runs are bit-reproducible across machines and across
-worker-pool sizes. Parallel work items (per-client corruption, local
+process counts. Parallel work items (per-client corruption, local
 updates) derive their own streams from (master seed, stream id, ...).
 """
 

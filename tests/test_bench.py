@@ -507,3 +507,15 @@ def test_blas_pin_warns_when_numpy_came_first(code, preset, warns):
     )
     assert proc.returncode == 0, proc.stderr
     assert ("RuntimeWarning" in proc.stderr and "one thread" in proc.stderr) == warns, proc.stderr
+
+
+def test_csv_digests_match_the_reference():
+    # The six reference runs of scripts/csv_digests.py, about 9 s on 2 CPUs.
+    proc = subprocess.run(
+        [sys.executable, os.path.join(REPO_ROOT, "scripts", "csv_digests.py"), "--check"],
+        capture_output=True, text=True, cwd=REPO_ROOT,
+    )
+    if proc.returncode == 2 and proc.stdout.startswith("no reference digests"):
+        pytest.skip(proc.stdout.strip())
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "check passed" in proc.stdout

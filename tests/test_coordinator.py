@@ -1,7 +1,9 @@
+import dataclasses
 import itertools
 import math
 import multiprocessing
 import os
+import pickle
 import signal
 import threading
 
@@ -26,8 +28,9 @@ from fednoise.datagen import make_blob_split, make_blobs, partition_iid
 from fednoise.errors import ConfigError, ContractViolation
 from fednoise.localnode import METHODS, CentroidSet, HyperParams, LocalUpdateResult
 from fednoise.localnode import LocalStats
+from fednoise.metrics import write_csv
 from fednoise.numkit import ModelParams, cosine_similarity, init_params, mlp_forward
-from fednoise.seeds import STREAM_SELECT, make_rng
+from fednoise.seeds import STREAM_INIT, STREAM_LOCAL, STREAM_SELECT, make_rng
 
 
 def test_r_schedule_values():
@@ -578,6 +581,75 @@ def test_run_training_first_part_error_names_round_and_client(monkeypatch):
     assert isinstance(exc.value.__cause__, coordinator.WorkerTraceback)
     # The rest of the client never ran in the coordinator.
     assert os.getpid() not in resumed
+
+
+def _large_rest_setup():
+    """Five clients of 1,000 examples at 10 classes, in the pseudo-label
+    phase from round 1: a cut client's rest holds 1,000 x 10 pseudo-label
+    probabilities, more than a default 64 KiB pipe holds."""
+    from fednoise.noise import NoiseSpec, apply_noise
+
+    train, test = make_blob_split(C=10, train_per_class=500, test_per_class=20, d_in=5, spread=0.6, seed=0)
+    shards = partition_iid(train, 5, seed=0)
+    apply_noise(train, shards, NoiseSpec(kind="symmetric", epsilon=0.3, seed=0))
+    fed = FederationConfig(num_clients=5, clients_per_round=5, rounds=2)
+    hp = HyperParams(hidden_dim=8, local_epochs=1, batch_size=100, t_pl=1, t_horizon=4, tau=0.3)
+    return train, test, shards, fed, hp
+
+
+def _large_rest():
+    """The pickled rest of the client that two processes cut in round 1
+    of _large_rest_setup, as the rank that ran its first part sends it."""
+    train, _, shards, fed, hp = _large_rest_setup()
+    chosen = select_clients(fed.num_clients, fed.clients_per_round, make_rng(0, STREAM_SELECT, 1))
+    first = plan_round([hp.local_steps(len(shards[c].indices)) for c in chosen], 2)[1][0]
+    cid = int(chosen[first.pos])
+    params = init_params(train.d_in, hp.hidden_dim, train.C, make_rng(0, STREAM_INIT))
+    job = localnode.LocalJob(train, shards[cid], 1, 1.0, hp, "proposed")
+    progress = job.start(params, CentroidSet.empty(train.C, hp.hidden_dim), make_rng(0, STREAM_LOCAL, 1, cid))
+    job.advance(progress, first.stop)
+    return pickle.dumps(dataclasses.replace(progress, params=None, velocity=None))
+
+
+def test_hand_over_pipe_holds_a_large_rest_without_a_reader():
+    # A pipe of the default size would block this send until a reader
+    # came, and the alarm would end the test.
+    rest = _large_rest()
+    assert len(rest) > 64 * 1024
+    try:
+        with open("/proc/sys/fs/pipe-max-size") as fh:
+            if int(fh.read()) <= len(rest):
+                pytest.skip("the system's largest pipe is too small for this rest")
+    except OSError:
+        pytest.skip("no /proc/sys/fs/pipe-max-size to size a pipe by")
+    take, give = coordinator._hand_over_pipe(multiprocessing.get_context("fork"))
+
+    def blocked(signum, frame):
+        raise TimeoutError("the hand-over pipe blocked its sender")
+
+    previous = signal.signal(signal.SIGALRM, blocked)
+    signal.alarm(10)
+    try:
+        give.send_bytes(rest)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert take.recv_bytes() == rest
+    take.close()
+    give.close()
+
+
+def test_csv_bytes_with_a_large_rest_do_not_depend_on_processes(monkeypatch, tmp_path):
+    # Two processes cut one client, three cut two; each rest is larger
+    # than a default pipe.
+    train, test, shards, fed, hp = _large_rest_setup()
+    csvs = []
+    for n in (1, 2, 3):
+        _processes(monkeypatch, n)
+        _, records = run_training(train, test, shards, fed, hp, seed=0)
+        write_csv(tmp_path / f"{n}.csv", records)
+        csvs.append((tmp_path / f"{n}.csv").read_bytes())
+    assert csvs[0] == csvs[1] == csvs[2]
 
 
 def test_usable_cpus_is_one_while_other_threads_run():

@@ -107,7 +107,7 @@ def test_pair_corrupt_support(rng):
 
 
 def test_client_noise_ratios_values():
-    ratios = client_noise_ratios(0.4, 0.2, groups=5)
+    ratios = client_noise_ratios(0.4, 0.2)
     np.testing.assert_allclose(ratios, [0.2, 0.3, 0.4, 0.5, 0.6], atol=1e-12)
     with pytest.raises(ConfigError):
         client_noise_ratios(0.9, 0.2)
