@@ -187,8 +187,6 @@ def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"method: must be one of {METHODS}, got {out.method!r}")
     if out.seed < 0:
         raise ConfigError("seed: must be >= 0")
-    if out.noise.seed < 0:
-        raise ConfigError("noise.seed: must be >= 0")
     return out
 
 
@@ -322,20 +320,24 @@ def _cmd_sweep(args) -> int:
     if not eps_list:
         raise ConfigError("--epsilon: no values given")
     base = load_config(args.config, list(args.override))
-    methods = (
-        [m.strip() for m in args.methods.split(",") if m.strip()]
-        if args.methods
-        else [base.method]
-    )
-    # Every cell is checked before the first runs: a bad cell trains nothing.
-    cells = []
+    if args.methods is None:
+        methods = [base.method]
+    else:
+        methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+        if not methods:
+            raise ConfigError("--methods: no values given")
+    # Every cell is checked before the first runs: a bad cell trains nothing,
+    # and no two cells may write the same CSV.
+    cells = {}
     for method in methods:
         for eps in eps_list:
             base.method, base.noise.epsilon = method, eps
             base.output = os.path.join(args.output_dir, f"{method}_eps{eps:g}.csv")
-            cells.append(resolve_config(base))  # a checked deep copy
+            if base.output in cells:
+                raise ConfigError(f"two sweep cells would write {base.output}")
+            cells[base.output] = resolve_config(base)  # a checked deep copy
     os.makedirs(args.output_dir, exist_ok=True)
-    for cfg in cells:
+    for cfg in cells.values():
         _, records = run_experiment(cfg)
         wdiv = f" wdiv_final={records[-1].weight_divergence:.5f}" if records else ""
         print(

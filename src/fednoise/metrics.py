@@ -9,26 +9,14 @@ repr-based float formatting, LF line endings, no timestamps.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
 from .errors import ContractViolation
 
 CSV_HEADER_TAG = "# fednoise-v1"
-
-CSV_COLUMNS = (
-    "round",
-    "test_accuracy",
-    "mean_train_loss",
-    "confident_fraction",
-    "mask_precision",
-    "mask_recall",
-    "weight_divergence",
-    "r_t",
-)
-
-_INT_COLUMNS = {"round"}
 
 
 @dataclass
@@ -43,6 +31,12 @@ class MetricsRecord:
     mask_recall: float
     weight_divergence: float
     r_t: float
+
+
+# The record is the CSV schema: its fields are the columns, in order, and
+# each column is read back with its field's type.
+_COLUMN_TYPES = get_type_hints(MetricsRecord)
+CSV_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
 
 
 def detection_counts(
@@ -140,9 +134,6 @@ def read_csv(path: str) -> list[MetricsRecord]:
         parts = line.split(",")
         if len(parts) != len(CSV_COLUMNS):
             raise ContractViolation(f"{path}: malformed row {line!r}")
-        kwargs = {
-            col: int(raw) if col in _INT_COLUMNS else float(raw)
-            for col, raw in zip(CSV_COLUMNS, parts)
-        }
-        out.append(MetricsRecord(**kwargs))
+        values = {col: _COLUMN_TYPES[col](raw) for col, raw in zip(CSV_COLUMNS, parts)}
+        out.append(MetricsRecord(**values))
     return out

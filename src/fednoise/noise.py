@@ -76,6 +76,8 @@ class NoiseSpec:
                 f"noise.per_class_mode flips the other classes symmetrically, "
                 f"so noise.kind must be symmetric, got {self.kind!r}"
             )
+        if self.seed < 0:
+            raise ConfigError("noise.seed: must be >= 0")
 
 
 def symmetric_transition(epsilon: float, C: int) -> TransitionMatrix:

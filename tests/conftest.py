@@ -1,14 +1,10 @@
 import multiprocessing
-import os
 
-# Pin BLAS before numpy is first imported, as importing fednoise would:
-# the test process imports numpy here, before any test imports fednoise.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import numpy as np  # noqa: E402
-import pytest  # noqa: E402
-from hypothesis import HealthCheck, settings  # noqa: E402
+# Importing the package pins BLAS without loading numpy, so it comes first.
+import fednoise  # noqa: F401
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, settings
 
 settings.register_profile(
     "default",

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -367,20 +368,30 @@ def test_cli_sweep(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, error",
     [
         # Pair noise needs epsilon below 0.5, so only the second cell is bad.
-        ["--epsilon", "0.2,0.6", "--override", "noise.kind=pair"],
-        ["--epsilon", "0.2", "--methods", "proposed,bogus"],
+        (["--epsilon", "0.2,0.6", "--override", "noise.kind=pair"], "noise.epsilon"),
+        (["--epsilon", "0.2", "--methods", "proposed,bogus"], "method: must be one of"),
+        # The second cell would overwrite the first cell's CSV.
+        (
+            ["--epsilon", "0.2", "--methods", "proposed,proposed"],
+            "two sweep cells would write {outdir}/proposed_eps0.2.csv",
+        ),
+        # File names format epsilon with :g, which gives 0.1 for both.
+        (["--epsilon", "0.1,0.1000001"], "two sweep cells would write {outdir}/proposed_eps0.1.csv"),
+        (["--epsilon", "0.2", "--methods", ","], "--methods: no values given"),
     ],
-    ids=["pair_epsilon", "unknown_method"],
+    ids=["pair_epsilon", "unknown_method", "same_csv_method", "same_csv_epsilon", "no_methods"],
 )
-def test_cli_sweep_checks_every_cell_before_it_runs(tmp_path, capsys, args):
+def test_cli_sweep_checks_every_cell_before_it_runs(tmp_path, capsys, args, error):
     outdir = tmp_path / "sweep"
     code = main(["sweep", "--config", _write_cfg(tmp_path), "--output-dir", str(outdir)] + args)
     assert code == 1
     assert list(outdir.glob("*.csv")) == []
-    assert "method=" not in capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert "method=" not in out
+    assert error.format(outdir=outdir) in err
 
 
 def test_cli_usage_error_exits_one():
@@ -519,3 +530,21 @@ def test_csv_digests_match_the_reference():
         pytest.skip(proc.stdout.strip())
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "check passed" in proc.stdout
+
+
+def test_benchmark_tracer_self_checks_pass():
+    # The tracer wraps functions by name and expects rounds from
+    # select_clients to fedavg with local_update on the main thread; renaming
+    # one of them, or moving local_update off that thread, fails its
+    # self-checks. About 8 s on 2 CPUs.
+    proc = subprocess.run(
+        [
+            sys.executable, os.path.join(REPO_ROOT, "perfbench", "run.py"),
+            "--workload", "mnist784-proposed-pool2", "--seed", "3", "--seconds", "1",
+            "--trace", "1",
+        ],
+        capture_output=True, text=True, cwd=REPO_ROOT,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0), proc.stdout + proc.stderr

@@ -215,6 +215,16 @@ def test_noise_spec_validation():
     NoiseSpec(kind="symmetric", epsilon=0.2, per_class_mode=True).validate()
     with pytest.raises(ConfigError, match="noise.per_class_mode.*noise.kind"):
         NoiseSpec(kind="pair", epsilon=0.2, per_class_mode=True).validate()
+    with pytest.raises(ConfigError, match="noise.seed: must be >= 0"):
+        NoiseSpec(epsilon=0.2, seed=-1).validate()
+
+
+def test_apply_noise_rejects_negative_seed(rng):
+    ds = _toy_dataset(rng)
+    shards = partition_iid(ds, 6, seed=0)
+    with pytest.raises(ConfigError, match="noise.seed"):
+        apply_noise(ds, shards, NoiseSpec(epsilon=0.2, seed=-1))
+    np.testing.assert_array_equal(ds.given_labels, ds.true_labels)
 
 
 def test_corrupt_accepts_generator(rng):
