@@ -105,8 +105,8 @@ _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0"
 
 
 def _parse_value(raw: str, kind, key: str):
-    """raw as a value of type kind: int, float, bool, str, or one of
-    those or None."""
+    """raw as a value of type kind: int, finite float, bool, str, or
+    one of those or None."""
     if type(None) in typing.get_args(kind):
         if raw.lower() in ("none", "null"):
             return None
@@ -115,7 +115,10 @@ def _parse_value(raw: str, kind, key: str):
         if kind is bool:
             return _BOOLS[raw.lower()]
         if kind in (int, float, str):
-            return kind(raw)
+            value = kind(raw)
+            if kind is float and not math.isfinite(value):
+                raise ConfigError(f"{key}: must be finite, got {raw!r}")
+            return value
     except (KeyError, ValueError):
         raise ConfigError(f"{key}: expected {kind.__name__}, got {raw!r}") from None
     raise ConfigError(f"{key}: unsupported value type {kind!r}")

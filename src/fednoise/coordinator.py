@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .datagen import ClientShard, Dataset
-from .errors import ConfigError, ContractViolation, TrainingDiverged
+from .errors import ConfigError, ContractViolation, TrainingDiverged, WorkerExited
 from .localnode import (
     CentroidSet,
     HyperParams,
@@ -461,10 +461,10 @@ class _ClientProcesses:
             failure = (pos, err)
         return done, failure
 
-    def _died(self, w: int, t: int) -> RuntimeError:
+    def _died(self, w: int, t: int) -> WorkerExited:
         proc = self.procs[w - 1]
         proc.join(WORKER_EXIT_TIMEOUT_S)
-        return RuntimeError(
+        return WorkerExited(
             f"round {t}: client worker process {proc.pid} exited (exit code "
             f"{proc.exitcode}) before returning its clients' results"
         )

@@ -96,13 +96,6 @@ def make_blob_split(
     return train, test
 
 
-def make_blobs(
-    C: int, per_class: int, d_in: int, spread: float, seed: int
-) -> Dataset:
-    """One balanced blob set: make_blob_split with no test rows."""
-    return make_blob_split(C, per_class, 0, d_in, spread, seed)[0]
-
-
 def partition_iid(dataset: Dataset, num_clients: int, seed: int) -> list[ClientShard]:
     """Random near-equal split: shard sizes differ by at most one."""
     if num_clients < 1:

@@ -23,3 +23,7 @@ class FormatError(FednoiseError):
 
 class TrainingDiverged(FednoiseError):
     """A loss or gradient became non-finite during optimization."""
+
+
+class WorkerExited(FednoiseError, RuntimeError):
+    """A client worker process exited before returning its results."""

@@ -104,6 +104,8 @@ class HyperParams:
             raise ConfigError("hp.batch_size must be >= 1 and hp.local_epochs >= 0")
         if self.learning_rate <= 0:
             raise ConfigError("hp.learning_rate: must be positive")
+        if self.weight_decay < 0:
+            raise ConfigError("hp.weight_decay: must be >= 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("hp.momentum: must be in [0,1)")
         if self.hidden_dim < 1:
@@ -487,7 +489,7 @@ def _make_stats(
     detected_true, detected, actual = detection_counts(mask, given, true)
     return LocalStats(
         mean_train_loss=loss_sum / n_batches if n_batches else 0.0,
-        confident_fraction=float(mask.mean()) if len(mask) else 0.0,
+        confident_fraction=float(mask.mean()),
         detected_noisy=detected,
         detected_true_noisy=detected_true,
         actual_noisy=actual,

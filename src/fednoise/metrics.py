@@ -55,21 +55,15 @@ def detection_counts(
     return int((detected & actual).sum()), int(detected.sum()), int(actual.sum())
 
 
-def detection_metrics(
-    mask: np.ndarray, given_labels: np.ndarray, true_labels: np.ndarray
+def detection_from_counts(
+    detected_true_noisy: int, detected_noisy: int, actual_noisy: int
 ) -> tuple[float, float]:
-    """(precision, recall) of noisy-sample detection, from detection_counts.
+    """(precision, recall) of noisy-sample detection from detection_counts'
+    three counts, one mask's or summed over a round's clients.
 
     Degenerate denominators yield 1.0: flagging nothing means no false
     positives, and a clean shard has nothing to miss.
     """
-    return detection_from_counts(*detection_counts(mask, given_labels, true_labels))
-
-
-def detection_from_counts(
-    detected_true_noisy: int, detected_noisy: int, actual_noisy: int
-) -> tuple[float, float]:
-    """Same metrics from pre-aggregated counts (for multi-client rounds)."""
     if not 0 <= detected_true_noisy <= detected_noisy:
         raise ContractViolation("detection metrics: true positives exceed detections")
     if detected_true_noisy > actual_noisy:

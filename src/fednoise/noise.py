@@ -114,16 +114,12 @@ def transition_for(kind: str, epsilon: float, C: int) -> TransitionMatrix:
     raise ConfigError(f"unknown noise kind {kind!r}")
 
 
-def corrupt(
-    labels: np.ndarray, tm: TransitionMatrix, rng: np.random.Generator | int
-) -> np.ndarray:
+def corrupt(labels: np.ndarray, tm: TransitionMatrix, rng: np.random.Generator) -> np.ndarray:
     """Resample each label independently from its transition-matrix row.
 
     Inverse-CDF sampling: one uniform draw per example, deterministic for
     a given generator state. Returns a new array.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = make_rng(int(rng), STREAM_NOISE)
     labels = np.asarray(labels)
     if labels.size and (labels.min() < 0 or labels.max() >= tm.C):
         raise DataError(
@@ -144,7 +140,7 @@ def client_noise_ratios(epsilon: float, eta: float) -> np.ndarray:
 
 
 def single_class_corruption(
-    labels: np.ndarray, C: int, epsilon: float, rng: np.random.Generator | int
+    labels: np.ndarray, C: int, epsilon: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, int]:
     """Make one uniformly chosen class entirely wrong; corrupt the rest at eps.
 
@@ -154,8 +150,6 @@ def single_class_corruption(
     """
     if C < 2:
         raise ConfigError(f"single_class_corruption: need C >= 2, got {C}")
-    if isinstance(rng, (int, np.integer)):
-        rng = make_rng(int(rng), STREAM_NOISE)
     labels = np.asarray(labels)
     if labels.size and (labels.min() < 0 or labels.max() >= C):
         raise DataError(f"single_class_corruption: labels must lie in [0,{C})")

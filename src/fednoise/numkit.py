@@ -4,7 +4,7 @@ The network is a feature extractor (W1, b1) with a tanh hidden layer
 followed by a linear classifier (W2, b2). The post-activation hidden
 layer is the feature tap used by all centroid machinery. tanh is used
 instead of a hard-threshold activation so finite-difference gradient
-checks stay clean; see ACTIVATION.
+checks stay clean.
 
 Parameters, gradients and the momentum buffer are flat float64 vectors
 in one layout: W1, b1, W2, b2, each block row-major. Only sgd_step
@@ -18,8 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, TrainingDiverged
-
-ACTIVATION = "tanh"
 
 # Norms below this are treated as zero vectors by cosine_similarity.
 ZERO_NORM_EPS = 1e-12
@@ -39,15 +37,9 @@ def _blocks(vec: np.ndarray, d_in: int, d_h: int, n_classes: int) -> tuple[np.nd
 
 
 def _block(i: int, doc: str) -> property:
-    """A view into theta; assigning to it copies the value into theta."""
-
-    def get(self) -> np.ndarray:
-        return self._views[i]
-
-    def set(self, value) -> None:
-        self._views[i][...] = value
-
-    return property(get, set, doc=doc)
+    """A read-only attribute holding a view into theta; write through it
+    with `p.W2[...] = x`."""
+    return property(lambda self: self._views[i], doc=doc)
 
 
 class ModelParams:
@@ -107,7 +99,6 @@ class ForwardRecord:
 
     hidden: np.ndarray  # (B, d_h) post-tanh features
     probs: np.ndarray  # (B, C) softmax rows
-    logits: np.ndarray  # (B, C)
     logp: np.ndarray  # (B, C) log-softmax rows, from the same exponentials as probs
 
 
@@ -128,16 +119,6 @@ def _softmax_and_log(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e / total, z - np.log(total)
 
 
-def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax."""
-    return _softmax_and_log(logits)[0]
-
-
-def log_softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax."""
-    return _softmax_and_log(logits)[1]
-
-
 def _check_input(params: ModelParams, X: np.ndarray, who: str) -> None:
     if X.ndim != 2 or X.shape[1] != params.d_in:
         raise ContractViolation(f"{who}: X has shape {X.shape}, expected (B, {params.d_in})")
@@ -153,9 +134,8 @@ def mlp_forward(params: ModelParams, X: np.ndarray) -> ForwardRecord:
     """Forward pass: hidden = tanh(X W1 + b1), probs = softmax(hidden W2 + b2)."""
     _check_input(params, X, "mlp_forward")
     hidden = np.tanh(X @ params.W1 + params.b1)
-    logits = hidden @ params.W2 + params.b2
-    probs, logp = _softmax_and_log(logits)
-    return ForwardRecord(hidden=hidden, probs=probs, logits=logits, logp=logp)
+    probs, logp = _softmax_and_log(hidden @ params.W2 + params.b2)
+    return ForwardRecord(hidden=hidden, probs=probs, logp=logp)
 
 
 def mlp_backward(

@@ -27,9 +27,10 @@ from fednoise.localnode import (
     small_loss_filter,
     total_loss_and_grads,
 )
-from fednoise.metrics import detection_metrics
+from fednoise.metrics import detection_counts, detection_from_counts
 from fednoise.noise import corrupt, pair_transition, symmetric_transition
 from fednoise.numkit import ModelParams, cosine_similarity, init_params, mlp_backward, mlp_forward
+from fednoise.seeds import STREAM_NOISE, make_rng
 
 # Desk-scale reference setup: 2,000 training points (4 classes x 500) in
 # 10-d, 20 clients with 5 selected per round, 100 rounds.
@@ -135,7 +136,7 @@ def test_criterion_1_gradient_correctness():
 
 
 def test_criterion_2_oracle_equivalence():
-    """fedavg, detection_metrics, small_loss_filter, centroid aggregation
+    """fedavg, noise detection metrics, small_loss_filter, centroid aggregation
     vs brute-force implementations on 1,000 random instances each."""
     rng = np.random.default_rng(7)
 
@@ -148,7 +149,7 @@ def test_criterion_2_oracle_equivalence():
         expect = sorted(sorted(range(n), key=lambda i: (losses[i], i))[:k])
         assert small_loss_filter(losses, r_t).tolist() == expect
 
-    # detection_metrics: pure set arithmetic.
+    # detection_from_counts of detection_counts: pure set arithmetic.
     for _ in range(1000):
         n = int(rng.integers(1, 30))
         mask = rng.integers(0, 2, size=n)
@@ -161,15 +162,15 @@ def test_criterion_2_oracle_equivalence():
             len(hit) / len(detected) if detected else 1.0,
             len(hit) / len(actual) if actual else 1.0,
         )
-        assert detection_metrics(mask, given, true) == expect
+        assert detection_from_counts(*detection_counts(mask, given, true)) == expect
 
     # fedavg: weighted mean via an independent np.average reduction.
     def result_with(flat_value, d_in=2, d_h=3, C=2):
         p = ModelParams.zeros(d_in, d_h, C)
-        p.W1 += flat_value[0]
-        p.b1 += flat_value[1]
-        p.W2 += flat_value[2]
-        p.b2 += flat_value[3]
+        p.W1[...] += flat_value[0]
+        p.b1[...] += flat_value[1]
+        p.W2[...] += flat_value[2]
+        p.b2[...] += flat_value[3]
         return LocalUpdateResult(
             params=p,
             centroids=CentroidSet.empty(C, d_h),
@@ -231,14 +232,14 @@ def test_criterion_3_noise_fidelity():
     labels = rng.integers(0, C, size=n)
     checked = 0
     for eps in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6):
-        out = corrupt(labels, symmetric_transition(eps, C), int(eps * 100))
+        out = corrupt(labels, symmetric_transition(eps, C), make_rng(int(eps * 100), STREAM_NOISE))
         flips = int((out != labels).sum())
         bound = 3 * math.sqrt(n * eps * (1 - eps))
         assert abs(flips - n * eps) <= bound, f"symmetric eps={eps}: {flips} flips"
         checked += 1
     # Pair flipping is only defined below 0.5; 0.45 matches its tested top end.
     for eps in (0.1, 0.2, 0.3, 0.4, 0.45):
-        out = corrupt(labels, pair_transition(eps, C), int(eps * 1000))
+        out = corrupt(labels, pair_transition(eps, C), make_rng(int(eps * 1000), STREAM_NOISE))
         flips = int((out != labels).sum())
         bound = 3 * math.sqrt(n * eps * (1 - eps))
         assert abs(flips - n * eps) <= bound, f"pair eps={eps}: {flips} flips"

@@ -1,5 +1,8 @@
+import importlib
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -348,6 +351,22 @@ def test_cli_validate_checks_client_variance_against_the_kind(tmp_path, capsys):
             assert "noise.client_variance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        "hp.learning_rate=nan", "hp.lambda_cen=nan", "hp.lambda_e=inf", "hp.weight_decay=nan",
+        "hp.weight_decay=-1", "dataset.spread=nan", "noise.client_variance=nan",
+    ],
+)
+def test_cli_validate_rejects_non_finite_floats_and_negative_weight_decay(
+    tmp_path, capsys, override
+):
+    # A NaN passes every `x < bound` check, so it must be refused on its own.
+    code = main(["validate-config", "--config", _write_cfg(tmp_path), "--override", override])
+    assert code == 1
+    assert f"config error: {override.split('=')[0]}: " in capsys.readouterr().err
+
+
 def test_cli_sweep(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
     outdir = str(tmp_path / "sweep")
@@ -442,6 +461,24 @@ def test_cli_diverging_run_exits_two(tmp_path, capsys):
     assert code == 2
     assert "round 1, client" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_worker_death_exits_two(tmp_path, capsys, monkeypatch):
+    # Two processes: the worker runs a whole client of every round, and
+    # exits in its first one of round 2.
+    monkeypatch.setattr(coordinator, "_usable_cpus", lambda: 2)
+    coordinator_pid = os.getpid()
+    local_update = coordinator.local_update
+
+    def dies(*args, **kwargs):
+        if os.getpid() != coordinator_pid and args[4] == 2:
+            os._exit(7)
+        return local_update(*args, **kwargs)
+
+    monkeypatch.setattr(coordinator, "local_update", dies)
+    assert main(["run", "--config", _write_cfg(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"round 2: client worker process \d+ exited \(exit code 7\)", err), err
 
 
 # blobs.cfg made MNIST-shaped: 784-d, 10 classes, 10k training points.
@@ -548,3 +585,26 @@ def test_benchmark_tracer_self_checks_pass():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert (result["correct"], result["failed"]) == (True, 0), proc.stdout + proc.stderr
+
+
+def test_benchmark_names_functions_of_the_package(monkeypatch):
+    # The tracer times functions by name and drops a metric whose function
+    # is gone without failing its self-checks, so every hooked name, the
+    # run entry point and the function behind each metric of seconds (`_s`)
+    # or calls (`_calls`) must be a function its layer defines. Three spans
+    # are derived, not functions.
+    monkeypatch.syspath_prepend(os.path.join(REPO_ROOT, "perfbench"))
+    import run as perfbench
+    import spans
+
+    derived = {"localnode.local_update_self", "coordinator.client_phase", "coordinator.round_self"}
+    timed = {
+        metric.rsplit("_", 1)[0]
+        for metric, unit in perfbench.PER_LAYER_UNITS.items()
+        if metric.endswith("_s") and unit == "s" or metric.endswith("_calls")
+    }
+    for name in sorted(set(spans.HOOKS) | {"coordinator.run_training"} | timed - derived):
+        layer, function = name.split(".")
+        module = importlib.import_module(f"fednoise.{layer}")
+        obj = getattr(module, function, None)
+        assert inspect.isfunction(obj) and obj.__module__ == module.__name__, name

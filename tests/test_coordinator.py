@@ -24,7 +24,7 @@ from fednoise.coordinator import (
     run_training,
     select_clients,
 )
-from fednoise.datagen import make_blob_split, make_blobs, partition_iid
+from fednoise.datagen import make_blob_split, partition_iid
 from fednoise.errors import ConfigError, ContractViolation
 from fednoise.localnode import METHODS, CentroidSet, HyperParams, LocalUpdateResult
 from fednoise.localnode import LocalStats
@@ -291,7 +291,7 @@ def test_aggregate_requires_uploads():
 
 
 def test_evaluate_accuracy_trivial():
-    ds = make_blobs(C=2, per_class=20, d_in=3, spread=0.4, seed=0)
+    ds = make_blob_split(2, 20, 0, 3, 0.4, 0)[0]
     p = ModelParams.zeros(3, 4, 2)
     acc = evaluate_accuracy(p, ds)
     # Zero model predicts class 0 everywhere on a balanced set.
@@ -299,9 +299,9 @@ def test_evaluate_accuracy_trivial():
 
 
 def test_evaluate_accuracy_is_argmax_of_forward_logits(rng):
-    ds = make_blobs(C=10, per_class=20, d_in=784, spread=0.6, seed=0)
+    ds = make_blob_split(10, 20, 0, 784, 0.6, 0)[0]
     p = init_params(784, 64, 10, rng)
-    pred = mlp_forward(p, ds.X).logits.argmax(axis=1)
+    pred = (mlp_forward(p, ds.X).hidden @ p.W2 + p.b2).argmax(axis=1)
     assert evaluate_accuracy(p, ds) == float((pred == ds.true_labels).mean())
 
 
@@ -581,6 +581,53 @@ def test_run_training_first_part_error_names_round_and_client(monkeypatch):
     assert isinstance(exc.value.__cause__, coordinator.WorkerTraceback)
     # The rest of the client never ran in the coordinator.
     assert os.getpid() not in resumed
+
+
+class _TwoArgumentError(Exception):
+    """An error that cannot be rebuilt from one message."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+def _local_error():
+    class LocalError(Exception):
+        """Defined in a function, so it does not pickle."""
+
+    return LocalError("a local error")
+
+
+@pytest.mark.parametrize(
+    "make_error, name",
+    [
+        (_local_error, "LocalError"),
+        (lambda: _TwoArgumentError("bad", "here"), "_TwoArgumentError"),
+    ],
+    ids=["unpicklable", "two_argument_init"],
+)
+def test_worker_client_error_that_cannot_cross_the_pipe(monkeypatch, make_error, name):
+    # A worker's client error is rebuilt with the round and client in its
+    # message and pickled back; when either fails it travels as a
+    # RuntimeError, and the worker's traceback still names the class.
+    _processes(monkeypatch, 2)
+    train, test, shards, fed, hp = _tiny_setup()
+    chosen = select_clients(fed.num_clients, fed.clients_per_round, make_rng(0, STREAM_SELECT, 1))
+    steps = [hp.local_steps(len(shards[c].indices)) for c in chosen]
+    whole = [p.pos for p in plan_round(steps, 2)[1] if p.stop - p.start == steps[p.pos]]
+    coordinator_pid = os.getpid()
+    local_update = coordinator.local_update
+
+    def fails(*args, **kwargs):
+        if os.getpid() != coordinator_pid:
+            raise make_error()
+        return local_update(*args, **kwargs)
+
+    monkeypatch.setattr(coordinator, "local_update", fails)
+    with pytest.raises(RuntimeError, match=rf"^round 1, client {chosen[whole[0]]}: ") as exc:
+        run_training(train, test, shards, fed, hp, seed=0)
+    assert type(exc.value) is RuntimeError
+    assert isinstance(exc.value.__cause__, coordinator.WorkerTraceback)
+    assert name in str(exc.value.__cause__)
 
 
 def _large_rest_setup():

@@ -12,7 +12,6 @@ from fednoise.datagen import (
     CENTER_SEPARATION,
     Dataset,
     make_blob_split,
-    make_blobs,
     load_idx,
     partition_iid,
 )
@@ -77,7 +76,7 @@ def _assert_no_shared_memory(*datasets):
 
 
 def test_make_blobs_shapes_and_labels():
-    ds = make_blobs(C=4, per_class=25, d_in=6, spread=0.5, seed=3)
+    ds = make_blob_split(4, 25, 0, 6, 0.5, 3)[0]
     assert ds.X.shape == (100, 6)
     assert ds.n == 100 and ds.d_in == 6 and ds.C == 4
     np.testing.assert_array_equal(np.bincount(ds.true_labels), [25] * 4)
@@ -85,16 +84,16 @@ def test_make_blobs_shapes_and_labels():
 
 
 def test_make_blobs_deterministic():
-    a = make_blobs(C=3, per_class=10, d_in=4, spread=0.5, seed=11)
-    b = make_blobs(C=3, per_class=10, d_in=4, spread=0.5, seed=11)
+    a = make_blob_split(3, 10, 0, 4, 0.5, 11)[0]
+    b = make_blob_split(3, 10, 0, 4, 0.5, 11)[0]
     np.testing.assert_array_equal(a.X, b.X)
-    c = make_blobs(C=3, per_class=10, d_in=4, spread=0.5, seed=12)
+    c = make_blob_split(3, 10, 0, 4, 0.5, 12)[0]
     assert not np.array_equal(a.X, c.X)
 
 
 def test_make_blobs_centers_separated():
     spread = 0.5
-    ds = make_blobs(C=5, per_class=200, d_in=8, spread=spread, seed=0)
+    ds = make_blob_split(5, 200, 0, 8, spread, 0)[0]
     centers = np.stack([ds.X[ds.true_labels == c].mean(axis=0) for c in range(5)])
     dmin = min(
         np.linalg.norm(centers[i] - centers[j])
@@ -107,9 +106,9 @@ def test_make_blobs_centers_separated():
 
 def test_make_blobs_rejects_bad_args():
     with pytest.raises(ConfigError):
-        make_blobs(C=1, per_class=5, d_in=2, spread=0.5, seed=0)
+        make_blob_split(1, 5, 0, 2, 0.5, 0)
     with pytest.raises(ConfigError):
-        make_blobs(C=3, per_class=0, d_in=2, spread=0.5, seed=0)
+        make_blob_split(3, 0, 0, 2, 0.5, 0)
 
 
 def test_split_per_class_counts():
@@ -119,7 +118,7 @@ def test_split_per_class_counts():
     np.testing.assert_array_equal(np.bincount(test.true_labels), [5] * 3)
     # The same points as one 20-per-class draw: no overlap, nothing lost.
     joined = np.vstack([train.X, test.X])
-    whole = make_blobs(C=3, per_class=20, d_in=4, spread=0.5, seed=1)
+    whole = make_blob_split(3, 20, 0, 4, 0.5, 1)[0]
     assert joined.shape == whole.X.shape
     assert len(np.unique(joined, axis=0)) == whole.n
 
@@ -140,8 +139,8 @@ def test_make_blob_split_bit_equals_make_then_split(C, train_per_class, test_per
         assert np.array_equal(got, ref)
     assert train.C == test.C == C
     _assert_no_shared_memory(train, test)
-    # make_blobs is the same generator with no test rows.
-    whole = make_blobs(C, train_per_class + test_per_class, d_in, spread, seed)
+    # With no test rows it is the same generator.
+    whole = make_blob_split(C, train_per_class + test_per_class, 0, d_in, spread, seed)[0]
     ref_whole, _ = make_then_split(C, train_per_class + test_per_class, 0, d_in, spread, seed)
     assert np.array_equal(whole.X, ref_whole.X)
     assert np.array_equal(whole.true_labels, ref_whole.true_labels)
@@ -181,7 +180,7 @@ def test_split_per_class_needs_leftover():
 
 
 def test_partition_iid_even_split():
-    ds = make_blobs(C=2, per_class=50, d_in=3, spread=0.5, seed=2)
+    ds = make_blob_split(2, 50, 0, 3, 0.5, 2)[0]
     shards = partition_iid(ds, 10, seed=0)
     assert len(shards) == 10
     assert all(len(s.indices) == 10 for s in shards)
@@ -192,7 +191,7 @@ def test_partition_iid_even_split():
 
 @given(st.integers(1, 17), st.integers(0, 5))
 def test_partition_iid_disjoint_cover(num_clients, seed):
-    ds = make_blobs(C=2, per_class=30, d_in=2, spread=0.5, seed=4)
+    ds = make_blob_split(2, 30, 0, 2, 0.5, 4)[0]
     shards = partition_iid(ds, num_clients, seed=seed)
     allidx = np.concatenate([s.indices for s in shards])
     assert sorted(allidx.tolist()) == list(range(60))
@@ -202,7 +201,7 @@ def test_partition_iid_disjoint_cover(num_clients, seed):
 
 
 def test_partition_iid_rejects_too_many_clients():
-    ds = make_blobs(C=2, per_class=5, d_in=2, spread=0.5, seed=4)
+    ds = make_blob_split(2, 5, 0, 2, 0.5, 4)[0]
     with pytest.raises(ConfigError):
         partition_iid(ds, 11, seed=0)
 

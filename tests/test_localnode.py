@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fednoise.bench import load_config, run_experiment
-from fednoise.datagen import ClientShard, Dataset, make_blobs, partition_iid
+from fednoise.datagen import ClientShard, Dataset, make_blob_split, partition_iid
 from fednoise.errors import ConfigError, ContractViolation
 from fednoise.localnode import (
     METHODS,
@@ -29,9 +29,9 @@ from fednoise.localnode import (
 )
 from fednoise.numkit import (
     ModelParams,
+    _softmax_and_log,
     cosine_similarity,
     init_params,
-    log_softmax_rows,
     mlp_backward,
     mlp_forward,
 )
@@ -83,7 +83,7 @@ def test_small_loss_filter_rejects_bad_input():
 
 def test_per_example_ce_hand_case():
     logits = np.array([[0.0, 0.0], [math.log(3.0), 0.0]])
-    ce = per_example_ce(log_softmax_rows(logits), np.array([0, 0]))
+    ce = per_example_ce(_softmax_and_log(logits)[1], np.array([0, 0]))
     assert ce[0] == pytest.approx(math.log(2.0))
     assert ce[1] == pytest.approx(math.log(4.0 / 3.0))
 
@@ -396,7 +396,8 @@ def test_loss_reduces_to_plain_ce_when_all_confident(rng):
     bd, d_logits, d_hidden = total_loss_and_grads(
         rec, y, pseudo, np.ones(len(y), dtype=int), cents, 0.0, 0.0
     )
-    expected = float(per_example_ce(log_softmax_rows(rec.logits), y).mean())
+    logp = _softmax_and_log(rec.hidden @ params.W2 + params.b2)[1]
+    expected = float(per_example_ce(logp, y).mean())
     assert bd.classification == pytest.approx(expected, rel=1e-12)
     assert bd.total == pytest.approx(expected, rel=1e-12)
     assert (d_hidden == 0).all()
@@ -492,7 +493,7 @@ def test_composite_grads_match_finite_differences(rng):
 
 
 def _blob_client(seed=0, n_per_class=30, C=3, noisy=False):
-    ds = make_blobs(C=C, per_class=n_per_class, d_in=5, spread=0.6, seed=seed)
+    ds = make_blob_split(C, n_per_class, 0, 5, 0.6, seed)[0]
     shards = partition_iid(ds, 1, seed=seed)
     if noisy:
         flip = np.arange(0, ds.n, 5)

@@ -7,7 +7,7 @@ from fednoise.errors import ContractViolation
 from fednoise.metrics import (
     CSV_HEADER_TAG,
     MetricsRecord,
-    detection_metrics,
+    detection_counts,
     detection_from_counts,
     read_csv,
     records_to_csv,
@@ -29,15 +29,17 @@ def test_detection_perfect_mask():
     given = np.array([0, 1, 2, 0])
     true = np.array([0, 2, 2, 1])
     mask = (given == true).astype(int)
-    assert detection_metrics(mask, given, true) == (1.0, 1.0)
+    assert detection_from_counts(*detection_counts(mask, given, true)) == (1.0, 1.0)
 
 
 def test_detection_degenerate_denominators():
     y = np.array([0, 1])
-    assert detection_metrics(np.ones(2, dtype=int), y, y.copy()) == (1.0, 1.0)
+    clean = detection_counts(np.ones(2, dtype=int), y, y.copy())
+    assert detection_from_counts(*clean) == (1.0, 1.0)
     # Nothing detected but noise exists: precision vacuously 1, recall 0.
     noisy = np.array([1, 1])
-    assert detection_metrics(np.ones(2, dtype=int), y, noisy) == (1.0, 0.0)
+    missed = detection_counts(np.ones(2, dtype=int), y, noisy)
+    assert detection_from_counts(*missed) == (1.0, 0.0)
 
 
 def test_detection_hand_case():
@@ -45,7 +47,7 @@ def test_detection_hand_case():
     given = np.array([1, 0, 0, 0])
     true = np.array([0, 0, 0, 1])
     # detected {0,1,3}, actual {0,3}, hit {0,3}
-    p, r = detection_metrics(mask, given, true)
+    p, r = detection_from_counts(*detection_counts(mask, given, true))
     assert p == pytest.approx(2 / 3)
     assert r == pytest.approx(1.0)
 
@@ -55,12 +57,13 @@ def test_detection_matches_brute_force(rows):
     mask = np.array([r[0] for r in rows], dtype=int)
     given = np.array([r[1] for r in rows], dtype=int)
     true = np.array([r[2] for r in rows], dtype=int)
-    assert detection_metrics(mask, given, true) == brute_detection(mask, given, true)
+    got = detection_from_counts(*detection_counts(mask, given, true))
+    assert got == brute_detection(mask, given, true)
 
 
 def test_detection_misaligned():
     with pytest.raises(ContractViolation):
-        detection_metrics(np.zeros(2, dtype=int), np.zeros(3, dtype=int), np.zeros(3, dtype=int))
+        detection_counts(np.zeros(2, dtype=int), np.zeros(3, dtype=int), np.zeros(3, dtype=int))
 
 
 def test_detection_from_counts_guards():

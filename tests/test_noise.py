@@ -16,7 +16,7 @@ from fednoise.noise import (
     symmetric_transition,
     transition_for,
 )
-from fednoise.seeds import make_rng
+from fednoise.seeds import STREAM_NOISE, make_rng
 
 
 def test_symmetric_matrix_values():
@@ -73,27 +73,28 @@ def test_transition_for_dispatch():
 
 def test_corrupt_identity_at_zero_eps(rng):
     labels = rng.integers(0, 6, size=400)
-    out = corrupt(labels, symmetric_transition(0.0, 6), 7)
+    out = corrupt(labels, symmetric_transition(0.0, 6), make_rng(7, STREAM_NOISE))
     np.testing.assert_array_equal(out, labels)
 
 
 def test_corrupt_deterministic(rng):
     labels = rng.integers(0, 4, size=300)
     tm = symmetric_transition(0.4, 4)
-    np.testing.assert_array_equal(corrupt(labels, tm, 5), corrupt(labels, tm, 5))
-    assert (corrupt(labels, tm, 5) != corrupt(labels, tm, 6)).any()
+    a, b, c = (corrupt(labels, tm, make_rng(s, STREAM_NOISE)) for s in (5, 5, 6))
+    np.testing.assert_array_equal(a, b)
+    assert (a != c).any()
 
 
 def test_corrupt_rejects_out_of_range():
     with pytest.raises(DataError):
-        corrupt(np.array([0, 5]), symmetric_transition(0.1, 3), 0)
+        corrupt(np.array([0, 5]), symmetric_transition(0.1, 3), make_rng(0, STREAM_NOISE))
 
 
 def test_corrupt_flip_rate_within_3_sigma(rng):
     n = 20000
     labels = rng.integers(0, 10, size=n)
     for eps in (0.2, 0.5):
-        out = corrupt(labels, symmetric_transition(eps, 10), 11)
+        out = corrupt(labels, symmetric_transition(eps, 10), make_rng(11, STREAM_NOISE))
         flips = int((out != labels).sum())
         sigma = np.sqrt(n * eps * (1 - eps))
         assert abs(flips - n * eps) <= 3 * sigma
@@ -101,7 +102,7 @@ def test_corrupt_flip_rate_within_3_sigma(rng):
 
 def test_pair_corrupt_support(rng):
     labels = rng.integers(0, 5, size=5000)
-    out = corrupt(labels, pair_transition(0.3, 5), 3)
+    out = corrupt(labels, pair_transition(0.3, 5), make_rng(3, STREAM_NOISE))
     moved = out != labels
     np.testing.assert_array_equal(out[moved], (labels[moved] + 1) % 5)
 
@@ -115,7 +116,7 @@ def test_client_noise_ratios_values():
 
 def test_single_class_corruption(rng):
     labels = rng.integers(0, 4, size=2000)
-    out, chosen = single_class_corruption(labels, 4, 0.0, 17)
+    out, chosen = single_class_corruption(labels, 4, 0.0, make_rng(17, STREAM_NOISE))
     assert 0 <= chosen < 4
     was_chosen = labels == chosen
     # Every example of the chosen class moved, and to a valid other class.
@@ -127,7 +128,7 @@ def test_single_class_corruption(rng):
 
 def test_single_class_corruption_rest_at_eps(rng):
     labels = rng.integers(0, 4, size=8000)
-    out, chosen = single_class_corruption(labels, 4, 0.3, 23)
+    out, chosen = single_class_corruption(labels, 4, 0.3, make_rng(23, STREAM_NOISE))
     rest = labels != chosen
     n = int(rest.sum())
     flips = int((out[rest] != labels[rest]).sum())
@@ -153,7 +154,8 @@ def test_apply_noise_full_dataset(rng):
     frac = (ds.given_labels != ds.true_labels).mean()
     assert 0.25 < frac < 0.55
     np.testing.assert_array_equal(
-        ds.given_labels, corrupt(ds.true_labels, symmetric_transition(0.4, 4), 5)
+        ds.given_labels,
+        corrupt(ds.true_labels, symmetric_transition(0.4, 4), make_rng(5, STREAM_NOISE)),
     )
 
 
@@ -230,6 +232,8 @@ def test_apply_noise_rejects_negative_seed(rng):
 def test_corrupt_accepts_generator(rng):
     labels = rng.integers(0, 3, size=50)
     tm = symmetric_transition(0.3, 3)
-    a = corrupt(labels, tm, make_rng(4, 3))
-    b = corrupt(labels, tm, 4)
-    np.testing.assert_array_equal(a, b)
+    gen = make_rng(4, STREAM_NOISE)
+    a, b = corrupt(labels, tm, gen), corrupt(labels, tm, gen)
+    # The first call's draws are a fresh generator's; the second's follow them.
+    np.testing.assert_array_equal(a, corrupt(labels, tm, make_rng(4, STREAM_NOISE)))
+    assert (a != b).any()

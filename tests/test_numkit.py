@@ -12,13 +12,12 @@ from fednoise.errors import ContractViolation, TrainingDiverged
 from fednoise.numkit import (
     ModelParams,
     cosine_similarity,
+    _softmax_and_log,
     init_params,
-    log_softmax_rows,
     mlp_backward,
     mlp_features,
     mlp_forward,
     sgd_step,
-    softmax_rows,
 )
 
 
@@ -28,26 +27,27 @@ def tiny_params(rng, d_in=3, d_h=4, C=3) -> ModelParams:
 
 def test_softmax_rows_sum_to_one(rng):
     z = rng.normal(size=(8, 5)) * 10
-    p = softmax_rows(z)
+    p, _ = _softmax_and_log(z)
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
     assert (p >= 0).all()
 
 
 def test_softmax_shift_invariant(rng):
     z = rng.normal(size=(4, 6))
-    np.testing.assert_allclose(softmax_rows(z), softmax_rows(z + 1000.0), atol=1e-12)
+    np.testing.assert_allclose(_softmax_and_log(z)[0], _softmax_and_log(z + 1000.0)[0], atol=1e-12)
 
 
 def test_log_softmax_finite_for_extreme_logits():
     z = np.array([[1e4, 0.0, -1e4], [-1e4, -1e4, -1e4]])
-    lp = log_softmax_rows(z)
+    _, lp = _softmax_and_log(z)
     assert np.isfinite(lp).all()
     np.testing.assert_allclose(np.exp(lp).sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_log_softmax_matches_softmax(rng):
     z = rng.normal(size=(5, 4))
-    np.testing.assert_allclose(np.exp(log_softmax_rows(z)), softmax_rows(z), atol=1e-12)
+    p, lp = _softmax_and_log(z)
+    np.testing.assert_allclose(np.exp(lp), p, atol=1e-12)
 
 
 def test_init_params_shapes_and_zero_biases(rng):
@@ -77,8 +77,10 @@ def test_params_are_views_of_one_vector(rng):
     assert p.W1[0, 0] == 42.0
     p.b2[-1] = -7.0
     assert p.theta[-1] == -7.0
-    p.W2 = 0.5  # assignment copies into theta
+    p.W2[...] = 0.5
     assert p.W2.base is p.theta and (p.W2 == 0.5).all()
+    with pytest.raises(AttributeError):
+        p.W2 = 0.5  # a block cannot be detached from theta
     # sgd_step writes the same two buffers it was given and allocates no
     # new parameter or velocity buffer.
     theta, velocity = p.theta, np.zeros_like(p.theta)
@@ -104,7 +106,7 @@ def test_forward_hand_computed():
     h1 = math.tanh(-2.0 + 0.5)
     np.testing.assert_allclose(rec.hidden, [[h0, h1]], atol=1e-15)
     z0, z1 = 2 * h0, 2 * h1 + 1
-    np.testing.assert_allclose(rec.logits, [[z0, z1]], atol=1e-15)
+    np.testing.assert_allclose(rec.hidden @ p.W2 + p.b2, [[z0, z1]], atol=1e-15)
     e = np.exp([z0, z1] - np.max([z0, z1]))
     np.testing.assert_allclose(rec.probs, (e / e.sum())[None, :], atol=1e-15)
 
@@ -124,8 +126,9 @@ def test_forward_record_fields_are_the_standalone_bits(rng):
     p = tiny_params(rng, 4, 5, 3)
     X = rng.normal(size=(7, 4)) * 10.0
     rec = mlp_forward(p, X)
-    np.testing.assert_array_equal(rec.logp, log_softmax_rows(rec.logits))
-    np.testing.assert_array_equal(rec.probs, softmax_rows(rec.logits))
+    probs, logp = _softmax_and_log(rec.hidden @ p.W2 + p.b2)
+    np.testing.assert_array_equal(rec.logp, logp)
+    np.testing.assert_array_equal(rec.probs, probs)
     np.testing.assert_array_equal(mlp_features(p, X), rec.hidden)
 
 
@@ -138,8 +141,7 @@ def test_backward_matches_finite_differences_on_ce(rng):
 
     def loss(q: ModelParams) -> float:
         r = mlp_forward(q, X)
-        lp = log_softmax_rows(r.logits)
-        return float(-lp[np.arange(B), y].mean())
+        return float(-r.logp[np.arange(B), y].mean())
 
     rec = mlp_forward(p, X)
     onehot = np.zeros((B, C))
@@ -208,8 +210,8 @@ def test_sgd_step_hand_computed():
 
 def test_sgd_weight_decay_skips_biases():
     p = ModelParams.zeros(2, 2, 2)
-    p.W1 += 1.0
-    p.b1 += 1.0
+    p.W1[...] += 1.0
+    p.b1[...] += 1.0
     g = np.zeros_like(p.theta)
     sgd_step(p, g, np.zeros_like(g), lr=0.1, momentum=0.0, weight_decay=0.5)
     np.testing.assert_allclose(p.W1, 1.0 - 0.1 * 0.5)
@@ -261,7 +263,7 @@ def test_copy_is_independent(rng):
     p = tiny_params(rng)
     q = p.copy()
     np.testing.assert_array_equal(q.theta, p.theta)
-    q.W1 += 1.0
+    q.W1[...] += 1.0
     assert not np.allclose(q.W1, p.W1)
     np.testing.assert_array_equal(q.theta[: q.W1.size], q.W1.ravel())
 
