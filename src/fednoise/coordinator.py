@@ -280,8 +280,11 @@ class _ClientProcesses:
     per run_training call, after the data exists, so they inherit all of
     it. Weights pass through memory shared with them: `broadcast` holds
     the round's global weights, and `slots[p]` the weights and momentum
-    buffer of the client at position p, written by the worker that
-    finished it or ran its first part. Pipes carry the rest: client ids,
+    buffer of the client at position p. A cut client's first part leaves
+    its weights and momentum there, and its rest trains there in place;
+    a worker copies a whole client's final weights there. So each result
+    of another process, and of a rest run here, holds a view of its slot
+    as weights, not a copy. Pipes carry the rest: client ids,
     the plan, centroids, statistics, and the rest of a cut client's
     progress, on one one-way pipe per pair of neighbouring ranks.
     Closing the pipes ends the workers.
@@ -414,15 +417,16 @@ class _ClientProcesses:
 
     def _take_over(self, pos: int) -> LocalProgress | None:
         """The progress of the client at position pos that the rank above
-        hands to this one, or None."""
+        hands to this one, or None. Its weights and momentum buffer are
+        the client's slot itself, not a copy: the rest trains there, and
+        its result's weights stay there."""
         try:
             progress = self.takes[self.rank].recv()
         except (EOFError, OSError):
             return None  # the rank above exited, which the coordinator reports
         if progress is not None:
-            theta, velocity = self.slots[pos]
-            progress.params = ModelParams(theta.copy(), *self.dims)
-            progress.velocity = velocity.copy()
+            theta, progress.velocity = self.slots[pos]
+            progress.params = ModelParams(theta, *self.dims)
         return progress
 
     def _serve(self, rank: int, conn, inherited) -> None:
@@ -439,7 +443,8 @@ class _ClientProcesses:
                 ids, pieces, centroids, t, r_t = conn.recv()
                 done, failure = self._run_share(ids, pieces, self.broadcast, centroids, t, r_t)
                 for pos, res in done:
-                    self.slots[pos, 0] = res.params.theta
+                    if not np.shares_memory(res.params.theta, self.slots[pos, 0]):
+                        self.slots[pos, 0] = res.params.theta  # not a rest trained there
                     res.params = None
                 if failure is not None:
                     failure = _portable(*failure)

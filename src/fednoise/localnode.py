@@ -361,9 +361,13 @@ class LocalJob:
     start() loads the broadcast state, advance() takes SGD steps, and
     finish() makes the upload once all `steps` are taken.
 
-    The job holds only what is fixed for the whole update (the shard's
-    rows and the method's switches), so a job built again from the same
-    arguments in another process resumes the same LocalProgress.
+    The job holds only what is fixed for the whole update: the shard's
+    row indices into dataset.X (not a copy of its rows), its labels and
+    the method's switches. Each batch, and each pass over the whole shard
+    (the round-1 centroid seed and the pseudo-labels), gathers its rows
+    from dataset.X when it runs, so the rows are held once per process,
+    by the dataset. A job built again from the same arguments in another
+    process resumes the same LocalProgress.
     """
 
     def __init__(
@@ -379,7 +383,7 @@ class LocalJob:
             raise ConfigError(f"unknown method {method!r}")
         if len(shard.indices) == 0:
             raise ContractViolation(f"local_update: client {shard.client_id} shard is empty")
-        self.X = dataset.X[shard.indices]
+        self.X, self.rows = dataset.X, shard.indices
         self.y = dataset.given_labels[shard.indices]
         self.y_true = dataset.true_labels[shard.indices]
         self.C = dataset.C
@@ -399,7 +403,7 @@ class LocalJob:
         self, global_params: ModelParams, global_centroids: CentroidSet, rng: np.random.Generator
     ) -> LocalProgress:
         """The progress before the first step; writes nothing it is given."""
-        X, y = self.X, self.y
+        y = self.y
         params = global_params.copy()
         if not self.exchange:
             mask = np.ones(len(y), dtype=np.int64)
@@ -408,12 +412,12 @@ class LocalJob:
             # Latest per-example mask; a zero-epoch round flags every example.
             mask = np.zeros(len(y), dtype=np.int64)
             if self.round_t <= 1 or self.local_only or not global_centroids.presence.any():
-                running = class_mean_features(mlp_features(params, X), y, self.C)
+                running = class_mean_features(mlp_features(params, self.X[self.rows]), y, self.C)
             else:
                 running = global_centroids.copy()
         pseudo = None
         if self.pseudo_phase and not self.naive:
-            pseudo = global_pseudo_labels(global_params, X)
+            pseudo = global_pseudo_labels(global_params, self.X[self.rows])
         return LocalProgress(params, np.zeros_like(params.theta), running, mask, pseudo, rng)
 
     def advance(self, p: LocalProgress, n: int) -> None:
@@ -422,17 +426,17 @@ class LocalJob:
             raise ContractViolation(
                 f"LocalJob.advance: {n} steps after {p.n_batches} of {self.steps}"
             )
-        X, y, hp = self.X, self.y, self.hp
+        y, hp = self.y, self.hp
         for _ in range(n):
             at = p.n_batches % self.batches * hp.batch_size
             if at == 0:
                 if self.pseudo_phase and self.naive:
                     # Self-training variant: pseudo-labels from the current
                     # local model, refreshed every epoch.
-                    p.pseudo = global_pseudo_labels(p.params, X)
+                    p.pseudo = global_pseudo_labels(p.params, self.X[self.rows])
                 p.perm = p.rng.permutation(len(y))
             idx = p.perm[at : at + hp.batch_size]
-            Xb, yb = X[idx], y[idx]
+            Xb, yb = self.X[self.rows[idx]], y[idx]
             rec = mlp_forward(p.params, Xb)
             if self.exchange:
                 sel = small_loss_filter(per_example_ce(rec.logp, yb), self.r_t)

@@ -9,6 +9,7 @@ repr-based float formatting, LF line endings, no timestamps.
 from __future__ import annotations
 
 import io
+import itertools
 from dataclasses import dataclass, fields
 from typing import get_type_hints
 
@@ -79,16 +80,16 @@ def weight_divergence(client_flats: list[np.ndarray]) -> float:
     Mean pairwise euclidean distance divided by the mean vector norm, so
     the value is invariant to a global rescaling of the weights. All-zero
     inputs return 0.0.
+
+    Reads the vectors where they lie, with no stacked copy. A distance is
+    the 1-D norm of a difference (a BLAS dot) and a norm a row norm (a
+    pairwise sum): the bits of the same norms over np.stack(client_flats).
     """
     if len(client_flats) < 2:
         raise ContractViolation("weight_divergence: needs at least two clients")
-    stacked = np.stack(client_flats)
-    n = stacked.shape[0]
-    dists = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            dists.append(float(np.linalg.norm(stacked[i] - stacked[j])))
-    mean_norm = float(np.linalg.norm(stacked, axis=1).mean())
+    dists = [float(np.linalg.norm(a - b)) for a, b in itertools.combinations(client_flats, 2)]
+    norms = [np.linalg.norm(v[None], axis=1)[0] for v in client_flats]
+    mean_norm = float(np.mean(norms))
     if mean_norm < 1e-12:
         return 0.0
     return float(np.mean(dists)) / mean_norm

@@ -127,13 +127,17 @@ def _check_input(params: ModelParams, X: np.ndarray, who: str) -> None:
 def mlp_features(params: ModelParams, X: np.ndarray) -> np.ndarray:
     """Hidden features alone: tanh(X W1 + b1), as mlp_forward computes them."""
     _check_input(params, X, "mlp_features")
-    return np.tanh(X @ params.W1 + params.b1)
+    hidden = X @ params.W1
+    hidden += params.b1
+    return np.tanh(hidden, out=hidden)
 
 
 def mlp_forward(params: ModelParams, X: np.ndarray) -> ForwardRecord:
     """Forward pass: hidden = tanh(X W1 + b1), probs = softmax(hidden W2 + b2)."""
     _check_input(params, X, "mlp_forward")
-    hidden = np.tanh(X @ params.W1 + params.b1)
+    hidden = X @ params.W1  # bias and tanh in place: the same bits, no temporaries
+    hidden += params.b1
+    np.tanh(hidden, out=hidden)
     probs, logp = _softmax_and_log(hidden @ params.W2 + params.b2)
     return ForwardRecord(hidden=hidden, probs=probs, logp=logp)
 

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import itertools
 import math
@@ -581,6 +582,31 @@ def test_run_training_first_part_error_names_round_and_client(monkeypatch):
     assert isinstance(exc.value.__cause__, coordinator.WorkerTraceback)
     # The rest of the client never ran in the coordinator.
     assert os.getpid() not in resumed
+
+
+def test_cut_client_finishes_in_its_slot():
+    # Two processes cut one client of round 1; the coordinator takes over
+    # its rest. The rest trains in the client's slot of the shared table,
+    # so its result's weights are that slot, and they are the weights of
+    # a run that never cut it.
+    train, _, shards, fed, hp = _tiny_setup()
+    fed.clients_per_round = 5
+    chosen = select_clients(fed.num_clients, fed.clients_per_round, make_rng(0, STREAM_SELECT, 1))
+    steps = [hp.local_steps(len(shards[c].indices)) for c in chosen]
+    plan = plan_round(steps, 2)
+    rest = plan[0][-1]
+    assert rest.start > 0 and plan[1][0].pos == rest.pos
+    params = init_params(train.d_in, hp.hidden_dim, train.C, make_rng(0, STREAM_INIT))
+    state = coordinator.RoundState(1, params, CentroidSet.empty(train.C, hp.hidden_dim))
+    results = []
+    for processes, pieces in ((2, plan), (1, plan_round(steps, 1))):
+        args = (processes, fed.clients_per_round, params, train, shards, hp, 0, "proposed")
+        with contextlib.closing(coordinator._ClientProcesses(*args)) as clients:
+            results.append(clients.run(state, 1.0, chosen, pieces))
+            if processes == 2:
+                assert np.shares_memory(results[0][rest.pos].params.theta, clients.slots)
+                slot = results[0][rest.pos].params.theta.copy()
+    np.testing.assert_array_equal(slot, results[1][rest.pos].params.theta)
 
 
 class _TwoArgumentError(Exception):

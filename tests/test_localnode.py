@@ -1,6 +1,7 @@
 import math
 import os
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -578,6 +579,23 @@ def test_local_job_takes_exactly_its_steps():
         job.advance(progress, -1)
     job.advance(progress, 7)
     job.finish(progress)
+
+
+def test_local_job_holds_no_copy_of_its_rows():
+    # A job keeps its shard's row indices and gathers each batch from the
+    # training set, so building one on 500 rows of 784 features (3.1 MB)
+    # allocates only its labels.
+    rng = np.random.default_rng(0)
+    ds = Dataset(X=rng.random((1000, 784)), true_labels=rng.integers(0, 10, 1000),
+                 given_labels=rng.integers(0, 10, 1000), C=10)
+    shard = ClientShard(client_id=0, indices=np.arange(0, 1000, 2, dtype=np.int64))
+    tracemalloc.start()
+    try:
+        LocalJob(ds, shard, 1, 1.0, _hp(), "proposed")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, f"building the job allocated {peak} bytes"
 
 
 def test_local_update_deterministic():

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fednoise.errors import ContractViolation
 from fednoise.metrics import (
@@ -104,6 +107,62 @@ def test_weight_divergence_needs_two():
 
 def test_weight_divergence_all_zero():
     assert weight_divergence([np.zeros(3), np.zeros(3)]) == 0.0
+
+
+def stacked_weight_divergence(client_flats):
+    """The reference: the same norms, over the rows of one stacked copy."""
+    stacked = np.stack(client_flats)
+    n = stacked.shape[0]
+    dists = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            dists.append(float(np.linalg.norm(stacked[i] - stacked[j])))
+    mean_norm = float(np.linalg.norm(stacked, axis=1).mean())
+    if mean_norm < 1e-12:
+        return 0.0
+    return float(np.mean(dists)) / mean_norm
+
+
+_entries = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.floats(1e149, 1e151),  # squares near 1e300: sums may overflow
+    st.floats(-1e151, -1e149),
+    st.just(0.0),
+)
+
+
+@given(
+    st.integers(2, 6).flatmap(
+        lambda k: st.tuples(
+            st.integers(1, 300).flatmap(lambda d: arrays(np.float64, (k, d), elements=_entries)),
+            st.lists(st.booleans(), min_size=k, max_size=k),
+        )
+    )
+)
+def test_weight_divergence_bits_match_the_stacked_formula(case):
+    # Up to 300 entries, so the row sums take numpy's pairwise blocks; the
+    # flags zero whole vectors. NaN results compare by their bits too.
+    X, zeroed = case
+    X[np.array(zeroed)] = 0.0
+    want = np.float64(stacked_weight_divergence(list(X))).tobytes()
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Rows of one table, as slot weights are, and separate vectors.
+        for flats in (list(X), [row.copy() for row in X]):
+            assert np.float64(weight_divergence(flats)).tobytes() == want
+
+
+def test_weight_divergence_allocates_no_stacked_copy():
+    # Five 784-d clients' weights: reading them in place needs one
+    # temporary vector at a time, not a 5 x 50,890 stack (2 MB).
+    rng = np.random.default_rng(0)
+    flats = [rng.normal(size=50_890) for _ in range(5)]
+    tracemalloc.start()
+    try:
+        weight_divergence(flats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * flats[0].nbytes, f"peak {peak} bytes"
 
 
 def _records(n=3):
