@@ -12,7 +12,9 @@ each run trains in, which they must not depend on; then one
 With --check, the digests are also compared with the reference ones
 below, which hold for numpy 2.4.6 with scipy-openblas 0.3.31: the script
 exits 1 and names each run whose digest differs, or exits 2 at once on
-other versions, where the references do not apply.
+other versions, where the references do not apply. If the reader of
+standard output goes away (as in `| head -1`), it prints nothing more
+but still runs and checks every run, and exits with the same status.
 
 Usage, from the root of a checkout (about 15 s on one CPU):
 
@@ -46,6 +48,15 @@ REFERENCE_DIGESTS = {
 }
 
 
+def say(line: str) -> None:
+    """Print one line, or nothing once standard output's reader is gone."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        # Later lines, and the flush at exit, go to the null device instead.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main() -> int:
     check = "--check" in sys.argv[1:]
     pkg = perfbench.import_fednoise()
@@ -53,7 +64,7 @@ def main() -> int:
     # A BLAS version may carry a build suffix, as in scipy-openblas 0.3.31.188.0.
     known = env["numpy"] == REFERENCE_NUMPY and f"{env['blas']}.".startswith(f"{REFERENCE_BLAS}.")
     if check and not known:
-        print(
+        say(
             f"no reference digests for numpy {env['numpy']}, BLAS {env['blas']}: "
             f"they hold for numpy {REFERENCE_NUMPY}, BLAS {REFERENCE_BLAS}"
         )
@@ -68,7 +79,7 @@ def main() -> int:
     ]
     # As run_training chooses: one per usable CPU, at most one per client of a round.
     processes = sorted({min(pkg.coordinator._usable_cpus(), cfg.fed.clients_per_round) for _, cfg in runs})
-    print(f"numpy {env['numpy']}, BLAS {env['blas']}, processes {'/'.join(map(str, processes))}")
+    say(f"numpy {env['numpy']}, BLAS {env['blas']}, processes {'/'.join(map(str, processes))}")
     differ = []
     with tempfile.TemporaryDirectory() as tmp:
         for label, cfg in runs:
@@ -76,13 +87,13 @@ def main() -> int:
             pkg.bench.run_experiment(cfg)
             with open(cfg.output, "rb") as fh:
                 digest = hashlib.sha256(fh.read()).hexdigest()
-            print(f"{digest}  {label}", flush=True)
+            say(f"{digest}  {label}")
             if digest != REFERENCE_DIGESTS[label]:
                 differ.append(label)
     if check:
         for label in differ:
-            print(f"differs from the reference: {label}")
-        print("check failed" if differ else "check passed: all six digests match the reference")
+            say(f"differs from the reference: {label}")
+        say("check failed" if differ else "check passed: all six digests match the reference")
         return 1 if differ else 0
     return 0
 

@@ -230,8 +230,13 @@ def build_datasets(spec: DatasetSpec) -> tuple[Dataset, Dataset]:
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[ModelParams, list[MetricsRecord]]:
-    """Wire data generation, corruption, and training; write the CSV if asked."""
+    """Wire data generation, corruption, and training; write the CSV if
+    asked. An output that is a directory, or in none, fails before set-up."""
     rcfg = resolve_config(cfg)
+    if rcfg.output and os.path.isdir(rcfg.output):
+        raise ConfigError(f"output: {rcfg.output!r} is a directory")
+    if rcfg.output and not os.path.isdir(os.path.dirname(rcfg.output) or "."):
+        raise ConfigError(f"output: the directory of {rcfg.output!r} does not exist")
     train, test = build_datasets(rcfg.dataset)
     shards = partition_iid(train, rcfg.fed.num_clients, rcfg.seed)
     apply_noise(train, shards, rcfg.noise)

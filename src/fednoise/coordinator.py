@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .datagen import ClientShard, Dataset
+from .datagen import Dataset
 from .errors import ConfigError, ContractViolation, TrainingDiverged, WorkerExited
 from .localnode import (
     CentroidSet,
@@ -165,7 +165,7 @@ def evaluate_accuracy(params: ModelParams, dataset: Dataset) -> float:
 def run_training(
     train: Dataset,
     test: Dataset,
-    shards: list[ClientShard],
+    shards: list[np.ndarray],
     fed: FederationConfig,
     hp: HyperParams,
     seed: int,
@@ -196,7 +196,7 @@ def run_training(
             chosen = select_clients(
                 fed.num_clients, fed.clients_per_round, make_rng(seed, STREAM_SELECT, t)
             )
-            sizes = [len(shards[cid].indices) for cid in chosen]
+            sizes = [len(shards[cid]) for cid in chosen]
             plan = plan_round([hp.local_steps(n_k) for n_k in sizes], processes)
             results = clients.run(state, r_t, chosen, plan)
 
@@ -371,20 +371,20 @@ class _ClientProcesses:
                     self._take_over(pos)  # so the next process never waits on a full pipe
                 continue
             cid = ids[pos]
-            shard = self.shards[cid]
-            whole = stop - start == self.hp.local_steps(len(shard.indices))
+            rows = self.shards[cid]
+            whole = stop - start == self.hp.local_steps(len(rows))
             first_part = start == 0 and not whole
             rng = make_rng(self.seed, STREAM_LOCAL, t, cid) if start == 0 else None
             try:
                 if whole:
-                    args = (self.train, shard, params, centroids, t, r_t, self.hp, rng)
+                    args = (self.train, rows, params, centroids, t, r_t, self.hp, rng)
                     done.append((pos, local_update(*args, method=self.method)))
                     continue
                 if not first_part:
                     progress = self._take_over(pos)
                     if progress is None:
                         continue
-                job = LocalJob(self.train, shard, t, r_t, self.hp, self.method)
+                job = LocalJob(self.train, rows, t, r_t, self.hp, self.method)
                 if first_part:
                     progress = job.start(params, centroids, rng)
                 job.advance(progress, stop - start)

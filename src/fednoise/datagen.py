@@ -41,14 +41,6 @@ class Dataset:
         return self.X.shape[1]
 
 
-@dataclass
-class ClientShard:
-    """One client's slice of the training set."""
-
-    client_id: int
-    indices: np.ndarray  # into the parent Dataset
-
-
 def make_blob_split(
     C: int,
     train_per_class: int,
@@ -96,8 +88,10 @@ def make_blob_split(
     return train, test
 
 
-def partition_iid(dataset: Dataset, num_clients: int, seed: int) -> list[ClientShard]:
-    """Random near-equal split: shard sizes differ by at most one."""
+def partition_iid(dataset: Dataset, num_clients: int, seed: int) -> list[np.ndarray]:
+    """Random near-equal split into shards, one per client: sorted int64
+    arrays of row indices into dataset, whose sizes differ by at most
+    one. A client is its position in the list: shard k is client k's."""
     if num_clients < 1:
         raise ConfigError("partition_iid: need at least one client")
     if num_clients > dataset.n:
@@ -107,10 +101,7 @@ def partition_iid(dataset: Dataset, num_clients: int, seed: int) -> list[ClientS
     rng = make_rng(seed, STREAM_PARTITION)
     perm = rng.permutation(dataset.n)
     parts = np.array_split(perm, num_clients)
-    return [
-        ClientShard(client_id=k, indices=np.sort(part).astype(np.int64))
-        for k, part in enumerate(parts)
-    ]
+    return [np.sort(part).astype(np.int64) for part in parts]
 
 
 def _read_be32(data: bytes, offset: int, path: str, what: str) -> int:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .datagen import ClientShard, Dataset
+from .datagen import Dataset
 from .errors import ConfigError, ContractViolation, TrainingDiverged
 from .metrics import detection_counts
 from .numkit import (
@@ -300,7 +300,7 @@ def total_loss_and_grads(
 
 def local_update(
     dataset: Dataset,
-    shard: ClientShard,
+    rows: np.ndarray,
     global_params: ModelParams,
     global_centroids: CentroidSet,
     round_t: int,
@@ -309,7 +309,8 @@ def local_update(
     rng: np.random.Generator,
     method: str = METHOD_PROPOSED,
 ) -> LocalUpdateResult:
-    """Run one client's full local round and return its upload.
+    """Run one client's full local round on its shard, the row indices
+    rows into dataset, and return its upload.
 
     Loads the broadcast weights with zero momentum, seeds running
     centroids from the global set (or from the shard's own class means at
@@ -328,7 +329,7 @@ def local_update(
     The same as LocalJob's start, advance by every step, finish.
     Raises TrainingDiverged if the weights it would return are not finite.
     """
-    job = LocalJob(dataset, shard, round_t, r_t, hp, method)
+    job = LocalJob(dataset, rows, round_t, r_t, hp, method)
     progress = job.start(global_params, global_centroids, rng)
     job.advance(progress, job.steps)
     return job.finish(progress)
@@ -361,19 +362,20 @@ class LocalJob:
     start() loads the broadcast state, advance() takes SGD steps, and
     finish() makes the upload once all `steps` are taken.
 
-    The job holds only what is fixed for the whole update: the shard's
-    row indices into dataset.X (not a copy of its rows), its labels and
-    the method's switches. Each batch, and each pass over the whole shard
-    (the round-1 centroid seed and the pseudo-labels), gathers its rows
-    from dataset.X when it runs, so the rows are held once per process,
-    by the dataset. A job built again from the same arguments in another
-    process resumes the same LocalProgress.
+    The job holds only what is fixed for the whole update: the client's
+    shard, an array of row indices into dataset.X (not a copy of its
+    rows), its labels and the method's switches. Each batch, and each
+    pass over the whole shard (the round-1 centroid seed and the
+    pseudo-labels), gathers its rows from dataset.X when it runs, so the
+    rows are held once per process, by the dataset. A job built again
+    from the same arguments in another process resumes the same
+    LocalProgress.
     """
 
     def __init__(
         self,
         dataset: Dataset,
-        shard: ClientShard,
+        rows: np.ndarray,
         round_t: int,
         r_t: float,
         hp: HyperParams,
@@ -381,11 +383,11 @@ class LocalJob:
     ):
         if method not in METHODS:
             raise ConfigError(f"unknown method {method!r}")
-        if len(shard.indices) == 0:
-            raise ContractViolation(f"local_update: client {shard.client_id} shard is empty")
-        self.X, self.rows = dataset.X, shard.indices
-        self.y = dataset.given_labels[shard.indices]
-        self.y_true = dataset.true_labels[shard.indices]
+        if len(rows) == 0:
+            raise ContractViolation("local_update: the shard is empty")
+        self.X, self.rows = dataset.X, rows
+        self.y = dataset.given_labels[rows]
+        self.y_true = dataset.true_labels[rows]
         self.C = dataset.C
         self.round_t, self.r_t, self.hp = round_t, r_t, hp
         self.exchange = method != METHOD_CE_BASELINE

@@ -17,13 +17,13 @@ from .errors import ConfigError, ContractViolation, DataError
 from .seeds import STREAM_NOISE, make_rng
 
 if TYPE_CHECKING:
-    from .datagen import ClientShard, Dataset
+    from .datagen import Dataset
 
 ROW_SUM_TOL = 1e-12
 
 NOISE_KINDS = ("symmetric", "pair")
 
-# Under noise.client_variance, clients fall by id into this many equal
+# Under noise.client_variance, clients fall by position into this many equal
 # groups, each with its own noise ratio (client_noise_ratios).
 CLIENT_VARIANCE_GROUPS = 5
 
@@ -165,32 +165,31 @@ def single_class_corruption(
     return out, chosen
 
 
-def apply_noise(dataset: "Dataset", shards: list["ClientShard"], spec: NoiseSpec) -> None:
+def apply_noise(dataset: "Dataset", shards: list[np.ndarray], spec: NoiseSpec) -> None:
     """Corrupt dataset.given_labels in place according to the noise spec.
 
+    shards are the clients' row-index arrays, client k's at position k.
     The standard mode corrupts the whole training set with one transition
     matrix (before looking at the partition). The two ablation modes work
-    shard by shard, each shard with its own sub-stream derived from
-    (noise seed, client id) so parallel setup stays reproducible.
+    shard by shard, client k's with its own sub-stream derived from
+    (noise seed, k) so parallel setup stays reproducible.
     """
     spec.validate()
     if spec.per_class_mode:
-        for shard in shards:
-            rng = make_rng(spec.seed, STREAM_NOISE, shard.client_id)
+        for k, rows in enumerate(shards):
+            rng = make_rng(spec.seed, STREAM_NOISE, k)
             corrupted, _ = single_class_corruption(
-                dataset.true_labels[shard.indices], dataset.C, spec.epsilon, rng
+                dataset.true_labels[rows], dataset.C, spec.epsilon, rng
             )
-            dataset.given_labels[shard.indices] = corrupted
+            dataset.given_labels[rows] = corrupted
         return
     if spec.client_variance > 0:
         ratios = client_noise_ratios(spec.epsilon, spec.client_variance)
-        for shard in shards:
-            group = shard.client_id * CLIENT_VARIANCE_GROUPS // len(shards)
+        for k, rows in enumerate(shards):
+            group = k * CLIENT_VARIANCE_GROUPS // len(shards)
             tm = transition_for(spec.kind, float(ratios[group]), dataset.C)
-            rng = make_rng(spec.seed, STREAM_NOISE, shard.client_id)
-            dataset.given_labels[shard.indices] = corrupt(
-                dataset.true_labels[shard.indices], tm, rng
-            )
+            rng = make_rng(spec.seed, STREAM_NOISE, k)
+            dataset.given_labels[rows] = corrupt(dataset.true_labels[rows], tm, rng)
         return
     if spec.epsilon > 0:
         tm = transition_for(spec.kind, spec.epsilon, dataset.C)

@@ -213,13 +213,13 @@ def reference_fedavg_ce(cfg: ExperimentConfig) -> np.ndarray:
         chosen = np.sort(
             sel_rng.choice(rcfg.fed.num_clients, size=rcfg.fed.clients_per_round, replace=False)
         )
-        sizes = [len(shards[c].indices) for c in chosen]
+        sizes = [len(shards[c]) for c in chosen]
         total = float(sum(sizes))
         acc = [np.zeros_like(W1), np.zeros_like(b1), np.zeros_like(W2), np.zeros_like(b2)]
         for cid, n_k in zip(chosen, sizes):
             rng_k = make_rng(rcfg.seed, STREAM_LOCAL, t, int(cid))
-            X = train.X[shards[cid].indices]
-            y = train.given_labels[shards[cid].indices]
+            X = train.X[shards[cid]]
+            y = train.given_labels[shards[cid]]
             w1, c1, w2, c2 = W1.copy(), b1.copy(), W2.copy(), b2.copy()
             v = [np.zeros_like(w1), np.zeros_like(c1), np.zeros_like(w2), np.zeros_like(c2)]
             for _epoch in range(hp.local_epochs):
@@ -309,9 +309,31 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
 
 def test_cli_runtime_error_exit_code(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
-    # Unwritable output path: the run itself fails, not the config.
-    code = main(["run", "--config", cfg, "--output", str(tmp_path / "no/such/dir/o.csv")])
+    # Missing IDX files: the run itself fails, not the config.
+    files = [f"dataset.{key}={tmp_path / key}" for key in ("images", "labels", "test_images", "test_labels")]
+    overrides = [a for ov in ["dataset.kind=idx"] + files for a in ("--override", ov)]
+    code = main(["run", "--config", cfg] + overrides)
     assert code == 2
+    assert "fednoise: error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "output, error",
+    [("no/such/dir/o.csv", "does not exist"), ("", "is a directory")],
+    ids=["missing_directory", "directory"],
+)
+def test_cli_run_checks_output_before_set_up(tmp_path, capsys, monkeypatch, output, error):
+    # A CSV path that cannot be written is a config error before any data
+    # is built or any round is trained.
+    def reached(*args, **kwargs):
+        raise AssertionError("the run went past its config check")
+
+    monkeypatch.setattr("fednoise.bench.build_datasets", reached)
+    monkeypatch.setattr("fednoise.bench.run_training", reached)
+    code = main(["run", "--config", _write_cfg(tmp_path), "--output", str(tmp_path / output)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "fednoise: config error: output:" in err and error in err
 
 
 def test_cli_validate_config(tmp_path, capsys):
@@ -567,6 +589,49 @@ def test_csv_digests_match_the_reference():
         pytest.skip(proc.stdout.strip())
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "check passed" in proc.stdout
+
+
+# Runs scripts/csv_digests.py --check with run_experiment replaced by a
+# stub that writes one fixed CSV and counts its calls, and with reference
+# versions and digests that make the check pass, fail or not apply.
+_DIGESTS_STUB = """
+import hashlib, sys
+sys.path.insert(0, sys.argv.pop(1))
+case = sys.argv.pop(1)
+import csv_digests
+pkg = csv_digests.perfbench.import_fednoise()
+runs = []
+def stub(cfg):
+    runs.append(cfg)
+    with open(cfg.output, "w") as fh:
+        fh.write("stub")
+pkg.bench.run_experiment = stub
+env = csv_digests.perfbench.environment()
+csv_digests.REFERENCE_NUMPY = "0" if case == "unknown" else env["numpy"]
+csv_digests.REFERENCE_BLAS = env["blas"]
+digest = "0" if case == "differ" else hashlib.sha256(b"stub").hexdigest()
+csv_digests.REFERENCE_DIGESTS = dict.fromkeys(csv_digests.REFERENCE_DIGESTS, digest)
+code = csv_digests.main()
+print(f"runs {len(runs)}", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("case, code, runs", [("pass", 0, 6), ("differ", 1, 6), ("unknown", 2, 0)])
+def test_csv_digests_without_a_reader_still_checks_every_run(case, code, runs):
+    # Standard output is a pipe with no reader, as under `| head -1` once
+    # head has exited: the script prints nothing more, raises nothing, and
+    # still runs every run and exits with the check's status.
+    take, give = os.pipe()
+    os.close(take)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", _DIGESTS_STUB, os.path.join(REPO_ROOT, "scripts"), case, "--check"],
+            stdout=give, stderr=subprocess.PIPE, text=True, cwd=REPO_ROOT,
+        )
+    finally:
+        os.close(give)
+    assert (proc.returncode, proc.stderr) == (code, f"runs {runs}\n")
 
 
 def test_benchmark_tracer_self_checks_pass():

@@ -375,7 +375,7 @@ def test_run_training_learns_clean_blobs():
 
 def test_run_training_client_failure_context():
     train, test, shards, fed, hp = _tiny_setup()
-    shards[2].indices = np.array([], dtype=np.int64)
+    shards[2] = np.array([], dtype=np.int64)
     with pytest.raises(ContractViolation, match=r"round 1.*client 2"):
         # Selecting all clients guarantees the broken one participates.
         fed2 = FederationConfig(num_clients=6, clients_per_round=6, rounds=2)
@@ -540,13 +540,13 @@ def test_run_training_client_error_names_round_and_client(monkeypatch, processes
     _processes(monkeypatch, processes)
     train, test, shards, _, hp = _tiny_setup()
     for cid in broken:
-        shards[cid].indices = np.array([], dtype=np.int64)
+        shards[cid] = np.array([], dtype=np.int64)
     fed = FederationConfig(num_clients=6, clients_per_round=6, rounds=2)
     with pytest.raises(ContractViolation, match=rf"round 1, client {named}: ") as exc:
         run_training(train, test, shards, fed, hp, seed=0)
     # The original error, or a worker's traceback of it, stays attached.
     cause = exc.value.__cause__
-    steps = [hp.local_steps(len(shard.indices)) for shard in shards]
+    steps = [hp.local_steps(len(shard)) for shard in shards]
     if _process_of(plan_round(steps, processes), named):  # the client ran in a worker
         assert isinstance(cause, coordinator.WorkerTraceback)
         assert "in local_update" in str(cause)
@@ -562,10 +562,10 @@ def test_run_training_first_part_error_names_round_and_client(monkeypatch):
     train, test, shards, fed, hp = _tiny_setup()
     fed.clients_per_round = 5
     chosen = select_clients(fed.num_clients, fed.clients_per_round, make_rng(0, STREAM_SELECT, 1))
-    plan = plan_round([hp.local_steps(len(shards[c].indices)) for c in chosen], 2)
+    plan = plan_round([hp.local_steps(len(shards[c])) for c in chosen], 2)
     cut = chosen[plan[1][0].pos]
     assert plan[1][0].start == 0 and plan[0][-1].pos == plan[1][0].pos
-    train.X[shards[cut].indices] = np.nan
+    train.X[shards[cut]] = np.nan
     resumed = []
     advance = localnode.LocalJob.advance
 
@@ -592,7 +592,7 @@ def test_cut_client_finishes_in_its_slot():
     train, _, shards, fed, hp = _tiny_setup()
     fed.clients_per_round = 5
     chosen = select_clients(fed.num_clients, fed.clients_per_round, make_rng(0, STREAM_SELECT, 1))
-    steps = [hp.local_steps(len(shards[c].indices)) for c in chosen]
+    steps = [hp.local_steps(len(shards[c])) for c in chosen]
     plan = plan_round(steps, 2)
     rest = plan[0][-1]
     assert rest.start > 0 and plan[1][0].pos == rest.pos
@@ -638,7 +638,7 @@ def test_worker_client_error_that_cannot_cross_the_pipe(monkeypatch, make_error,
     _processes(monkeypatch, 2)
     train, test, shards, fed, hp = _tiny_setup()
     chosen = select_clients(fed.num_clients, fed.clients_per_round, make_rng(0, STREAM_SELECT, 1))
-    steps = [hp.local_steps(len(shards[c].indices)) for c in chosen]
+    steps = [hp.local_steps(len(shards[c])) for c in chosen]
     whole = [p.pos for p in plan_round(steps, 2)[1] if p.stop - p.start == steps[p.pos]]
     coordinator_pid = os.getpid()
     local_update = coordinator.local_update
@@ -675,7 +675,7 @@ def _large_rest():
     of _large_rest_setup, as the rank that ran its first part sends it."""
     train, _, shards, fed, hp = _large_rest_setup()
     chosen = select_clients(fed.num_clients, fed.clients_per_round, make_rng(0, STREAM_SELECT, 1))
-    first = plan_round([hp.local_steps(len(shards[c].indices)) for c in chosen], 2)[1][0]
+    first = plan_round([hp.local_steps(len(shards[c])) for c in chosen], 2)[1][0]
     cid = int(chosen[first.pos])
     params = init_params(train.d_in, hp.hidden_dim, train.C, make_rng(0, STREAM_INIT))
     job = localnode.LocalJob(train, shards[cid], 1, 1.0, hp, "proposed")
@@ -777,14 +777,14 @@ def _dies_owing_a_hand_over_in_round_2(monkeypatch):
     train, test, shards, fed, hp = _tiny_setup()
     fed.clients_per_round = 5
     chosen = select_clients(fed.num_clients, fed.clients_per_round, make_rng(0, STREAM_SELECT, 2))
-    plan = plan_round([hp.local_steps(len(shards[c].indices)) for c in chosen], 3)
+    plan = plan_round([hp.local_steps(len(shards[c])) for c in chosen], 3)
     owed = plan[2][0]
     assert owed.start == 0 and plan[1][-1].pos == owed.pos
 
     class Dying(localnode.LocalJob):
-        def __init__(self, dataset, shard, *args):
-            super().__init__(dataset, shard, *args)
-            self.owed = shard.client_id == chosen[owed.pos]
+        def __init__(self, dataset, rows, *args):
+            super().__init__(dataset, rows, *args)
+            self.owed = np.array_equal(rows, shards[chosen[owed.pos]])
 
         def start(self, *args):  # only a first part starts a job
             if self.round_t == 2 and self.owed:

@@ -183,20 +183,19 @@ def test_partition_iid_even_split():
     ds = make_blob_split(2, 50, 0, 3, 0.5, 2)[0]
     shards = partition_iid(ds, 10, seed=0)
     assert len(shards) == 10
-    assert all(len(s.indices) == 10 for s in shards)
-    allidx = np.concatenate([s.indices for s in shards])
+    assert all(len(s) == 10 for s in shards)
+    allidx = np.concatenate(shards)
     assert len(allidx) == 100 and len(np.unique(allidx)) == 100
-    assert [s.client_id for s in shards] == list(range(10))
 
 
 @given(st.integers(1, 17), st.integers(0, 5))
 def test_partition_iid_disjoint_cover(num_clients, seed):
     ds = make_blob_split(2, 30, 0, 2, 0.5, 4)[0]
     shards = partition_iid(ds, num_clients, seed=seed)
-    allidx = np.concatenate([s.indices for s in shards])
+    allidx = np.concatenate(shards)
     assert sorted(allidx.tolist()) == list(range(60))
     # Balanced to within one example.
-    sizes = [len(s.indices) for s in shards]
+    sizes = [len(s) for s in shards]
     assert max(sizes) - min(sizes) <= 1
 
 

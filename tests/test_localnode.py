@@ -5,12 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fednoise.bench import load_config, run_experiment
-from fednoise.datagen import ClientShard, Dataset, make_blob_split, partition_iid
+from fednoise.datagen import Dataset, make_blob_split, partition_iid
 from fednoise.errors import ConfigError, ContractViolation
 from fednoise.localnode import (
     METHODS,
@@ -588,7 +588,7 @@ def test_local_job_holds_no_copy_of_its_rows():
     rng = np.random.default_rng(0)
     ds = Dataset(X=rng.random((1000, 784)), true_labels=rng.integers(0, 10, 1000),
                  given_labels=rng.integers(0, 10, 1000), C=10)
-    shard = ClientShard(client_id=0, indices=np.arange(0, 1000, 2, dtype=np.int64))
+    shard = np.arange(0, 1000, 2, dtype=np.int64)
     tracemalloc.start()
     try:
         LocalJob(ds, shard, 1, 1.0, _hp(), "proposed")
@@ -617,7 +617,7 @@ def test_local_update_pure_function_across_clients():
     hp = _hp()
     gp = init_params(5, 8, 3, make_rng(0, 4))
     gc = CentroidSet.empty(3, 8)
-    other = ClientShard(client_id=1, indices=shard.indices.copy())
+    other = shard.copy()
     a = local_update(ds, shard, gp, gc, 1, 1.0, hp, make_rng(0, 6, 1, 0))
     b = local_update(ds, other, gp, gc, 1, 1.0, hp, make_rng(0, 6, 1, 0))
     np.testing.assert_array_equal(a.params.theta, b.params.theta)
@@ -741,12 +741,54 @@ def test_local_update_unknown_method():
 
 def test_local_update_empty_shard():
     ds, shard = _blob_client()
-    empty = ClientShard(client_id=0, indices=np.array([], dtype=np.int64))
+    empty = np.array([], dtype=np.int64)
     with pytest.raises(ContractViolation):
         local_update(
             ds, empty, init_params(5, 8, 3, make_rng(0, 4)), CentroidSet.empty(3, 8),
             1, 1.0, _hp(), make_rng(0, 6, 1, 0),
         )
+
+
+@settings(max_examples=150)
+@given(
+    C=st.sampled_from([2, 3]),
+    size=st.sampled_from(["one", "under_batch", "ragged"]),
+    batch_size=st.sampled_from([1, 4, 7]),
+    held=st.sampled_from(["none", "one", "all"]),
+    round_t=st.sampled_from([1, 2, 3]),
+    method=st.sampled_from(METHODS),
+    scale=st.sampled_from([1.0, 1000.0, 0.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_local_update_edge_shapes(C, size, batch_size, held, round_t, method, scale, seed):
+    # Shards of one row, of fewer rows than a batch and of a ragged last
+    # batch; batches of one; global centroids holding no, one or every
+    # class; rounds on both sides of t_pl = 2; inputs scaled to saturate
+    # the tanh features or to zero them.
+    draw = np.random.default_rng(seed)
+    ds = make_blob_split(C, 8, 0, 3, 0.6, seed)[0]
+    ds.X *= scale
+    flip = draw.random(ds.n) < 0.3
+    ds.given_labels[flip] = (ds.given_labels[flip] + 1) % C
+    n = {"one": 1, "under_batch": max(1, batch_size - 1), "ragged": batch_size + 2}[size]
+    rows = np.sort(draw.permutation(ds.n)[:n]).astype(np.int64)
+    hp = _hp(hidden_dim=4, local_epochs=2, batch_size=batch_size, t_pl=2)
+    gc = CentroidSet.empty(C, 4)
+    present = {"none": [], "one": [int(draw.integers(C))], "all": list(range(C))}[held]
+    gc.vectors[present] = draw.standard_normal((len(present), 4))
+    gc.presence[present] = True
+    gp = init_params(3, 4, C, make_rng(seed, 4))
+    res = local_update(ds, rows, gp, gc, round_t, 0.75, hp, make_rng(seed, 6, round_t, 0), method=method)
+    assert np.isfinite(res.params.theta).all()
+    assert np.isfinite(res.centroids.vectors).all()
+    s = res.stats
+    assert 0 <= s.detected_true_noisy <= s.detected_noisy <= n
+    assert s.actual_noisy == int(np.count_nonzero(ds.given_labels[rows] != ds.true_labels[rows]))
+    # From round 2 the running centroids start from the broadcast set, and
+    # presence only grows; at round 1 (an empty broadcast in a run) a
+    # client seeds them from its own class means.
+    if method in ("proposed", "naive_pseudo_ablation") and round_t > 1:
+        assert (res.centroids.presence >= gc.presence).all()
 
 
 def test_naive_pseudo_differs_after_gate():

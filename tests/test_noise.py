@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from fednoise.datagen import Dataset, partition_iid
 from fednoise.errors import ConfigError, DataError
 from fednoise.noise import (
+    CLIENT_VARIANCE_GROUPS,
     NoiseSpec,
     TransitionMatrix,
     apply_noise,
@@ -173,8 +174,8 @@ def test_apply_noise_client_variance_groups(rng):
     apply_noise(ds, shards, spec)
     ratios = client_noise_ratios(0.4, 0.2)
     # Clients 0-1 form the lowest-noise group, 8-9 the highest.
-    lo = np.concatenate([shards[0].indices, shards[1].indices])
-    hi = np.concatenate([shards[8].indices, shards[9].indices])
+    lo = np.concatenate([shards[0], shards[1]])
+    hi = np.concatenate([shards[8], shards[9]])
     lo_rate = (ds.given_labels[lo] != ds.true_labels[lo]).mean()
     hi_rate = (ds.given_labels[hi] != ds.true_labels[hi]).mean()
     assert abs(lo_rate - ratios[0]) < 0.1
@@ -188,14 +189,41 @@ def test_apply_noise_per_class_mode(rng):
     spec = NoiseSpec(kind="symmetric", epsilon=0.0, per_class_mode=True, seed=5)
     apply_noise(ds, shards, spec)
     for shard in shards:
-        given = ds.given_labels[shard.indices]
-        true = ds.true_labels[shard.indices]
+        given = ds.given_labels[shard]
+        true = ds.true_labels[shard]
         wrong_rate_per_class = [
             (given[true == c] != c).mean() for c in range(4) if (true == c).any()
         ]
         # Exactly one class fully corrupted, the rest untouched (eps=0).
         assert sorted(wrong_rate_per_class)[-1] == 1.0
         assert sum(r == 1.0 for r in wrong_rate_per_class) == 1
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        NoiseSpec(kind="symmetric", epsilon=0.4, client_variance=0.2, seed=5),
+        NoiseSpec(kind="symmetric", epsilon=0.2, per_class_mode=True, seed=5),
+    ],
+    ids=["client_variance", "per_class_mode"],
+)
+def test_apply_noise_keys_a_client_by_its_position(rng, spec):
+    # A client is its position in the shard list: in a reversed list, the
+    # array at position k gets stream (noise seed, k) and, under
+    # client_variance, group k * CLIENT_VARIANCE_GROUPS // len(shards).
+    ds = _toy_dataset(rng)
+    shards = partition_iid(ds, 10, seed=0)[::-1]
+    apply_noise(ds, shards, spec)
+    for k, rows in enumerate(shards):
+        stream = make_rng(spec.seed, STREAM_NOISE, k)
+        true = ds.true_labels[rows]
+        if spec.per_class_mode:
+            want, _ = single_class_corruption(true, ds.C, spec.epsilon, stream)
+        else:
+            ratios = client_noise_ratios(spec.epsilon, spec.client_variance)
+            group = k * CLIENT_VARIANCE_GROUPS // len(shards)
+            want = corrupt(true, symmetric_transition(float(ratios[group]), ds.C), stream)
+        np.testing.assert_array_equal(ds.given_labels[rows], want)
 
 
 def test_noise_spec_validation():
