@@ -179,17 +179,27 @@ def load_config(path: str | None = None, overrides: list[str] = ()) -> Experimen
 
 
 def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Validated deep copy with the derived default (tau) filled in."""
+    """The one judge of a config: a validated deep copy with tau filled in.
+    Across sections, no more clients than the training rows the config
+    fixes, and an output that is not a directory, in one that exists."""
     out = copy.deepcopy(cfg)
     out.dataset.validate()
     out.noise.validate()
     out.fed.validate()
+    spec = out.dataset
+    rows = spec.classes * spec.train_per_class if spec.kind == "blobs" else spec.subset
+    if rows and out.fed.num_clients > rows:
+        raise ConfigError(f"fed.num_clients: {out.fed.num_clients} > {rows} training rows")
     out.hp = out.hp.resolved(out.noise.epsilon)
     out.hp.validate()
     if out.method not in METHODS:
         raise ConfigError(f"method: must be one of {METHODS}, got {out.method!r}")
     if out.seed < 0:
         raise ConfigError("seed: must be >= 0")
+    if out.output and os.path.isdir(out.output):
+        raise ConfigError(f"output: {out.output!r} is a directory")
+    if out.output and not os.path.isdir(os.path.dirname(out.output) or "."):
+        raise ConfigError(f"output: the directory of {out.output!r} does not exist")
     return out
 
 
@@ -231,23 +241,13 @@ def build_datasets(spec: DatasetSpec) -> tuple[Dataset, Dataset]:
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[ModelParams, list[MetricsRecord]]:
     """Wire data generation, corruption, and training; write the CSV if
-    asked. An output that is a directory, or in none, fails before set-up."""
+    asked. Only wiring: resolve_config judges the config before set-up."""
     rcfg = resolve_config(cfg)
-    if rcfg.output and os.path.isdir(rcfg.output):
-        raise ConfigError(f"output: {rcfg.output!r} is a directory")
-    if rcfg.output and not os.path.isdir(os.path.dirname(rcfg.output) or "."):
-        raise ConfigError(f"output: the directory of {rcfg.output!r} does not exist")
     train, test = build_datasets(rcfg.dataset)
     shards = partition_iid(train, rcfg.fed.num_clients, rcfg.seed)
     apply_noise(train, shards, rcfg.noise)
     params, records = run_training(
-        train,
-        test,
-        shards,
-        rcfg.fed,
-        rcfg.hp,
-        rcfg.seed,
-        method=rcfg.method,
+        train, test, shards, rcfg.fed, rcfg.hp, rcfg.seed, method=rcfg.method
     )
     if rcfg.output:
         write_csv(rcfg.output, records)
@@ -334,8 +334,12 @@ def _cmd_sweep(args) -> int:
         methods = [m.strip() for m in args.methods.split(",") if m.strip()]
         if not methods:
             raise ConfigError("--methods: no values given")
-    # Every cell is checked before the first runs: a bad cell trains nothing,
-    # and no two cells may write the same CSV.
+    # With the directory made, every cell (its CSV path too) is checked as
+    # run checks it before the first runs; no two cells may share a CSV.
+    try:
+        os.makedirs(args.output_dir, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"--output-dir: cannot create {args.output_dir!r}: {e.strerror}") from e
     cells = {}
     for method in methods:
         for eps in eps_list:
@@ -344,7 +348,6 @@ def _cmd_sweep(args) -> int:
             if base.output in cells:
                 raise ConfigError(f"two sweep cells would write {base.output}")
             cells[base.output] = resolve_config(base)  # a checked deep copy
-    os.makedirs(args.output_dir, exist_ok=True)
     for cfg in cells.values():
         _, records = run_experiment(cfg)
         wdiv = f" wdiv_final={records[-1].weight_divergence:.5f}" if records else ""

@@ -47,7 +47,7 @@ from .localnode import (
     local_update,
 )
 from .metrics import CSV_COLUMNS, MetricsRecord, detection_from_counts, weight_divergence
-from .numkit import ModelParams, cosine_similarity, init_params, mlp_features
+from .numkit import ModelParams, cosine_similarity, init_params, mlp_logits
 from .seeds import STREAM_INIT, STREAM_LOCAL, STREAM_SELECT, make_rng
 
 # Cosine weights below this floor are clamped so a disagreeing client
@@ -153,11 +153,11 @@ def aggregate_global_centroids(
 
 
 def evaluate_accuracy(params: ModelParams, dataset: Dataset) -> float:
-    """Fraction of examples whose argmax prediction matches the true label."""
+    """Fraction of examples whose argmax of mlp_logits matches the true label."""
     if dataset.n == 0:
         raise ContractViolation("evaluate_accuracy: empty dataset")
-    # The logits as mlp_forward computes them, without its softmax rows.
-    logits = mlp_features(params, dataset.X) @ params.W2 + params.b2
+    # The logits, not mlp_forward's logp, whose rounding could break ties differently.
+    _, logits = mlp_logits(params, dataset.X)
     pred = logits.argmax(axis=1)
     return float((pred == dataset.true_labels).mean())
 

@@ -119,26 +119,25 @@ def _softmax_and_log(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e / total, z - np.log(total)
 
 
-def _check_input(params: ModelParams, X: np.ndarray, who: str) -> None:
-    if X.ndim != 2 or X.shape[1] != params.d_in:
-        raise ContractViolation(f"{who}: X has shape {X.shape}, expected (B, {params.d_in})")
-
-
 def mlp_features(params: ModelParams, X: np.ndarray) -> np.ndarray:
-    """Hidden features alone: tanh(X W1 + b1), as mlp_forward computes them."""
-    _check_input(params, X, "mlp_features")
+    """The hidden layer of every forward pass: tanh(X W1 + b1), bias and tanh in place."""
+    if X.ndim != 2 or X.shape[1] != params.d_in:
+        raise ContractViolation(f"forward: X has shape {X.shape}, expected (B, {params.d_in})")
     hidden = X @ params.W1
     hidden += params.b1
     return np.tanh(hidden, out=hidden)
 
 
+def mlp_logits(params: ModelParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden features and the classifier head's logits, hidden W2 + b2."""
+    hidden = mlp_features(params, X)
+    return hidden, hidden @ params.W2 + params.b2
+
+
 def mlp_forward(params: ModelParams, X: np.ndarray) -> ForwardRecord:
-    """Forward pass: hidden = tanh(X W1 + b1), probs = softmax(hidden W2 + b2)."""
-    _check_input(params, X, "mlp_forward")
-    hidden = X @ params.W1  # bias and tanh in place: the same bits, no temporaries
-    hidden += params.b1
-    np.tanh(hidden, out=hidden)
-    probs, logp = _softmax_and_log(hidden @ params.W2 + params.b2)
+    """Forward pass: mlp_logits, then the softmax and log-softmax of the logits."""
+    hidden, logits = mlp_logits(params, X)
+    probs, logp = _softmax_and_log(logits)
     return ForwardRecord(hidden=hidden, probs=probs, logp=logp)
 
 

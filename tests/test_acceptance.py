@@ -7,6 +7,7 @@ shared across criteria, so the file stays well inside its time budgets.
 
 import math
 import os
+import pathlib
 import time
 
 import numpy as np
@@ -353,7 +354,7 @@ def test_criterion_8_determinism(tmp_path):
         cfg.output = str(tmp_path / f"{name}.csv")
         run_experiment(cfg)
         paths.append(cfg.output)
-    blobs = [open(p, "rb").read() for p in paths]
+    blobs = [pathlib.Path(p).read_bytes() for p in paths]
     assert all(b == blobs[0] for b in blobs[1:]), "CSV bytes differ across runs"
     assert len(blobs[0]) > 0
     print(

@@ -2,6 +2,7 @@ import importlib
 import inspect
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -176,7 +177,7 @@ def test_run_experiment_deterministic_bytes(tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     run_experiment(_desk_cfg(output=a))
     run_experiment(_desk_cfg(output=b))
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert pathlib.Path(a).read_bytes() == pathlib.Path(b).read_bytes()
 
 
 def test_summary_accuracy_window():
@@ -336,6 +337,36 @@ def test_cli_run_checks_output_before_set_up(tmp_path, capsys, monkeypatch, outp
     assert "fednoise: config error: output:" in err and error in err
 
 
+_IDX_FILES = [f"dataset.{key}=unread" for key in ("images", "labels", "test_images", "test_labels")]
+
+
+@pytest.mark.parametrize(
+    "overrides, error",
+    [
+        (["output={tmp}/no/such/dir/o.csv"], "output: the directory of '{tmp}/no/such/dir/o.csv' does not exist"),
+        (["output={tmp}"], "output: '{tmp}' is a directory"),
+        # blobs.cfg fixes 4 x 500 training rows.
+        (["fed.num_clients=3000"], "fed.num_clients: 3000 > 2000 training rows"),
+        # 20 clients in blobs.cfg; the files are never read.
+        (["dataset.kind=idx", "dataset.subset=10"] + _IDX_FILES, "fed.num_clients: 20 > 10 training rows"),
+    ],
+    ids=["output_missing_directory", "output_directory", "clients_over_blob_rows", "clients_over_idx_subset"],
+)
+def test_validate_and_run_judge_a_config_alike(tmp_path, capsys, monkeypatch, overrides, error):
+    # validate-config and run reject the same configs with the same
+    # message, and run does so before any data is built.
+    def reached(*args, **kwargs):
+        raise AssertionError("the run went past its config check")
+
+    monkeypatch.setattr("fednoise.bench.build_datasets", reached)
+    args = [a for ov in overrides for a in ("--override", ov.format(tmp=tmp_path))]
+    for command in ("validate-config", "run"):
+        assert main([command, "--config", BLOBS_CFG] + args) == 1
+        out, err = capsys.readouterr()
+        assert "ok" not in out
+        assert f"fednoise: config error: {error.format(tmp=tmp_path)}" in err
+
+
 def test_cli_validate_config(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
     code = main(["validate-config", "--config", cfg])
@@ -422,17 +453,20 @@ def test_cli_sweep(tmp_path, capsys):
         # File names format epsilon with :g, which gives 0.1 for both.
         (["--epsilon", "0.1,0.1000001"], "two sweep cells would write {outdir}/proposed_eps0.1.csv"),
         (["--epsilon", "0.2", "--methods", ","], "--methods: no values given"),
+        # The last --output-dir wins: here the config file, which exists.
+        (["--epsilon", "0.2", "--output-dir", "{cfg}"], "config error: --output-dir: cannot create '{cfg}'"),
     ],
-    ids=["pair_epsilon", "unknown_method", "same_csv_method", "same_csv_epsilon", "no_methods"],
+    ids=["pair_epsilon", "unknown_method", "same_csv_method", "same_csv_epsilon", "no_methods", "output_dir_is_a_file"],
 )
 def test_cli_sweep_checks_every_cell_before_it_runs(tmp_path, capsys, args, error):
-    outdir = tmp_path / "sweep"
-    code = main(["sweep", "--config", _write_cfg(tmp_path), "--output-dir", str(outdir)] + args)
+    names = {"outdir": tmp_path / "sweep", "cfg": _write_cfg(tmp_path)}
+    args = [arg.format(**names) for arg in args]
+    code = main(["sweep", "--config", names["cfg"], "--output-dir", str(names["outdir"])] + args)
     assert code == 1
-    assert list(outdir.glob("*.csv")) == []
+    assert list(names["outdir"].glob("*.csv")) == []
     out, err = capsys.readouterr()
     assert "method=" not in out
-    assert error.format(outdir=outdir) in err
+    assert error.format(**names) in err
 
 
 def test_cli_usage_error_exits_one():

@@ -277,6 +277,38 @@ def test_aggregate_many_holders_bit_equal_loop(rng):
                 assert _same_centroids(got, loop_aggregate_global_centroids(prev, uploads))
 
 
+# A merged coordinate is sum_k (w_k / W) v_k, rounded. With n senders,
+# the weights, the products and the running sum each add a relative
+# error of at most about n eps, so to first order the result lies within
+# n eps max_k |v_k| of its senders' range. The test allows (2n + 1) eps
+# max_k |v_k|; a weight set that is not normalised misses by far more.
+EPS = np.finfo(np.float64).eps
+
+
+@st.composite
+def merge_cases(draw):
+    C, d_h, K = draw(st.integers(2, 5)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    prev = _centroid_rows(draw, C, d_h)
+    return prev, [_centroid_rows(draw, C, d_h) for _ in range(K)]
+
+
+@given(merge_cases())
+def test_aggregate_is_a_convex_combination_of_its_senders(case):
+    prev, uploads = case
+    got = aggregate_global_centroids(prev, uploads)
+    assert np.array_equal(got.presence, prev.presence | np.any([u.presence for u in uploads], axis=0))
+    for c in range(prev.C):
+        senders = np.array([u.vectors[c] for u in uploads if u.presence[c]])
+        if len(senders) == 0:
+            assert got.vectors[c].tobytes() == prev.vectors[c].tobytes()
+        elif len(senders) == 1:
+            assert (got.vectors[c] == senders[0]).all()
+        else:
+            tol = (2 * len(senders) + 1) * EPS * np.abs(senders).max(axis=0)
+            assert (senders.min(axis=0) - tol <= got.vectors[c]).all()
+            assert (got.vectors[c] <= senders.max(axis=0) + tol).all()
+
+
 def test_aggregate_ignores_unreported_rows():
     # A row a client did not report does not reach the result, even if
     # it is not finite.
@@ -479,6 +511,22 @@ def test_run_training_same_result_in_any_number_of_processes(monkeypatch, method
     for theta, records in runs[1:]:
         np.testing.assert_array_equal(runs[0][0], theta)
         assert records == runs[0][1]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_run_training_every_client_every_round(monkeypatch, method):
+    # All five clients take part in every round, so the server merges
+    # every client's upload; one and three processes agree.
+    train, test, _, fed, hp = _tiny_setup(eps=0.3)
+    fed.num_clients = fed.clients_per_round = 5
+    shards = partition_iid(train, 5, seed=0)
+    runs = []
+    for n in (1, 3):
+        _processes(monkeypatch, n)
+        params, records = run_training(train, test, shards, fed, hp, seed=2, method=method)
+        runs.append((params.theta, records))
+    np.testing.assert_array_equal(runs[0][0], runs[1][0])
+    assert runs[0][1] == runs[1][1]
 
 
 class _MergeReached(Exception):

@@ -372,4 +372,4 @@ def test_idx_run_end_to_end(tmp_path, capsys):
         assert main(["run", "--config", str(cfg), "--output", out]) == 0
     assert "rounds=2" in capsys.readouterr().out
     assert [r.round for r in read_csv(outputs[0])] == [1, 2]
-    assert open(outputs[0], "rb").read() == open(outputs[1], "rb").read()
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
