@@ -24,7 +24,7 @@ import typing
 from dataclasses import dataclass, field
 
 from .coordinator import FederationConfig, run_training
-from .datagen import Dataset, load_idx, make_blob_split, partition_iid
+from .datagen import Dataset, idx_header, load_idx, make_blob_split, partition_iid
 from .errors import ConfigError, FednoiseError
 from .localnode import HyperParams, METHODS
 from .metrics import MetricsRecord, write_csv
@@ -180,8 +180,11 @@ def load_config(path: str | None = None, overrides: list[str] = ()) -> Experimen
 
 def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
     """The one judge of a config: a validated deep copy with tau filled in.
-    Across sections, no more clients than the training rows the config
-    fixes, and an output that is not a directory, in one that exists."""
+    Across sections, no more clients than the training rows (the blobs,
+    the IDX subset, then the IDX training images), and an output that is
+    not a directory, in one that exists. The headers of the IDX files
+    are read last (idx_header), so a missing or malformed file raises
+    OSError or FormatError only once the config itself passes."""
     out = copy.deepcopy(cfg)
     out.dataset.validate()
     out.noise.validate()
@@ -200,6 +203,11 @@ def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"output: {out.output!r} is a directory")
     if out.output and not os.path.isdir(os.path.dirname(out.output) or "."):
         raise ConfigError(f"output: the directory of {out.output!r} does not exist")
+    if spec.kind == "idx":
+        rows, _, _ = idx_header(spec.images, spec.labels)
+        idx_header(spec.test_images, spec.test_labels)
+        if out.fed.num_clients > rows:
+            raise ConfigError(f"fed.num_clients: {out.fed.num_clients} > {rows} training rows")
     return out
 
 

@@ -282,10 +282,10 @@ class _ClientProcesses:
     the round's global weights, and `slots[p]` the weights and momentum
     buffer of the client at position p. A cut client's first part leaves
     its weights and momentum there, and its rest trains there in place;
-    a worker copies a whole client's final weights there. So each result
-    of another process, and of a rest run here, holds a view of its slot
-    as weights, not a copy. Pipes carry the rest: client ids,
-    the plan, centroids, statistics, and the rest of a cut client's
+    a worker copies every client it finishes there (a rest onto itself).
+    So each result of another process, and of a rest run here, holds a
+    view of its slot as weights, not a copy. Pipes carry the rest: client
+    ids, the plan, centroids, statistics, and the rest of a cut client's
     progress, on one one-way pipe per pair of neighbouring ranks.
     Closing the pipes ends the workers.
     """
@@ -359,17 +359,13 @@ class _ClientProcesses:
         ends by handing its progress, or None if it fails, to the rank
         below; its rest begins by taking that over, and is skipped on
         None: the first part failed or its process exited, which that
-        process or the coordinator reports. Returns (position, result)
-        for each client finished here and, if one fails, (its position,
-        an error naming round and client); the pieces after a failure do
-        not run.
+        process or the coordinator reports. Every piece runs, whatever
+        failed before it, so every hand-over is read. Returns (position,
+        result) for each client finished here and, if any fail, the first
+        failure: (its position, an error naming round and client).
         """
         done, failure = [], None
         for pos, start, stop in pieces:
-            if failure is not None:
-                if start:
-                    self._take_over(pos)  # so the next process never waits on a full pipe
-                continue
             cid = ids[pos]
             rows = self.shards[cid]
             whole = stop - start == self.hp.local_steps(len(rows))
@@ -395,9 +391,10 @@ class _ClientProcesses:
             except Exception as e:
                 if first_part:
                     self._hand_over(pos, None)
-                err = _with_context(e, f"round {t}, client {cid}")
-                err.__cause__ = e
-                failure = (pos, err)
+                if failure is None:
+                    err = _with_context(e, f"round {t}, client {cid}")
+                    err.__cause__ = e
+                    failure = (pos, err)
         return done, failure
 
     def _hand_over(self, pos: int, progress: LocalProgress | None) -> None:
@@ -443,8 +440,7 @@ class _ClientProcesses:
                 ids, pieces, centroids, t, r_t = conn.recv()
                 done, failure = self._run_share(ids, pieces, self.broadcast, centroids, t, r_t)
                 for pos, res in done:
-                    if not np.shares_memory(res.params.theta, self.slots[pos, 0]):
-                        self.slots[pos, 0] = res.params.theta  # not a rest trained there
+                    self.slots[pos, 0] = res.params.theta  # onto itself for a rest
                     res.params = None
                 if failure is not None:
                     failure = _portable(*failure)

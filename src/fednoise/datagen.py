@@ -110,59 +110,70 @@ def _read_be32(data: bytes, offset: int, path: str, what: str) -> int:
     return int.from_bytes(data[offset : offset + 4], "big")
 
 
-def load_idx(images_path: str, labels_path: str, keep: int = 0) -> Dataset:
-    """Read an IDX image/label file pair into a flattened float dataset.
-
-    Only the first `keep` rows are read and converted (0, or at least the
-    file's count, keeps all; IDX files are already shuffled upstream of
-    us). The whole of both files is still checked, and C comes from every
-    label in the file, so a prefix cannot shrink the class count.
-
-    Big-endian headers; pixel bytes are scaled to [0,1]. Raises FormatError
-    (with the offending byte offset) on bad magic, truncation, or an
-    image/label count mismatch.
-    """
+def idx_header(images_path: str, labels_path: str) -> tuple[int, int, int]:
+    """(count, rows, columns) of an IDX image/label file pair, from the
+    big-endian headers and the file sizes alone. Raises FormatError (with
+    the offending byte offset) on bad magic, truncation, or an image/label
+    count mismatch, and OSError if a file cannot be opened."""
     with open(images_path, "rb") as f:
         head = f.read(16)
-        magic = _read_be32(head, 0, images_path, "magic")
-        if magic != IDX_IMAGE_MAGIC:
-            raise FormatError(
-                f"{images_path}: bad image magic 0x{magic:08x} at byte 0, "
-                f"expected 0x{IDX_IMAGE_MAGIC:08x}"
-            )
-        n = _read_be32(head, 4, images_path, "count")
-        rows = _read_be32(head, 8, images_path, "row count")
-        cols = _read_be32(head, 12, images_path, "column count")
         size = os.fstat(f.fileno()).st_size
-        need = 16 + n * rows * cols
-        if size < need:
-            raise FormatError(
-                f"{images_path}: truncated pixel data at byte {size}, expected {need} bytes"
-            )
-        m = n if keep <= 0 or keep >= n else keep
-        pixels = f.read(m * rows * cols)
+    magic = _read_be32(head, 0, images_path, "magic")
+    if magic != IDX_IMAGE_MAGIC:
+        raise FormatError(
+            f"{images_path}: bad image magic 0x{magic:08x} at byte 0, "
+            f"expected 0x{IDX_IMAGE_MAGIC:08x}"
+        )
+    n = _read_be32(head, 4, images_path, "count")
+    rows = _read_be32(head, 8, images_path, "row count")
+    cols = _read_be32(head, 12, images_path, "column count")
+    need = 16 + n * rows * cols
+    if size < need:
+        raise FormatError(
+            f"{images_path}: truncated pixel data at byte {size}, expected {need} bytes"
+        )
 
     with open(labels_path, "rb") as f:
-        lab = f.read()
-    magic_l = _read_be32(lab, 0, labels_path, "magic")
+        head = f.read(8)
+        size = os.fstat(f.fileno()).st_size
+    magic_l = _read_be32(head, 0, labels_path, "magic")
     if magic_l != IDX_LABEL_MAGIC:
         raise FormatError(
             f"{labels_path}: bad label magic 0x{magic_l:08x} at byte 0, "
             f"expected 0x{IDX_LABEL_MAGIC:08x}"
         )
-    n_l = _read_be32(lab, 4, labels_path, "count")
-    if len(lab) < 8 + n_l:
+    n_l = _read_be32(head, 4, labels_path, "count")
+    if size < 8 + n_l:
         raise FormatError(
-            f"{labels_path}: truncated label data at byte {len(lab)}, expected {8 + n_l} bytes"
+            f"{labels_path}: truncated label data at byte {size}, expected {8 + n_l} bytes"
         )
     if n != n_l:
         raise FormatError(
             f"image/label count mismatch: {images_path} has {n}, {labels_path} has {n_l}"
         )
+    return n, rows, cols
+
+
+def load_idx(images_path: str, labels_path: str, keep: int = 0) -> Dataset:
+    """Read an IDX image/label file pair, checked by idx_header, into a
+    flattened float dataset with pixel bytes scaled to [0,1].
+
+    Only the first `keep` rows are read and converted (0, or at least the
+    file's count, keeps all; IDX files are already shuffled upstream of
+    us). C comes from every label in the file, so a prefix cannot shrink
+    the class count.
+    """
+    n, rows, cols = idx_header(images_path, labels_path)
+    m = n if keep <= 0 or keep >= n else keep
+    with open(images_path, "rb") as f:
+        f.seek(16)
+        pixels = f.read(m * rows * cols)
+    with open(labels_path, "rb") as f:
+        f.seek(8)
+        labels = np.frombuffer(f.read(n), dtype=np.uint8)
 
     X = np.frombuffer(pixels, dtype=np.uint8).reshape(m, rows * cols).astype(np.float64)
     X /= 255.0
-    labels = np.frombuffer(lab, dtype=np.uint8, count=n, offset=8)
     C = int(labels.max()) + 1 if n else 0
     kept = labels[:m].astype(np.int64)
     return Dataset(X=X, true_labels=kept, given_labels=kept.copy(), C=C)

@@ -1,9 +1,11 @@
 """Label-noise transition matrices and dataset corruption.
 
-Supports the two classic synthetic noise kinds (symmetric and pair
-flipping) plus two ablation modes: per-client noise ratios spread over
-a range, and fully corrupting one random class per client. Corruption
-never touches true labels; those are kept alongside for metrics only.
+transition_matrix builds the flip matrix of the two classic synthetic
+noise kinds, symmetric and pair flipping, whose epsilon bounds
+EPSILON_BOUND holds. Two ablation modes corrupt client by client, in one
+loop of apply_noise: per-client noise ratios spread over a range, and
+fully corrupting one random class per client. Corruption never touches
+true labels; those are kept alongside for metrics only.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ if TYPE_CHECKING:
 
 ROW_SUM_TOL = 1e-12
 
-NOISE_KINDS = ("symmetric", "pair")
+# Each noise kind's epsilon lies in [0, bound): below 0.5, pair flipping
+# keeps the true class the majority of its row.
+EPSILON_BOUND = {"symmetric": 1.0, "pair": 0.5}
 
 # Under noise.client_variance, clients fall by position into this many equal
 # groups, each with its own noise ratio (client_noise_ratios).
@@ -55,9 +59,9 @@ class NoiseSpec:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.kind not in NOISE_KINDS:
-            raise ConfigError(f"noise.kind: must be one of {NOISE_KINDS}, got {self.kind!r}")
-        hi = 0.5 if self.kind == "pair" else 1.0
+        if self.kind not in EPSILON_BOUND:
+            raise ConfigError(f"noise.kind: must be one of {tuple(EPSILON_BOUND)}, got {self.kind!r}")
+        hi = EPSILON_BOUND[self.kind]
         if not 0.0 <= self.epsilon < hi:
             raise ConfigError(f"noise.epsilon: must be in [0,{hi}) for {self.kind}, got {self.epsilon}")
         if self.client_variance < 0:
@@ -80,38 +84,24 @@ class NoiseSpec:
             raise ConfigError("noise.seed: must be >= 0")
 
 
-def symmetric_transition(epsilon: float, C: int) -> TransitionMatrix:
-    """1-eps on the diagonal, eps/(C-1) everywhere else."""
+def transition_matrix(kind: str, epsilon: float, C: int) -> TransitionMatrix:
+    """Q of the given noise kind at ratio epsilon over C classes: 1-eps on
+    the diagonal, and eps spread evenly over the other classes
+    ("symmetric") or all on the next class, wrapping ("pair")."""
+    if kind not in EPSILON_BOUND:
+        raise ConfigError(f"unknown noise kind {kind!r}")
     if C < 2:
-        raise ConfigError(f"symmetric_transition: need C >= 2, got {C}")
-    if not 0.0 <= epsilon < 1.0:
-        raise ConfigError(f"symmetric_transition: epsilon must be in [0,1), got {epsilon}")
-    Q = np.full((C, C), epsilon / (C - 1))
+        raise ConfigError(f"transition_matrix: need C >= 2, got {C}")
+    hi = EPSILON_BOUND[kind]
+    if not 0.0 <= epsilon < hi:
+        raise ConfigError(f"transition_matrix: epsilon {epsilon} is outside [0,{hi}) for {kind}")
+    if kind == "symmetric":
+        Q = np.full((C, C), epsilon / (C - 1))
+    else:
+        Q = np.zeros((C, C))
+        Q[np.arange(C), (np.arange(C) + 1) % C] = epsilon
     np.fill_diagonal(Q, 1.0 - epsilon)
     return TransitionMatrix(C=C, Q=Q)
-
-
-def pair_transition(epsilon: float, C: int) -> TransitionMatrix:
-    """1-eps on the diagonal, eps on the wrapping superdiagonal, 0 elsewhere."""
-    if C < 2:
-        raise ConfigError(f"pair_transition: need C >= 2, got {C}")
-    if not 0.0 <= epsilon < 0.5:
-        raise ConfigError(
-            f"pair_transition: epsilon must be in [0,0.5) so the true class stays majority, got {epsilon}"
-        )
-    Q = np.zeros((C, C))
-    for i in range(C):
-        Q[i, i] = 1.0 - epsilon
-        Q[i, (i + 1) % C] = epsilon
-    return TransitionMatrix(C=C, Q=Q)
-
-
-def transition_for(kind: str, epsilon: float, C: int) -> TransitionMatrix:
-    if kind == "symmetric":
-        return symmetric_transition(epsilon, C)
-    if kind == "pair":
-        return pair_transition(epsilon, C)
-    raise ConfigError(f"unknown noise kind {kind!r}")
 
 
 def corrupt(labels: np.ndarray, tm: TransitionMatrix, rng: np.random.Generator) -> np.ndarray:
@@ -161,7 +151,7 @@ def single_class_corruption(
     out[hit] = np.where(draws >= chosen, draws + 1, draws)
     rest = ~hit
     if epsilon > 0 and rest.any():
-        out[rest] = corrupt(labels[rest], symmetric_transition(epsilon, C), rng)
+        out[rest] = corrupt(labels[rest], transition_matrix("symmetric", epsilon, C), rng)
     return out, chosen
 
 
@@ -171,28 +161,26 @@ def apply_noise(dataset: "Dataset", shards: list[np.ndarray], spec: NoiseSpec) -
     shards are the clients' row-index arrays, client k's at position k.
     The standard mode corrupts the whole training set with one transition
     matrix (before looking at the partition). The two ablation modes work
-    shard by shard, client k's with its own sub-stream derived from
-    (noise seed, k) so parallel setup stays reproducible.
+    in one loop, shard by shard, client k's with its own sub-stream
+    derived from (noise seed, k) so parallel setup stays reproducible, and
+    at its variance group's ratio (epsilon itself without
+    client_variance).
     """
     spec.validate()
-    if spec.per_class_mode:
-        for k, rows in enumerate(shards):
-            rng = make_rng(spec.seed, STREAM_NOISE, k)
-            corrupted, _ = single_class_corruption(
-                dataset.true_labels[rows], dataset.C, spec.epsilon, rng
-            )
-            dataset.given_labels[rows] = corrupted
-        return
-    if spec.client_variance > 0:
+    if spec.per_class_mode or spec.client_variance > 0:
         ratios = client_noise_ratios(spec.epsilon, spec.client_variance)
         for k, rows in enumerate(shards):
-            group = k * CLIENT_VARIANCE_GROUPS // len(shards)
-            tm = transition_for(spec.kind, float(ratios[group]), dataset.C)
+            eps = float(ratios[k * CLIENT_VARIANCE_GROUPS // len(shards)])
             rng = make_rng(spec.seed, STREAM_NOISE, k)
-            dataset.given_labels[rows] = corrupt(dataset.true_labels[rows], tm, rng)
+            true = dataset.true_labels[rows]
+            if spec.per_class_mode:
+                dataset.given_labels[rows] = single_class_corruption(true, dataset.C, eps, rng)[0]
+            else:
+                tm = transition_matrix(spec.kind, eps, dataset.C)
+                dataset.given_labels[rows] = corrupt(true, tm, rng)
         return
     if spec.epsilon > 0:
-        tm = transition_for(spec.kind, spec.epsilon, dataset.C)
+        tm = transition_matrix(spec.kind, spec.epsilon, dataset.C)
         dataset.given_labels[:] = corrupt(
             dataset.true_labels, tm, make_rng(spec.seed, STREAM_NOISE)
         )

@@ -29,7 +29,7 @@ from fednoise.localnode import (
     total_loss_and_grads,
 )
 from fednoise.metrics import detection_counts, detection_from_counts
-from fednoise.noise import corrupt, pair_transition, symmetric_transition
+from fednoise.noise import corrupt, transition_matrix
 from fednoise.numkit import ModelParams, cosine_similarity, init_params, mlp_backward, mlp_forward
 from fednoise.seeds import STREAM_NOISE, make_rng
 
@@ -233,14 +233,16 @@ def test_criterion_3_noise_fidelity():
     labels = rng.integers(0, C, size=n)
     checked = 0
     for eps in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6):
-        out = corrupt(labels, symmetric_transition(eps, C), make_rng(int(eps * 100), STREAM_NOISE))
+        tm = transition_matrix("symmetric", eps, C)
+        out = corrupt(labels, tm, make_rng(int(eps * 100), STREAM_NOISE))
         flips = int((out != labels).sum())
         bound = 3 * math.sqrt(n * eps * (1 - eps))
         assert abs(flips - n * eps) <= bound, f"symmetric eps={eps}: {flips} flips"
         checked += 1
     # Pair flipping is only defined below 0.5; 0.45 matches its tested top end.
     for eps in (0.1, 0.2, 0.3, 0.4, 0.45):
-        out = corrupt(labels, pair_transition(eps, C), make_rng(int(eps * 1000), STREAM_NOISE))
+        tm = transition_matrix("pair", eps, C)
+        out = corrupt(labels, tm, make_rng(int(eps * 1000), STREAM_NOISE))
         flips = int((out != labels).sum())
         bound = 3 * math.sqrt(n * eps * (1 - eps))
         assert abs(flips - n * eps) <= bound, f"pair eps={eps}: {flips} flips"

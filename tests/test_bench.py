@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import re
+import struct
 import subprocess
 import sys
 
@@ -338,6 +339,15 @@ def test_cli_run_checks_output_before_set_up(tmp_path, capsys, monkeypatch, outp
 
 
 _IDX_FILES = [f"dataset.{key}=unread" for key in ("images", "labels", "test_images", "test_labels")]
+# The pair _write_idx writes, as both the training and the test set.
+_IDX_PAIR = [f"dataset.{key}={{tmp}}/{name}" for key, name in (
+    ("images", "img"), ("labels", "lab"), ("test_images", "img"), ("test_labels", "lab"))]
+
+
+def _write_idx(tmp_path, n=300):
+    """An IDX image/label pair of n blank 2 x 2 images in 3 classes."""
+    (tmp_path / "img").write_bytes(struct.pack(">IIII", 0x803, n, 2, 2) + bytes(4 * n))
+    (tmp_path / "lab").write_bytes(struct.pack(">II", 0x801, n) + bytes(i % 3 for i in range(n)))
 
 
 @pytest.mark.parametrize(
@@ -349,8 +359,16 @@ _IDX_FILES = [f"dataset.{key}=unread" for key in ("images", "labels", "test_imag
         (["fed.num_clients=3000"], "fed.num_clients: 3000 > 2000 training rows"),
         # 20 clients in blobs.cfg; the files are never read.
         (["dataset.kind=idx", "dataset.subset=10"] + _IDX_FILES, "fed.num_clients: 20 > 10 training rows"),
+        # 300 images; the subset keeps them all. Only the headers are read.
+        (
+            ["dataset.kind=idx", "dataset.subset=500", "fed.num_clients=400"] + _IDX_PAIR,
+            "fed.num_clients: 400 > 300 training rows",
+        ),
     ],
-    ids=["output_missing_directory", "output_directory", "clients_over_blob_rows", "clients_over_idx_subset"],
+    ids=[
+        "output_missing_directory", "output_directory", "clients_over_blob_rows",
+        "clients_over_idx_subset", "clients_over_idx_images",
+    ],
 )
 def test_validate_and_run_judge_a_config_alike(tmp_path, capsys, monkeypatch, overrides, error):
     # validate-config and run reject the same configs with the same
@@ -359,12 +377,42 @@ def test_validate_and_run_judge_a_config_alike(tmp_path, capsys, monkeypatch, ov
         raise AssertionError("the run went past its config check")
 
     monkeypatch.setattr("fednoise.bench.build_datasets", reached)
+    _write_idx(tmp_path)
     args = [a for ov in overrides for a in ("--override", ov.format(tmp=tmp_path))]
     for command in ("validate-config", "run"):
         assert main([command, "--config", BLOBS_CFG] + args) == 1
         out, err = capsys.readouterr()
         assert "ok" not in out
         assert f"fednoise: config error: {error.format(tmp=tmp_path)}" in err
+
+
+@pytest.mark.parametrize(
+    "broken, error",
+    [("missing", "No such file"), ("bad_magic", "bad label magic 0x00000802 at byte 0")],
+    ids=["missing", "bad_magic"],
+)
+def test_validate_and_run_read_the_idx_headers_alike(tmp_path, capsys, monkeypatch, broken, error):
+    # A missing or malformed IDX file is a runtime error (exit 2), which
+    # validate-config reports as run does, before any data is built; the
+    # intact pair passes.
+    def reached(*args, **kwargs):
+        raise AssertionError("the run went past its config check")
+
+    monkeypatch.setattr("fednoise.bench.build_datasets", reached)
+    _write_idx(tmp_path)
+    args = [a for ov in ["dataset.kind=idx"] + _IDX_PAIR for a in ("--override", ov.format(tmp=tmp_path))]
+    assert main(["validate-config", "--config", BLOBS_CFG] + args) == 0
+    capsys.readouterr()
+    if broken == "missing":
+        (tmp_path / "img").unlink()
+    else:
+        lab = tmp_path / "lab"
+        lab.write_bytes(struct.pack(">I", 0x802) + lab.read_bytes()[4:])
+    for command in ("validate-config", "run"):
+        assert main([command, "--config", BLOBS_CFG] + args) == 2
+        out, err = capsys.readouterr()
+        assert "ok" not in out
+        assert err.startswith("fednoise: error: ") and error in err
 
 
 def test_cli_validate_config(tmp_path, capsys):
@@ -614,7 +662,7 @@ def test_blas_pin_warns_when_numpy_came_first(code, preset, warns):
 
 
 def test_csv_digests_match_the_reference():
-    # The six reference runs of scripts/csv_digests.py, about 9 s on 2 CPUs.
+    # The nine reference runs of scripts/csv_digests.py, about 18 s on 2 CPUs.
     proc = subprocess.run(
         [sys.executable, os.path.join(REPO_ROOT, "scripts", "csv_digests.py"), "--check"],
         capture_output=True, text=True, cwd=REPO_ROOT,
@@ -651,7 +699,7 @@ sys.exit(code)
 """
 
 
-@pytest.mark.parametrize("case, code, runs", [("pass", 0, 6), ("differ", 1, 6), ("unknown", 2, 0)])
+@pytest.mark.parametrize("case, code, runs", [("pass", 0, 9), ("differ", 1, 9), ("unknown", 2, 0)])
 def test_csv_digests_without_a_reader_still_checks_every_run(case, code, runs):
     # Standard output is a pipe with no reader, as under `| head -1` once
     # head has exited: the script prints nothing more, raises nothing, and

@@ -632,6 +632,45 @@ def test_run_training_first_part_error_names_round_and_client(monkeypatch):
     assert os.getpid() not in resumed
 
 
+def test_coordinator_error_before_a_rest_names_round_and_client(monkeypatch):
+    # Two processes cut one client of round 1, and the coordinator runs
+    # two whole clients before that client's rest. The first whole
+    # client's rows are NaN, so it fails first. The coordinator still
+    # runs its share to the end, rest included, and raises that error;
+    # under the alarm, no process waits on another.
+    _processes(monkeypatch, 2)
+    train, test, shards, fed, hp = _tiny_setup()
+    fed.clients_per_round = 5
+    chosen = select_clients(fed.num_clients, fed.clients_per_round, make_rng(0, STREAM_SELECT, 1))
+    plan = plan_round([hp.local_steps(len(shards[c])) for c in chosen], 2)
+    assert [p.pos for p in plan[0]] == [0, 1, 2] and plan[0][-1].start > 0
+    train.X[shards[chosen[0]]] = np.nan
+    resumed = []
+    advance = localnode.LocalJob.advance
+
+    def recording_advance(self, progress, n):
+        if progress.n_batches:
+            resumed.append(os.getpid())
+        return advance(self, progress, n)
+
+    def hung(signum, frame):
+        raise TimeoutError("run_training hung after a client failed")
+
+    monkeypatch.setattr(localnode.LocalJob, "advance", recording_advance)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with np.errstate(invalid="ignore"), pytest.raises(
+            coordinator.TrainingDiverged, match=rf"^round 1, client {chosen[0]}: classification loss"
+        ):
+            run_training(train, test, shards, fed, hp, seed=0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert resumed == [os.getpid()]
+    assert multiprocessing.active_children() == []
+
+
 def test_cut_client_finishes_in_its_slot():
     # Two processes cut one client of round 1; the coordinator takes over
     # its rest. The rest trains in the client's slot of the shared table,

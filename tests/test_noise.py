@@ -12,16 +12,14 @@ from fednoise.noise import (
     apply_noise,
     client_noise_ratios,
     corrupt,
-    pair_transition,
     single_class_corruption,
-    symmetric_transition,
-    transition_for,
+    transition_matrix,
 )
 from fednoise.seeds import STREAM_NOISE, make_rng
 
 
 def test_symmetric_matrix_values():
-    tm = symmetric_transition(0.3, 4)
+    tm = transition_matrix("symmetric", 0.3, 4)
     assert tm.Q[0, 0] == pytest.approx(0.7)
     assert tm.Q[0, 1] == pytest.approx(0.1)
     np.testing.assert_allclose(np.diag(tm.Q), 0.7)
@@ -30,7 +28,7 @@ def test_symmetric_matrix_values():
 
 
 def test_pair_matrix_values():
-    tm = pair_transition(0.2, 5)
+    tm = transition_matrix("pair", 0.2, 5)
     np.testing.assert_allclose(np.diag(tm.Q), 0.8)
     for i in range(5):
         assert tm.Q[i, (i + 1) % 5] == pytest.approx(0.2)
@@ -40,23 +38,30 @@ def test_pair_matrix_values():
     for i in range(5):
         mask[i, (i + 1) % 5] = True
     assert (tm.Q[~mask] == 0).all()
+    # The same floats as writing each row's two entries in a loop.
+    for eps, C in [(0.2, 5), (0.3, 2), (0.45, 10), (1 / 3, 7)]:
+        loop = np.zeros((C, C))
+        for i in range(C):
+            loop[i, i] = 1.0 - eps
+            loop[i, (i + 1) % C] = eps
+        np.testing.assert_array_equal(transition_matrix("pair", eps, C).Q, loop)
 
 
 @given(st.floats(0.0, 0.89), st.integers(2, 12))
 def test_symmetric_rows_sum_to_one(eps, C):
-    tm = symmetric_transition(eps, C)
+    tm = transition_matrix("symmetric", eps, C)
     np.testing.assert_allclose(tm.Q.sum(axis=1), 1.0, atol=1e-12)
 
 
 @given(st.floats(0.0, 0.49), st.integers(2, 12))
 def test_pair_rows_sum_to_one(eps, C):
-    tm = pair_transition(eps, C)
+    tm = transition_matrix("pair", eps, C)
     np.testing.assert_allclose(tm.Q.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_pair_rejects_half_and_up():
     with pytest.raises(ConfigError):
-        pair_transition(0.5, 4)
+        transition_matrix("pair", 0.5, 4)
 
 
 def test_transition_matrix_validates_rows():
@@ -65,22 +70,22 @@ def test_transition_matrix_validates_rows():
         TransitionMatrix(C=2, Q=bad)
 
 
-def test_transition_for_dispatch():
-    assert transition_for("symmetric", 0.2, 3).Q[0, 0] == pytest.approx(0.8)
-    assert transition_for("pair", 0.2, 3).Q[0, 1] == pytest.approx(0.2)
+def test_transition_matrix_kinds():
+    assert transition_matrix("symmetric", 0.2, 3).Q[0, 0] == pytest.approx(0.8)
+    assert transition_matrix("pair", 0.2, 3).Q[0, 1] == pytest.approx(0.2)
     with pytest.raises(ConfigError):
-        transition_for("gaussian", 0.2, 3)
+        transition_matrix("gaussian", 0.2, 3)
 
 
 def test_corrupt_identity_at_zero_eps(rng):
     labels = rng.integers(0, 6, size=400)
-    out = corrupt(labels, symmetric_transition(0.0, 6), make_rng(7, STREAM_NOISE))
+    out = corrupt(labels, transition_matrix("symmetric", 0.0, 6), make_rng(7, STREAM_NOISE))
     np.testing.assert_array_equal(out, labels)
 
 
 def test_corrupt_deterministic(rng):
     labels = rng.integers(0, 4, size=300)
-    tm = symmetric_transition(0.4, 4)
+    tm = transition_matrix("symmetric", 0.4, 4)
     a, b, c = (corrupt(labels, tm, make_rng(s, STREAM_NOISE)) for s in (5, 5, 6))
     np.testing.assert_array_equal(a, b)
     assert (a != c).any()
@@ -88,14 +93,14 @@ def test_corrupt_deterministic(rng):
 
 def test_corrupt_rejects_out_of_range():
     with pytest.raises(DataError):
-        corrupt(np.array([0, 5]), symmetric_transition(0.1, 3), make_rng(0, STREAM_NOISE))
+        corrupt(np.array([0, 5]), transition_matrix("symmetric", 0.1, 3), make_rng(0, STREAM_NOISE))
 
 
 def test_corrupt_flip_rate_within_3_sigma(rng):
     n = 20000
     labels = rng.integers(0, 10, size=n)
     for eps in (0.2, 0.5):
-        out = corrupt(labels, symmetric_transition(eps, 10), make_rng(11, STREAM_NOISE))
+        out = corrupt(labels, transition_matrix("symmetric", eps, 10), make_rng(11, STREAM_NOISE))
         flips = int((out != labels).sum())
         sigma = np.sqrt(n * eps * (1 - eps))
         assert abs(flips - n * eps) <= 3 * sigma
@@ -103,7 +108,7 @@ def test_corrupt_flip_rate_within_3_sigma(rng):
 
 def test_pair_corrupt_support(rng):
     labels = rng.integers(0, 5, size=5000)
-    out = corrupt(labels, pair_transition(0.3, 5), make_rng(3, STREAM_NOISE))
+    out = corrupt(labels, transition_matrix("pair", 0.3, 5), make_rng(3, STREAM_NOISE))
     moved = out != labels
     np.testing.assert_array_equal(out[moved], (labels[moved] + 1) % 5)
 
@@ -156,7 +161,7 @@ def test_apply_noise_full_dataset(rng):
     assert 0.25 < frac < 0.55
     np.testing.assert_array_equal(
         ds.given_labels,
-        corrupt(ds.true_labels, symmetric_transition(0.4, 4), make_rng(5, STREAM_NOISE)),
+        corrupt(ds.true_labels, transition_matrix("symmetric", 0.4, 4), make_rng(5, STREAM_NOISE)),
     )
 
 
@@ -204,8 +209,9 @@ def test_apply_noise_per_class_mode(rng):
     [
         NoiseSpec(kind="symmetric", epsilon=0.4, client_variance=0.2, seed=5),
         NoiseSpec(kind="symmetric", epsilon=0.2, per_class_mode=True, seed=5),
+        NoiseSpec(kind="pair", epsilon=0.3, client_variance=0.15, seed=5),
     ],
-    ids=["client_variance", "per_class_mode"],
+    ids=["client_variance", "per_class_mode", "pair_client_variance"],
 )
 def test_apply_noise_keys_a_client_by_its_position(rng, spec):
     # A client is its position in the shard list: in a reversed list, the
@@ -222,7 +228,7 @@ def test_apply_noise_keys_a_client_by_its_position(rng, spec):
         else:
             ratios = client_noise_ratios(spec.epsilon, spec.client_variance)
             group = k * CLIENT_VARIANCE_GROUPS // len(shards)
-            want = corrupt(true, symmetric_transition(float(ratios[group]), ds.C), stream)
+            want = corrupt(true, transition_matrix(spec.kind, float(ratios[group]), ds.C), stream)
         np.testing.assert_array_equal(ds.given_labels[rows], want)
 
 
@@ -259,7 +265,7 @@ def test_apply_noise_rejects_negative_seed(rng):
 
 def test_corrupt_accepts_generator(rng):
     labels = rng.integers(0, 3, size=50)
-    tm = symmetric_transition(0.3, 3)
+    tm = transition_matrix("symmetric", 0.3, 3)
     gen = make_rng(4, STREAM_NOISE)
     a, b = corrupt(labels, tm, gen), corrupt(labels, tm, gen)
     # The first call's draws are a fresh generator's; the second's follow them.
