@@ -184,7 +184,8 @@ def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
     the IDX subset, then the IDX training images), and an output that is
     not a directory, in one that exists. The headers of the IDX files
     are read last (idx_header), so a missing or malformed file raises
-    OSError or FormatError only once the config itself passes."""
+    OSError or FormatError only once the config itself passes; the test
+    images must then be at least one, of the training images' size."""
     out = copy.deepcopy(cfg)
     out.dataset.validate()
     out.noise.validate()
@@ -204,10 +205,17 @@ def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
     if out.output and not os.path.isdir(os.path.dirname(out.output) or "."):
         raise ConfigError(f"output: the directory of {out.output!r} does not exist")
     if spec.kind == "idx":
-        rows, _, _ = idx_header(spec.images, spec.labels)
-        idx_header(spec.test_images, spec.test_labels)
+        rows, *size = idx_header(spec.images, spec.labels)
+        test_rows, *test_size = idx_header(spec.test_images, spec.test_labels)
         if out.fed.num_clients > rows:
             raise ConfigError(f"fed.num_clients: {out.fed.num_clients} > {rows} training rows")
+        if not test_rows:
+            raise ConfigError("dataset.test_images: no images")
+        if test_size != size:
+            raise ConfigError(
+                f"dataset.test_images: images of {test_size[0]} x {test_size[1]}, "
+                f"not the training images' {size[0]} x {size[1]}"
+            )
     return out
 
 

@@ -46,7 +46,7 @@ from .localnode import (
     METHODS,
     local_update,
 )
-from .metrics import CSV_COLUMNS, MetricsRecord, detection_from_counts, weight_divergence
+from .metrics import CSV_COLUMNS, MetricsRecord, detection_rates, weight_divergence
 from .numkit import ModelParams, cosine_similarity, init_params, mlp_logits
 from .seeds import STREAM_INIT, STREAM_LOCAL, STREAM_SELECT, make_rng
 
@@ -196,7 +196,8 @@ def run_training(
             chosen = select_clients(
                 fed.num_clients, fed.clients_per_round, make_rng(seed, STREAM_SELECT, t)
             )
-            sizes = [len(shards[cid]) for cid in chosen]
+            rows = [shards[cid] for cid in chosen]
+            sizes = [len(r) for r in rows]
             plan = plan_round([hp.local_steps(n_k) for n_k in sizes], processes)
             results = clients.run(state, r_t, chosen, plan)
 
@@ -205,7 +206,7 @@ def run_training(
             if uploaded:
                 state.centroids = aggregate_global_centroids(state.centroids, uploaded)
 
-            records.append(_round_record(state, r_t, results, sizes, test))
+            records.append(_round_record(state, r_t, results, rows, train, test))
 
     return state.params, records
 
@@ -285,9 +286,9 @@ class _ClientProcesses:
     a worker copies every client it finishes there (a rest onto itself).
     So each result of another process, and of a rest run here, holds a
     view of its slot as weights, not a copy. Pipes carry the rest: client
-    ids, the plan, centroids, statistics, and the rest of a cut client's
-    progress, on one one-way pipe per pair of neighbouring ranks.
-    Closing the pipes ends the workers.
+    ids, the plan, centroids, losses and masks, and the rest of a cut
+    client's progress, on one one-way pipe per pair of neighbouring
+    ranks. Closing the pipes ends the workers.
     """
 
     def __init__(self, processes, clients, like, train, shards, hp, seed, method):
@@ -520,18 +521,25 @@ def _round_record(
     state: RoundState,
     r_t: float,
     results: list[LocalUpdateResult],
-    sizes: list[int],
+    rows: list[np.ndarray],
+    train: Dataset,
     test: Dataset,
 ) -> MetricsRecord:
-    """Round t's CSV row; raises TrainingDiverged if any value in it is
-    not finite."""
+    """Round t's CSV row from the clients' uploads, in ascending client
+    order, and the row indices of their shards. Detection is measured
+    here, on the pooled masks against the training set's true labels,
+    which no client reads. Raises TrainingDiverged if any value in the
+    row is not finite."""
+    sizes = [len(r) for r in rows]
     total = sum(sizes)
-    loss = sum(r.stats.mean_train_loss * n for r, n in zip(results, sizes)) / total
-    confident = sum(r.stats.confident_fraction * n for r, n in zip(results, sizes)) / total
-    det_noisy = sum(r.stats.detected_noisy for r in results)
-    det_true = sum(r.stats.detected_true_noisy for r in results)
-    actual = sum(r.stats.actual_noisy for r in results)
-    precision, recall = detection_from_counts(det_true, det_noisy, actual)
+    loss = sum(r.mean_train_loss * n for r, n in zip(results, sizes)) / total
+    confident = sum(float(r.mask.mean()) * n for r, n in zip(results, sizes)) / total
+    pooled = np.concatenate(rows)
+    precision, recall = detection_rates(
+        np.concatenate([r.mask for r in results]),
+        train.given_labels[pooled],
+        train.true_labels[pooled],
+    )
     # Divergence is undefined for a single participant; record 0.0 then.
     if len(results) >= 2:
         wdiv = weight_divergence([r.params.theta for r in results])

@@ -28,7 +28,8 @@ class Dataset:
     """Feature rows plus true labels and (possibly corrupted) given labels."""
 
     X: np.ndarray  # (n, d_in) float64
-    true_labels: np.ndarray  # (n,) int64; metrics only, never visible to training
+    # (n,) int64; server metrics and set-up only; no training code reads it (tested)
+    true_labels: np.ndarray
     given_labels: np.ndarray  # (n,) int64
     C: int
 

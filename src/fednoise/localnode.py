@@ -13,6 +13,9 @@ index, rng stream): it writes nothing it is given, so results do not
 depend on the order clients run in. LocalJob runs it in pieces: it can
 stop after any SGD step and resume, in another process too, from one
 LocalProgress value, to the same bytes.
+
+A client uploads its weights, centroids, mean loss and confident mask.
+It reads no true label: the server alone measures detection.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import numpy as np
 
 from .datagen import Dataset
 from .errors import ConfigError, ContractViolation, TrainingDiverged
-from .metrics import detection_counts
 from .numkit import (
     ForwardRecord,
     ModelParams,
@@ -96,6 +98,8 @@ class HyperParams:
     def validate(self) -> None:
         if self.tau is None or not 0.0 <= self.tau < 1.0:
             raise ConfigError(f"hp.tau: must be in [0,1), got {self.tau}")
+        if self.t_pl < 0:
+            raise ConfigError("hp.t_pl: must be >= 0")
         if self.t_horizon < 1:
             raise ConfigError("hp.t_horizon: must be >= 1")
         if self.lambda_cen < 0 or self.lambda_e < 0:
@@ -117,22 +121,13 @@ class HyperParams:
 
 
 @dataclass
-class LocalStats:
-    """Per-round training statistics of one client."""
-
-    mean_train_loss: float
-    confident_fraction: float
-    # Detection counts against true labels (for round-level precision/recall).
-    detected_noisy: int
-    detected_true_noisy: int
-    actual_noisy: int
-
-
-@dataclass
 class LocalUpdateResult:
+    """One client's upload."""
+
     params: ModelParams
     centroids: CentroidSet
-    stats: LocalStats
+    mean_train_loss: float  # over the update's SGD steps; 0.0 if it took none
+    mask: np.ndarray  # (n_k,) int64 confident mask, 0 where flagged as noisy
 
 
 @dataclass
@@ -364,7 +359,7 @@ class LocalJob:
 
     The job holds only what is fixed for the whole update: the client's
     shard, an array of row indices into dataset.X (not a copy of its
-    rows), its labels and the method's switches. Each batch, and each
+    rows), its given labels and the method's switches. Each batch, and each
     pass over the whole shard (the round-1 centroid seed and the
     pseudo-labels), gathers its rows from dataset.X when it runs, so the
     rows are held once per process, by the dataset. A job built again
@@ -387,7 +382,6 @@ class LocalJob:
             raise ContractViolation("local_update: the shard is empty")
         self.X, self.rows = dataset.X, rows
         self.y = dataset.given_labels[rows]
-        self.y_true = dataset.true_labels[rows]
         self.C = dataset.C
         self.round_t, self.r_t, self.hp = round_t, r_t, hp
         self.exchange = method != METHOD_CE_BASELINE
@@ -472,8 +466,8 @@ class LocalJob:
         running = p.running
         if running is None or self.local_only:
             running = CentroidSet.empty(self.C, p.params.d_h)
-        stats = _make_stats(p.loss_sum, p.n_batches, p.mask, self.y, self.y_true)
-        return LocalUpdateResult(params=p.params, centroids=running, stats=stats)
+        loss = p.loss_sum / p.n_batches if p.n_batches else 0.0
+        return LocalUpdateResult(p.params, running, loss, p.mask)
 
 
 def _adopt_fresh(running: CentroidSet, fresh: CentroidSet) -> CentroidSet:
@@ -484,19 +478,3 @@ def _adopt_fresh(running: CentroidSet, fresh: CentroidSet) -> CentroidSet:
     out.presence |= has
     return out
 
-
-def _make_stats(
-    loss_sum: float,
-    n_batches: int,
-    mask: np.ndarray,
-    given: np.ndarray,
-    true: np.ndarray,
-) -> LocalStats:
-    detected_true, detected, actual = detection_counts(mask, given, true)
-    return LocalStats(
-        mean_train_loss=loss_sum / n_batches if n_batches else 0.0,
-        confident_fraction=float(mask.mean()),
-        detected_noisy=detected,
-        detected_true_noisy=detected_true,
-        actual_noisy=actual,
-    )

@@ -40,37 +40,26 @@ _COLUMN_TYPES = get_type_hints(MetricsRecord)
 CSV_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
 
 
-def detection_counts(
+def detection_rates(
     mask: np.ndarray, given_labels: np.ndarray, true_labels: np.ndarray
-) -> tuple[int, int, int]:
-    """(detected_true_noisy, detected_noisy, actual_noisy) of one mask.
+) -> tuple[float, float]:
+    """(precision, recall) of noisy-sample detection by a confident mask,
+    one client's or a round's masks pooled.
 
-    An example counts as detected when its confident mask is 0 and as
-    actually noisy when its given label differs from its true label.
+    An example counts as detected when its mask is 0 and as actually
+    noisy when its given label differs from its true label. Degenerate
+    denominators yield 1.0: flagging nothing means no false positives,
+    and a clean shard has nothing to miss.
     """
     mask, given_labels, true_labels = map(np.asarray, (mask, given_labels, true_labels))
     if not (mask.shape == given_labels.shape == true_labels.shape):
-        raise ContractViolation("detection_counts: input arrays must align")
+        raise ContractViolation("detection_rates: input arrays must align")
     detected = mask == 0
     actual = given_labels != true_labels
-    return int((detected & actual).sum()), int(detected.sum()), int(actual.sum())
-
-
-def detection_from_counts(
-    detected_true_noisy: int, detected_noisy: int, actual_noisy: int
-) -> tuple[float, float]:
-    """(precision, recall) of noisy-sample detection from detection_counts'
-    three counts, one mask's or summed over a round's clients.
-
-    Degenerate denominators yield 1.0: flagging nothing means no false
-    positives, and a clean shard has nothing to miss.
-    """
-    if not 0 <= detected_true_noisy <= detected_noisy:
-        raise ContractViolation("detection metrics: true positives exceed detections")
-    if detected_true_noisy > actual_noisy:
-        raise ContractViolation("detection metrics: true positives exceed actual noise")
-    precision = detected_true_noisy / detected_noisy if detected_noisy else 1.0
-    recall = detected_true_noisy / actual_noisy if actual_noisy else 1.0
+    hit = int((detected & actual).sum())
+    n_detected, n_actual = int(detected.sum()), int(actual.sum())
+    precision = hit / n_detected if n_detected else 1.0
+    recall = hit / n_actual if n_actual else 1.0
     return precision, recall
 
 

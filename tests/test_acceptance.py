@@ -23,12 +23,11 @@ from fednoise.coordinator import (
 from fednoise.localnode import (
     CentroidSet,
     HyperParams,
-    LocalStats,
     LocalUpdateResult,
     small_loss_filter,
     total_loss_and_grads,
 )
-from fednoise.metrics import detection_counts, detection_from_counts
+from fednoise.metrics import detection_rates
 from fednoise.noise import corrupt, transition_matrix
 from fednoise.numkit import ModelParams, cosine_similarity, init_params, mlp_backward, mlp_forward
 from fednoise.seeds import STREAM_NOISE, make_rng
@@ -150,7 +149,7 @@ def test_criterion_2_oracle_equivalence():
         expect = sorted(sorted(range(n), key=lambda i: (losses[i], i))[:k])
         assert small_loss_filter(losses, r_t).tolist() == expect
 
-    # detection_from_counts of detection_counts: pure set arithmetic.
+    # detection_rates: pure set arithmetic.
     for _ in range(1000):
         n = int(rng.integers(1, 30))
         mask = rng.integers(0, 2, size=n)
@@ -163,7 +162,7 @@ def test_criterion_2_oracle_equivalence():
             len(hit) / len(detected) if detected else 1.0,
             len(hit) / len(actual) if actual else 1.0,
         )
-        assert detection_from_counts(*detection_counts(mask, given, true)) == expect
+        assert detection_rates(mask, given, true) == expect
 
     # fedavg: weighted mean via an independent np.average reduction.
     def result_with(flat_value, d_in=2, d_h=3, C=2):
@@ -175,7 +174,8 @@ def test_criterion_2_oracle_equivalence():
         return LocalUpdateResult(
             params=p,
             centroids=CentroidSet.empty(C, d_h),
-            stats=LocalStats(0.0, 1.0, 0, 0, 0),
+            mean_train_loss=0.0,
+            mask=np.ones(1, dtype=np.int64),
         )
 
     for _ in range(1000):

@@ -344,10 +344,13 @@ _IDX_PAIR = [f"dataset.{key}={{tmp}}/{name}" for key, name in (
     ("images", "img"), ("labels", "lab"), ("test_images", "img"), ("test_labels", "lab"))]
 
 
-def _write_idx(tmp_path, n=300):
-    """An IDX image/label pair of n blank 2 x 2 images in 3 classes."""
-    (tmp_path / "img").write_bytes(struct.pack(">IIII", 0x803, n, 2, 2) + bytes(4 * n))
-    (tmp_path / "lab").write_bytes(struct.pack(">II", 0x801, n) + bytes(i % 3 for i in range(n)))
+def _write_idx(tmp_path, n=300, side=2, stem=""):
+    """An IDX image/label pair, {stem}img and {stem}lab, of n blank
+    side x side images in 3 classes."""
+    (tmp_path / f"{stem}img").write_bytes(
+        struct.pack(">IIII", 0x803, n, side, side) + bytes(side * side * n)
+    )
+    (tmp_path / f"{stem}lab").write_bytes(struct.pack(">II", 0x801, n) + bytes(i % 3 for i in range(n)))
 
 
 @pytest.mark.parametrize(
@@ -364,10 +367,23 @@ def _write_idx(tmp_path, n=300):
             ["dataset.kind=idx", "dataset.subset=500", "fed.num_clients=400"] + _IDX_PAIR,
             "fed.num_clients: 400 > 300 training rows",
         ),
+        # Test images that training could not evaluate: 3 x 3 against
+        # 2 x 2, and none at all.
+        (
+            ["dataset.kind=idx"] + _IDX_PAIR[:2]
+            + ["dataset.test_images={tmp}/wide_img", "dataset.test_labels={tmp}/wide_lab"],
+            "dataset.test_images: images of 3 x 3, not the training images' 2 x 2",
+        ),
+        (
+            ["dataset.kind=idx"] + _IDX_PAIR[:2]
+            + ["dataset.test_images={tmp}/empty_img", "dataset.test_labels={tmp}/empty_lab"],
+            "dataset.test_images: no images",
+        ),
     ],
     ids=[
         "output_missing_directory", "output_directory", "clients_over_blob_rows",
-        "clients_over_idx_subset", "clients_over_idx_images",
+        "clients_over_idx_subset", "clients_over_idx_images", "test_images_of_another_size",
+        "no_test_images",
     ],
 )
 def test_validate_and_run_judge_a_config_alike(tmp_path, capsys, monkeypatch, overrides, error):
@@ -378,6 +394,8 @@ def test_validate_and_run_judge_a_config_alike(tmp_path, capsys, monkeypatch, ov
 
     monkeypatch.setattr("fednoise.bench.build_datasets", reached)
     _write_idx(tmp_path)
+    _write_idx(tmp_path, n=12, side=3, stem="wide_")
+    _write_idx(tmp_path, n=0, stem="empty_")
     args = [a for ov in overrides for a in ("--override", ov.format(tmp=tmp_path))]
     for command in ("validate-config", "run"):
         assert main([command, "--config", BLOBS_CFG] + args) == 1
@@ -456,7 +474,7 @@ def test_cli_validate_checks_client_variance_against_the_kind(tmp_path, capsys):
     "override",
     [
         "hp.learning_rate=nan", "hp.lambda_cen=nan", "hp.lambda_e=inf", "hp.weight_decay=nan",
-        "hp.weight_decay=-1", "dataset.spread=nan", "noise.client_variance=nan",
+        "hp.weight_decay=-1", "dataset.spread=nan", "noise.client_variance=nan", "hp.t_pl=-5",
     ],
 )
 def test_cli_validate_rejects_non_finite_floats_and_negative_weight_decay(

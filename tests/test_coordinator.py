@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fednoise import coordinator, localnode
+from fednoise.bench import build_datasets, load_config, resolve_config
 from fednoise.coordinator import (
     FederationConfig,
     aggregate_global_centroids,
@@ -28,8 +29,8 @@ from fednoise.coordinator import (
 from fednoise.datagen import make_blob_split, partition_iid
 from fednoise.errors import ConfigError, ContractViolation
 from fednoise.localnode import METHODS, CentroidSet, HyperParams, LocalUpdateResult
-from fednoise.localnode import LocalStats
 from fednoise.metrics import write_csv
+from fednoise.noise import apply_noise
 from fednoise.numkit import ModelParams, cosine_similarity, init_params, mlp_forward
 from fednoise.seeds import STREAM_INIT, STREAM_LOCAL, STREAM_SELECT, make_rng
 
@@ -79,7 +80,8 @@ def _result(params, C=2, d_h=3) -> LocalUpdateResult:
     return LocalUpdateResult(
         params=params,
         centroids=CentroidSet.empty(C, d_h),
-        stats=LocalStats(0.0, 1.0, 0, 0, 0),
+        mean_train_loss=0.0,
+        mask=np.ones(1, dtype=np.int64),
     )
 
 
@@ -527,6 +529,39 @@ def test_run_training_every_client_every_round(monkeypatch, method):
         runs.append((params.theta, records))
     np.testing.assert_array_equal(runs[0][0], runs[1][0])
     assert runs[0][1] == runs[1][1]
+
+
+BLOBS_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "blobs.cfg")
+# The columns that do not measure detection against the true labels.
+_BLIND_COLUMNS = ("test_accuracy", "mean_train_loss", "confident_fraction", "weight_divergence", "r_t")
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_training_reads_no_true_label(monkeypatch, method):
+    # The desk config for 12 rounds, pseudo-labels from round 6. Permuting
+    # the training set's true labels after the noise is drawn moves only
+    # what the server measures against them, mask precision and recall:
+    # the weights and every other column stay, whether the clients' masks
+    # cross the worker pipes (3 processes) or not.
+    cfg = resolve_config(load_config(BLOBS_CFG, ["fed.rounds=12", "hp.t_pl=6", f"method={method}"]))
+    train, test = build_datasets(cfg.dataset)
+    shards = partition_iid(train, cfg.fed.num_clients, cfg.seed)
+    apply_noise(train, shards, cfg.noise)
+    scrambled = dataclasses.replace(train, true_labels=make_rng(1, 0).permutation(train.true_labels))
+    runs = []
+    for data, n in ((train, 1), (scrambled, 1), (scrambled, 3)):
+        _processes(monkeypatch, n)
+        params, records = run_training(data, test, shards, cfg.fed, cfg.hp, cfg.seed, method=method)
+        runs.append((params.theta.tobytes(), records))
+    theta, records = runs[0]
+    for other_theta, other_records in runs[1:]:
+        assert other_theta == theta
+        for a, b in zip(records, other_records, strict=True):
+            assert [getattr(a, c) for c in _BLIND_COLUMNS] == [getattr(b, c) for c in _BLIND_COLUMNS]
+    assert runs[1][1] == runs[2][1]
+    if method != "ce_baseline":
+        # The scramble reaches the server's measure of detection.
+        assert [r.mask_precision for r in records] != [r.mask_precision for r in runs[1][1]]
 
 
 class _MergeReached(Exception):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import pickle
@@ -502,6 +503,12 @@ def _blob_client(seed=0, n_per_class=30, C=3, noisy=False):
     return ds, shards[0]
 
 
+def _assert_mask_of(res, n_k):
+    """The upload's confident mask: one 0/1 int64 entry per shard row."""
+    assert res.mask.shape == (n_k,) and res.mask.dtype == np.int64
+    assert np.isin(res.mask, (0, 1)).all()
+
+
 def _hp(**kw):
     base = dict(
         hidden_dim=8,
@@ -563,7 +570,8 @@ def test_local_update_cut_anywhere_and_resumed_gives_same_bytes(monkeypatch, met
         assert res.params.theta.tobytes() == whole.params.theta.tobytes(), cut
         assert res.centroids.vectors.tobytes() == whole.centroids.vectors.tobytes(), cut
         np.testing.assert_array_equal(res.centroids.presence, whole.centroids.presence)
-        assert res.stats == whole.stats, cut
+        assert res.mean_train_loss == whole.mean_train_loss, cut
+        assert res.mask.tobytes() == whole.mask.tobytes(), cut
 
 
 def test_local_job_takes_exactly_its_steps():
@@ -607,7 +615,8 @@ def test_local_update_deterministic():
     b = local_update(ds, shard, gp, gc, 2, 0.9, hp, make_rng(0, 6, 2, 0))
     np.testing.assert_array_equal(a.params.theta, b.params.theta)
     np.testing.assert_array_equal(a.centroids.vectors, b.centroids.vectors)
-    assert a.stats == b.stats
+    assert a.mean_train_loss == b.mean_train_loss
+    np.testing.assert_array_equal(a.mask, b.mask)
 
 
 def test_local_update_pure_function_across_clients():
@@ -648,14 +657,9 @@ def test_local_update_reports_local_state():
     hp = _hp()
     gp = init_params(5, 8, 3, make_rng(0, 4))
     res = local_update(ds, shard, gp, CentroidSet.empty(3, 8), 1, 0.8, hp, make_rng(0, 6, 1, 0))
-    s = res.stats
-    # The 0/1 mask shows through the stats: every example is either
-    # confident or flagged.
-    assert 0 <= s.detected_noisy <= ds.n
-    assert s.confident_fraction * ds.n + s.detected_noisy == pytest.approx(ds.n)
+    _assert_mask_of(res, len(shard))
     assert res.centroids.presence.any()
-    assert 0.0 <= res.stats.confident_fraction <= 1.0
-    assert np.isfinite(res.stats.mean_train_loss)
+    assert np.isfinite(res.mean_train_loss)
 
 
 def test_local_update_ce_baseline_is_maskless(monkeypatch):
@@ -684,8 +688,7 @@ def test_local_update_ce_baseline_is_maskless(monkeypatch):
     # One forward per SGD step, over that step's batch only.
     steps = hp.local_epochs * math.ceil(ds.n / hp.batch_size)
     assert len(forwards) == steps and sum(forwards) == hp.local_epochs * ds.n
-    assert res.stats.confident_fraction == 1.0
-    assert res.stats.detected_noisy == 0
+    np.testing.assert_array_equal(res.mask, np.ones(len(shard), dtype=np.int64))
     assert not res.centroids.presence.any()
 
 
@@ -781,9 +784,7 @@ def test_local_update_edge_shapes(C, size, batch_size, held, round_t, method, sc
     res = local_update(ds, rows, gp, gc, round_t, 0.75, hp, make_rng(seed, 6, round_t, 0), method=method)
     assert np.isfinite(res.params.theta).all()
     assert np.isfinite(res.centroids.vectors).all()
-    s = res.stats
-    assert 0 <= s.detected_true_noisy <= s.detected_noisy <= n
-    assert s.actual_noisy == int(np.count_nonzero(ds.given_labels[rows] != ds.true_labels[rows]))
+    _assert_mask_of(res, n)
     # From round 2 the running centroids start from the broadcast set, and
     # presence only grows; at round 1 (an empty broadcast in a run) a
     # client seeds them from its own class means.
@@ -845,7 +846,24 @@ def test_detection_counts_add_up():
     hp = _hp()
     gp = init_params(5, 8, 3, make_rng(0, 4))
     res = local_update(ds, shard, gp, CentroidSet.empty(3, 8), 1, 0.8, hp, make_rng(0, 6, 1, 0))
-    s = res.stats
-    assert s.actual_noisy == int((ds.given_labels != ds.true_labels).sum())
-    assert 0 <= s.detected_true_noisy <= min(s.detected_noisy, s.actual_noisy)
-    assert s.detected_noisy == round((1.0 - s.confident_fraction) * ds.n)
+    # Every example of the shard is either flagged (0) or confident (1);
+    # the server counts detections from this mask (test_metrics.py).
+    _assert_mask_of(res, len(shard))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_local_update_reads_no_true_label(method):
+    # Round 4 is past t_pl, with the broadcast centroids of round 1: the
+    # upload is the same when the training set holds no true labels.
+    ds, shard = _blob_client(noisy=True)
+    hp = _hp()
+    gp = init_params(5, 8, 3, make_rng(0, 4))
+    gc = local_update(ds, shard, gp, CentroidSet.empty(3, 8), 1, 1.0, hp, make_rng(0, 6, 1, 0)).centroids
+    a = local_update(ds, shard, gp, gc, 4, 0.8, hp, make_rng(0, 6, 4, 0), method=method)
+    blind = dataclasses.replace(ds, true_labels=None)
+    b = local_update(blind, shard, gp, gc, 4, 0.8, hp, make_rng(0, 6, 4, 0), method=method)
+    assert a.params.theta.tobytes() == b.params.theta.tobytes()
+    assert a.centroids.vectors.tobytes() == b.centroids.vectors.tobytes()
+    np.testing.assert_array_equal(a.centroids.presence, b.centroids.presence)
+    assert a.mean_train_loss == b.mean_train_loss
+    assert a.mask.tobytes() == b.mask.tobytes()

@@ -10,8 +10,7 @@ from fednoise.errors import ContractViolation
 from fednoise.metrics import (
     CSV_HEADER_TAG,
     MetricsRecord,
-    detection_counts,
-    detection_from_counts,
+    detection_rates,
     read_csv,
     records_to_csv,
     weight_divergence,
@@ -32,17 +31,15 @@ def test_detection_perfect_mask():
     given = np.array([0, 1, 2, 0])
     true = np.array([0, 2, 2, 1])
     mask = (given == true).astype(int)
-    assert detection_from_counts(*detection_counts(mask, given, true)) == (1.0, 1.0)
+    assert detection_rates(mask, given, true) == (1.0, 1.0)
 
 
 def test_detection_degenerate_denominators():
     y = np.array([0, 1])
-    clean = detection_counts(np.ones(2, dtype=int), y, y.copy())
-    assert detection_from_counts(*clean) == (1.0, 1.0)
+    assert detection_rates(np.ones(2, dtype=int), y, y.copy()) == (1.0, 1.0)
     # Nothing detected but noise exists: precision vacuously 1, recall 0.
     noisy = np.array([1, 1])
-    missed = detection_counts(np.ones(2, dtype=int), y, noisy)
-    assert detection_from_counts(*missed) == (1.0, 0.0)
+    assert detection_rates(np.ones(2, dtype=int), y, noisy) == (1.0, 0.0)
 
 
 def test_detection_hand_case():
@@ -50,7 +47,7 @@ def test_detection_hand_case():
     given = np.array([1, 0, 0, 0])
     true = np.array([0, 0, 0, 1])
     # detected {0,1,3}, actual {0,3}, hit {0,3}
-    p, r = detection_from_counts(*detection_counts(mask, given, true))
+    p, r = detection_rates(mask, given, true)
     assert p == pytest.approx(2 / 3)
     assert r == pytest.approx(1.0)
 
@@ -60,20 +57,28 @@ def test_detection_matches_brute_force(rows):
     mask = np.array([r[0] for r in rows], dtype=int)
     given = np.array([r[1] for r in rows], dtype=int)
     true = np.array([r[2] for r in rows], dtype=int)
-    got = detection_from_counts(*detection_counts(mask, given, true))
+    got = detection_rates(mask, given, true)
     assert got == brute_detection(mask, given, true)
 
 
 def test_detection_misaligned():
     with pytest.raises(ContractViolation):
-        detection_counts(np.zeros(2, dtype=int), np.zeros(3, dtype=int), np.zeros(3, dtype=int))
+        detection_rates(np.zeros(2, dtype=int), np.zeros(3, dtype=int), np.zeros(3, dtype=int))
 
 
-def test_detection_from_counts_guards():
-    with pytest.raises(ContractViolation):
-        detection_from_counts(3, 2, 5)
-    with pytest.raises(ContractViolation):
-        detection_from_counts(3, 5, 2)
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 2), st.integers(0, 2)), max_size=40))
+def test_detection_rates_count_the_same_hits(rows):
+    # Both rates count the flagged noisy rows: precision over the flagged
+    # rows, recall over the noisy ones, and a rate with nothing to count
+    # is 1.
+    mask, given, true = (np.array([r[i] for r in rows], dtype=int) for i in range(3))
+    p, r = detection_rates(mask, given, true)
+    flagged, noisy = int((mask == 0).sum()), int((given != true).sum())
+    assert 0.0 <= p <= 1.0 and 0.0 <= r <= 1.0
+    if flagged and noisy:
+        assert round(p * flagged) == round(r * noisy)
+    assert flagged or p == 1.0
+    assert noisy or r == 1.0
 
 
 def test_weight_divergence_identical_is_zero():
