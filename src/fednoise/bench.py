@@ -184,8 +184,9 @@ def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
     the IDX subset, then the IDX training images), and an output that is
     not a directory, in one that exists. The headers of the IDX files
     are read last (idx_header), so a missing or malformed file raises
-    OSError or FormatError only once the config itself passes; the test
-    images must then be at least one, of the training images' size."""
+    OSError or FormatError only once the config itself passes; the images
+    must then have pixels, and the test images be at least one, of the
+    training images' size."""
     out = copy.deepcopy(cfg)
     out.dataset.validate()
     out.noise.validate()
@@ -209,6 +210,8 @@ def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
         test_rows, *test_size = idx_header(spec.test_images, spec.test_labels)
         if out.fed.num_clients > rows:
             raise ConfigError(f"fed.num_clients: {out.fed.num_clients} > {rows} training rows")
+        if not all(size):
+            raise ConfigError(f"dataset.images: images of {size[0]} x {size[1]} pixels")
         if not test_rows:
             raise ConfigError("dataset.test_images: no images")
         if test_size != size:

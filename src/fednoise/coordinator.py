@@ -1,16 +1,15 @@
 """Server side of the simulation: rounds, aggregation, evaluation.
 
-Each round: sample a client subset, broadcast global weights and
-centroids, run the selected clients' local updates, average weights by
-shard size, and fold the uploaded class centroids into the global set by
-cosine-weighted averaging.
+A round is one function of the server's state (RoundState: the global
+weights and class centroids after t rounds) to the next state and the
+round's CSV row. It samples a client subset, broadcasts the weights and
+centroids, runs the selected clients' local updates, averages weights by
+shard size, and folds the uploaded class centroids into the global set
+by cosine-weighted averaging. run_training is a loop over it.
 
-The selected clients run on every CPU the process may use. run_training
-forks one worker process per extra CPU (never more processes than
-clients per round). Every round, plan_round evens out the SGD steps:
-no process gets more than the round's longest client or its total over
-the processes, whichever is more. A client cut at the boundary of two
-processes starts in one and finishes in the other.
+Only _ClientProcesses knows about processes: it runs each round's
+clients on every CPU the process may use, in the even shares of SGD
+steps that plan_round makes (see both).
 
 Determinism contract: every random draw comes from a Philox stream keyed
 by (seed, stream, round, client), and client results are always reduced
@@ -73,9 +72,11 @@ class FederationConfig:
             raise ConfigError("fed.rounds: must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RoundState:
-    """Server state that the next round reads, and nothing else."""
+    """What the server holds after t rounds, and all that the next round
+    reads. A round (_run_round) returns a new state and writes nothing of
+    the one it is given, so a run can go on from any state it returned."""
 
     t: int
     params: ModelParams
@@ -180,35 +181,68 @@ def run_training(
         raise ContractViolation(
             f"run_training: got {len(shards)} shards for {fed.num_clients} clients"
         )
-    d_h = hp.hidden_dim
-
-    params = init_params(train.d_in, d_h, train.C, make_rng(seed, STREAM_INIT))
-    state = RoundState(t=0, params=params, centroids=CentroidSet.empty(train.C, d_h))
+    params = init_params(train.d_in, hp.hidden_dim, train.C, make_rng(seed, STREAM_INIT))
+    state = RoundState(0, params, CentroidSet.empty(train.C, hp.hidden_dim))
     records = []
-    processes = min(_usable_cpus(), fed.clients_per_round)
-
     with contextlib.closing(
-        _ClientProcesses(processes, fed.clients_per_round, params, train, shards, hp, seed, method)
+        _ClientProcesses(fed.clients_per_round, params, train, shards, hp, seed, method)
     ) as clients:
-        for t in range(1, fed.rounds + 1):
-            state.t = t
-            r_t = r_schedule(t - 1, hp)
-            chosen = select_clients(
-                fed.num_clients, fed.clients_per_round, make_rng(seed, STREAM_SELECT, t)
-            )
-            rows = [shards[cid] for cid in chosen]
-            sizes = [len(r) for r in rows]
-            plan = plan_round([hp.local_steps(n_k) for n_k in sizes], processes)
-            results = clients.run(state, r_t, chosen, plan)
-
-            state.params = fedavg(results, sizes)
-            uploaded = [r.centroids for r in results if r.centroids.presence.any()]
-            if uploaded:
-                state.centroids = aggregate_global_centroids(state.centroids, uploaded)
-
-            records.append(_round_record(state, r_t, results, rows, train, test))
-
+        while state.t < fed.rounds:
+            state, record = _run_round(state, clients, fed, test)
+            records.append(record)
     return state.params, records
+
+
+def _run_round(
+    state: RoundState, clients: _ClientProcesses, fed: FederationConfig, test: Dataset
+) -> tuple[RoundState, MetricsRecord]:
+    """Round state.t + 1 of the run that clients serve: the state after it,
+    and its CSV row from the clients' uploads in ascending client order.
+    Detection is measured here, on the pooled masks against the training
+    set's true labels, which no client reads. Raises TrainingDiverged if
+    any value in the row is not finite."""
+    t = state.t + 1
+    r_t = r_schedule(state.t, clients.hp)
+    chosen = select_clients(
+        fed.num_clients, fed.clients_per_round, make_rng(clients.seed, STREAM_SELECT, t)
+    )
+    results = clients.run(t, r_t, state.params, state.centroids, chosen)
+    rows = [clients.shards[cid] for cid in chosen]
+    sizes = [len(r) for r in rows]
+    params = fedavg(results, sizes)
+    centroids = state.centroids
+    uploaded = [r.centroids for r in results if r.centroids.presence.any()]
+    if uploaded:
+        centroids = aggregate_global_centroids(centroids, uploaded)
+
+    total = sum(sizes)
+    loss = sum(r.mean_train_loss * n for r, n in zip(results, sizes)) / total
+    confident = sum(float(r.mask.mean()) * n for r, n in zip(results, sizes)) / total
+    pooled = np.concatenate(rows)
+    precision, recall = detection_rates(
+        np.concatenate([r.mask for r in results]),
+        clients.train.given_labels[pooled],
+        clients.train.true_labels[pooled],
+    )
+    # Divergence is undefined for a single participant; record 0.0 then.
+    if len(results) >= 2:
+        wdiv = weight_divergence([r.params.theta for r in results])
+    else:
+        wdiv = 0.0
+    record = MetricsRecord(
+        round=t,
+        test_accuracy=evaluate_accuracy(params, test),
+        mean_train_loss=loss,
+        confident_fraction=confident,
+        mask_precision=precision,
+        mask_recall=recall,
+        weight_divergence=wdiv,
+        r_t=r_t,
+    )
+    for column in CSV_COLUMNS:
+        if not math.isfinite(getattr(record, column)):
+            raise TrainingDiverged(f"round {t}: {column} is not finite")
+    return RoundState(t, params, centroids), record
 
 
 class Piece(NamedTuple):
@@ -251,8 +285,8 @@ def plan_round(steps: list[int], processes: int) -> list[list[Piece]]:
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on, or 1 where run_training does not fork
-    workers: no CPU affinity to read, no fork start method, a daemonic
+    """CPUs this process may run on, or 1 where _ClientProcesses does not
+    fork workers: no CPU affinity to read, no fork start method, a daemonic
     process (which may not have children), or other threads running (a
     lock one of them holds at the fork would stay held in the worker)."""
     if (
@@ -271,52 +305,53 @@ WORKER_EXIT_TIMEOUT_S = 1.0
 
 class _ClientProcesses:
     """The processes that run each round's clients, one per rank: this
-    one (rank 0) and, for n processes, n - 1 forked workers.
+    one (rank 0) and n - 1 forked workers, where n is the CPUs this
+    process may use (_usable_cpus), at most one per client of a round.
+    This class alone knows about processes: it owns their count and,
+    every round, their plan (plan_round). The same code runs 1 to n.
 
     Every round, rank w runs plan[w]: whole clients, and at most one
     client cut at each end of its share. A client cut between ranks w
     and w+1 starts in w+1 and finishes in w. Every rank reads the run's
     data and settings (train, shards, hp, seed, method) from this
-    object; `like` gives the weights' shape. The workers are forked once
-    per run_training call, after the data exists, so they inherit all of
-    it. Weights pass through memory shared with them: `broadcast` holds
-    the round's global weights, and `slots[p]` the weights and momentum
-    buffer of the client at position p. A cut client's first part leaves
-    its weights and momentum there, and its rest trains there in place;
-    a worker copies every client it finishes there (a rest onto itself).
-    So each result of another process, and of a rest run here, holds a
-    view of its slot as weights, not a copy. Pipes carry the rest: client
-    ids, the plan, centroids, losses and masks, and the rest of a cut
-    client's progress, on one one-way pipe per pair of neighbouring
-    ranks. Closing the pipes ends the workers.
+    object; `like` gives the weights' shape. The workers are forked once,
+    when the object is made, after the data exists, so they inherit all
+    of it. Weights pass through a table in shared memory: `broadcast`
+    holds the round's global weights, which every rank trains from, and
+    `slots[p]` the weights and momentum buffer of the client at position
+    p. A cut client's first part leaves its weights and momentum there,
+    and its rest trains there in place; a worker copies every client it
+    finishes there (a rest onto itself). So each result of another
+    process, and of a rest run here, holds a view of its slot as weights,
+    not a copy. Pipes carry the rest: client ids, the plan, centroids,
+    losses and masks, and the rest of a cut client's progress, on one
+    one-way pipe per pair of neighbouring ranks. Closing the pipes ends
+    the workers.
     """
 
-    def __init__(self, processes, clients, like, train, shards, hp, seed, method):
-        self.processes = processes
+    def __init__(self, clients, like, train, shards, hp, seed, method):
+        self.processes = min(_usable_cpus(), clients)
         self.train, self.shards, self.hp, self.seed, self.method = train, shards, hp, seed, method
         self.rank = 0
         self.conns = []
         self.procs = []
-        self.takes = self.gives = []
-        if processes == 1:
-            return
         self.dims = (like.d_in, like.d_h, like.n_classes)
         rows = 1 + 2 * clients
         rows = np.frombuffer(mmap.mmap(-1, rows * like.theta.nbytes)).reshape(rows, -1)
         self.broadcast = ModelParams(rows[0], *self.dims)
         self.slots = rows[1:].reshape(clients, 2, -1)
-        ctx = multiprocessing.get_context("fork")
         # takes[w] is rank w's end of the pipe from w+1, gives[w] w+1's end.
-        pipes = [_hand_over_pipe(ctx) for _ in range(processes - 1)]
+        pipes = [_hand_over_pipe() for _ in range(self.processes - 1)]
         self.takes = [take for take, _ in pipes]
         self.gives = [give for _, give in pipes]
         try:
-            for w in range(1, processes):
-                conn, child_conn = ctx.Pipe()
+            for w in range(1, self.processes):
+                conn, child_conn = multiprocessing.Pipe()
                 self.conns.append(conn)
                 own = [self.gives[w - 1]] + self.takes[w : w + 1]
                 inherited = self.conns + [e for e in self.takes + self.gives if e not in own]
-                proc = ctx.Process(target=self._serve, args=(w, child_conn, inherited), daemon=True)
+                fork = multiprocessing.get_context("fork")
+                proc = fork.Process(target=self._serve, args=(w, child_conn, inherited), daemon=True)
                 proc.start()
                 child_conn.close()
                 self.procs.append(proc)
@@ -328,21 +363,22 @@ class _ClientProcesses:
             end.close()
 
     def run(
-        self, state: RoundState, r_t: float, chosen: np.ndarray, plan: list[list[Piece]]
+        self, t: int, r_t: float, params: ModelParams, centroids: CentroidSet, chosen: np.ndarray
     ) -> list[LocalUpdateResult]:
-        """Run the chosen clients of round state.t with keep-fraction r_t
-        as planned, and return their results in ascending id order. If
-        clients fail, raise the error of the first failing position."""
+        """Run the chosen clients of round t from the global params and
+        centroids with keep-fraction r_t, and return their results in
+        ascending id order. Writes nothing it is given. If clients fail,
+        raise the error of the first failing position."""
         ids = chosen.tolist()
-        if self.processes > 1:
-            self.broadcast.theta[...] = state.params.theta
+        plan = plan_round([self.hp.local_steps(len(self.shards[cid])) for cid in ids], self.processes)
+        self.broadcast.theta[...] = params.theta
         for w, conn in enumerate(self.conns, 1):
             try:
-                conn.send((ids, plan[w], state.centroids, state.t, r_t))
+                conn.send((ids, plan[w], centroids, t, r_t))
             except OSError:
-                raise self._died(w, state.t) from None
-        shares = [self._run_share(ids, plan[0], state.params, state.centroids, state.t, r_t)]
-        shares += [self._receive(w, state.t) for w in range(1, self.processes)]
+                raise self._died(w, t) from None
+        shares = [self._run_share(ids, plan[0], centroids, t, r_t)]
+        shares += [self._receive(w, t) for w in range(1, self.processes)]
 
         results: list = [None] * len(ids)
         for done, _ in shares:
@@ -353,8 +389,9 @@ class _ClientProcesses:
             raise errors[min(errors)]
         return results
 
-    def _run_share(self, ids, pieces, params, centroids, t, r_t):
-        """Run this rank's pieces of round t in order (see plan_round).
+    def _run_share(self, ids, pieces, centroids, t, r_t):
+        """Run this rank's pieces of round t in order (see plan_round),
+        from the broadcast weights.
 
         A whole client is one local_update. A cut client's first part
         ends by handing its progress, or None if it fails, to the rank
@@ -374,7 +411,7 @@ class _ClientProcesses:
             rng = make_rng(self.seed, STREAM_LOCAL, t, cid) if start == 0 else None
             try:
                 if whole:
-                    args = (self.train, rows, params, centroids, t, r_t, self.hp, rng)
+                    args = (self.train, rows, self.broadcast, centroids, t, r_t, self.hp, rng)
                     done.append((pos, local_update(*args, method=self.method)))
                     continue
                 if not first_part:
@@ -383,7 +420,7 @@ class _ClientProcesses:
                         continue
                 job = LocalJob(self.train, rows, t, r_t, self.hp, self.method)
                 if first_part:
-                    progress = job.start(params, centroids, rng)
+                    progress = job.start(self.broadcast, centroids, rng)
                 job.advance(progress, stop - start)
                 if first_part:
                     self._hand_over(pos, progress)
@@ -439,7 +476,7 @@ class _ClientProcesses:
         try:
             while True:
                 ids, pieces, centroids, t, r_t = conn.recv()
-                done, failure = self._run_share(ids, pieces, self.broadcast, centroids, t, r_t)
+                done, failure = self._run_share(ids, pieces, centroids, t, r_t)
                 for pos, res in done:
                     self.slots[pos, 0] = res.params.theta  # onto itself for a rest
                     res.params = None
@@ -481,12 +518,12 @@ class _ClientProcesses:
                 proc.join()
 
 
-def _hand_over_pipe(ctx) -> tuple:
+def _hand_over_pipe() -> tuple:
     """A one-way pipe (reader, writer) as large as a process may make one
     (/proc/sys/fs/pipe-max-size, 1 MiB by default on Linux). A hand-over's
     rest grows with shard size times classes; up to the pipe's size, its
     sender does not wait for the reader."""
-    take, give = ctx.Pipe(duplex=False)
+    take, give = multiprocessing.Pipe(duplex=False)
     try:
         with open("/proc/sys/fs/pipe-max-size") as fh:
             fcntl.fcntl(give.fileno(), fcntl.F_SETPIPE_SZ, int(fh.read()))
@@ -516,46 +553,3 @@ def _with_context(e: Exception, ctx: str) -> Exception:
     except Exception:
         return RuntimeError(f"{ctx}: {e}")
 
-
-def _round_record(
-    state: RoundState,
-    r_t: float,
-    results: list[LocalUpdateResult],
-    rows: list[np.ndarray],
-    train: Dataset,
-    test: Dataset,
-) -> MetricsRecord:
-    """Round t's CSV row from the clients' uploads, in ascending client
-    order, and the row indices of their shards. Detection is measured
-    here, on the pooled masks against the training set's true labels,
-    which no client reads. Raises TrainingDiverged if any value in the
-    row is not finite."""
-    sizes = [len(r) for r in rows]
-    total = sum(sizes)
-    loss = sum(r.mean_train_loss * n for r, n in zip(results, sizes)) / total
-    confident = sum(float(r.mask.mean()) * n for r, n in zip(results, sizes)) / total
-    pooled = np.concatenate(rows)
-    precision, recall = detection_rates(
-        np.concatenate([r.mask for r in results]),
-        train.given_labels[pooled],
-        train.true_labels[pooled],
-    )
-    # Divergence is undefined for a single participant; record 0.0 then.
-    if len(results) >= 2:
-        wdiv = weight_divergence([r.params.theta for r in results])
-    else:
-        wdiv = 0.0
-    record = MetricsRecord(
-        round=state.t,
-        test_accuracy=evaluate_accuracy(state.params, test),
-        mean_train_loss=loss,
-        confident_fraction=confident,
-        mask_precision=precision,
-        mask_recall=recall,
-        weight_divergence=wdiv,
-        r_t=r_t,
-    )
-    for column in CSV_COLUMNS:
-        if not math.isfinite(getattr(record, column)):
-            raise TrainingDiverged(f"round {state.t}: {column} is not finite")
-    return record

@@ -379,11 +379,16 @@ def _write_idx(tmp_path, n=300, side=2, stem=""):
             + ["dataset.test_images={tmp}/empty_img", "dataset.test_labels={tmp}/empty_lab"],
             "dataset.test_images: no images",
         ),
+        # Images of no pixels, as the training and the test set.
+        (
+            ["dataset.kind=idx"] + [ov.replace("}/", "}/blank_") for ov in _IDX_PAIR],
+            "dataset.images: images of 0 x 0 pixels",
+        ),
     ],
     ids=[
         "output_missing_directory", "output_directory", "clients_over_blob_rows",
         "clients_over_idx_subset", "clients_over_idx_images", "test_images_of_another_size",
-        "no_test_images",
+        "no_test_images", "images_of_no_pixels",
     ],
 )
 def test_validate_and_run_judge_a_config_alike(tmp_path, capsys, monkeypatch, overrides, error):
@@ -396,6 +401,7 @@ def test_validate_and_run_judge_a_config_alike(tmp_path, capsys, monkeypatch, ov
     _write_idx(tmp_path)
     _write_idx(tmp_path, n=12, side=3, stem="wide_")
     _write_idx(tmp_path, n=0, stem="empty_")
+    _write_idx(tmp_path, n=60, side=0, stem="blank_")
     args = [a for ov in overrides for a in ("--override", ov.format(tmp=tmp_path))]
     for command in ("validate-config", "run"):
         assert main([command, "--config", BLOBS_CFG] + args) == 1

@@ -706,7 +706,7 @@ def test_coordinator_error_before_a_rest_names_round_and_client(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_cut_client_finishes_in_its_slot():
+def test_cut_client_finishes_in_its_slot(monkeypatch):
     # Two processes cut one client of round 1; the coordinator takes over
     # its rest. The rest trains in the client's slot of the shared table,
     # so its result's weights are that slot, and they are the weights of
@@ -714,21 +714,110 @@ def test_cut_client_finishes_in_its_slot():
     train, _, shards, fed, hp = _tiny_setup()
     fed.clients_per_round = 5
     chosen = select_clients(fed.num_clients, fed.clients_per_round, make_rng(0, STREAM_SELECT, 1))
-    steps = [hp.local_steps(len(shards[c])) for c in chosen]
-    plan = plan_round(steps, 2)
+    plan = plan_round([hp.local_steps(len(shards[c])) for c in chosen], 2)
     rest = plan[0][-1]
     assert rest.start > 0 and plan[1][0].pos == rest.pos
     params = init_params(train.d_in, hp.hidden_dim, train.C, make_rng(0, STREAM_INIT))
-    state = coordinator.RoundState(1, params, CentroidSet.empty(train.C, hp.hidden_dim))
+    centroids = CentroidSet.empty(train.C, hp.hidden_dim)
     results = []
-    for processes, pieces in ((2, plan), (1, plan_round(steps, 1))):
-        args = (processes, fed.clients_per_round, params, train, shards, hp, 0, "proposed")
+    for processes in (2, 1):
+        _processes(monkeypatch, processes)
+        args = (fed.clients_per_round, params, train, shards, hp, 0, "proposed")
         with contextlib.closing(coordinator._ClientProcesses(*args)) as clients:
-            results.append(clients.run(state, 1.0, chosen, pieces))
+            results.append(clients.run(1, 1.0, params, centroids, chosen))
             if processes == 2:
                 assert np.shares_memory(results[0][rest.pos].params.theta, clients.slots)
                 slot = results[0][rest.pos].params.theta.copy()
     np.testing.assert_array_equal(slot, results[1][rest.pos].params.theta)
+
+
+def _first_state(train, hp, seed):
+    """The state run_training starts from."""
+    params = init_params(train.d_in, hp.hidden_dim, train.C, make_rng(seed, STREAM_INIT))
+    return coordinator.RoundState(0, params, CentroidSet.empty(train.C, hp.hidden_dim))
+
+
+def _rounds(state, fed, test, *args, until):
+    """Go on from state to round `until` in fresh client processes, made
+    from args; the state after it and the rounds' records."""
+    records = []
+    with contextlib.closing(coordinator._ClientProcesses(fed.clients_per_round, *args)) as clients:
+        while state.t < until:
+            state, record = coordinator._run_round(state, clients, fed, test)
+            records.append(record)
+    return state, records
+
+
+@pytest.mark.parametrize("processes", [1, 3])
+@pytest.mark.parametrize("method", METHODS)
+def test_a_round_is_a_function_of_its_state(monkeypatch, processes, method):
+    # Five rounds, then the other three from the returned state in fresh
+    # processes, give the records and weights of one uninterrupted run.
+    # Pseudo-labels start at round 3 (hp.t_pl), so the run stops inside
+    # that phase; three processes cut clients in every round.
+    _processes(monkeypatch, processes)
+    train, test, shards, fed, hp = _tiny_setup(eps=0.3)
+    fed.clients_per_round = 5
+    params, records = run_training(train, test, shards, fed, hp, seed=4, method=method)
+    state = _first_state(train, hp, 4)
+    args = (state.params, train, shards, hp, 4, method)
+    state, first = _rounds(state, fed, test, *args, until=5)
+    assert hp.t_pl < state.t == 5
+    state, rest = _rounds(state, fed, test, *args, until=fed.rounds)
+    assert first + rest == records
+    assert state.params.theta.tobytes() == params.theta.tobytes()
+
+
+@pytest.mark.parametrize("processes", [1, 3])
+@pytest.mark.parametrize("method", METHODS)
+def test_a_round_writes_nothing_it_is_given(monkeypatch, processes, method):
+    # The state a round is given keeps its weights and centroids, byte for
+    # byte, from the first round (no centroids yet) into the
+    # pseudo-label phase; and it cannot be reassigned.
+    _processes(monkeypatch, processes)
+    train, test, shards, fed, hp = _tiny_setup(eps=0.3)
+    fed.clients_per_round = 5
+    state = _first_state(train, hp, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.t = 1
+
+    def held(s):
+        return s.params.theta.tobytes(), s.centroids.vectors.tobytes(), s.centroids.presence.tobytes()
+
+    args = (state.params, train, shards, hp, 0, method)
+    with contextlib.closing(coordinator._ClientProcesses(fed.clients_per_round, *args)) as clients:
+        for _ in range(fed.rounds):
+            before = held(state)
+            after, _ = coordinator._run_round(state, clients, fed, test)
+            assert held(state) == before
+            state = after
+    if method in ("proposed", "naive_pseudo_ablation"):
+        assert state.centroids.presence.all()
+
+
+def test_one_process_needs_no_fork(monkeypatch):
+    # Where fork is missing, every client runs in this process, which
+    # never asks for the fork context, and the records are those of three
+    # processes.
+    train, test, shards, fed, hp = _tiny_setup(eps=0.3)
+    fed.clients_per_round = 5
+    with monkeypatch.context() as m:
+        m.setattr(coordinator, "_usable_cpus", lambda: 3)
+        params, records = run_training(train, test, shards, fed, hp, seed=4)
+    starts = [s for s in multiprocessing.get_all_start_methods() if s != "fork"]
+    get_context = multiprocessing.get_context
+
+    def no_fork(method=None):
+        if method == "fork":
+            raise ValueError("cannot find context for 'fork'")
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: starts)
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    assert coordinator._usable_cpus() == 1
+    other_params, other_records = run_training(train, test, shards, fed, hp, seed=4)
+    assert other_records == records
+    assert other_params.theta.tobytes() == params.theta.tobytes()
 
 
 class _TwoArgumentError(Exception):
@@ -817,7 +906,7 @@ def test_hand_over_pipe_holds_a_large_rest_without_a_reader():
                 pytest.skip("the system's largest pipe is too small for this rest")
     except OSError:
         pytest.skip("no /proc/sys/fs/pipe-max-size to size a pipe by")
-    take, give = coordinator._hand_over_pipe(multiprocessing.get_context("fork"))
+    take, give = coordinator._hand_over_pipe()
 
     def blocked(signum, frame):
         raise TimeoutError("the hand-over pipe blocked its sender")
