@@ -97,8 +97,7 @@ def main() -> int:
         (f"{name} seed {BENCH_SEED}", perfbench.load_workload(pkg, name, BENCH_SEED))
         for name in BENCH_WORKLOADS
     ]
-    # As run_training chooses: one per usable CPU, at most one per client of a round.
-    processes = sorted({min(pkg.coordinator._usable_cpus(), cfg.fed.clients_per_round) for _, cfg in runs})
+    processes = sorted({pkg.coordinator._process_count(cfg.fed.clients_per_round) for _, cfg in runs})
     say(f"numpy {env['numpy']}, BLAS {env['blas']}, processes {'/'.join(map(str, processes))}")
     differ = []
     with tempfile.TemporaryDirectory() as tmp:

@@ -7,9 +7,9 @@ centroids, runs the selected clients' local updates, averages weights by
 shard size, and folds the uploaded class centroids into the global set
 by cosine-weighted averaging. run_training is a loop over it.
 
-Only _ClientProcesses knows about processes: it runs each round's
-clients on every CPU the process may use, in the even shares of SGD
-steps that plan_round makes (see both).
+Only _ClientProcesses knows about processes: it runs each of a round's
+clients whole, in a process of its own where it can (_process_count
+says how many), and lets the kernel share the CPUs among them.
 
 Determinism contract: every random draw comes from a Philox stream keyed
 by (seed, stream, round, client), and client results are always reduced
@@ -20,7 +20,6 @@ number of processes or the CPU affinity.
 from __future__ import annotations
 
 import contextlib
-import fcntl
 import math
 import mmap
 import multiprocessing
@@ -28,8 +27,7 @@ import os
 import pickle
 import threading
 import traceback
-from dataclasses import dataclass, replace
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,8 +36,6 @@ from .errors import ConfigError, ContractViolation, TrainingDiverged, WorkerExit
 from .localnode import (
     CentroidSet,
     HyperParams,
-    LocalJob,
-    LocalProgress,
     LocalUpdateResult,
     METHOD_PROPOSED,
     METHODS,
@@ -245,45 +241,6 @@ def _run_round(
     return RoundState(t, params, centroids), record
 
 
-class Piece(NamedTuple):
-    """SGD steps [start, stop) of the client at position pos of a round's
-    sorted selection."""
-
-    pos: int
-    start: int
-    stop: int
-
-
-def plan_round(steps: list[int], processes: int) -> list[list[Piece]]:
-    """Each process's pieces of a round whose clients take the given
-    numbers of SGD steps, by McNaughton's wrap-around rule.
-
-    The clients lie end to end in the given order and are cut at
-    multiples of T = max(longest client, ceil(total / processes)), so no
-    process gets more than T steps. A client cut between processes w and
-    w+1 runs its first part as w+1's first piece and the rest as w's last
-    piece: w+1 ends the first part after at most T minus the rest's
-    steps, before w starts the rest. A process may get no piece.
-    """
-    if processes < 1:
-        raise ContractViolation(f"plan_round: need at least one process, got {processes}")
-    limit = max(max(steps, default=0), -(-sum(steps) // processes))
-    shares: list[list[Piece]] = [[] for _ in range(processes)]
-    w = used = 0
-    for pos, n in enumerate(steps):
-        room = limit - used
-        if n <= room:
-            shares[w].append(Piece(pos, 0, n))
-            used += n
-            continue
-        if room:
-            shares[w].append(Piece(pos, n - room, n))
-        w += 1
-        used = n - room
-        shares[w].append(Piece(pos, 0, used))
-    return shares
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on, or 1 where _ClientProcesses does not
     fork workers: no CPU affinity to read, no fork start method, a daemonic
@@ -299,68 +256,59 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def _process_count(clients: int) -> int:
+    """How many processes run a round of the given number of clients: one
+    per client, up to four per CPU this process may use (a bound on the
+    workers' memory), or one where _usable_cpus is 1. The kernel shares
+    the CPUs among them, so no split of the work is planned ahead."""
+    cpus = _usable_cpus()
+    return 1 if cpus == 1 else min(clients, 4 * cpus)
+
+
 # How long closing waits for a worker to exit before terminating it.
 WORKER_EXIT_TIMEOUT_S = 1.0
 
 
 class _ClientProcesses:
     """The processes that run each round's clients, one per rank: this
-    one (rank 0) and n - 1 forked workers, where n is the CPUs this
-    process may use (_usable_cpus), at most one per client of a round.
-    This class alone knows about processes: it owns their count and,
-    every round, their plan (plan_round). The same code runs 1 to n.
+    one (rank 0) and n - 1 forked workers, n from _process_count. This
+    class alone knows about processes. The same code runs 1 to n.
 
-    Every round, rank w runs plan[w]: whole clients, and at most one
-    client cut at each end of its share. A client cut between ranks w
-    and w+1 starts in w+1 and finishes in w. Every rank reads the run's
-    data and settings (train, shards, hp, seed, method) from this
-    object; `like` gives the weights' shape. The workers are forked once,
-    when the object is made, after the data exists, so they inherit all
-    of it. Weights pass through a table in shared memory: `broadcast`
-    holds the round's global weights, which every rank trains from, and
-    `slots[p]` the weights and momentum buffer of the client at position
-    p. A cut client's first part leaves its weights and momentum there,
-    and its rest trains there in place; a worker copies every client it
-    finishes there (a rest onto itself). So each result of another
-    process, and of a rest run here, holds a view of its slot as weights,
-    not a copy. Pipes carry the rest: client ids, the plan, centroids,
-    losses and masks, and the rest of a cut client's progress, on one
-    one-way pipe per pair of neighbouring ranks. Closing the pipes ends
-    the workers.
+    Every round, rank w runs the clients at positions w, w + n, ... of
+    the sorted selection, each whole, through local_update. Every rank
+    reads the run's data and settings (train, shards, hp, seed, method)
+    from this object; `like` gives the weights' shape. The workers are
+    forked once, when the object is made, after the data exists, so they
+    inherit all of it. Weights pass through a table in shared memory:
+    `broadcast` holds the round's global weights, which every rank trains
+    from, and `slots[p]` the weights of the client at position p, which a
+    worker copies there when it finishes it. So each result of another
+    process holds a view of its slot as weights, not a copy. A pipe to
+    each worker carries the rest: client ids, centroids, losses and
+    masks. Closing the pipes ends the workers.
     """
 
     def __init__(self, clients, like, train, shards, hp, seed, method):
-        self.processes = min(_usable_cpus(), clients)
+        self.processes = _process_count(clients)
         self.train, self.shards, self.hp, self.seed, self.method = train, shards, hp, seed, method
-        self.rank = 0
         self.conns = []
         self.procs = []
         self.dims = (like.d_in, like.d_h, like.n_classes)
-        rows = 1 + 2 * clients
-        rows = np.frombuffer(mmap.mmap(-1, rows * like.theta.nbytes)).reshape(rows, -1)
-        self.broadcast = ModelParams(rows[0], *self.dims)
-        self.slots = rows[1:].reshape(clients, 2, -1)
-        # takes[w] is rank w's end of the pipe from w+1, gives[w] w+1's end.
-        pipes = [_hand_over_pipe() for _ in range(self.processes - 1)]
-        self.takes = [take for take, _ in pipes]
-        self.gives = [give for _, give in pipes]
+        table = np.frombuffer(mmap.mmap(-1, (1 + clients) * like.theta.nbytes)).reshape(1 + clients, -1)
+        self.broadcast = ModelParams(table[0], *self.dims)
+        self.slots = table[1:]
         try:
             for w in range(1, self.processes):
                 conn, child_conn = multiprocessing.Pipe()
                 self.conns.append(conn)
-                own = [self.gives[w - 1]] + self.takes[w : w + 1]
-                inherited = self.conns + [e for e in self.takes + self.gives if e not in own]
                 fork = multiprocessing.get_context("fork")
-                proc = fork.Process(target=self._serve, args=(w, child_conn, inherited), daemon=True)
+                proc = fork.Process(target=self._serve, args=(w, child_conn), daemon=True)
                 proc.start()
                 child_conn.close()
                 self.procs.append(proc)
         except BaseException:
             self.close()
             raise
-        # Only the workers write to these pipes, so a worker's exit reads as EOF.
-        for end in self.gives + self.takes[1:]:
-            end.close()
 
     def run(
         self, t: int, r_t: float, params: ModelParams, centroids: CentroidSet, chosen: np.ndarray
@@ -370,14 +318,13 @@ class _ClientProcesses:
         ascending id order. Writes nothing it is given. If clients fail,
         raise the error of the first failing position."""
         ids = chosen.tolist()
-        plan = plan_round([self.hp.local_steps(len(self.shards[cid])) for cid in ids], self.processes)
         self.broadcast.theta[...] = params.theta
         for w, conn in enumerate(self.conns, 1):
             try:
-                conn.send((ids, plan[w], centroids, t, r_t))
+                conn.send((ids, centroids, t, r_t))
             except OSError:
                 raise self._died(w, t) from None
-        shares = [self._run_share(ids, plan[0], centroids, t, r_t)]
+        shares = [self._run_share(0, ids, centroids, t, r_t)]
         shares += [self._receive(w, t) for w in range(1, self.processes)]
 
         results: list = [None] * len(ids)
@@ -389,96 +336,38 @@ class _ClientProcesses:
             raise errors[min(errors)]
         return results
 
-    def _run_share(self, ids, pieces, centroids, t, r_t):
-        """Run this rank's pieces of round t in order (see plan_round),
-        from the broadcast weights.
-
-        A whole client is one local_update. A cut client's first part
-        ends by handing its progress, or None if it fails, to the rank
-        below; its rest begins by taking that over, and is skipped on
-        None: the first part failed or its process exited, which that
-        process or the coordinator reports. Every piece runs, whatever
-        failed before it, so every hand-over is read. Returns (position,
-        result) for each client finished here and, if any fail, the first
-        failure: (its position, an error naming round and client).
-        """
-        done, failure = [], None
-        for pos, start, stop in pieces:
+    def _run_share(self, rank, ids, centroids, t, r_t):
+        """Run rank's clients of round t in order, each whole, from the
+        broadcast weights, up to the first that fails. Returns (position,
+        result) for each client finished and, if one failed, (its
+        position, an error naming round and client)."""
+        done = []
+        for pos in range(rank, len(ids), self.processes):
             cid = ids[pos]
-            rows = self.shards[cid]
-            whole = stop - start == self.hp.local_steps(len(rows))
-            first_part = start == 0 and not whole
-            rng = make_rng(self.seed, STREAM_LOCAL, t, cid) if start == 0 else None
+            rng = make_rng(self.seed, STREAM_LOCAL, t, cid)
+            args = (self.train, self.shards[cid], self.broadcast, centroids, t, r_t, self.hp, rng)
             try:
-                if whole:
-                    args = (self.train, rows, self.broadcast, centroids, t, r_t, self.hp, rng)
-                    done.append((pos, local_update(*args, method=self.method)))
-                    continue
-                if not first_part:
-                    progress = self._take_over(pos)
-                    if progress is None:
-                        continue
-                job = LocalJob(self.train, rows, t, r_t, self.hp, self.method)
-                if first_part:
-                    progress = job.start(self.broadcast, centroids, rng)
-                job.advance(progress, stop - start)
-                if first_part:
-                    self._hand_over(pos, progress)
-                else:
-                    done.append((pos, job.finish(progress)))
+                done.append((pos, local_update(*args, method=self.method)))
             except Exception as e:
-                if first_part:
-                    self._hand_over(pos, None)
-                if failure is None:
-                    err = _with_context(e, f"round {t}, client {cid}")
-                    err.__cause__ = e
-                    failure = (pos, err)
-        return done, failure
+                err = _with_context(e, f"round {t}, client {cid}")
+                err.__cause__ = e
+                return done, (pos, err)
+        return done, None
 
-    def _hand_over(self, pos: int, progress: LocalProgress | None) -> None:
-        """Pass this rank's first part of the client at position pos, or
-        None if it failed, to the rank below. The weights and momentum
-        buffer go into the client's slot, and the pipe carries the rest
-        and holds it until it is read (see _hand_over_pipe)."""
-        if progress is not None:
-            theta, velocity = self.slots[pos]
-            theta[...] = progress.params.theta
-            velocity[...] = progress.velocity
-            progress = replace(progress, params=None, velocity=None)
-        try:
-            self.gives[self.rank - 1].send(progress)
-        except OSError:
-            pass  # the rank below exited, which the coordinator reports
-
-    def _take_over(self, pos: int) -> LocalProgress | None:
-        """The progress of the client at position pos that the rank above
-        hands to this one, or None. Its weights and momentum buffer are
-        the client's slot itself, not a copy: the rest trains there, and
-        its result's weights stay there."""
-        try:
-            progress = self.takes[self.rank].recv()
-        except (EOFError, OSError):
-            return None  # the rank above exited, which the coordinator reports
-        if progress is not None:
-            theta, progress.velocity = self.slots[pos]
-            progress.params = ModelParams(theta, *self.dims)
-        return progress
-
-    def _serve(self, rank: int, conn, inherited) -> None:
+    def _serve(self, rank: int, conn) -> None:
         """Body of the worker of the given rank: run its share of each
         round until the coordinator closes its end of the pipe."""
-        self.rank = rank
         # The fork copied the coordinator's end of this pipe and of every
-        # earlier worker's, and every hand-over pipe end; holding them
-        # open would keep those pipes from ever reading as closed.
-        for end in inherited:
+        # earlier worker's; holding them open would keep those pipes from
+        # ever reading as closed.
+        for end in self.conns:
             end.close()
         try:
             while True:
-                ids, pieces, centroids, t, r_t = conn.recv()
-                done, failure = self._run_share(ids, pieces, centroids, t, r_t)
+                ids, centroids, t, r_t = conn.recv()
+                done, failure = self._run_share(rank, ids, centroids, t, r_t)
                 for pos, res in done:
-                    self.slots[pos, 0] = res.params.theta  # onto itself for a rest
+                    self.slots[pos] = res.params.theta
                     res.params = None
                 if failure is not None:
                     failure = _portable(*failure)
@@ -493,7 +382,7 @@ class _ClientProcesses:
         except (EOFError, OSError):
             raise self._died(w, t) from None
         for pos, res in done:
-            res.params = ModelParams(self.slots[pos, 0], *self.dims)
+            res.params = ModelParams(self.slots[pos], *self.dims)
         if failure is not None:
             pos, err, tb = failure
             err.__cause__ = WorkerTraceback(tb)
@@ -509,27 +398,13 @@ class _ClientProcesses:
         )
 
     def close(self) -> None:
-        for conn in self.conns + self.takes + self.gives:
+        for conn in self.conns:
             conn.close()
         for proc in self.procs:
             proc.join(WORKER_EXIT_TIMEOUT_S)
             if proc.exitcode is None:
                 proc.terminate()
                 proc.join()
-
-
-def _hand_over_pipe() -> tuple:
-    """A one-way pipe (reader, writer) as large as a process may make one
-    (/proc/sys/fs/pipe-max-size, 1 MiB by default on Linux). A hand-over's
-    rest grows with shard size times classes; up to the pipe's size, its
-    sender does not wait for the reader."""
-    take, give = multiprocessing.Pipe(duplex=False)
-    try:
-        with open("/proc/sys/fs/pipe-max-size") as fh:
-            fcntl.fcntl(give.fileno(), fcntl.F_SETPIPE_SZ, int(fh.read()))
-    except (OSError, ValueError, AttributeError):
-        pass  # refused or unknown: the default size (64 KiB on Linux)
-    return take, give
 
 
 def _portable(i: int, err: Exception) -> tuple[int, Exception, str]:

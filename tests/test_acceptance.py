@@ -19,16 +19,19 @@ from fednoise.coordinator import (
     FederationConfig,
     aggregate_global_centroids,
     fedavg,
+    run_training,
 )
+from fednoise.datagen import make_blob_split, partition_iid
 from fednoise.localnode import (
+    METHODS,
     CentroidSet,
     HyperParams,
     LocalUpdateResult,
     small_loss_filter,
     total_loss_and_grads,
 )
-from fednoise.metrics import detection_rates
-from fednoise.noise import corrupt, transition_matrix
+from fednoise.metrics import CSV_COLUMNS, detection_rates
+from fednoise.noise import NoiseSpec, apply_noise, corrupt, transition_matrix
 from fednoise.numkit import ModelParams, cosine_similarity, init_params, mlp_backward, mlp_forward
 from fednoise.seeds import STREAM_NOISE, make_rng
 
@@ -81,16 +84,16 @@ def last10(records) -> float:
 # --------------------------------------------------------------- criterion 1
 
 
-def test_criterion_1_gradient_correctness():
-    """Analytic gradients of the composite loss vs central differences."""
-    start = time.perf_counter()
+def _gradient_probes(x_scale: float, h: float):
+    """Central differences of the composite loss, step h, against its
+    analytic gradient, coordinate by coordinate, on three random
+    instances whose inputs are scaled by x_scale. Yields (coordinate,
+    difference, analytic, loss, hidden features)."""
     rng = np.random.default_rng(2024)
-    probes = 0
-    worst = 0.0
     for _instance in range(3):
         B, d_in, d_h, C = 6, 5, 7, 4
         params = init_params(d_in, d_h, C, rng)
-        X = rng.normal(size=(B, d_in))
+        X = x_scale * rng.normal(size=(B, d_in))
         y = rng.integers(0, C, size=B)
         pseudo = rng.dirichlet(np.ones(C), size=B)
         mask = rng.integers(0, 2, size=B)
@@ -105,7 +108,6 @@ def test_criterion_1_gradient_correctness():
         rec = mlp_forward(params, X)
         bd, d_logits, d_hidden = total_loss_and_grads(rec, y, pseudo, mask, cents, 0.6, 0.8)
         grads = mlp_backward(params, X, rec, d_logits, d_hidden)
-        h = 1e-6
         for arr, g in zip(
             (params.W1, params.b1, params.W2, params.b2), params.blocks(grads)
         ):
@@ -118,11 +120,19 @@ def test_criterion_1_gradient_correctness():
                 arr[i] = keep - h
                 down = loss(params)
                 arr[i] = keep
-                fd = (up - down) / (2 * h)
-                rel = abs(fd - g[i]) / max(abs(fd), abs(g[i]), 1e-6)
-                worst = max(worst, rel)
-                probes += 1
-                assert rel < 1e-4, f"coordinate {i}: fd={fd} analytic={g[i]} rel={rel}"
+                yield i, (up - down) / (2 * h), g[i], bd.total, rec.hidden
+
+
+def test_criterion_1_gradient_correctness():
+    """Analytic gradients of the composite loss vs central differences."""
+    start = time.perf_counter()
+    probes = 0
+    worst = 0.0
+    for i, fd, g, _, _ in _gradient_probes(1.0, 1e-6):
+        rel = abs(fd - g) / max(abs(fd), abs(g), 1e-6)
+        worst = max(worst, rel)
+        probes += 1
+        assert rel < 1e-4, f"coordinate {i}: fd={fd} analytic={g} rel={rel}"
     elapsed = time.perf_counter() - start
     assert probes >= 100
     assert elapsed < 10.0
@@ -130,6 +140,35 @@ def test_criterion_1_gradient_correctness():
         f"[criterion 1] PASS gradient check: {probes} probes, "
         f"worst rel err {worst:.2e}, {elapsed:.2f}s"
     )
+
+
+def test_gradients_and_training_at_saturated_features():
+    """Criterion 1's check at inputs x100, where nearly every hidden unit
+    reads |tanh| > 0.99, and three rounds of each method on 784-d blobs
+    at spread 10, whose rows have norm about 280."""
+    h = 1e-6
+    saturated = []
+    for i, fd, g, loss, hidden in _gradient_probes(100.0, h):
+        # Each loss value is off by about eps |loss|, so their difference
+        # over 2h by about eps |loss| / h. On the near-zero derivatives of
+        # saturated units that round-off, not the gradient, dominates:
+        # criterion 1's relative bar alone fails there, by an error that
+        # grows as 1/h.
+        bound = 1e-4 * max(abs(fd), abs(g), 1e-6) + np.finfo(float).eps * abs(loss) / h
+        assert abs(fd - g) < bound, f"coordinate {i}: fd={fd} analytic={g} bound={bound}"
+        saturated.append(np.mean(np.abs(hidden) > 0.99))
+    assert min(saturated) > 0.9
+
+    train, test = make_blob_split(4, 25, 10, 784, 10.0, 0)
+    shards = partition_iid(train, 4, seed=0)
+    apply_noise(train, shards, NoiseSpec(kind="symmetric", epsilon=0.4, seed=0))
+    fed = FederationConfig(num_clients=4, clients_per_round=2, rounds=3)
+    hp = HyperParams(t_pl=2, t_horizon=2, tau=0.4, local_epochs=1, batch_size=10)
+    for method in METHODS:
+        params, records = run_training(train, test, shards, fed, hp, seed=0, method=method)
+        assert np.isfinite(params.theta).all()
+        assert all(math.isfinite(getattr(r, c)) for r in records for c in CSV_COLUMNS)
+        assert np.mean(np.abs(mlp_forward(params, train.X).hidden) > 0.99) > 0.9
 
 
 # --------------------------------------------------------------- criterion 2

@@ -571,7 +571,7 @@ def test_cli_entry_point_subprocess(tmp_path):
     ids=["weights_overflow", "divergence_overflows"],
 )
 def test_diverging_run_fails_in_the_round_it_diverges(monkeypatch, processes, lr, error):
-    monkeypatch.setattr(coordinator, "_usable_cpus", lambda: processes)
+    monkeypatch.setattr(coordinator, "_process_count", lambda clients: processes)
     cfg = load_config(BLOBS_CFG, [f"hp.learning_rate={lr}", "fed.rounds=2", "hp.local_epochs=1"])
     first = coordinator.select_clients(
         cfg.fed.num_clients, cfg.fed.clients_per_round, make_rng(cfg.seed, STREAM_SELECT, 1)
@@ -592,8 +592,8 @@ def test_cli_diverging_run_exits_two(tmp_path, capsys):
 
 
 def test_cli_worker_death_exits_two(tmp_path, capsys, monkeypatch):
-    # Two processes: the worker runs a whole client of every round, and
-    # exits in its first one of round 2.
+    # Two CPUs: each of blobs.cfg's five clients a round runs in its own
+    # process, and every worker exits in its client of round 2.
     monkeypatch.setattr(coordinator, "_usable_cpus", lambda: 2)
     coordinator_pid = os.getpid()
     local_update = coordinator.local_update
@@ -643,22 +643,21 @@ def test_blas_thread_count_does_not_change_csv(tmp_path):
     # 32 rounds reach the pseudo-label phase (hp.t_pl = 30) and the end of
     # the keep-fraction decay (hp.t_horizon = 10).
     # The MNIST-shaped proposed run reaches pseudo-labels in round 2, so
-    # a client cut between processes carries 784-d pseudo-label rows and
-    # running centroids across the pipe.
+    # 784-d centroids go out to the workers and their masks come back.
     [("fed.rounds=32", f"method={m}") for m in METHODS]
     + [MNIST_SHAPED_CE_3_ROUNDS, MNIST_SHAPED_3_ROUNDS + ("method=proposed", "hp.t_pl=2")],
     ids=list(METHODS) + ["mnist_shaped_ce_baseline", "mnist_shaped_proposed"],
 )
 def test_csv_bytes_do_not_depend_on_processes(tmp_path, monkeypatch, overrides):
-    # One CPU means one process; every CPU means one per CPU (at most one
-    # per selected client); three forced processes cut two of blobs.cfg's
-    # five clients per round, each of 50 steps: 84 + 84 + 82 steps.
+    # One CPU means one process; every CPU means one per selected client
+    # (at most four per CPU); three forced processes deal blobs.cfg's five
+    # clients a round as 2 + 2 + 1.
     cpu = min(os.sched_getaffinity(0))
     one_cpu = _cli_csv(
         tmp_path / "one_cpu.csv", overrides, preexec_fn=lambda: os.sched_setaffinity(0, {cpu})
     )
     every_cpu = _cli_csv(tmp_path / "every_cpu.csv", overrides)
-    monkeypatch.setattr(coordinator, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(coordinator, "_process_count", lambda clients: 3)
     three = tmp_path / "three.csv"
     run_experiment(load_config(BLOBS_CFG, list(overrides) + [f"output={three}"]))
     assert one_cpu == every_cpu == three.read_bytes()

@@ -1,10 +1,8 @@
 import contextlib
 import dataclasses
 import itertools
-import math
 import multiprocessing
 import os
-import pickle
 import signal
 import threading
 
@@ -14,14 +12,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fednoise import coordinator, localnode
+from fednoise import coordinator
 from fednoise.bench import build_datasets, load_config, resolve_config
 from fednoise.coordinator import (
     FederationConfig,
     aggregate_global_centroids,
     evaluate_accuracy,
     fedavg,
-    plan_round,
     r_schedule,
     run_training,
     select_clients,
@@ -32,7 +29,7 @@ from fednoise.localnode import METHODS, CentroidSet, HyperParams, LocalUpdateRes
 from fednoise.metrics import write_csv
 from fednoise.noise import apply_noise
 from fednoise.numkit import ModelParams, cosine_similarity, init_params, mlp_forward
-from fednoise.seeds import STREAM_INIT, STREAM_LOCAL, STREAM_SELECT, make_rng
+from fednoise.seeds import STREAM_INIT, STREAM_SELECT, make_rng
 
 
 def test_r_schedule_values():
@@ -418,75 +415,12 @@ def test_run_training_client_failure_context():
 
 def _processes(monkeypatch, n):
     """Make run_training use n processes (n - 1 forked workers)."""
-    monkeypatch.setattr(coordinator, "_usable_cpus", lambda: n)
-
-
-def _check_plan(steps, processes):
-    """Every property plan_round promises, for one input."""
-    plan = plan_round(steps, processes)
-    assert len(plan) == processes
-    limit = max(max(steps, default=0), math.ceil(sum(steps) / processes))
-    for share in plan:
-        assert sum(stop - start for _, start, stop in share) <= limit
-    pieces = {}
-    for w, share in enumerate(plan):
-        for i, piece in enumerate(share):
-            pieces.setdefault(piece.pos, []).append((piece.start, piece.stop, w, i))
-    # Each client's steps are given out exactly once, in order.
-    assert sorted(pieces) == list(range(len(steps)))
-    cuts = set()
-    for pos, parts in pieces.items():
-        parts.sort()
-        assert parts[0][0] == 0 and parts[-1][1] == steps[pos]
-        assert all(a[1] == b[0] for a, b in zip(parts, parts[1:]))
-        assert len(parts) <= 2
-        if len(parts) == 2:
-            (_, _, w1, i1), (_, _, w, i) = parts
-            assert steps[pos] > 0
-            # First part: process w+1's first piece. Rest: process w's last.
-            assert w1 == w + 1 and i1 == 0 and i == len(plan[w]) - 1
-            assert w not in cuts
-            cuts.add(w)
-    # Positions never go back from one process to the next.
-    order = [piece.pos for share in plan for piece in share]
-    assert order == sorted(order)
-
-
-@pytest.mark.parametrize(
-    "steps",
-    [[50] * 5, [4] * 5, [3, 7, 1, 12, 5, 5, 2], [0, 4, 4, 0, 4, 0], [0] * 5, [9], [1, 1, 40]],
-    ids=["equal", "tiny_equal", "ragged", "some_empty", "all_zero", "one", "one_long"],
-)
-def test_plan_round_properties(steps):
-    for processes in range(1, len(steps) + 1):
-        _check_plan(steps, processes)
-
-
-@given(st.lists(st.integers(0, 30), min_size=1, max_size=12), st.integers(1, 12))
-def test_plan_round_properties_hypothesis(steps, processes):
-    _check_plan(steps, min(processes, len(steps)))
-
-
-def test_plan_round_hand_cases():
-    P = coordinator.Piece
-    # The benchmark's round: 5 clients of 50 steps on 2 processes, 125 each.
-    assert plan_round([50] * 5, 2) == [
-        [P(0, 0, 50), P(1, 0, 50), P(2, 25, 50)],
-        [P(2, 0, 25), P(3, 0, 50), P(4, 0, 50)],
-    ]
-    # One process runs the same plan, with no cut.
-    assert plan_round([50] * 5, 1) == [[P(k, 0, 50) for k in range(5)]]
-    # The longest client bounds the share, so a process may get nothing.
-    assert plan_round([1, 1, 40], 3) == [[P(0, 0, 1), P(1, 0, 1), P(2, 2, 40)], [P(2, 0, 2)], []]
-    # Zero local epochs: all on process 0.
-    assert plan_round([0, 0, 0], 3) == [[P(0, 0, 0), P(1, 0, 0), P(2, 0, 0)], [], []]
-    with pytest.raises(ContractViolation):
-        plan_round([1], 0)
+    monkeypatch.setattr(coordinator, "_process_count", lambda clients: n)
 
 
 def test_run_training_with_idle_processes(monkeypatch):
-    # With zero local epochs the plan gives every client to process 0;
-    # the idle workers still answer each round.
+    # With zero local epochs no client takes a step; the workers still
+    # run and answer each round.
     train, test, shards, fed, hp = _tiny_setup(eps=0.3)
     hp.local_epochs = 0
     fed.rounds = 3
@@ -501,9 +435,8 @@ def test_run_training_with_idle_processes(monkeypatch):
 @pytest.mark.parametrize("method", METHODS)
 def test_run_training_same_result_in_any_number_of_processes(monkeypatch, method):
     train, test, shards, fed, hp = _tiny_setup(eps=0.3)
-    # Five clients of four steps, two an epoch: two processes cut one
-    # client at an epoch boundary, three cut one mid-epoch and one at a
-    # boundary, four cut three, after 3, 2 and 1 steps; five cut none.
+    # Five clients a round, dealt to the processes in turn: at two to
+    # four processes some ranks run two clients, at five each runs one.
     fed.clients_per_round = 5
     runs = []
     for n in (1, 2, 3, 4, 5):
@@ -513,6 +446,30 @@ def test_run_training_same_result_in_any_number_of_processes(monkeypatch, method
     for theta, records in runs[1:]:
         np.testing.assert_array_equal(runs[0][0], theta)
         assert records == runs[0][1]
+
+
+def test_process_count_is_at_most_four_per_cpu(monkeypatch):
+    # Ten clients a round on two CPUs: eight processes, so seven forked
+    # workers, two of the ranks running two clients each. The records and
+    # weights are those of one process.
+    train, test, _, _, hp = _tiny_setup(eps=0.3)
+    shards = partition_iid(train, 10, seed=0)
+    fed = FederationConfig(num_clients=10, clients_per_round=10, rounds=4)
+    exit_codes = []
+    close = coordinator._ClientProcesses.close
+
+    def recording_close(self):
+        close(self)
+        exit_codes.append([proc.exitcode for proc in self.procs])
+
+    monkeypatch.setattr(coordinator._ClientProcesses, "close", recording_close)
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(coordinator, "_usable_cpus", lambda cpus=cpus: cpus)
+        params, records = run_training(train, test, shards, fed, hp, seed=4)
+        runs.append((params.theta.tobytes(), records))
+    assert exit_codes == [[], [0] * 7]
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -607,17 +564,13 @@ def test_workers_exit_by_themselves_when_run_training_ends(monkeypatch):
     assert exit_codes == [0, 0]
 
 
-def _process_of(plan, pos):
-    """The process that runs the first piece of position pos."""
-    return next(w for w, share in enumerate(plan) for p in share if p.pos == pos and p.start == 0)
-
-
 @pytest.mark.parametrize("processes", [1, 3])
 @pytest.mark.parametrize(
     "broken, named",
-    # An empty shard takes no steps. With three processes, 3 and 4 both
-    # run in worker 1, 3 first; 4 and 5 both in worker 2, 4 first.
-    [((4,), 4), ((3, 4), 3), ((4, 5), 4)],
+    # An empty shard takes no steps. With three processes, rank w runs
+    # positions w and w + 3: 3 fails here and 4 in worker 1, 4 in worker
+    # 1 and 5 in worker 2, and 1 and 4 both in worker 1, 1 first.
+    [((4,), 4), ((3, 4), 3), ((4, 5), 4), ((1, 4), 1)],
 )
 def test_run_training_client_error_names_round_and_client(monkeypatch, processes, broken, named):
     _processes(monkeypatch, processes)
@@ -629,106 +582,11 @@ def test_run_training_client_error_names_round_and_client(monkeypatch, processes
         run_training(train, test, shards, fed, hp, seed=0)
     # The original error, or a worker's traceback of it, stays attached.
     cause = exc.value.__cause__
-    steps = [hp.local_steps(len(shard)) for shard in shards]
-    if _process_of(plan_round(steps, processes), named):  # the client ran in a worker
+    if named % processes:  # the client ran in a worker
         assert isinstance(cause, coordinator.WorkerTraceback)
         assert "in local_update" in str(cause)
     else:
         assert isinstance(cause, ContractViolation) and cause.__traceback__ is not None
-
-
-def test_run_training_first_part_error_names_round_and_client(monkeypatch):
-    # Two processes cut one client of round 1: worker 1 runs its first
-    # part, the coordinator would run the rest. Its rows are NaN, so its
-    # first step fails.
-    _processes(monkeypatch, 2)
-    train, test, shards, fed, hp = _tiny_setup()
-    fed.clients_per_round = 5
-    chosen = select_clients(fed.num_clients, fed.clients_per_round, make_rng(0, STREAM_SELECT, 1))
-    plan = plan_round([hp.local_steps(len(shards[c])) for c in chosen], 2)
-    cut = chosen[plan[1][0].pos]
-    assert plan[1][0].start == 0 and plan[0][-1].pos == plan[1][0].pos
-    train.X[shards[cut]] = np.nan
-    resumed = []
-    advance = localnode.LocalJob.advance
-
-    def recording_advance(self, progress, n):
-        if progress.n_batches:
-            resumed.append(os.getpid())
-        return advance(self, progress, n)
-
-    monkeypatch.setattr(localnode.LocalJob, "advance", recording_advance)
-    with np.errstate(invalid="ignore"), pytest.raises(
-        coordinator.TrainingDiverged, match=rf"^round 1, client {cut}: classification loss"
-    ) as exc:
-        run_training(train, test, shards, fed, hp, seed=0)
-    assert isinstance(exc.value.__cause__, coordinator.WorkerTraceback)
-    # The rest of the client never ran in the coordinator.
-    assert os.getpid() not in resumed
-
-
-def test_coordinator_error_before_a_rest_names_round_and_client(monkeypatch):
-    # Two processes cut one client of round 1, and the coordinator runs
-    # two whole clients before that client's rest. The first whole
-    # client's rows are NaN, so it fails first. The coordinator still
-    # runs its share to the end, rest included, and raises that error;
-    # under the alarm, no process waits on another.
-    _processes(monkeypatch, 2)
-    train, test, shards, fed, hp = _tiny_setup()
-    fed.clients_per_round = 5
-    chosen = select_clients(fed.num_clients, fed.clients_per_round, make_rng(0, STREAM_SELECT, 1))
-    plan = plan_round([hp.local_steps(len(shards[c])) for c in chosen], 2)
-    assert [p.pos for p in plan[0]] == [0, 1, 2] and plan[0][-1].start > 0
-    train.X[shards[chosen[0]]] = np.nan
-    resumed = []
-    advance = localnode.LocalJob.advance
-
-    def recording_advance(self, progress, n):
-        if progress.n_batches:
-            resumed.append(os.getpid())
-        return advance(self, progress, n)
-
-    def hung(signum, frame):
-        raise TimeoutError("run_training hung after a client failed")
-
-    monkeypatch.setattr(localnode.LocalJob, "advance", recording_advance)
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(60)
-    try:
-        with np.errstate(invalid="ignore"), pytest.raises(
-            coordinator.TrainingDiverged, match=rf"^round 1, client {chosen[0]}: classification loss"
-        ):
-            run_training(train, test, shards, fed, hp, seed=0)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert resumed == [os.getpid()]
-    assert multiprocessing.active_children() == []
-
-
-def test_cut_client_finishes_in_its_slot(monkeypatch):
-    # Two processes cut one client of round 1; the coordinator takes over
-    # its rest. The rest trains in the client's slot of the shared table,
-    # so its result's weights are that slot, and they are the weights of
-    # a run that never cut it.
-    train, _, shards, fed, hp = _tiny_setup()
-    fed.clients_per_round = 5
-    chosen = select_clients(fed.num_clients, fed.clients_per_round, make_rng(0, STREAM_SELECT, 1))
-    plan = plan_round([hp.local_steps(len(shards[c])) for c in chosen], 2)
-    rest = plan[0][-1]
-    assert rest.start > 0 and plan[1][0].pos == rest.pos
-    params = init_params(train.d_in, hp.hidden_dim, train.C, make_rng(0, STREAM_INIT))
-    centroids = CentroidSet.empty(train.C, hp.hidden_dim)
-    results = []
-    for processes in (2, 1):
-        _processes(monkeypatch, processes)
-        args = (fed.clients_per_round, params, train, shards, hp, 0, "proposed")
-        with contextlib.closing(coordinator._ClientProcesses(*args)) as clients:
-            results.append(clients.run(1, 1.0, params, centroids, chosen))
-            if processes == 2:
-                assert np.shares_memory(results[0][rest.pos].params.theta, clients.slots)
-                slot = results[0][rest.pos].params.theta.copy()
-    np.testing.assert_array_equal(slot, results[1][rest.pos].params.theta)
 
 
 def _first_state(train, hp, seed):
@@ -754,7 +612,7 @@ def test_a_round_is_a_function_of_its_state(monkeypatch, processes, method):
     # Five rounds, then the other three from the returned state in fresh
     # processes, give the records and weights of one uninterrupted run.
     # Pseudo-labels start at round 3 (hp.t_pl), so the run stops inside
-    # that phase; three processes cut clients in every round.
+    # that phase; at three processes two ranks run two clients a round.
     _processes(monkeypatch, processes)
     train, test, shards, fed, hp = _tiny_setup(eps=0.3)
     fed.clients_per_round = 5
@@ -849,8 +707,6 @@ def test_worker_client_error_that_cannot_cross_the_pipe(monkeypatch, make_error,
     _processes(monkeypatch, 2)
     train, test, shards, fed, hp = _tiny_setup()
     chosen = select_clients(fed.num_clients, fed.clients_per_round, make_rng(0, STREAM_SELECT, 1))
-    steps = [hp.local_steps(len(shards[c])) for c in chosen]
-    whole = [p.pos for p in plan_round(steps, 2)[1] if p.stop - p.start == steps[p.pos]]
     coordinator_pid = os.getpid()
     local_update = coordinator.local_update
 
@@ -860,17 +716,18 @@ def test_worker_client_error_that_cannot_cross_the_pipe(monkeypatch, make_error,
         return local_update(*args, **kwargs)
 
     monkeypatch.setattr(coordinator, "local_update", fails)
-    with pytest.raises(RuntimeError, match=rf"^round 1, client {chosen[whole[0]]}: ") as exc:
+    # Worker 1's first client is at position 1.
+    with pytest.raises(RuntimeError, match=rf"^round 1, client {chosen[1]}: ") as exc:
         run_training(train, test, shards, fed, hp, seed=0)
     assert type(exc.value) is RuntimeError
     assert isinstance(exc.value.__cause__, coordinator.WorkerTraceback)
     assert name in str(exc.value.__cause__)
 
 
-def _large_rest_setup():
+def _large_shard_setup():
     """Five clients of 1,000 examples at 10 classes, in the pseudo-label
-    phase from round 1: a cut client's rest holds 1,000 x 10 pseudo-label
-    probabilities, more than a default 64 KiB pipe holds."""
+    phase from round 1: a client holds 1,000 x 10 pseudo-label
+    probabilities, and its mask crosses the pipe."""
     from fednoise.noise import NoiseSpec, apply_noise
 
     train, test = make_blob_split(C=10, train_per_class=500, test_per_class=20, d_in=5, spread=0.6, seed=0)
@@ -881,52 +738,8 @@ def _large_rest_setup():
     return train, test, shards, fed, hp
 
 
-def _large_rest():
-    """The pickled rest of the client that two processes cut in round 1
-    of _large_rest_setup, as the rank that ran its first part sends it."""
-    train, _, shards, fed, hp = _large_rest_setup()
-    chosen = select_clients(fed.num_clients, fed.clients_per_round, make_rng(0, STREAM_SELECT, 1))
-    first = plan_round([hp.local_steps(len(shards[c])) for c in chosen], 2)[1][0]
-    cid = int(chosen[first.pos])
-    params = init_params(train.d_in, hp.hidden_dim, train.C, make_rng(0, STREAM_INIT))
-    job = localnode.LocalJob(train, shards[cid], 1, 1.0, hp, "proposed")
-    progress = job.start(params, CentroidSet.empty(train.C, hp.hidden_dim), make_rng(0, STREAM_LOCAL, 1, cid))
-    job.advance(progress, first.stop)
-    return pickle.dumps(dataclasses.replace(progress, params=None, velocity=None))
-
-
-def test_hand_over_pipe_holds_a_large_rest_without_a_reader():
-    # A pipe of the default size would block this send until a reader
-    # came, and the alarm would end the test.
-    rest = _large_rest()
-    assert len(rest) > 64 * 1024
-    try:
-        with open("/proc/sys/fs/pipe-max-size") as fh:
-            if int(fh.read()) <= len(rest):
-                pytest.skip("the system's largest pipe is too small for this rest")
-    except OSError:
-        pytest.skip("no /proc/sys/fs/pipe-max-size to size a pipe by")
-    take, give = coordinator._hand_over_pipe()
-
-    def blocked(signum, frame):
-        raise TimeoutError("the hand-over pipe blocked its sender")
-
-    previous = signal.signal(signal.SIGALRM, blocked)
-    signal.alarm(10)
-    try:
-        give.send_bytes(rest)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert take.recv_bytes() == rest
-    take.close()
-    give.close()
-
-
-def test_csv_bytes_with_a_large_rest_do_not_depend_on_processes(monkeypatch, tmp_path):
-    # Two processes cut one client, three cut two; each rest is larger
-    # than a default pipe.
-    train, test, shards, fed, hp = _large_rest_setup()
+def test_csv_bytes_with_large_shards_do_not_depend_on_processes(monkeypatch, tmp_path):
+    train, test, shards, fed, hp = _large_shard_setup()
     csvs = []
     for n in (1, 2, 3):
         _processes(monkeypatch, n)
@@ -981,34 +794,9 @@ def _killed_after_round_1(monkeypatch):
     return -signal.SIGKILL, 2, _tiny_setup()[3]
 
 
-def _dies_owing_a_hand_over_in_round_2(monkeypatch):
-    """Three processes, five clients: make worker 2 exit with code 5 as
-    it starts its first piece of round 2, the first part of a client
-    whose rest worker 1 waits for."""
-    train, test, shards, fed, hp = _tiny_setup()
-    fed.clients_per_round = 5
-    chosen = select_clients(fed.num_clients, fed.clients_per_round, make_rng(0, STREAM_SELECT, 2))
-    plan = plan_round([hp.local_steps(len(shards[c])) for c in chosen], 3)
-    owed = plan[2][0]
-    assert owed.start == 0 and plan[1][-1].pos == owed.pos
-
-    class Dying(localnode.LocalJob):
-        def __init__(self, dataset, rows, *args):
-            super().__init__(dataset, rows, *args)
-            self.owed = np.array_equal(rows, shards[chosen[owed.pos]])
-
-        def start(self, *args):  # only a first part starts a job
-            if self.round_t == 2 and self.owed:
-                os._exit(5)
-            return super().start(*args)
-
-    monkeypatch.setattr(coordinator, "LocalJob", Dying)
-    return 5, 3, fed
-
-
 @pytest.mark.parametrize(
     "death",
-    [_dies_in_worker_in_round_2, _killed_after_round_1, _dies_owing_a_hand_over_in_round_2],
+    [_dies_in_worker_in_round_2, _killed_after_round_1],
 )
 def test_run_training_worker_death_is_an_error(monkeypatch, death):
     train, test, shards, fed, hp = _tiny_setup()
