@@ -10,9 +10,7 @@ weight is non-zero. CE_BASELINE is the same loop with every one off.
 
 The update is a pure function of (shard data, broadcast state, round
 index, rng stream): it writes nothing it is given, so results do not
-depend on the order clients run in. LocalJob runs it in pieces: it can
-stop after any SGD step and resume, in another process too, from one
-LocalProgress value, to the same bytes.
+depend on the order clients run in.
 
 A client uploads its weights, centroids, mean loss and confident mask.
 It reads no true label: the server alone measures detection.
@@ -114,10 +112,6 @@ class HyperParams:
             raise ConfigError("hp.momentum: must be in [0,1)")
         if self.hidden_dim < 1:
             raise ConfigError("hp.hidden_dim: must be >= 1")
-
-    def local_steps(self, n_k: int) -> int:
-        """SGD steps of one local update on n_k examples."""
-        return self.local_epochs * math.ceil(n_k / self.batch_size)
 
 
 @dataclass
@@ -321,153 +315,77 @@ def local_update(
     It and NO_GLOBAL_CENTROIDS, whose clients never read the global
     set, upload an empty centroid set, so the server merges nothing.
 
-    The same as LocalJob's start, advance by every step, finish.
+    Each batch, and each pass over the whole shard (the round-1 centroid
+    seed and the pseudo-labels), gathers its rows from dataset.X when it
+    runs, so the rows are held once per process, by the dataset.
     Raises TrainingDiverged if the weights it would return are not finite.
     """
-    job = LocalJob(dataset, rows, round_t, r_t, hp, method)
-    progress = job.start(global_params, global_centroids, rng)
-    job.advance(progress, job.steps)
-    return job.finish(progress)
+    if method not in METHODS:
+        raise ConfigError(f"unknown method {method!r}")
+    if len(rows) == 0:
+        raise ContractViolation("local_update: the shard is empty")
+    X, y, C = dataset.X, dataset.given_labels[rows], dataset.C
+    exchange = method != METHOD_CE_BASELINE
+    local_only = method == METHOD_NO_GLOBAL_CENTROIDS
+    naive = method == METHOD_NAIVE_PSEUDO
+    pseudo_phase = exchange and round_t >= hp.t_pl
+    if exchange:
+        lam_cen, lam_e = lambda_cen_schedule(round_t, hp), hp.lambda_e
+    else:
+        lam_cen = lam_e = 0.0
 
-
-@dataclass
-class LocalProgress:
-    """Everything of a local update that crosses an SGD-step boundary.
-
-    A stopped update resumes from this value, in this process or,
-    pickled, in another, to the same bytes as an update never stopped.
-    After an epoch's last step the next epoch has not begun: its shuffle
-    and naive_pseudo_ablation's pseudo-label refresh come with its first
-    step.
-    """
-
-    params: ModelParams
-    velocity: np.ndarray  # momentum buffer, laid out like params.theta
-    running: CentroidSet | None  # running centroids; None for CE_BASELINE
-    mask: np.ndarray  # latest confident mask of each example
-    pseudo: np.ndarray | None  # pseudo-label rows, once the phase has begun
-    rng: np.random.Generator
-    perm: np.ndarray | None = None  # the current epoch's shuffle
-    n_batches: int = 0  # SGD steps taken
-    loss_sum: float = 0.0
-
-
-class LocalJob:
-    """One client's local update in round round_t, in resumable pieces:
-    start() loads the broadcast state, advance() takes SGD steps, and
-    finish() makes the upload once all `steps` are taken.
-
-    The job holds only what is fixed for the whole update: the client's
-    shard, an array of row indices into dataset.X (not a copy of its
-    rows), its given labels and the method's switches. Each batch, and each
-    pass over the whole shard (the round-1 centroid seed and the
-    pseudo-labels), gathers its rows from dataset.X when it runs, so the
-    rows are held once per process, by the dataset. A job built again
-    from the same arguments in another process resumes the same
-    LocalProgress.
-    """
-
-    def __init__(
-        self,
-        dataset: Dataset,
-        rows: np.ndarray,
-        round_t: int,
-        r_t: float,
-        hp: HyperParams,
-        method: str = METHOD_PROPOSED,
-    ):
-        if method not in METHODS:
-            raise ConfigError(f"unknown method {method!r}")
-        if len(rows) == 0:
-            raise ContractViolation("local_update: the shard is empty")
-        self.X, self.rows = dataset.X, rows
-        self.y = dataset.given_labels[rows]
-        self.C = dataset.C
-        self.round_t, self.r_t, self.hp = round_t, r_t, hp
-        self.exchange = method != METHOD_CE_BASELINE
-        self.local_only = method == METHOD_NO_GLOBAL_CENTROIDS
-        self.naive = method == METHOD_NAIVE_PSEUDO
-        self.pseudo_phase = self.exchange and round_t >= hp.t_pl
-        if self.exchange:
-            self.lam_cen, self.lam_e = lambda_cen_schedule(round_t, hp), hp.lambda_e
+    params = global_params.copy()
+    velocity = np.zeros_like(params.theta)
+    if not exchange:
+        mask = np.ones(len(y), dtype=np.int64)
+        running = None
+    else:
+        # Latest per-example mask; a zero-epoch round flags every example.
+        mask = np.zeros(len(y), dtype=np.int64)
+        if round_t <= 1 or local_only or not global_centroids.presence.any():
+            running = class_mean_features(mlp_features(params, X[rows]), y, C)
         else:
-            self.lam_cen = self.lam_e = 0.0
-        self.batches = math.ceil(len(self.y) / hp.batch_size)  # per epoch
-        self.steps = hp.local_steps(len(self.y))
+            running = global_centroids.copy()
+    pseudo = None
+    if pseudo_phase and not naive:
+        pseudo = global_pseudo_labels(global_params, X[rows])
 
-    def start(
-        self, global_params: ModelParams, global_centroids: CentroidSet, rng: np.random.Generator
-    ) -> LocalProgress:
-        """The progress before the first step; writes nothing it is given."""
-        y = self.y
-        params = global_params.copy()
-        if not self.exchange:
-            mask = np.ones(len(y), dtype=np.int64)
-            running = None
-        else:
-            # Latest per-example mask; a zero-epoch round flags every example.
-            mask = np.zeros(len(y), dtype=np.int64)
-            if self.round_t <= 1 or self.local_only or not global_centroids.presence.any():
-                running = class_mean_features(mlp_features(params, self.X[self.rows]), y, self.C)
-            else:
-                running = global_centroids.copy()
-        pseudo = None
-        if self.pseudo_phase and not self.naive:
-            pseudo = global_pseudo_labels(global_params, self.X[self.rows])
-        return LocalProgress(params, np.zeros_like(params.theta), running, mask, pseudo, rng)
-
-    def advance(self, p: LocalProgress, n: int) -> None:
-        """Take the next n SGD steps of p, in place."""
-        if not 0 <= n <= self.steps - p.n_batches:
-            raise ContractViolation(
-                f"LocalJob.advance: {n} steps after {p.n_batches} of {self.steps}"
-            )
-        y, hp = self.y, self.hp
-        for _ in range(n):
-            at = p.n_batches % self.batches * hp.batch_size
-            if at == 0:
-                if self.pseudo_phase and self.naive:
-                    # Self-training variant: pseudo-labels from the current
-                    # local model, refreshed every epoch.
-                    p.pseudo = global_pseudo_labels(p.params, self.X[self.rows])
-                p.perm = p.rng.permutation(len(y))
-            idx = p.perm[at : at + hp.batch_size]
-            Xb, yb = self.X[self.rows[idx]], y[idx]
-            rec = mlp_forward(p.params, Xb)
-            if self.exchange:
-                sel = small_loss_filter(per_example_ce(rec.logp, yb), self.r_t)
-                p.mask[idx] = confident_mask(similarity_labels(rec.hidden, p.running), yb)
-            yp = None if p.pseudo is None else p.pseudo[idx]
+    loss_sum, steps = 0.0, 0
+    for _ in range(hp.local_epochs):
+        if pseudo_phase and naive:
+            # Self-training variant: pseudo-labels from the current local
+            # model, refreshed every epoch.
+            pseudo = global_pseudo_labels(params, X[rows])
+        perm = rng.permutation(len(y))
+        for at in range(0, len(y), hp.batch_size):
+            idx = perm[at : at + hp.batch_size]
+            Xb, yb = X[rows[idx]], y[idx]
+            rec = mlp_forward(params, Xb)
+            if exchange:
+                sel = small_loss_filter(per_example_ce(rec.logp, yb), r_t)
+                mask[idx] = confident_mask(similarity_labels(rec.hidden, running), yb)
+            yp = None if pseudo is None else pseudo[idx]
             losses, d_logits, d_hidden = total_loss_and_grads(
-                rec, yb, yp, p.mask[idx], p.running, self.lam_cen, self.lam_e
+                rec, yb, yp, mask[idx], running, lam_cen, lam_e
             )
-            grads = mlp_backward(p.params, Xb, rec, d_logits, d_hidden)
-            sgd_step(p.params, grads, p.velocity, hp.learning_rate, hp.momentum, hp.weight_decay)
-            if self.exchange:
+            grads = mlp_backward(params, Xb, rec, d_logits, d_hidden)
+            sgd_step(params, grads, velocity, hp.learning_rate, hp.momentum, hp.weight_decay)
+            if exchange:
                 # Class means come from the just-updated extractor, on the
                 # small-loss subset only, then fold into the running centroids.
-                fresh = class_mean_features(mlp_features(p.params, Xb[sel]), yb[sel], self.C)
-                if self.local_only:
-                    p.running = _adopt_fresh(p.running, fresh)
+                fresh = class_mean_features(mlp_features(params, Xb[sel]), yb[sel], C)
+                if local_only:
+                    running = _adopt_fresh(running, fresh)
                 else:
-                    p.running = blend_with_global(p.running, fresh)
-            p.loss_sum += losses.total
-            p.n_batches += 1
+                    running = blend_with_global(running, fresh)
+            loss_sum += losses.total
+            steps += 1
 
-    def finish(self, p: LocalProgress) -> LocalUpdateResult:
-        """The upload of a progress that has taken every step.
-
-        Raises TrainingDiverged if its weights are not finite.
-        """
-        if p.n_batches != self.steps:
-            raise ContractViolation(f"LocalJob.finish: {p.n_batches} of {self.steps} steps taken")
-        if not np.isfinite(p.params.theta).all():
-            raise TrainingDiverged("local weights became non-finite")
-        running = p.running
-        if running is None or self.local_only:
-            running = CentroidSet.empty(self.C, p.params.d_h)
-        loss = p.loss_sum / p.n_batches if p.n_batches else 0.0
-        return LocalUpdateResult(p.params, running, loss, p.mask)
+    if not np.isfinite(params.theta).all():
+        raise TrainingDiverged("local weights became non-finite")
+    if running is None or local_only:
+        running = CentroidSet.empty(C, params.d_h)
+    return LocalUpdateResult(params, running, loss_sum / steps if steps else 0.0, mask)
 
 
 def _adopt_fresh(running: CentroidSet, fresh: CentroidSet) -> CentroidSet:
