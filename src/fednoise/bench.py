@@ -195,7 +195,8 @@ def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
     rows = spec.classes * spec.train_per_class if spec.kind == "blobs" else spec.subset
     if rows and out.fed.num_clients > rows:
         raise ConfigError(f"fed.num_clients: {out.fed.num_clients} > {rows} training rows")
-    out.hp = out.hp.resolved(out.noise.epsilon)
+    if out.hp.tau is None:
+        out.hp.tau = out.noise.epsilon
     out.hp.validate()
     if out.method not in METHODS:
         raise ConfigError(f"method: must be one of {METHODS}, got {out.method!r}")

@@ -40,6 +40,7 @@ from .localnode import (
     METHOD_PROPOSED,
     METHODS,
     local_update,
+    r_schedule,
 )
 from .metrics import CSV_COLUMNS, MetricsRecord, detection_rates, weight_divergence
 from .numkit import ModelParams, cosine_similarity, init_params, mlp_logits
@@ -77,16 +78,6 @@ class RoundState:
     t: int
     params: ModelParams
     centroids: CentroidSet
-
-
-def r_schedule(t: int, hp: HyperParams) -> float:
-    """Keep-fraction for the small-loss filter after t completed rounds.
-
-    Decays linearly from 1 to 1 - tau over t_horizon rounds, then stays.
-    """
-    if t < 0:
-        raise ContractViolation(f"r_schedule: t must be >= 0, got {t}")
-    return 1.0 - min(hp.tau * t / hp.t_horizon, hp.tau)
 
 
 def select_clients(num_clients: int, clients_per_round: int, rng: np.random.Generator) -> np.ndarray:
@@ -181,7 +172,7 @@ def run_training(
     state = RoundState(0, params, CentroidSet.empty(train.C, hp.hidden_dim))
     records = []
     with contextlib.closing(
-        _ClientProcesses(fed.clients_per_round, params, train, shards, hp, seed, method)
+        _ClientProcesses(fed.clients_per_round, train, shards, hp, seed, method)
     ) as clients:
         while state.t < fed.rounds:
             state, record = _run_round(state, clients, fed, test)
@@ -198,11 +189,10 @@ def _run_round(
     set's true labels, which no client reads. Raises TrainingDiverged if
     any value in the row is not finite."""
     t = state.t + 1
-    r_t = r_schedule(state.t, clients.hp)
     chosen = select_clients(
         fed.num_clients, fed.clients_per_round, make_rng(clients.seed, STREAM_SELECT, t)
     )
-    results = clients.run(t, r_t, state.params, state.centroids, chosen)
+    results = clients.run(t, state.params, state.centroids, chosen)
     rows = [clients.shards[cid] for cid in chosen]
     sizes = [len(r) for r in rows]
     params = fedavg(results, sizes)
@@ -233,7 +223,7 @@ def _run_round(
         mask_precision=precision,
         mask_recall=recall,
         weight_divergence=wdiv,
-        r_t=r_t,
+        r_t=r_schedule(state.t, clients.hp),
     )
     for column in CSV_COLUMNS:
         if not math.isfinite(getattr(record, column)):
@@ -274,27 +264,31 @@ class _ClientProcesses:
     one (rank 0) and n - 1 forked workers, n from _process_count. This
     class alone knows about processes. The same code runs 1 to n.
 
-    Every round, rank w runs the clients at positions w, w + n, ... of
-    the sorted selection, each whole, through local_update. Every rank
-    reads the run's data and settings (train, shards, hp, seed, method)
-    from this object; `like` gives the weights' shape. The workers are
-    forked once, when the object is made, after the data exists, so they
-    inherit all of it. Weights pass through a table in shared memory:
-    `broadcast` holds the round's global weights, which every rank trains
-    from, and `slots[p]` the weights of the client at position p, which a
-    worker copies there when it finishes it. So each result of another
-    process holds a view of its slot as weights, not a copy. A pipe to
-    each worker carries the rest: client ids, centroids, losses and
-    masks. Closing the pipes ends the workers.
+    It is built from the run's inputs alone (train, shards, hp, seed,
+    method) and holds no state of a round, so those inputs rebuild it at
+    any round. Every rank reads them from this object; the weights have
+    init_params's shape, (train.d_in, hp.hidden_dim, train.C). Every
+    round, rank w runs the clients at positions w, w + n, ... of the
+    sorted selection, each whole, through local_update, so a worker is
+    told only (ids, centroids, t). The workers are forked once, when the
+    object is made, after the data exists, so they inherit all of it.
+    Weights pass through a table in shared memory: `broadcast` holds the
+    round's global weights, which every rank trains from, and `slots[p]`
+    the weights of the client at position p, which a worker copies there
+    when it finishes it. So each result of another process holds a view
+    of its slot as weights, not a copy. A pipe to each worker carries the
+    rest: client ids, centroids, losses and masks. Closing the pipes ends
+    the workers.
     """
 
-    def __init__(self, clients, like, train, shards, hp, seed, method):
+    def __init__(self, clients, train, shards, hp, seed, method):
         self.processes = _process_count(clients)
         self.train, self.shards, self.hp, self.seed, self.method = train, shards, hp, seed, method
         self.conns = []
         self.procs = []
-        self.dims = (like.d_in, like.d_h, like.n_classes)
-        table = np.frombuffer(mmap.mmap(-1, (1 + clients) * like.theta.nbytes)).reshape(1 + clients, -1)
+        self.dims = (train.d_in, hp.hidden_dim, train.C)
+        size = ModelParams.zeros(*self.dims).theta.nbytes
+        table = np.frombuffer(mmap.mmap(-1, (1 + clients) * size)).reshape(1 + clients, -1)
         self.broadcast = ModelParams(table[0], *self.dims)
         self.slots = table[1:]
         try:
@@ -311,20 +305,20 @@ class _ClientProcesses:
             raise
 
     def run(
-        self, t: int, r_t: float, params: ModelParams, centroids: CentroidSet, chosen: np.ndarray
+        self, t: int, params: ModelParams, centroids: CentroidSet, chosen: np.ndarray
     ) -> list[LocalUpdateResult]:
         """Run the chosen clients of round t from the global params and
-        centroids with keep-fraction r_t, and return their results in
-        ascending id order. Writes nothing it is given. If clients fail,
-        raise the error of the first failing position."""
+        centroids, and return their results in ascending id order. Writes
+        nothing it is given. If clients fail, raise the error of the
+        first failing position."""
         ids = chosen.tolist()
         self.broadcast.theta[...] = params.theta
         for w, conn in enumerate(self.conns, 1):
             try:
-                conn.send((ids, centroids, t, r_t))
+                conn.send((ids, centroids, t))
             except OSError:
                 raise self._died(w, t) from None
-        shares = [self._run_share(0, ids, centroids, t, r_t)]
+        shares = [self._run_share(0, ids, centroids, t)]
         shares += [self._receive(w, t) for w in range(1, self.processes)]
 
         results: list = [None] * len(ids)
@@ -336,7 +330,7 @@ class _ClientProcesses:
             raise errors[min(errors)]
         return results
 
-    def _run_share(self, rank, ids, centroids, t, r_t):
+    def _run_share(self, rank, ids, centroids, t):
         """Run rank's clients of round t in order, each whole, from the
         broadcast weights, up to the first that fails. Returns (position,
         result) for each client finished and, if one failed, (its
@@ -345,7 +339,7 @@ class _ClientProcesses:
         for pos in range(rank, len(ids), self.processes):
             cid = ids[pos]
             rng = make_rng(self.seed, STREAM_LOCAL, t, cid)
-            args = (self.train, self.shards[cid], self.broadcast, centroids, t, r_t, self.hp, rng)
+            args = (self.train, self.shards[cid], self.broadcast, centroids, t, self.hp, rng)
             try:
                 done.append((pos, local_update(*args, method=self.method)))
             except Exception as e:
@@ -364,8 +358,8 @@ class _ClientProcesses:
             end.close()
         try:
             while True:
-                ids, centroids, t, r_t = conn.recv()
-                done, failure = self._run_share(rank, ids, centroids, t, r_t)
+                ids, centroids, t = conn.recv()
+                done, failure = self._run_share(rank, ids, centroids, t)
                 for pos, res in done:
                     self.slots[pos] = res.params.theta
                     res.params = None

@@ -19,7 +19,7 @@ It reads no true label: the server alone measures detection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,8 +72,8 @@ class CentroidSet:
 
 @dataclass
 class HyperParams:
-    """Training knobs shared by all method variants. A tau left as None
-    resolves to the noise ratio (see resolved())."""
+    """Training knobs shared by all method variants. bench.resolve_config
+    fills a tau left as None with the noise ratio, noise.epsilon."""
 
     hidden_dim: int = 64
     lambda_cen: float = 1.0
@@ -86,12 +86,6 @@ class HyperParams:
     learning_rate: float = 0.25
     momentum: float = 0.5
     weight_decay: float = 1e-4
-
-    def resolved(self, noise_epsilon: float) -> "HyperParams":
-        hp = replace(self)
-        if hp.tau is None:
-            hp.tau = noise_epsilon
-        return hp
 
     def validate(self) -> None:
         if self.tau is None or not 0.0 <= self.tau < 1.0:
@@ -216,6 +210,16 @@ def per_example_ce(logp: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return -logp[np.arange(len(labels)), labels]
 
 
+def r_schedule(t: int, hp: HyperParams) -> float:
+    """Keep-fraction for the small-loss filter after t completed rounds.
+
+    Decays linearly from 1 to 1 - tau over t_horizon rounds, then stays.
+    """
+    if t < 0:
+        raise ContractViolation(f"r_schedule: t must be >= 0, got {t}")
+    return 1.0 - min(hp.tau * t / hp.t_horizon, hp.tau)
+
+
 def lambda_cen_schedule(t: int, hp: HyperParams) -> float:
     """Centroid-loss weight: a linear ramp from 0 to lambda_cen over t_pl rounds."""
     if hp.t_pl <= 0:
@@ -293,7 +297,6 @@ def local_update(
     global_params: ModelParams,
     global_centroids: CentroidSet,
     round_t: int,
-    r_t: float,
     hp: HyperParams,
     rng: np.random.Generator,
     method: str = METHOD_PROPOSED,
@@ -305,9 +308,9 @@ def local_update(
     centroids from the global set (or from the shard's own class means at
     round 1), fixes pseudo-labels once from round t_pl on, then walks
     shuffled mini-batches for local_epochs epochs: forward, small-loss
-    filter, confident mask from the current running centroids, one SGD
-    step on the composite loss, and finally a fresh-feature class-mean
-    blend into the running centroids.
+    filter keeping r_schedule(round_t - 1, hp), confident mask from the
+    running centroids, one SGD step on the composite loss, and finally a
+    fresh-feature class-mean blend into the running centroids.
 
     CE_BASELINE runs the same loop with every extra term off: no
     pseudo-targets, no centroids, both loss weights 0 whatever hp says,
@@ -331,6 +334,7 @@ def local_update(
     pseudo_phase = exchange and round_t >= hp.t_pl
     if exchange:
         lam_cen, lam_e = lambda_cen_schedule(round_t, hp), hp.lambda_e
+        r_t = r_schedule(round_t - 1, hp)
     else:
         lam_cen = lam_e = 0.0
 

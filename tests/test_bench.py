@@ -26,7 +26,7 @@ from fednoise.bench import (
 )
 from fednoise import coordinator
 from fednoise.errors import ConfigError, TrainingDiverged
-from fednoise.localnode import METHODS
+from fednoise.localnode import METHODS, local_update
 from fednoise.metrics import read_csv
 from fednoise.noise import apply_noise
 from fednoise.datagen import partition_iid
@@ -778,3 +778,12 @@ def test_benchmark_names_functions_of_the_package(monkeypatch):
         module = importlib.import_module(f"fednoise.{layer}")
         obj = getattr(module, function, None)
         assert inspect.isfunction(obj) and obj.__module__ == module.__name__, name
+
+
+def test_benchmark_hooks_read_local_update_arguments_by_position():
+    # The tracer's local_update hooks, and a test that stops a worker in
+    # round 2, read global_params, global_centroids and round_t as
+    # args[2], args[3] and args[4]. A reorder would misattribute rounds
+    # and exchanged bytes without failing the tracer's self-checks.
+    first = list(inspect.signature(local_update).parameters)[:5]
+    assert first == ["dataset", "rows", "global_params", "global_centroids", "round_t"]

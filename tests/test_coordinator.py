@@ -19,33 +19,16 @@ from fednoise.coordinator import (
     aggregate_global_centroids,
     evaluate_accuracy,
     fedavg,
-    r_schedule,
     run_training,
     select_clients,
 )
 from fednoise.datagen import make_blob_split, partition_iid
 from fednoise.errors import ConfigError, ContractViolation
-from fednoise.localnode import METHODS, CentroidSet, HyperParams, LocalUpdateResult
-from fednoise.metrics import write_csv
+from fednoise.localnode import METHODS, CentroidSet, HyperParams, LocalUpdateResult, r_schedule
+from fednoise.metrics import CSV_COLUMNS, write_csv
 from fednoise.noise import apply_noise
 from fednoise.numkit import ModelParams, cosine_similarity, init_params, mlp_forward
 from fednoise.seeds import STREAM_INIT, STREAM_SELECT, make_rng
-
-
-def test_r_schedule_values():
-    hp = HyperParams(tau=0.4, t_horizon=10)
-    assert r_schedule(0, hp) == 1.0
-    assert r_schedule(5, hp) == pytest.approx(0.8)
-    assert r_schedule(10, hp) == pytest.approx(0.6)
-    assert r_schedule(50, hp) == pytest.approx(0.6)
-    with pytest.raises(ContractViolation):
-        r_schedule(-1, hp)
-
-
-def test_r_schedule_clean_data_keeps_everything():
-    hp = HyperParams(tau=0.0, t_horizon=10)
-    assert r_schedule(0, hp) == 1.0
-    assert r_schedule(99, hp) == 1.0
 
 
 def test_select_clients_all_when_m_equals_n():
@@ -397,6 +380,42 @@ def test_run_training_deterministic():
             assert (a.weight_divergence, a.r_t) == (b.weight_divergence, b.r_t)
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_single_participant_rounds(monkeypatch, method):
+    # With one client a round, weight divergence is undefined and each
+    # round records 0.0; the run needs one process whatever the CPUs.
+    monkeypatch.setattr(coordinator, "_usable_cpus", lambda: 3)
+    processes = []
+    close = coordinator._ClientProcesses.close
+
+    def recording_close(self):
+        processes.append((self.processes, len(self.procs)))
+        close(self)
+
+    monkeypatch.setattr(coordinator._ClientProcesses, "close", recording_close)
+    train, test, shards, fed, hp = _tiny_setup(eps=0.3)
+    fed.clients_per_round = 1
+    _, records = run_training(train, test, shards, fed, hp, seed=0, method=method)
+    assert [r.round for r in records] == list(range(1, fed.rounds + 1))
+    for r in records:
+        assert all(np.isfinite(getattr(r, column)) for column in CSV_COLUMNS)
+        assert r.weight_divergence == 0.0
+    assert processes == [(1, 0)]
+
+
+def test_t_pl_zero_is_t_pl_one():
+    # Both pseudo-label from round 1 at the full lambda_cen: with t_pl = 0
+    # there is no ramp, and with t_pl = 1 it is done by round 1.
+    train, test, shards, fed, hp = _tiny_setup(eps=0.3)
+    fed.rounds = 6
+    runs = [
+        run_training(train, test, shards, fed, dataclasses.replace(hp, t_pl=t_pl), seed=0)
+        for t_pl in (0, 1)
+    ]
+    assert runs[0][1] == runs[1][1]
+    assert runs[0][0].theta.tobytes() == runs[1][0].theta.tobytes()
+
+
 def test_run_training_learns_clean_blobs():
     train, test, shards, fed, hp = _tiny_setup()
     fed.rounds = 15
@@ -618,7 +637,7 @@ def test_a_round_is_a_function_of_its_state(monkeypatch, processes, method):
     fed.clients_per_round = 5
     params, records = run_training(train, test, shards, fed, hp, seed=4, method=method)
     state = _first_state(train, hp, 4)
-    args = (state.params, train, shards, hp, 4, method)
+    args = (train, shards, hp, 4, method)
     state, first = _rounds(state, fed, test, *args, until=5)
     assert hp.t_pl < state.t == 5
     state, rest = _rounds(state, fed, test, *args, until=fed.rounds)
@@ -642,7 +661,7 @@ def test_a_round_writes_nothing_it_is_given(monkeypatch, processes, method):
     def held(s):
         return s.params.theta.tobytes(), s.centroids.vectors.tobytes(), s.centroids.presence.tobytes()
 
-    args = (state.params, train, shards, hp, 0, method)
+    args = (train, shards, hp, 0, method)
     with contextlib.closing(coordinator._ClientProcesses(fed.clients_per_round, *args)) as clients:
         for _ in range(fed.rounds):
             before = held(state)

@@ -23,6 +23,7 @@ from fednoise.localnode import (
     lambda_cen_schedule,
     local_update,
     per_example_ce,
+    r_schedule,
     similarity_labels,
     small_loss_filter,
     total_loss_and_grads,
@@ -370,6 +371,22 @@ def test_global_pseudo_labels_are_model_softmax(rng):
     np.testing.assert_array_equal(pseudo, mlp_forward(p, X).probs)
 
 
+def test_r_schedule_values():
+    hp = HyperParams(tau=0.4, t_horizon=10)
+    assert r_schedule(0, hp) == 1.0
+    assert r_schedule(5, hp) == pytest.approx(0.8)
+    assert r_schedule(10, hp) == pytest.approx(0.6)
+    assert r_schedule(50, hp) == pytest.approx(0.6)
+    with pytest.raises(ContractViolation):
+        r_schedule(-1, hp)
+
+
+def test_r_schedule_clean_data_keeps_everything():
+    hp = HyperParams(tau=0.0, t_horizon=10)
+    assert r_schedule(0, hp) == 1.0
+    assert r_schedule(99, hp) == 1.0
+
+
 def test_lambda_cen_schedule_ramp():
     hp = HyperParams(lambda_cen=2.0)
     assert lambda_cen_schedule(0, hp) == 0.0
@@ -542,7 +559,7 @@ def test_local_update_holds_no_copy_of_its_rows(method, round_t, full_broadcast)
     assert round_t < hp.t_pl
     tracemalloc.start()
     try:
-        local_update(ds, shard, gp, gc, round_t, 0.9, hp, make_rng(0, 6, round_t, 0), method=method)
+        local_update(ds, shard, gp, gc, round_t, hp, make_rng(0, 6, round_t, 0), method=method)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -554,8 +571,8 @@ def test_local_update_deterministic():
     hp = _hp()
     gp = init_params(5, 8, 3, make_rng(0, 4))
     gc = CentroidSet.empty(3, 8)
-    a = local_update(ds, shard, gp, gc, 2, 0.9, hp, make_rng(0, 6, 2, 0))
-    b = local_update(ds, shard, gp, gc, 2, 0.9, hp, make_rng(0, 6, 2, 0))
+    a = local_update(ds, shard, gp, gc, 2, hp, make_rng(0, 6, 2, 0))
+    b = local_update(ds, shard, gp, gc, 2, hp, make_rng(0, 6, 2, 0))
     np.testing.assert_array_equal(a.params.theta, b.params.theta)
     np.testing.assert_array_equal(a.centroids.vectors, b.centroids.vectors)
     assert a.mean_train_loss == b.mean_train_loss
@@ -570,8 +587,8 @@ def test_local_update_pure_function_across_clients():
     gp = init_params(5, 8, 3, make_rng(0, 4))
     gc = CentroidSet.empty(3, 8)
     other = shard.copy()
-    a = local_update(ds, shard, gp, gc, 1, 1.0, hp, make_rng(0, 6, 1, 0))
-    b = local_update(ds, other, gp, gc, 1, 1.0, hp, make_rng(0, 6, 1, 0))
+    a = local_update(ds, shard, gp, gc, 1, hp, make_rng(0, 6, 1, 0))
+    b = local_update(ds, other, gp, gc, 1, hp, make_rng(0, 6, 1, 0))
     np.testing.assert_array_equal(a.params.theta, b.params.theta)
 
 
@@ -584,7 +601,7 @@ def test_local_update_zero_epochs_keeps_broadcast(method):
     hp = _hp(local_epochs=0)
     gp = init_params(5, 8, 3, make_rng(0, 4))
     res = local_update(
-        ds, shard, gp, CentroidSet.empty(3, 8), 1, 1.0, hp, make_rng(0, 6, 1, 0), method=method
+        ds, shard, gp, CentroidSet.empty(3, 8), 1, hp, make_rng(0, 6, 1, 0), method=method
     )
     np.testing.assert_array_equal(res.params.theta, gp.theta)
     assert res.params.theta is not gp.theta
@@ -604,7 +621,7 @@ def test_local_update_does_not_mutate_broadcast():
     gp = init_params(5, 8, 3, make_rng(0, 4))
     before = gp.theta.copy()
     gc = CentroidSet.empty(3, 8)
-    local_update(ds, shard, gp, gc, 1, 1.0, hp, make_rng(0, 6, 1, 0))
+    local_update(ds, shard, gp, gc, 1, hp, make_rng(0, 6, 1, 0))
     np.testing.assert_array_equal(before, gp.theta)
     assert not gc.presence.any()
 
@@ -613,7 +630,7 @@ def test_local_update_reports_local_state():
     ds, shard = _blob_client(noisy=True)
     hp = _hp()
     gp = init_params(5, 8, 3, make_rng(0, 4))
-    res = local_update(ds, shard, gp, CentroidSet.empty(3, 8), 1, 0.8, hp, make_rng(0, 6, 1, 0))
+    res = local_update(ds, shard, gp, CentroidSet.empty(3, 8), 1, hp, make_rng(0, 6, 1, 0))
     _assert_mask_of(res, len(shard))
     assert res.centroids.presence.any()
     assert np.isfinite(res.mean_train_loss)
@@ -639,7 +656,7 @@ def test_local_update_ce_baseline_is_maskless(monkeypatch):
                  "global_pseudo_labels", "small_loss_filter", "mlp_features"):
         monkeypatch.setattr(localnode, name, no_centroid_work)
     res = local_update(
-        ds, shard, gp, CentroidSet.empty(3, 8), 1, 1.0, hp, make_rng(0, 6, 1, 0),
+        ds, shard, gp, CentroidSet.empty(3, 8), 1, hp, make_rng(0, 6, 1, 0),
         method="ce_baseline",
     )
     # One forward per SGD step, over that step's batch only.
@@ -680,7 +697,7 @@ def test_pseudo_labels_computed_only_from_t_pl(monkeypatch, method, per_update):
     for round_t in (1, 2, 3, 4):
         del pseudo_calls[:], forwards[:]
         local_update(
-            ds, shard, gp, CentroidSet.empty(3, 8), round_t, 0.8, hp,
+            ds, shard, gp, CentroidSet.empty(3, 8), round_t, hp,
             make_rng(0, 6, round_t, 0), method=method,
         )
         want = per_update(hp) if round_t >= hp.t_pl else 0
@@ -690,12 +707,42 @@ def test_pseudo_labels_computed_only_from_t_pl(monkeypatch, method, per_update):
         assert len(forwards) == steps + want, (method, round_t)
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_local_update_keep_fraction_follows_the_round(monkeypatch, method):
+    # Each client derives its small-loss keep fraction from the round it
+    # is told: round t keeps r_schedule(t - 1), the fraction after t - 1
+    # completed rounds. ce_baseline filters nothing.
+    import fednoise.localnode as localnode
+
+    ds, shard = _blob_client(noisy=True)
+    hp = _hp(tau=0.4, t_horizon=10, local_epochs=1)
+    gp = init_params(5, 8, 3, make_rng(0, 4))
+    seen = []
+
+    def recording_filter(losses, r_t):
+        seen.append(r_t)
+        return small_loss_filter(losses, r_t)
+
+    monkeypatch.setattr(localnode, "small_loss_filter", recording_filter)
+    for round_t, want in ((1, 1.0), (6, 0.8), (11, 0.6), (20, 0.6)):
+        del seen[:]
+        local_update(
+            ds, shard, gp, CentroidSet.empty(3, 8), round_t, hp,
+            make_rng(0, 6, round_t, 0), method=method,
+        )
+        if method == "ce_baseline":
+            assert seen == [], round_t
+        else:
+            assert seen and set(seen) == {r_schedule(round_t - 1, hp)}, round_t
+            assert seen[0] == pytest.approx(want)
+
+
 def test_local_update_unknown_method():
     ds, shard = _blob_client()
     with pytest.raises(ConfigError):
         local_update(
             ds, shard, init_params(5, 8, 3, make_rng(0, 4)), CentroidSet.empty(3, 8),
-            1, 1.0, _hp(), make_rng(0, 6, 1, 0), method="ensemble",
+            1, _hp(), make_rng(0, 6, 1, 0), method="ensemble",
         )
 
 
@@ -705,7 +752,7 @@ def test_local_update_empty_shard():
     with pytest.raises(ContractViolation):
         local_update(
             ds, empty, init_params(5, 8, 3, make_rng(0, 4)), CentroidSet.empty(3, 8),
-            1, 1.0, _hp(), make_rng(0, 6, 1, 0),
+            1, _hp(), make_rng(0, 6, 1, 0),
         )
 
 
@@ -738,7 +785,7 @@ def test_local_update_edge_shapes(C, size, batch_size, held, round_t, method, sc
     gc.vectors[present] = draw.standard_normal((len(present), 4))
     gc.presence[present] = True
     gp = init_params(3, 4, C, make_rng(seed, 4))
-    res = local_update(ds, rows, gp, gc, round_t, 0.75, hp, make_rng(seed, 6, round_t, 0), method=method)
+    res = local_update(ds, rows, gp, gc, round_t, hp, make_rng(seed, 6, round_t, 0), method=method)
     assert np.isfinite(res.params.theta).all()
     assert np.isfinite(res.centroids.vectors).all()
     _assert_mask_of(res, n)
@@ -756,9 +803,9 @@ def test_naive_pseudo_differs_after_gate():
     hp = _hp(t_pl=1, local_epochs=3)
     gp = init_params(5, 8, 3, make_rng(0, 4))
     gc = CentroidSet.empty(3, 8)
-    a = local_update(ds, shard, gp, gc, 2, 0.8, hp, make_rng(0, 6, 2, 0))
+    a = local_update(ds, shard, gp, gc, 2, hp, make_rng(0, 6, 2, 0))
     b = local_update(
-        ds, shard, gp, gc, 2, 0.8, hp, make_rng(0, 6, 2, 0), method="naive_pseudo_ablation"
+        ds, shard, gp, gc, 2, hp, make_rng(0, 6, 2, 0), method="naive_pseudo_ablation"
     )
     assert not np.array_equal(a.params.theta, b.params.theta)
 
@@ -770,9 +817,9 @@ def test_methods_identical_before_gate():
     hp = _hp(t_pl=50)
     gp = init_params(5, 8, 3, make_rng(0, 4))
     gc = CentroidSet.empty(3, 8)
-    a = local_update(ds, shard, gp, gc, 2, 0.8, hp, make_rng(0, 6, 2, 0))
+    a = local_update(ds, shard, gp, gc, 2, hp, make_rng(0, 6, 2, 0))
     b = local_update(
-        ds, shard, gp, gc, 2, 0.8, hp, make_rng(0, 6, 2, 0), method="naive_pseudo_ablation"
+        ds, shard, gp, gc, 2, hp, make_rng(0, 6, 2, 0), method="naive_pseudo_ablation"
     )
     np.testing.assert_array_equal(a.params.theta, b.params.theta)
 
@@ -786,11 +833,11 @@ def test_no_global_centroids_ignores_broadcast_centroids():
     )
     empty = CentroidSet.empty(3, 8)
     a = local_update(
-        ds, shard, gp, skewed, 2, 0.8, hp, make_rng(0, 6, 2, 0),
+        ds, shard, gp, skewed, 2, hp, make_rng(0, 6, 2, 0),
         method="no_global_centroids_ablation",
     )
     b = local_update(
-        ds, shard, gp, empty, 2, 0.8, hp, make_rng(0, 6, 2, 0),
+        ds, shard, gp, empty, 2, hp, make_rng(0, 6, 2, 0),
         method="no_global_centroids_ablation",
     )
     np.testing.assert_array_equal(a.params.theta, b.params.theta)
@@ -802,7 +849,7 @@ def test_detection_counts_add_up():
     ds, shard = _blob_client(noisy=True)
     hp = _hp()
     gp = init_params(5, 8, 3, make_rng(0, 4))
-    res = local_update(ds, shard, gp, CentroidSet.empty(3, 8), 1, 0.8, hp, make_rng(0, 6, 1, 0))
+    res = local_update(ds, shard, gp, CentroidSet.empty(3, 8), 1, hp, make_rng(0, 6, 1, 0))
     # Every example of the shard is either flagged (0) or confident (1);
     # the server counts detections from this mask (test_metrics.py).
     _assert_mask_of(res, len(shard))
@@ -815,10 +862,10 @@ def test_local_update_reads_no_true_label(method):
     ds, shard = _blob_client(noisy=True)
     hp = _hp()
     gp = init_params(5, 8, 3, make_rng(0, 4))
-    gc = local_update(ds, shard, gp, CentroidSet.empty(3, 8), 1, 1.0, hp, make_rng(0, 6, 1, 0)).centroids
-    a = local_update(ds, shard, gp, gc, 4, 0.8, hp, make_rng(0, 6, 4, 0), method=method)
+    gc = local_update(ds, shard, gp, CentroidSet.empty(3, 8), 1, hp, make_rng(0, 6, 1, 0)).centroids
+    a = local_update(ds, shard, gp, gc, 4, hp, make_rng(0, 6, 4, 0), method=method)
     blind = dataclasses.replace(ds, true_labels=None)
-    b = local_update(blind, shard, gp, gc, 4, 0.8, hp, make_rng(0, 6, 4, 0), method=method)
+    b = local_update(blind, shard, gp, gc, 4, hp, make_rng(0, 6, 4, 0), method=method)
     assert a.params.theta.tobytes() == b.params.theta.tobytes()
     assert a.centroids.vectors.tobytes() == b.centroids.vectors.tobytes()
     np.testing.assert_array_equal(a.centroids.presence, b.centroids.presence)
