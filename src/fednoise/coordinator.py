@@ -223,7 +223,7 @@ def _run_round(
         mask_precision=precision,
         mask_recall=recall,
         weight_divergence=wdiv,
-        r_t=r_schedule(state.t, clients.hp),
+        r_t=r_schedule(t, clients.hp),
     )
     for column in CSV_COLUMNS:
         if not math.isfinite(getattr(record, column)):

@@ -210,14 +210,15 @@ def per_example_ce(logp: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return -logp[np.arange(len(labels)), labels]
 
 
-def r_schedule(t: int, hp: HyperParams) -> float:
-    """Keep-fraction for the small-loss filter after t completed rounds.
+def r_schedule(round_t: int, hp: HyperParams) -> float:
+    """Keep-fraction for the small-loss filter in round round_t (from 1).
 
-    Decays linearly from 1 to 1 - tau over t_horizon rounds, then stays.
+    Keeps everything in round 1, then decays linearly to 1 - tau over the
+    next t_horizon rounds, and stays there.
     """
-    if t < 0:
-        raise ContractViolation(f"r_schedule: t must be >= 0, got {t}")
-    return 1.0 - min(hp.tau * t / hp.t_horizon, hp.tau)
+    if round_t < 1:
+        raise ContractViolation(f"r_schedule: round_t must be >= 1, got {round_t}")
+    return 1.0 - min(hp.tau * (round_t - 1) / hp.t_horizon, hp.tau)
 
 
 def lambda_cen_schedule(t: int, hp: HyperParams) -> float:
@@ -308,7 +309,7 @@ def local_update(
     centroids from the global set (or from the shard's own class means at
     round 1), fixes pseudo-labels once from round t_pl on, then walks
     shuffled mini-batches for local_epochs epochs: forward, small-loss
-    filter keeping r_schedule(round_t - 1, hp), confident mask from the
+    filter keeping r_schedule(round_t, hp), confident mask from the
     running centroids, one SGD step on the composite loss, and finally a
     fresh-feature class-mean blend into the running centroids.
 
@@ -334,7 +335,7 @@ def local_update(
     pseudo_phase = exchange and round_t >= hp.t_pl
     if exchange:
         lam_cen, lam_e = lambda_cen_schedule(round_t, hp), hp.lambda_e
-        r_t = r_schedule(round_t - 1, hp)
+        r_t = r_schedule(round_t, hp)
     else:
         lam_cen = lam_e = 0.0
 

@@ -356,7 +356,7 @@ def test_run_training_records_well_formed():
         assert np.isfinite(r.weight_divergence)
     # R_t follows the published schedule given the round index.
     for r in records:
-        assert r.r_t == pytest.approx(r_schedule(r.round - 1, hp))
+        assert r.r_t == pytest.approx(r_schedule(r.round, hp))
 
 
 def test_run_training_deterministic():

@@ -373,18 +373,18 @@ def test_global_pseudo_labels_are_model_softmax(rng):
 
 def test_r_schedule_values():
     hp = HyperParams(tau=0.4, t_horizon=10)
-    assert r_schedule(0, hp) == 1.0
-    assert r_schedule(5, hp) == pytest.approx(0.8)
-    assert r_schedule(10, hp) == pytest.approx(0.6)
-    assert r_schedule(50, hp) == pytest.approx(0.6)
+    assert r_schedule(1, hp) == 1.0
+    assert r_schedule(6, hp) == pytest.approx(0.8)
+    assert r_schedule(11, hp) == pytest.approx(0.6)
+    assert r_schedule(51, hp) == pytest.approx(0.6)
     with pytest.raises(ContractViolation):
-        r_schedule(-1, hp)
+        r_schedule(0, hp)
 
 
 def test_r_schedule_clean_data_keeps_everything():
     hp = HyperParams(tau=0.0, t_horizon=10)
-    assert r_schedule(0, hp) == 1.0
-    assert r_schedule(99, hp) == 1.0
+    assert r_schedule(1, hp) == 1.0
+    assert r_schedule(100, hp) == 1.0
 
 
 def test_lambda_cen_schedule_ramp():
@@ -531,7 +531,8 @@ def _hp(**kw):
         batch_size=16,
         learning_rate=0.1,
         t_pl=3,
-        t_horizon=5,
+        # From round 2 on, the small-loss filter keeps 1 - tau of a batch.
+        t_horizon=1,
         tau=0.2,
     )
     base.update(kw)
@@ -568,7 +569,7 @@ def test_local_update_holds_no_copy_of_its_rows(method, round_t, full_broadcast)
 
 def test_local_update_deterministic():
     ds, shard = _blob_client(noisy=True)
-    hp = _hp()
+    hp = _hp(tau=0.1)
     gp = init_params(5, 8, 3, make_rng(0, 4))
     gc = CentroidSet.empty(3, 8)
     a = local_update(ds, shard, gp, gc, 2, hp, make_rng(0, 6, 2, 0))
@@ -710,8 +711,7 @@ def test_pseudo_labels_computed_only_from_t_pl(monkeypatch, method, per_update):
 @pytest.mark.parametrize("method", METHODS)
 def test_local_update_keep_fraction_follows_the_round(monkeypatch, method):
     # Each client derives its small-loss keep fraction from the round it
-    # is told: round t keeps r_schedule(t - 1), the fraction after t - 1
-    # completed rounds. ce_baseline filters nothing.
+    # is told, r_schedule(round_t). ce_baseline filters nothing.
     import fednoise.localnode as localnode
 
     ds, shard = _blob_client(noisy=True)
@@ -733,7 +733,7 @@ def test_local_update_keep_fraction_follows_the_round(monkeypatch, method):
         if method == "ce_baseline":
             assert seen == [], round_t
         else:
-            assert seen and set(seen) == {r_schedule(round_t - 1, hp)}, round_t
+            assert seen and set(seen) == {r_schedule(round_t, hp)}, round_t
             assert seen[0] == pytest.approx(want)
 
 
@@ -779,7 +779,9 @@ def test_local_update_edge_shapes(C, size, batch_size, held, round_t, method, sc
     ds.given_labels[flip] = (ds.given_labels[flip] + 1) % C
     n = {"one": 1, "under_batch": max(1, batch_size - 1), "ragged": batch_size + 2}[size]
     rows = np.sort(draw.permutation(ds.n)[:n]).astype(np.int64)
-    hp = _hp(hidden_dim=4, local_epochs=2, batch_size=batch_size, t_pl=2)
+    hp = _hp(hidden_dim=4, local_epochs=2, batch_size=batch_size, t_pl=2, tau=0.25)
+    # Round 1 keeps every row; later rounds drop rows of batches of 4 and 7.
+    assert r_schedule(round_t, hp) == (1.0 if round_t == 1 else 0.75)
     gc = CentroidSet.empty(C, 4)
     present = {"none": [], "one": [int(draw.integers(C))], "all": list(range(C))}[held]
     gc.vectors[present] = draw.standard_normal((len(present), 4))
@@ -849,7 +851,7 @@ def test_detection_counts_add_up():
     ds, shard = _blob_client(noisy=True)
     hp = _hp()
     gp = init_params(5, 8, 3, make_rng(0, 4))
-    res = local_update(ds, shard, gp, CentroidSet.empty(3, 8), 1, hp, make_rng(0, 6, 1, 0))
+    res = local_update(ds, shard, gp, CentroidSet.empty(3, 8), 2, hp, make_rng(0, 6, 2, 0))
     # Every example of the shard is either flagged (0) or confident (1);
     # the server counts detections from this mask (test_metrics.py).
     _assert_mask_of(res, len(shard))
