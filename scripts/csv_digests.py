@@ -4,7 +4,7 @@ change keeps the CSV bytes the same.
 
 The runs are the four methods on configs/blobs.cfg; `proposed` on it for
 40 rounds (past hp.t_pl = 30) under each other noise setting: pair
-noise, noise.client_variance and noise.per_class_mode; and the
+noise, noise.client_variance and single-class noise; and the
 benchmark's mnist784-ce and mnist784-proposed-pool2 workloads at seed 1,
 configured by perfbench/run.py itself. The first line names the numpy and BLAS
 versions, since the bytes depend on them, and the number of processes
@@ -38,7 +38,7 @@ DESK_CONFIG = os.path.join(ROOT, "configs", "blobs.cfg")
 NOISE_SETTINGS = (
     ["noise.kind=pair", "noise.epsilon=0.3"],
     ["noise.client_variance=0.2"],
-    ["noise.per_class_mode=true"],
+    ["noise.kind=single_class"],
 )
 BENCH_WORKLOADS = ("mnist784-ce", "mnist784-proposed-pool2")
 BENCH_SEED = 1
@@ -54,7 +54,7 @@ REFERENCE_DIGESTS = {
         "a0c2d33b8c861202a451f2ab4396584fdb9921aea8784443c9d69e76998a59b8",
     "desk proposed 40 rounds noise.client_variance=0.2":
         "d221e6ef68f999fd77aa6d9c3608dfb3151826c56e0c8f93e1df959814ed975b",
-    "desk proposed 40 rounds noise.per_class_mode=true":
+    "desk proposed 40 rounds noise.kind=single_class":
         "5abe61ed2428141e949b3c3163fed79a1be03b348aa6e18c5b8a97e23d248fe9",
     "mnist784-ce seed 1": "4ea99e3ed66a9b0da97c348ff5230492ca92fd0e742041f026b595676f2c62ad",
     "mnist784-proposed-pool2 seed 1": "2f78d47978ca71840a6a0783d04fd5fd8dc9e670811798502d235e39933cd8de",

@@ -101,25 +101,20 @@ def _config_keys(cls: type = ExperimentConfig, prefix: str = "") -> dict[str, ty
 _CONFIG_KEYS = dict(sorted(_config_keys().items(), key=lambda item: "." in item[0]))
 
 
-_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-
-
 def _parse_value(raw: str, kind, key: str):
-    """raw as a value of type kind: int, finite float, bool, str, or
-    one of those or None."""
+    """raw as a value of type kind: int, finite float, str, or one of
+    those or None."""
     if type(None) in typing.get_args(kind):
         if raw.lower() in ("none", "null"):
             return None
         (kind,) = [k for k in typing.get_args(kind) if k is not type(None)]
     try:
-        if kind is bool:
-            return _BOOLS[raw.lower()]
         if kind in (int, float, str):
             value = kind(raw)
             if kind is float and not math.isfinite(value):
                 raise ConfigError(f"{key}: must be finite, got {raw!r}")
             return value
-    except (KeyError, ValueError):
+    except ValueError:
         raise ConfigError(f"{key}: expected {kind.__name__}, got {raw!r}") from None
     raise ConfigError(f"{key}: unsupported value type {kind!r}")
 
@@ -226,8 +221,6 @@ def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
 def _format_value(value) -> str:
     if value is None:
         return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -397,6 +390,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (FednoiseError, OSError) as e:
         print(f"fednoise: error: {e}", file=sys.stderr)
+        return 2
+    except Exception as e:
+        print(f"fednoise: error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 
 

@@ -1,11 +1,12 @@
 """Label-noise transition matrices and dataset corruption.
 
-transition_matrix builds the flip matrix of the two classic synthetic
-noise kinds, symmetric and pair flipping, whose epsilon bounds
-EPSILON_BOUND holds. Two ablation modes corrupt client by client, in one
-loop of apply_noise: per-client noise ratios spread over a range, and
-fully corrupting one random class per client. Corruption never touches
-true labels; those are kept alongside for metrics only.
+noise.kind is the one axis of the noise model; EPSILON_BOUND holds each
+kind's epsilon bound. transition_matrix builds the flip matrix of the two
+classic synthetic kinds, symmetric and pair flipping; single_class makes
+one random class per client wholly wrong. Any kind can spread its ratio
+over the clients (noise.client_variance), and corrupting client by
+client is one loop of apply_noise. Corruption never touches true labels;
+those are kept alongside for metrics only.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ ROW_SUM_TOL = 1e-12
 
 # Each noise kind's epsilon lies in [0, bound): below 0.5, pair flipping
 # keeps the true class the majority of its row.
-EPSILON_BOUND = {"symmetric": 1.0, "pair": 0.5}
+EPSILON_BOUND = {"symmetric": 1.0, "pair": 0.5, "single_class": 1.0}
 
 # Under noise.client_variance, clients fall by position into this many equal
 # groups, each with its own noise ratio (client_noise_ratios).
@@ -52,10 +53,9 @@ class TransitionMatrix:
 class NoiseSpec:
     """Corruption configuration, part of the experiment config file."""
 
-    kind: str = "symmetric"
+    kind: str = "symmetric"  # the noise model: a key of EPSILON_BOUND
     epsilon: float = 0.0
     client_variance: float = 0.0  # per-client ratio spread (ablation)
-    per_class_mode: bool = False  # one fully-wrong class per client (ablation)
     seed: int = 0
 
     def validate(self) -> None:
@@ -73,13 +73,6 @@ class NoiseSpec:
                     f"noise.client_variance: ratio range [{lo}, {hi_r}] escapes [0,{hi}) "
                     f"for {self.kind}"
                 )
-        if self.client_variance > 0 and self.per_class_mode:
-            raise ConfigError("noise: client_variance and per_class_mode are mutually exclusive")
-        if self.per_class_mode and self.kind != "symmetric":
-            raise ConfigError(
-                f"noise.per_class_mode flips the other classes symmetrically, "
-                f"so noise.kind must be symmetric, got {self.kind!r}"
-            )
         if self.seed < 0:
             raise ConfigError("noise.seed: must be >= 0")
 
@@ -88,8 +81,8 @@ def transition_matrix(kind: str, epsilon: float, C: int) -> TransitionMatrix:
     """Q of the given noise kind at ratio epsilon over C classes: 1-eps on
     the diagonal, and eps spread evenly over the other classes
     ("symmetric") or all on the next class, wrapping ("pair")."""
-    if kind not in EPSILON_BOUND:
-        raise ConfigError(f"unknown noise kind {kind!r}")
+    if kind not in ("symmetric", "pair"):
+        raise ConfigError(f"transition_matrix: no flip matrix for noise kind {kind!r}")
     if C < 2:
         raise ConfigError(f"transition_matrix: need C >= 2, got {C}")
     hi = EPSILON_BOUND[kind]
@@ -159,21 +152,21 @@ def apply_noise(dataset: "Dataset", shards: list[np.ndarray], spec: NoiseSpec) -
     """Corrupt dataset.given_labels in place according to the noise spec.
 
     shards are the clients' row-index arrays, client k's at position k.
-    The standard mode corrupts the whole training set with one transition
-    matrix (before looking at the partition). The two ablation modes work
-    in one loop, shard by shard, client k's with its own sub-stream
-    derived from (noise seed, k) so parallel setup stays reproducible, and
-    at its variance group's ratio (epsilon itself without
-    client_variance).
+    Symmetric or pair noise without client_variance corrupts the whole
+    training set with one transition matrix (before looking at the
+    partition). Otherwise one loop corrupts shard by shard, client k's
+    with its own sub-stream derived from (noise seed, k) so parallel
+    setup stays reproducible, and at its variance group's ratio (epsilon
+    itself without client_variance).
     """
     spec.validate()
-    if spec.per_class_mode or spec.client_variance > 0:
+    if spec.kind == "single_class" or spec.client_variance > 0:
         ratios = client_noise_ratios(spec.epsilon, spec.client_variance)
         for k, rows in enumerate(shards):
             eps = float(ratios[k * CLIENT_VARIANCE_GROUPS // len(shards)])
             rng = make_rng(spec.seed, STREAM_NOISE, k)
             true = dataset.true_labels[rows]
-            if spec.per_class_mode:
+            if spec.kind == "single_class":
                 dataset.given_labels[rows] = single_class_corruption(true, dataset.C, eps, rng)[0]
             else:
                 tm = transition_matrix(spec.kind, eps, dataset.C)

@@ -62,8 +62,8 @@ def test_apply_item_type_checking():
     cfg = ExperimentConfig()
     apply_item(cfg, "noise.epsilon", "0.4")
     assert cfg.noise.epsilon == 0.4
-    apply_item(cfg, "noise.per_class_mode", "true")
-    assert cfg.noise.per_class_mode is True
+    apply_item(cfg, "noise.kind", "single_class")
+    assert cfg.noise.kind == "single_class"
     apply_item(cfg, "hp.tau", "none")
     assert cfg.hp.tau is None
     apply_item(cfg, "hp.tau", "0.3")
@@ -74,8 +74,9 @@ def test_apply_item_type_checking():
         apply_item(cfg, "universe.answer", "42")
     with pytest.raises(ConfigError, match="expected int"):
         apply_item(cfg, "fed.rounds", "many")
-    with pytest.raises(ConfigError, match="expected bool"):
-        apply_item(cfg, "noise.per_class_mode", "maybe")
+    # The single-class model is a value of noise.kind, not a key of its own.
+    with pytest.raises(ConfigError, match="unknown key"):
+        apply_item(cfg, "noise.per_class_mode", "true")
 
 
 def test_load_config_file_and_overrides(tmp_path):
@@ -309,7 +310,14 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_cli_runtime_error_exit_code(tmp_path, capsys):
+def _unpicklable_error():
+    class LocalError(Exception):
+        """Defined in a function, so it does not pickle."""
+
+    return LocalError("a local error")
+
+
+def test_cli_runtime_error_exit_code(tmp_path, capsys, monkeypatch):
     cfg = _write_cfg(tmp_path)
     # Missing IDX files: the run itself fails, not the config.
     files = [f"dataset.{key}={tmp_path / key}" for key in ("images", "labels", "test_images", "test_labels")]
@@ -317,6 +325,27 @@ def test_cli_runtime_error_exit_code(tmp_path, capsys):
     code = main(["run", "--config", cfg] + overrides)
     assert code == 2
     assert "fednoise: error:" in capsys.readouterr().err
+
+    # A client error that is no fednoise error is a runtime error too,
+    # named by its type: a ValueError in this process, and from a worker
+    # the RuntimeError that carries an error the pipe cannot.
+    coordinator_pid = os.getpid()
+    local_update = coordinator.local_update
+    for processes, make_error, name in [
+        (1, lambda: ValueError("boom"), "ValueError"),
+        (2, _unpicklable_error, "RuntimeError"),
+    ]:
+        monkeypatch.setattr(coordinator, "_process_count", lambda clients: processes)
+
+        def fails(*args, **kwargs):
+            if processes == 1 or os.getpid() != coordinator_pid:
+                raise make_error()
+            return local_update(*args, **kwargs)
+
+        monkeypatch.setattr(coordinator, "local_update", fails)
+        assert main(["run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"fednoise: error: {name}: round 1, client "), err
 
 
 @pytest.mark.parametrize(
@@ -455,14 +484,15 @@ def test_cli_validate_rejects_unknown_key(tmp_path, capsys):
         assert code == 1
 
 
-def test_cli_validate_rejects_per_class_mode_with_pair(tmp_path, capsys):
-    # per_class_mode flips the other classes symmetrically whatever
-    # noise.kind says, so any other kind is refused, naming both keys.
+def test_cli_validate_single_class_is_a_noise_kind(tmp_path, capsys):
+    # single_class is a noise.kind and takes client_variance like any
+    # kind; there is no key of its own to set.
     cfg = _write_cfg(tmp_path)
-    overrides = ["--override", "noise.kind=pair", "--override", "noise.per_class_mode=true"]
-    assert main(["validate-config", "--config", cfg] + overrides) == 1
-    err = capsys.readouterr().err
-    assert "noise.per_class_mode" in err and "noise.kind" in err
+    overrides = ["--override", "noise.kind=single_class", "--override", "noise.client_variance=0.2"]
+    assert main(["validate-config", "--config", cfg] + overrides) == 0
+    assert "noise.kind = single_class" in capsys.readouterr().out
+    assert main(["validate-config", "--config", cfg, "--override", "noise.per_class_mode=true"]) == 1
+    assert "unknown key in section 'noise'" in capsys.readouterr().err
 
 
 def test_cli_validate_checks_client_variance_against_the_kind(tmp_path, capsys):

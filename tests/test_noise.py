@@ -75,6 +75,9 @@ def test_transition_matrix_kinds():
     assert transition_matrix("pair", 0.2, 3).Q[0, 1] == pytest.approx(0.2)
     with pytest.raises(ConfigError):
         transition_matrix("gaussian", 0.2, 3)
+    # single_class is a noise kind, but not a class-conditional matrix.
+    with pytest.raises(ConfigError, match="no flip matrix"):
+        transition_matrix("single_class", 0.2, 3)
 
 
 def test_corrupt_identity_at_zero_eps(rng):
@@ -188,10 +191,10 @@ def test_apply_noise_client_variance_groups(rng):
     assert lo_rate < hi_rate
 
 
-def test_apply_noise_per_class_mode(rng):
+def test_apply_noise_single_class(rng):
     ds = _toy_dataset(rng, n=1200)
     shards = partition_iid(ds, 4, seed=0)
-    spec = NoiseSpec(kind="symmetric", epsilon=0.0, per_class_mode=True, seed=5)
+    spec = NoiseSpec(kind="single_class", epsilon=0.0, seed=5)
     apply_noise(ds, shards, spec)
     for shard in shards:
         given = ds.given_labels[shard]
@@ -204,14 +207,35 @@ def test_apply_noise_per_class_mode(rng):
         assert sum(r == 1.0 for r in wrong_rate_per_class) == 1
 
 
+def test_apply_noise_single_class_client_variance_calibration(rng):
+    # Each client has exactly one wholly wrong class; its other classes
+    # flip at its group's ratio, within 3 sigma of the binomial count
+    # over the group's rows.
+    ds = _toy_dataset(rng, n=6000)
+    shards = partition_iid(ds, 10, seed=0)
+    apply_noise(ds, shards, NoiseSpec(kind="single_class", epsilon=0.4, client_variance=0.2, seed=5))
+    per_group = len(shards) // CLIENT_VARIANCE_GROUPS
+    for g, eps in enumerate(client_noise_ratios(0.4, 0.2)):
+        flips = n = 0
+        for rows in shards[g * per_group:(g + 1) * per_group]:
+            given, true = ds.given_labels[rows], ds.true_labels[rows]
+            wholly_wrong = [c for c in range(ds.C) if (given[true == c] != c).all()]
+            assert len(wholly_wrong) == 1
+            rest = true != wholly_wrong[0]
+            flips += int((given[rest] != true[rest]).sum())
+            n += int(rest.sum())
+        assert abs(flips - n * eps) <= 3 * np.sqrt(n * eps * (1 - eps)), (eps, flips / n)
+
+
 @pytest.mark.parametrize(
     "spec",
     [
         NoiseSpec(kind="symmetric", epsilon=0.4, client_variance=0.2, seed=5),
-        NoiseSpec(kind="symmetric", epsilon=0.2, per_class_mode=True, seed=5),
+        NoiseSpec(kind="single_class", epsilon=0.2, seed=5),
         NoiseSpec(kind="pair", epsilon=0.3, client_variance=0.15, seed=5),
+        NoiseSpec(kind="single_class", epsilon=0.4, client_variance=0.2, seed=5),
     ],
-    ids=["client_variance", "per_class_mode", "pair_client_variance"],
+    ids=["client_variance", "single_class", "pair_client_variance", "single_class_client_variance"],
 )
 def test_apply_noise_keys_a_client_by_its_position(rng, spec):
     # A client is its position in the shard list: in a reversed list, the
@@ -220,15 +244,15 @@ def test_apply_noise_keys_a_client_by_its_position(rng, spec):
     ds = _toy_dataset(rng)
     shards = partition_iid(ds, 10, seed=0)[::-1]
     apply_noise(ds, shards, spec)
+    ratios = client_noise_ratios(spec.epsilon, spec.client_variance)
     for k, rows in enumerate(shards):
         stream = make_rng(spec.seed, STREAM_NOISE, k)
         true = ds.true_labels[rows]
-        if spec.per_class_mode:
-            want, _ = single_class_corruption(true, ds.C, spec.epsilon, stream)
+        eps = float(ratios[k * CLIENT_VARIANCE_GROUPS // len(shards)])
+        if spec.kind == "single_class":
+            want, _ = single_class_corruption(true, ds.C, eps, stream)
         else:
-            ratios = client_noise_ratios(spec.epsilon, spec.client_variance)
-            group = k * CLIENT_VARIANCE_GROUPS // len(shards)
-            want = corrupt(true, transition_matrix(spec.kind, float(ratios[group]), ds.C), stream)
+            want = corrupt(true, transition_matrix(spec.kind, eps, ds.C), stream)
         np.testing.assert_array_equal(ds.given_labels[rows], want)
 
 
@@ -238,19 +262,18 @@ def test_noise_spec_validation():
         NoiseSpec(kind="pair", epsilon=0.5).validate()
     with pytest.raises(ConfigError):
         NoiseSpec(kind="symmetric", epsilon=0.4, client_variance=0.7).validate()
-    with pytest.raises(ConfigError):
-        NoiseSpec(
-            kind="symmetric", epsilon=0.2, client_variance=0.1, per_class_mode=True
-        ).validate()
-    # The spread is bounded by the kind's own upper bound.
+    with pytest.raises(ConfigError, match="noise.kind"):
+        NoiseSpec(kind="gaussian", epsilon=0.2).validate()
+    # The spread is bounded by the kind's own upper bound, single_class too.
     NoiseSpec(kind="symmetric", epsilon=0.4, client_variance=0.2).validate()
     NoiseSpec(kind="pair", epsilon=0.3, client_variance=0.15).validate()
+    NoiseSpec(kind="single_class", epsilon=0.2, client_variance=0.1).validate()
     with pytest.raises(ConfigError, match="noise.client_variance"):
         NoiseSpec(kind="pair", epsilon=0.4, client_variance=0.2).validate()
-    # per_class_mode corrupts symmetrically; it cannot honour another kind.
-    NoiseSpec(kind="symmetric", epsilon=0.2, per_class_mode=True).validate()
-    with pytest.raises(ConfigError, match="noise.per_class_mode.*noise.kind"):
-        NoiseSpec(kind="pair", epsilon=0.2, per_class_mode=True).validate()
+    with pytest.raises(ConfigError, match="noise.client_variance"):
+        NoiseSpec(kind="single_class", epsilon=0.8, client_variance=0.2).validate()
+    with pytest.raises(ConfigError, match="noise.epsilon"):
+        NoiseSpec(kind="single_class", epsilon=1.0).validate()
     with pytest.raises(ConfigError, match="noise.seed: must be >= 0"):
         NoiseSpec(epsilon=0.2, seed=-1).validate()
 
