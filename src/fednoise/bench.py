@@ -321,12 +321,12 @@ def _cmd_run(args) -> int:
     extra = [f"{key}={value}" for key, value in sugar.items() if value is not None]
     cfg = load_config(args.config, extra + list(args.override))
     _, records = run_experiment(cfg)
-    line = (
-        f"method={cfg.method} rounds={len(records)} "
-        f"acc_last10={summary_accuracy(records):.4f}"
-    )
+    line = f"method={cfg.method} rounds={len(records)}"
     if records:
-        line += f" acc_final={records[-1].test_accuracy:.4f}"
+        line += (
+            f" acc_last10={summary_accuracy(records):.4f}"
+            f" acc_final={records[-1].test_accuracy:.4f}"
+        )
     if cfg.output:
         line += f" csv={cfg.output}"
     print(line)
@@ -363,11 +363,13 @@ def _cmd_sweep(args) -> int:
             cells[base.output] = resolve_config(base)  # a checked deep copy
     for cfg in cells.values():
         _, records = run_experiment(cfg)
-        wdiv = f" wdiv_final={records[-1].weight_divergence:.5f}" if records else ""
-        print(
-            f"method={cfg.method} epsilon={cfg.noise.epsilon:g} "
-            f"acc_last10={summary_accuracy(records):.4f}{wdiv} csv={cfg.output}"
-        )
+        line = f"method={cfg.method} epsilon={cfg.noise.epsilon:g}"
+        if records:
+            line += (
+                f" acc_last10={summary_accuracy(records):.4f}"
+                f" wdiv_final={records[-1].weight_divergence:.5f}"
+            )
+        print(f"{line} csv={cfg.output}")
     return 0
 
 

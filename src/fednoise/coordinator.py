@@ -274,9 +274,9 @@ class _ClientProcesses:
     object is made, after the data exists, so they inherit all of it.
     Weights pass through a table in shared memory: `broadcast` holds the
     round's global weights, which every rank trains from, and `slots[p]`
-    the weights of the client at position p, which a worker copies there
-    when it finishes it. So each result of another process holds a view
-    of its slot as weights, not a copy. A pipe to each worker carries the
+    the weights of the client at position p, which every rank copies
+    there when it finishes it. So every result's weights are a view of
+    its slot, valid until the next run. A pipe to each worker carries the
     rest: client ids, centroids, losses and masks. Closing the pipes ends
     the workers.
     """
@@ -308,9 +308,10 @@ class _ClientProcesses:
         self, t: int, params: ModelParams, centroids: CentroidSet, chosen: np.ndarray
     ) -> list[LocalUpdateResult]:
         """Run the chosen clients of round t from the global params and
-        centroids, and return their results in ascending id order. Writes
-        nothing it is given. If clients fail, raise the error of the
-        first failing position."""
+        centroids, and return their results in ascending id order, each
+        with a view of its slot as weights, valid until the next run.
+        Writes nothing it is given. If clients fail, raise the error of
+        the first failing position."""
         ids = chosen.tolist()
         self.broadcast.theta[...] = params.theta
         for w, conn in enumerate(self.conns, 1):
@@ -324,6 +325,7 @@ class _ClientProcesses:
         results: list = [None] * len(ids)
         for done, _ in shares:
             for pos, res in done:
+                res.params = ModelParams(self.slots[pos], *self.dims)
                 results[pos] = res
         errors = dict(failure for _, failure in shares if failure is not None)
         if errors:
@@ -333,19 +335,21 @@ class _ClientProcesses:
     def _run_share(self, rank, ids, centroids, t):
         """Run rank's clients of round t in order, each whole, from the
         broadcast weights, up to the first that fails. Returns (position,
-        result) for each client finished and, if one failed, (its
-        position, an error naming round and client)."""
+        result) for each client finished, its weights moved to its slot,
+        and, if one failed, (its position, an error naming round and client)."""
         done = []
         for pos in range(rank, len(ids), self.processes):
             cid = ids[pos]
             rng = make_rng(self.seed, STREAM_LOCAL, t, cid)
             args = (self.train, self.shards[cid], self.broadcast, centroids, t, self.hp, rng)
             try:
-                done.append((pos, local_update(*args, method=self.method)))
+                res = local_update(*args, method=self.method)
             except Exception as e:
                 err = _with_context(e, f"round {t}, client {cid}")
                 err.__cause__ = e
                 return done, (pos, err)
+            self.slots[pos], res.params = res.params.theta, None
+            done.append((pos, res))
         return done, None
 
     def _serve(self, rank: int, conn) -> None:
@@ -360,9 +364,6 @@ class _ClientProcesses:
             while True:
                 ids, centroids, t = conn.recv()
                 done, failure = self._run_share(rank, ids, centroids, t)
-                for pos, res in done:
-                    self.slots[pos] = res.params.theta
-                    res.params = None
                 if failure is not None:
                     failure = _portable(*failure)
                 conn.send((done, failure))
@@ -375,8 +376,6 @@ class _ClientProcesses:
             done, failure = self.conns[w - 1].recv()
         except (EOFError, OSError):
             raise self._died(w, t) from None
-        for pos, res in done:
-            res.params = ModelParams(self.slots[pos], *self.dims)
         if failure is not None:
             pos, err, tb = failure
             err.__cause__ = WorkerTraceback(tb)

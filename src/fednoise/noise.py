@@ -66,13 +66,8 @@ class NoiseSpec:
             raise ConfigError(f"noise.epsilon: must be in [0,{hi}) for {self.kind}, got {self.epsilon}")
         if self.client_variance < 0:
             raise ConfigError("noise.client_variance: must be >= 0")
-        if self.client_variance > 0:
-            lo, hi_r = self.epsilon - self.client_variance, self.epsilon + self.client_variance
-            if lo < 0 or hi_r >= hi:
-                raise ConfigError(
-                    f"noise.client_variance: ratio range [{lo}, {hi_r}] escapes [0,{hi}) "
-                    f"for {self.kind}"
-                )
+        # Every variance group's ratio must lie in the kind's range too.
+        client_noise_ratios(self.kind, self.epsilon, self.client_variance)
         if self.seed < 0:
             raise ConfigError("noise.seed: must be >= 0")
 
@@ -114,11 +109,14 @@ def corrupt(labels: np.ndarray, tm: TransitionMatrix, rng: np.random.Generator) 
     return np.minimum(out, tm.C - 1).astype(np.int64)
 
 
-def client_noise_ratios(epsilon: float, eta: float) -> np.ndarray:
-    """CLIENT_VARIANCE_GROUPS evenly spaced ratios spanning [eps-eta, eps+eta]."""
-    lo, hi = epsilon - eta, epsilon + eta
-    if lo < 0 or hi >= 1:
-        raise ConfigError(f"client_noise_ratios: range [{lo}, {hi}] escapes [0,1)")
+def client_noise_ratios(kind: str, epsilon: float, eta: float) -> np.ndarray:
+    """CLIENT_VARIANCE_GROUPS evenly spaced ratios spanning [eps-eta, eps+eta],
+    which must lie in [0, EPSILON_BOUND[kind])."""
+    lo, hi, bound = epsilon - eta, epsilon + eta, EPSILON_BOUND[kind]
+    if lo < 0 or hi >= bound:
+        raise ConfigError(
+            f"noise.client_variance: ratio range [{lo}, {hi}] escapes [0,{bound}) for {kind}"
+        )
     return np.linspace(lo, hi, CLIENT_VARIANCE_GROUPS)
 
 
@@ -161,7 +159,7 @@ def apply_noise(dataset: "Dataset", shards: list[np.ndarray], spec: NoiseSpec) -
     """
     spec.validate()
     if spec.kind == "single_class" or spec.client_variance > 0:
-        ratios = client_noise_ratios(spec.epsilon, spec.client_variance)
+        ratios = client_noise_ratios(spec.kind, spec.epsilon, spec.client_variance)
         for k, rows in enumerate(shards):
             eps = float(ratios[k * CLIENT_VARIANCE_GROUPS // len(shards)])
             rng = make_rng(spec.seed, STREAM_NOISE, k)

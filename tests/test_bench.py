@@ -292,6 +292,12 @@ def test_cli_run_writes_csv(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "acc_last10=" in stdout and "rounds=4" in stdout
     assert len(read_csv(out)) == 4
+    # No rounds, no accuracy: the line leaves the field out, not nan.
+    code = main(["run", "--config", cfg, "--output", out, "--override", "fed.rounds=0"])
+    assert code == 0
+    stdout = capsys.readouterr().out
+    assert "rounds=0" in stdout and "acc_last10=" not in stdout and "nan" not in stdout
+    assert read_csv(out) == []
 
 
 def test_cli_override_beats_flag_sugar(tmp_path, capsys):
@@ -539,6 +545,15 @@ def test_cli_sweep(tmp_path, capsys):
         fields = dict(item.split("=", 1) for item in line.split())
         last = read_csv(fields["csv"])[-1]
         assert fields["wdiv_final"] == f"{last.weight_divergence:.5f}"
+    code = main(
+        [
+            "sweep", "--config", cfg, "--epsilon", "0.1", "--override", "fed.rounds=0",
+            "--output-dir", str(tmp_path / "empty"),
+        ]
+    )
+    assert code == 0
+    stdout = capsys.readouterr().out
+    assert "method=" in stdout and "acc_last10=" not in stdout and "nan" not in stdout
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,7 @@ from fednoise.localnode import METHODS, CentroidSet, HyperParams, LocalUpdateRes
 from fednoise.metrics import CSV_COLUMNS, write_csv
 from fednoise.noise import apply_noise
 from fednoise.numkit import ModelParams, cosine_similarity, init_params, mlp_forward
-from fednoise.seeds import STREAM_INIT, STREAM_SELECT, make_rng
+from fednoise.seeds import STREAM_INIT, STREAM_LOCAL, STREAM_SELECT, make_rng
 
 
 def test_select_clients_all_when_m_equals_n():
@@ -670,6 +670,26 @@ def test_a_round_writes_nothing_it_is_given(monkeypatch, processes, method):
             state = after
     if method in ("proposed", "naive_pseudo_ablation"):
         assert state.centroids.presence.all()
+
+
+@pytest.mark.parametrize("processes", [1, 2, 3])
+def test_every_result_reads_its_weights_from_its_slot(monkeypatch, processes):
+    # Every rank, the coordinator too, leaves a finished client's weights
+    # in its slot of the shared table, and every result's weights are a
+    # view of it: before pseudo-labels (round 1) and after (hp.t_pl + 1).
+    # The weights are local_update's, so equal at any number of processes.
+    _processes(monkeypatch, processes)
+    train, test, shards, fed, hp = _tiny_setup(eps=0.3)
+    state = _first_state(train, hp, 4)
+    chosen = select_clients(fed.num_clients, 5, make_rng(4, STREAM_SELECT, 1))
+    with contextlib.closing(coordinator._ClientProcesses(5, train, shards, hp, 4, "proposed")) as clients:
+        for t in (1, hp.t_pl + 1):
+            results = clients.run(t, state.params, state.centroids, chosen)
+            for p, (cid, res) in enumerate(zip(chosen, results)):
+                assert np.shares_memory(res.params.theta, clients.slots[p]), (t, p)
+                args = (train, shards[cid], state.params, state.centroids, t, hp)
+                want = coordinator.local_update(*args, make_rng(4, STREAM_LOCAL, t, cid))
+                np.testing.assert_array_equal(res.params.theta, want.params.theta)
 
 
 def test_one_process_needs_no_fork(monkeypatch):

@@ -117,10 +117,13 @@ def test_pair_corrupt_support(rng):
 
 
 def test_client_noise_ratios_values():
-    ratios = client_noise_ratios(0.4, 0.2)
+    ratios = client_noise_ratios("symmetric", 0.4, 0.2)
     np.testing.assert_allclose(ratios, [0.2, 0.3, 0.4, 0.5, 0.6], atol=1e-12)
-    with pytest.raises(ConfigError):
-        client_noise_ratios(0.9, 0.2)
+    # The range is bounded by the kind's own bound: pair's is 0.5.
+    with pytest.raises(ConfigError, match=r"escapes \[0,1.0\) for symmetric"):
+        client_noise_ratios("symmetric", 0.9, 0.2)
+    with pytest.raises(ConfigError, match=r"escapes \[0,0.5\) for pair"):
+        client_noise_ratios("pair", 0.3, 0.25)
 
 
 def test_single_class_corruption(rng):
@@ -180,7 +183,7 @@ def test_apply_noise_client_variance_groups(rng):
     shards = partition_iid(ds, 10, seed=0)
     spec = NoiseSpec(kind="symmetric", epsilon=0.4, client_variance=0.2, seed=5)
     apply_noise(ds, shards, spec)
-    ratios = client_noise_ratios(0.4, 0.2)
+    ratios = client_noise_ratios("symmetric", 0.4, 0.2)
     # Clients 0-1 form the lowest-noise group, 8-9 the highest.
     lo = np.concatenate([shards[0], shards[1]])
     hi = np.concatenate([shards[8], shards[9]])
@@ -215,7 +218,7 @@ def test_apply_noise_single_class_client_variance_calibration(rng):
     shards = partition_iid(ds, 10, seed=0)
     apply_noise(ds, shards, NoiseSpec(kind="single_class", epsilon=0.4, client_variance=0.2, seed=5))
     per_group = len(shards) // CLIENT_VARIANCE_GROUPS
-    for g, eps in enumerate(client_noise_ratios(0.4, 0.2)):
+    for g, eps in enumerate(client_noise_ratios("single_class", 0.4, 0.2)):
         flips = n = 0
         for rows in shards[g * per_group:(g + 1) * per_group]:
             given, true = ds.given_labels[rows], ds.true_labels[rows]
@@ -244,7 +247,7 @@ def test_apply_noise_keys_a_client_by_its_position(rng, spec):
     ds = _toy_dataset(rng)
     shards = partition_iid(ds, 10, seed=0)[::-1]
     apply_noise(ds, shards, spec)
-    ratios = client_noise_ratios(spec.epsilon, spec.client_variance)
+    ratios = client_noise_ratios(spec.kind, spec.epsilon, spec.client_variance)
     for k, rows in enumerate(shards):
         stream = make_rng(spec.seed, STREAM_NOISE, k)
         true = ds.true_labels[rows]
