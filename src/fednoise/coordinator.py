@@ -37,8 +37,7 @@ from .localnode import (
     CentroidSet,
     HyperParams,
     LocalUpdateResult,
-    METHOD_PROPOSED,
-    METHODS,
+    METHOD_SPECS,
     local_update,
     r_schedule,
 )
@@ -157,12 +156,12 @@ def run_training(
     fed: FederationConfig,
     hp: HyperParams,
     seed: int,
-    method: str = METHOD_PROPOSED,
+    method: str = "proposed",
 ) -> tuple[ModelParams, list[MetricsRecord]]:
     """Full federated run; returns the final global model and round records."""
     fed.validate()
     hp.validate()
-    if method not in METHODS:
+    if method not in METHOD_SPECS:
         raise ConfigError(f"unknown method {method!r}")
     if len(shards) != fed.num_clients:
         raise ContractViolation(

@@ -6,7 +6,9 @@ confident-sample masking, pseudo-label substitution, and the three-term
 loss (classification + centroid-alignment + entropy) optimized with
 momentum SGD. Each extra term has one switch: pseudo-targets when they
 are given, the centroid term when centroids are given, entropy when its
-weight is non-zero. CE_BASELINE is the same loop with every one off.
+weight is non-zero. A method is a row of METHOD_SPECS that says where
+its centroids and pseudo-labels come from; local_update reads the row
+and compares no method name, so a new method is a new row.
 
 The update is a pure function of (shard data, broadcast state, round
 index, rng stream): it writes nothing it is given, so results do not
@@ -35,19 +37,36 @@ from .numkit import (
     sgd_step,
 )
 
-# Method variants. CE_BASELINE reduces the round to plain FedAvg with
-# cross-entropy; the two ablations alter pseudo-labeling and centroid
-# exchange respectively.
-METHOD_PROPOSED = "proposed"
-METHOD_CE_BASELINE = "ce_baseline"
-METHOD_NAIVE_PSEUDO = "naive_pseudo_ablation"
-METHOD_NO_GLOBAL_CENTROIDS = "no_global_centroids_ablation"
-METHODS = (
-    METHOD_PROPOSED,
-    METHOD_CE_BASELINE,
-    METHOD_NAIVE_PSEUDO,
-    METHOD_NO_GLOBAL_CENTROIDS,
-)
+
+@dataclass(frozen=True)
+class MethodSpec:
+    """A method as a row of switches over the local pipeline.
+
+    centroids: "global" seeds the running centroids from the broadcast
+    set (from the shard at round 1 or while the set is empty), blends
+    each step's small-loss class means into them and uploads them;
+    "local" seeds from the shard every round, adopts each step's means
+    outright and uploads none; "none" keeps none (see METHOD_SPECS).
+    pseudo: from round t_pl on, soft targets for the unconfident rows
+    from the broadcast model once per update ("global"), from the
+    client's own weights before every epoch ("self"), or none.
+    """
+
+    centroids: str  # "none" | "local" | "global"
+    pseudo: str  # "none" | "global" | "self"
+
+
+METHOD_SPECS = {
+    "proposed": MethodSpec(centroids="global", pseudo="global"),
+    "ce_baseline": MethodSpec(centroids="none", pseudo="none"),
+    "naive_pseudo_ablation": MethodSpec(centroids="global", pseudo="self"),
+    "no_global_centroids_ablation": MethodSpec(centroids="local", pseudo="global"),
+}
+"""Each method's row, by the name a config gives; the first is the default.
+centroids="none" also means no small-loss ranking, an all-ones mask and
+both extra loss weights 0 whatever hp says, so its pseudo-labels would
+change nothing: ce_baseline is plain FedAvg with cross-entropy."""
+METHODS = tuple(METHOD_SPECS)
 
 
 @dataclass
@@ -196,11 +215,11 @@ def confident_mask(sim_labels: np.ndarray, given_labels: np.ndarray) -> np.ndarr
 def global_pseudo_labels(global_params: ModelParams, X: np.ndarray) -> np.ndarray:
     """Soft targets: the given model's softmax rows over the shard.
 
-    Used from round t_pl on, in two ways. The proposed method and
-    no_global_centroids_ablation pass the broadcast global model, once
-    per local update, and hold the result fixed across local epochs.
-    naive_pseudo_ablation passes the client's own current weights and
-    recomputes at the start of every local epoch (self-training).
+    Used from round t_pl on, in two ways. A row with pseudo="global"
+    passes the broadcast global model, once per local update, and holds
+    the result fixed across local epochs. pseudo="self" passes the
+    client's own current weights and recomputes at the start of every
+    local epoch (self-training).
     """
     return mlp_forward(global_params, X).probs
 
@@ -300,73 +319,62 @@ def local_update(
     round_t: int,
     hp: HyperParams,
     rng: np.random.Generator,
-    method: str = METHOD_PROPOSED,
+    method: str = METHODS[0],
 ) -> LocalUpdateResult:
     """Run one client's full local round on its shard, the row indices
-    rows into dataset, and return its upload.
+    rows into dataset, and return its upload. method names the row of
+    METHOD_SPECS to run, read once here.
 
-    Loads the broadcast weights with zero momentum, seeds running
-    centroids from the global set (or from the shard's own class means at
-    round 1), fixes pseudo-labels once from round t_pl on, then walks
-    shuffled mini-batches for local_epochs epochs: forward, small-loss
+    Loads the broadcast weights with zero momentum, seeds the running
+    centroids, fixes pseudo-labels from round t_pl on (pseudo="global"),
+    then walks shuffled mini-batches for local_epochs epochs, refreshing
+    pseudo-labels first (pseudo="self"). Each batch: forward, small-loss
     filter keeping r_schedule(round_t, hp), confident mask from the
-    running centroids, one SGD step on the composite loss, and finally a
-    fresh-feature class-mean blend into the running centroids.
+    running centroids, one SGD step on the composite loss, and a
+    fresh-feature class-mean update of the running centroids; a row with
+    centroids="none" skips every centroid step. Only centroids="global"
+    uploads its centroids; the others upload an empty set.
 
-    CE_BASELINE runs the same loop with every extra term off: no
-    pseudo-targets, no centroids, both loss weights 0 whatever hp says,
-    and an all-ones mask, so it does no centroid or pseudo-label work.
-    It and NO_GLOBAL_CENTROIDS, whose clients never read the global
-    set, upload an empty centroid set, so the server merges nothing.
-
-    Each batch, and each pass over the whole shard (the round-1 centroid
-    seed and the pseudo-labels), gathers its rows from dataset.X when it
-    runs, so the rows are held once per process, by the dataset.
+    Each batch, and each pass over the whole shard (a centroid seed from
+    the shard and the pseudo-labels), gathers its rows from dataset.X
+    when it runs, so the rows are held once per process, by the dataset.
     Raises TrainingDiverged if the weights it would return are not finite.
     """
-    if method not in METHODS:
+    if method not in METHOD_SPECS:
         raise ConfigError(f"unknown method {method!r}")
     if len(rows) == 0:
         raise ContractViolation("local_update: the shard is empty")
+    spec = METHOD_SPECS[method]
     X, y, C = dataset.X, dataset.given_labels[rows], dataset.C
-    exchange = method != METHOD_CE_BASELINE
-    local_only = method == METHOD_NO_GLOBAL_CENTROIDS
-    naive = method == METHOD_NAIVE_PSEUDO
-    pseudo_phase = exchange and round_t >= hp.t_pl
-    if exchange:
-        lam_cen, lam_e = lambda_cen_schedule(round_t, hp), hp.lambda_e
-        r_t = r_schedule(round_t, hp)
-    else:
-        lam_cen = lam_e = 0.0
-
     params = global_params.copy()
     velocity = np.zeros_like(params.theta)
-    if not exchange:
+    if spec.centroids == "none":
+        lam_cen = lam_e = 0.0
         mask = np.ones(len(y), dtype=np.int64)
         running = None
     else:
+        lam_cen, lam_e = lambda_cen_schedule(round_t, hp), hp.lambda_e
+        r_t = r_schedule(round_t, hp)
         # Latest per-example mask; a zero-epoch round flags every example.
         mask = np.zeros(len(y), dtype=np.int64)
-        if round_t <= 1 or local_only or not global_centroids.presence.any():
+        if round_t <= 1 or spec.centroids == "local" or not global_centroids.presence.any():
             running = class_mean_features(mlp_features(params, X[rows]), y, C)
         else:
             running = global_centroids.copy()
     pseudo = None
-    if pseudo_phase and not naive:
+    if spec.pseudo == "global" and round_t >= hp.t_pl:
         pseudo = global_pseudo_labels(global_params, X[rows])
 
     loss_sum, steps = 0.0, 0
     for _ in range(hp.local_epochs):
-        if pseudo_phase and naive:
-            # Self-training variant: pseudo-labels from the current local
-            # model, refreshed every epoch.
+        if spec.pseudo == "self" and round_t >= hp.t_pl:
             pseudo = global_pseudo_labels(params, X[rows])
         perm = rng.permutation(len(y))
         for at in range(0, len(y), hp.batch_size):
             idx = perm[at : at + hp.batch_size]
             Xb, yb = X[rows[idx]], y[idx]
             rec = mlp_forward(params, Xb)
-            if exchange:
+            if spec.centroids != "none":
                 sel = small_loss_filter(per_example_ce(rec.logp, yb), r_t)
                 mask[idx] = confident_mask(similarity_labels(rec.hidden, running), yb)
             yp = None if pseudo is None else pseudo[idx]
@@ -375,12 +383,14 @@ def local_update(
             )
             grads = mlp_backward(params, Xb, rec, d_logits, d_hidden)
             sgd_step(params, grads, velocity, hp.learning_rate, hp.momentum, hp.weight_decay)
-            if exchange:
+            if spec.centroids != "none":
                 # Class means come from the just-updated extractor, on the
                 # small-loss subset only, then fold into the running centroids.
                 fresh = class_mean_features(mlp_features(params, Xb[sel]), yb[sel], C)
-                if local_only:
-                    running = _adopt_fresh(running, fresh)
+                if spec.centroids == "local":
+                    # Each fresh class mean replaces its running centroid.
+                    vectors = np.where(fresh.presence[:, None], fresh.vectors, running.vectors)
+                    running = CentroidSet(C, vectors, running.presence | fresh.presence)
                 else:
                     running = blend_with_global(running, fresh)
             loss_sum += losses.total
@@ -388,16 +398,6 @@ def local_update(
 
     if not np.isfinite(params.theta).all():
         raise TrainingDiverged("local weights became non-finite")
-    if running is None or local_only:
+    if spec.centroids != "global":
         running = CentroidSet.empty(C, params.d_h)
     return LocalUpdateResult(params, running, loss_sum / steps if steps else 0.0, mask)
-
-
-def _adopt_fresh(running: CentroidSet, fresh: CentroidSet) -> CentroidSet:
-    """Replace running centroids with the latest naive class means."""
-    out = running.copy()
-    has = fresh.presence
-    out.vectors[has] = fresh.vectors[has]
-    out.presence |= has
-    return out
-

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fednoise import coordinator
+from fednoise import coordinator, localnode
 from fednoise.bench import build_datasets, load_config, resolve_config
 from fednoise.coordinator import (
     FederationConfig,
@@ -24,7 +24,14 @@ from fednoise.coordinator import (
 )
 from fednoise.datagen import make_blob_split, partition_iid
 from fednoise.errors import ConfigError, ContractViolation
-from fednoise.localnode import METHODS, CentroidSet, HyperParams, LocalUpdateResult, r_schedule
+from fednoise.localnode import (
+    METHODS,
+    CentroidSet,
+    HyperParams,
+    LocalUpdateResult,
+    MethodSpec,
+    r_schedule,
+)
 from fednoise.metrics import CSV_COLUMNS, write_csv
 from fednoise.noise import apply_noise
 from fednoise.numkit import ModelParams, cosine_similarity, init_params, mlp_forward
@@ -563,6 +570,69 @@ def test_only_methods_that_read_global_centroids_merge_them(monkeypatch, process
     else:
         _, records = run_training(train, test, shards, fed, hp, seed=0, method=method)
         assert len(records) == 2
+
+
+def test_a_new_method_is_one_row(monkeypatch):
+    # A row that no method uses, local centroids with self-training, added
+    # under a name that only this test knows. On the desk config with
+    # pseudo-labels from round 2 it runs the same at one and three
+    # processes, and, like every row with local centroids, uploads none.
+    row = MethodSpec(centroids="local", pseudo="self")
+    monkeypatch.setitem(localnode.METHOD_SPECS, "test_local_self_training", row)
+    cfg = resolve_config(load_config(BLOBS_CFG, ["fed.rounds=3", "hp.t_pl=2"]))
+    train, test = build_datasets(cfg.dataset)
+    shards = partition_iid(train, cfg.fed.num_clients, cfg.seed)
+    apply_noise(train, shards, cfg.noise)
+    uploads = []
+    run = coordinator._ClientProcesses.run
+
+    def recording_run(self, *args):
+        results = run(self, *args)
+        uploads.extend(r.centroids for r in results)
+        return results
+
+    monkeypatch.setattr(coordinator._ClientProcesses, "run", recording_run)
+    runs = []
+    for n in (1, 3):
+        _processes(monkeypatch, n)
+        params, records = run_training(
+            train, test, shards, cfg.fed, cfg.hp, cfg.seed, method="test_local_self_training"
+        )
+        runs.append((params.theta.tobytes(), records))
+    assert runs[0] == runs[1]
+    empty = CentroidSet.empty(train.C, cfg.hp.hidden_dim)
+    assert len(uploads) == 2 * cfg.fed.rounds * cfg.fed.clients_per_round
+    for c in uploads:
+        assert (c.C, c.vectors.tobytes(), c.presence.tobytes()) == (
+            empty.C, empty.vectors.tobytes(), empty.presence.tobytes()
+        )
+
+    # From round t_pl on, the update refreshes its pseudo-labels once per
+    # epoch from its own weights: first the broadcast it loaded, then the
+    # weights each epoch's steps moved. Before t_pl it makes none.
+    seen = []
+    pseudo = localnode.global_pseudo_labels
+
+    def recording_pseudo(params, X):
+        seen.append((params, params.theta.copy()))
+        return pseudo(params, X)
+
+    monkeypatch.setattr(localnode, "global_pseudo_labels", recording_pseudo)
+    hp = cfg.hp
+    gp = init_params(train.d_in, hp.hidden_dim, train.C, make_rng(cfg.seed, STREAM_INIT))
+    for t in (hp.t_pl - 1, hp.t_pl):
+        del seen[:]
+        res = coordinator.local_update(
+            train, shards[0], gp, empty, t, hp, make_rng(cfg.seed, STREAM_LOCAL, t, 0),
+            method="test_local_self_training",
+        )
+        if t < hp.t_pl:
+            assert seen == []
+            continue
+        assert len(seen) == hp.local_epochs
+        assert all(p is res.params for p, _ in seen)
+        assert seen[0][1].tobytes() == gp.theta.tobytes()
+        assert all(a.tobytes() != b.tobytes() for (_, a), (_, b) in zip(seen, seen[1:]))
 
 
 def test_workers_exit_by_themselves_when_run_training_ends(monkeypatch):

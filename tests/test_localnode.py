@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import math
 import os
@@ -541,15 +542,16 @@ def _hp(**kw):
 
 @pytest.mark.parametrize(
     "method, round_t, full_broadcast",
-    [("ce_baseline", 1, False), ("proposed", 2, True)],
-    ids=["ce_baseline", "proposed_round2"],
+    [("ce_baseline", 1, False), ("proposed", 2, True), ("naive_pseudo_ablation", 2, True)],
+    ids=["ce_baseline", "proposed_round2", "naive_pseudo_round2"],
 )
 def test_local_update_holds_no_copy_of_its_rows(method, round_t, full_broadcast):
     # An update keeps its shard's row indices and gathers each batch from
     # the training set, so on 500 rows of 784 features (3.1 MB) it peaks
     # far below a copy of them. Round 2 with every class broadcast seeds
-    # the running centroids from the global set; proposed at round 1
-    # gathers the shard once for its seed, by design, so it is not here.
+    # the running centroids from the global set, for naive_pseudo_ablation
+    # too; proposed at round 1 and no_global_centroids_ablation gather the
+    # shard once for their seed, by design, so they are not here.
     rng = np.random.default_rng(0)
     ds = Dataset(X=rng.random((1000, 784)), true_labels=rng.integers(0, 10, 1000),
                  given_labels=rng.integers(0, 10, 1000), C=10)
@@ -565,6 +567,41 @@ def test_local_update_holds_no_copy_of_its_rows(method, round_t, full_broadcast)
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000, f"the {method} update peaked at {peak} bytes"
+
+
+def test_localnode_compares_no_method_name():
+    # A method is its row of METHOD_SPECS. The only comparison in the
+    # module that involves local_update's method parameter is its lookup
+    # in the mapping, and no method name is written outside the mapping.
+    import fednoise.localnode as localnode
+
+    with open(localnode.__file__) as f:
+        tree = ast.parse(f.read())
+    compared = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        lookup = (
+            isinstance(node.left, ast.Name) and node.left.id == "method"
+            and len(node.ops) == 1 and isinstance(node.ops[0], (ast.In, ast.NotIn))
+            and isinstance(node.comparators[0], ast.Name)
+            and node.comparators[0].id == "METHOD_SPECS"
+        )
+        names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        if "method" in names and not lookup:
+            compared.append(node.lineno)
+    assert compared == [], f"localnode.py compares the method on lines {compared}"
+    mapping = next(
+        node for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["METHOD_SPECS"]
+    )
+    keys = {id(k) for k in mapping.value.keys}
+    named = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in METHODS and id(node) not in keys
+    ]
+    assert named == [], f"localnode.py names a method outside METHOD_SPECS on lines {named}"
 
 
 def test_local_update_deterministic():
