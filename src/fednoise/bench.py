@@ -5,9 +5,9 @@ Config files are flat `key = value` lines with dotted section prefixes
 overridden on the command line with `--override key=value`, so a single
 checked-in config plus a short command line fully determines a run.
 
-`build_datasets` writes each dataset array once: blobs are drawn
-straight into the train/test split, and an IDX training file is decoded
-only for the `dataset.subset` rows a run keeps.
+`sweep` runs the product of its `--grid KEY[,KEY...]=V1,V2,...` axes:
+each value is set on every key its axis names, by the typed path of
+`--override`, and each cell's CSV is named by its axes' first keys.
 
 Exit codes: 0 ok, 1 config error, 2 runtime error.
 """
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import itertools
 import math
 import os
 import sys
@@ -218,7 +219,8 @@ def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
     return out
 
 
-def _format_value(value) -> str:
+def _format_value(cfg: ExperimentConfig, key: str) -> str:
+    value = getattr(*_holder(cfg, key))
     if value is None:
         return "none"
     if isinstance(value, float):
@@ -228,7 +230,7 @@ def _format_value(value) -> str:
 
 def config_items(cfg: ExperimentConfig) -> list[tuple[str, str]]:
     """All config keys with their current values, in stable order."""
-    return [(key, _format_value(getattr(*_holder(cfg, key)))) for key in _CONFIG_KEYS]
+    return [(key, _format_value(cfg, key)) for key in _CONFIG_KEYS]
 
 
 def build_datasets(spec: DatasetSpec) -> tuple[Dataset, Dataset]:
@@ -303,10 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--output", help="shortcut for --override output=...")
     p_run.set_defaults(func=_cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="grid over noise ratios (and methods)")
+    p_sweep = sub.add_parser("sweep", help="one run per cell of a grid over config keys")
     add_common(p_sweep)
-    p_sweep.add_argument("--epsilon", required=True, help="comma-separated noise ratios")
-    p_sweep.add_argument("--methods", help="comma-separated methods (default: config's)")
+    p_sweep.add_argument(
+        "--grid", action="append", required=True, help="an axis KEY[,KEY...]=V1,V2,...; repeatable"
+    )
     p_sweep.add_argument("--output-dir", default=".", help="directory for per-cell CSVs")
     p_sweep.set_defaults(func=_cmd_sweep)
 
@@ -316,60 +319,57 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_and_report(cfg: ExperimentConfig, keys: list[str]) -> None:
+    """Run cfg, then print the keys, the rounds, the numbers if any, the CSV."""
+    _, records = run_experiment(cfg)
+    line = " ".join(f"{key}={_format_value(cfg, key)}" for key in keys) + f" rounds={len(records)}"
+    if records:
+        line += (
+            f" acc_last10={summary_accuracy(records):.4f} acc_final={records[-1].test_accuracy:.4f}"
+            f" wdiv_final={records[-1].weight_divergence:.5f}"
+        )
+    print(f"{line} csv={cfg.output}" if cfg.output else line)
+
+
 def _cmd_run(args) -> int:
     sugar = {"method": args.method, "seed": args.seed, "output": args.output}
     extra = [f"{key}={value}" for key, value in sugar.items() if value is not None]
-    cfg = load_config(args.config, extra + list(args.override))
-    _, records = run_experiment(cfg)
-    line = f"method={cfg.method} rounds={len(records)}"
-    if records:
-        line += (
-            f" acc_last10={summary_accuracy(records):.4f}"
-            f" acc_final={records[-1].test_accuracy:.4f}"
-        )
-    if cfg.output:
-        line += f" csv={cfg.output}"
-    print(line)
+    _run_and_report(load_config(args.config, extra + list(args.override)), ["method"])
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        eps_list = [float(x) for x in args.epsilon.split(",") if x.strip()]
-    except ValueError:
-        raise ConfigError(f"--epsilon: expected comma-separated floats, got {args.epsilon!r}")
-    if not eps_list:
-        raise ConfigError("--epsilon: no values given")
+    axes, set_by = [], {"output": "sweep"}  # each --grid's (keys, values)
+    for item in args.grid:
+        names, eq, raw = item.partition("=")
+        keys, values = names.split(","), raw.split(",")
+        if not eq or "" in keys + values:
+            raise ConfigError(f"--grid {item!r}: expected KEY[,KEY...]=V1,V2,..., none empty")
+        for key in keys:
+            if key in set_by:
+                raise ConfigError(f"--grid {item!r}: {key} is already set by {set_by[key]}")
+            set_by[key] = f"--grid {item!r}"
+        axes.append((keys, values))
     base = load_config(args.config, list(args.override))
-    if args.methods is None:
-        methods = [base.method]
-    else:
-        methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-        if not methods:
-            raise ConfigError("--methods: no values given")
     # With the directory made, every cell (its CSV path too) is checked as
     # run checks it before the first runs; no two cells may share a CSV.
     try:
         os.makedirs(args.output_dir, exist_ok=True)
     except OSError as e:
         raise ConfigError(f"--output-dir: cannot create {args.output_dir!r}: {e.strerror}") from e
+    shown = [keys[0] for keys, _ in axes]
     cells = {}
-    for method in methods:
-        for eps in eps_list:
-            base.method, base.noise.epsilon = method, eps
-            base.output = os.path.join(args.output_dir, f"{method}_eps{eps:g}.csv")
-            if base.output in cells:
-                raise ConfigError(f"two sweep cells would write {base.output}")
-            cells[base.output] = resolve_config(base)  # a checked deep copy
+    for cell in itertools.product(*(values for _, values in axes)):
+        for (keys, _), value in zip(axes, cell):
+            for key in keys:
+                apply_item(base, key, value)
+        name = "_".join(f"{key}={_format_value(base, key)}" for key in shown)
+        base.output = os.path.join(args.output_dir, f"{name}.csv")
+        if base.output in cells:
+            raise ConfigError(f"two sweep cells would write {base.output}")
+        cells[base.output] = resolve_config(base)  # a checked deep copy
     for cfg in cells.values():
-        _, records = run_experiment(cfg)
-        line = f"method={cfg.method} epsilon={cfg.noise.epsilon:g}"
-        if records:
-            line += (
-                f" acc_last10={summary_accuracy(records):.4f}"
-                f" wdiv_final={records[-1].weight_divergence:.5f}"
-            )
-        print(f"{line} csv={cfg.output}")
+        _run_and_report(cfg, shown)
     return 0
 
 

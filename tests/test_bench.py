@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -533,57 +534,111 @@ def test_cli_sweep(tmp_path, capsys):
     outdir = str(tmp_path / "sweep")
     code = main(
         [
-            "sweep", "--config", cfg, "--epsilon", "0.1,0.3",
-            "--methods", "ce_baseline", "--output-dir", outdir,
+            "sweep", "--config", cfg, "--grid", "noise.epsilon=0.1,0.3",
+            "--grid", "method=ce_baseline", "--output-dir", outdir,
         ]
     )
     assert code == 0
-    assert sorted(os.listdir(outdir)) == ["ce_baseline_eps0.1.csv", "ce_baseline_eps0.3.csv"]
-    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("method=")]
-    assert len(lines) == 2
+    assert sorted(os.listdir(outdir)) == [
+        "noise.epsilon=0.1_method=ce_baseline.csv", "noise.epsilon=0.3_method=ce_baseline.csv"
+    ]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:3] for line in lines] == [
+        ["noise.epsilon=0.1", "method=ce_baseline", "rounds=4"],
+        ["noise.epsilon=0.3", "method=ce_baseline", "rounds=4"],
+    ]
     for line in lines:
         fields = dict(item.split("=", 1) for item in line.split())
-        last = read_csv(fields["csv"])[-1]
-        assert fields["wdiv_final"] == f"{last.weight_divergence:.5f}"
+        records = read_csv(fields["csv"])
+        assert fields["acc_last10"] == f"{summary_accuracy(records):.4f}"
+        assert fields["acc_final"] == f"{records[-1].test_accuracy:.4f}"
+        assert fields["wdiv_final"] == f"{records[-1].weight_divergence:.5f}"
     code = main(
         [
-            "sweep", "--config", cfg, "--epsilon", "0.1", "--override", "fed.rounds=0",
+            "sweep", "--config", cfg, "--grid", "noise.epsilon=0.1", "--override", "fed.rounds=0",
             "--output-dir", str(tmp_path / "empty"),
         ]
     )
     assert code == 0
     stdout = capsys.readouterr().out
-    assert "method=" in stdout and "acc_last10=" not in stdout and "nan" not in stdout
+    assert stdout.startswith("noise.epsilon=0.1 rounds=0 csv=")
+    assert "acc_last10=" not in stdout and "nan" not in stdout
+
+
+def test_cli_sweep_cell_is_a_run(tmp_path):
+    cfg = _write_cfg(tmp_path)
+    outdir = tmp_path / "sweep"
+    grid = ["--grid", "seed,dataset.seed,noise.seed=5,6", "--grid", "noise.epsilon=0.1,0.1000001"]
+    assert main(["sweep", "--config", cfg, "--output-dir", str(outdir)] + grid) == 0
+    # A cell is named by each axis's first key; 0.1 and 0.1000001 are two cells.
+    assert sorted(p.name for p in outdir.iterdir()) == [
+        f"seed={seed}_noise.epsilon={eps}.csv" for seed in (5, 6) for eps in ("0.1", "0.1000001")
+    ]
+    out = tmp_path / "run.csv"
+    overrides = ["seed=6", "dataset.seed=6", "noise.seed=6", "noise.epsilon=0.1000001", f"output={out}"]
+    assert main(["run", "--config", cfg] + [a for ov in overrides for a in ("--override", ov)]) == 0
+    assert out.read_bytes() == (outdir / "seed=6_noise.epsilon=0.1000001.csv").read_bytes()
 
 
 @pytest.mark.parametrize(
     "args, error",
     [
         # Pair noise needs epsilon below 0.5, so only the second cell is bad.
-        (["--epsilon", "0.2,0.6", "--override", "noise.kind=pair"], "noise.epsilon"),
-        (["--epsilon", "0.2", "--methods", "proposed,bogus"], "method: must be one of"),
+        (["--grid", "noise.epsilon=0.2,0.6", "--override", "noise.kind=pair"], "noise.epsilon"),
+        (["--grid", "method=proposed,bogus"], "method: must be one of"),
+        (["--grid", "fed.rounds=many"], "config error: fed.rounds: expected int"),
         # The second cell would overwrite the first cell's CSV.
+        (["--grid", "method=proposed,proposed"], "two sweep cells would write {outdir}/method=proposed.csv"),
+        (["--grid", "noise.epsilon=0.1,0.10"], "two sweep cells would write {outdir}/noise.epsilon=0.1.csv"),
+        (["--grid", "method="], "config error: --grid 'method=': expected KEY[,KEY...]=V1,V2,..."),
+        (["--grid", "=proposed"], "config error: --grid '=proposed': expected KEY[,KEY...]=V1,V2,..."),
+        (["--grid", "method=proposed,,ce_baseline"], "--grid 'method=proposed,,ce_baseline': expected"),
         (
-            ["--epsilon", "0.2", "--methods", "proposed,proposed"],
-            "two sweep cells would write {outdir}/proposed_eps0.2.csv",
+            ["--grid", "method=proposed", "--grid", "method=ce_baseline"],
+            "--grid 'method=ce_baseline': method is already set by --grid 'method=proposed'",
         ),
-        # File names format epsilon with :g, which gives 0.1 for both.
-        (["--epsilon", "0.1,0.1000001"], "two sweep cells would write {outdir}/proposed_eps0.1.csv"),
-        (["--epsilon", "0.2", "--methods", ","], "--methods: no values given"),
+        # sweep names each cell's CSV itself.
+        (["--grid", "output=a.csv"], "--grid 'output=a.csv': output is already set by sweep"),
         # The last --output-dir wins: here the config file, which exists.
-        (["--epsilon", "0.2", "--output-dir", "{cfg}"], "config error: --output-dir: cannot create '{cfg}'"),
+        (
+            ["--grid", "method=proposed", "--output-dir", "{cfg}"],
+            "config error: --output-dir: cannot create '{cfg}'",
+        ),
     ],
-    ids=["pair_epsilon", "unknown_method", "same_csv_method", "same_csv_epsilon", "no_methods", "output_dir_is_a_file"],
+    ids=[
+        "pair_epsilon", "unknown_method", "int_value", "same_csv_method", "same_csv_epsilon",
+        "no_methods", "empty_key", "empty_value", "key_on_two_axes", "output_key", "output_dir_is_a_file",
+    ],
 )
 def test_cli_sweep_checks_every_cell_before_it_runs(tmp_path, capsys, args, error):
     names = {"outdir": tmp_path / "sweep", "cfg": _write_cfg(tmp_path)}
     args = [arg.format(**names) for arg in args]
     code = main(["sweep", "--config", names["cfg"], "--output-dir", str(names["outdir"])] + args)
     assert code == 1
-    assert list(names["outdir"].glob("*.csv")) == []
+    assert list(tmp_path.rglob("*.csv")) == []
     out, err = capsys.readouterr()
-    assert "method=" not in out
+    assert out == ""
     assert error.format(**names) in err
+
+
+def _readme_sweep_commands() -> list[list[str]]:
+    """The arguments of every `fednoise sweep` in the README's fenced blocks."""
+    text = pathlib.Path(REPO_ROOT, "README.md").read_text()
+    blocks = re.findall(r"^ *```[^\n]*\n(.*?)^ *```", text, flags=re.M | re.S)
+    lines = [line.strip() for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    return [shlex.split(line)[2:] for line in lines if line.startswith("fednoise sweep ")]
+
+
+def test_readme_sweep_commands_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(REPO_ROOT)
+    commands = _readme_sweep_commands()
+    assert len(commands) >= 3
+    for args in commands:
+        argv = ["sweep"] + args + ["--override", "fed.rounds=1", "--output-dir", str(tmp_path)]
+        assert main(argv) == 0, (args, capsys.readouterr().err)
+    # The README's sweeps can share one --output-dir: no two write the same CSV.
+    csvs = [line.split("csv=")[1] for line in capsys.readouterr().out.splitlines()]
+    assert len(csvs) == len(set(csvs)) == len(list(tmp_path.glob("*.csv")))
 
 
 def test_cli_usage_error_exits_one():
