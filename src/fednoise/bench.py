@@ -363,7 +363,9 @@ def _cmd_sweep(args) -> int:
         for (keys, _), value in zip(axes, cell):
             for key in keys:
                 apply_item(base, key, value)
-        name = "_".join(f"{key}={_format_value(base, key)}" for key in shown)
+        # % and / in a value become %25 and %2F: each cell's CSV lies in --output-dir.
+        escaped = [_format_value(base, key).replace("%", "%25").replace("/", "%2F") for key in shown]
+        name = "_".join(f"{key}={value}" for key, value in zip(shown, escaped))
         base.output = os.path.join(args.output_dir, f"{name}.csv")
         if base.output in cells:
             raise ConfigError(f"two sweep cells would write {base.output}")

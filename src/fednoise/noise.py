@@ -4,9 +4,9 @@ noise.kind is the one axis of the noise model; EPSILON_BOUND holds each
 kind's epsilon bound. transition_matrix builds the flip matrix of the two
 classic synthetic kinds, symmetric and pair flipping; single_class makes
 one random class per client wholly wrong. Any kind can spread its ratio
-over the clients (noise.client_variance), and corrupting client by
-client is one loop of apply_noise. Corruption never touches true labels;
-those are kept alongside for metrics only.
+over the clients (noise.client_variance). apply_noise corrupts in one
+loop over groups: each client, or the whole set on the unkeyed stream.
+Corruption never touches true labels; those are kept for metrics only.
 """
 
 from __future__ import annotations
@@ -150,28 +150,25 @@ def apply_noise(dataset: "Dataset", shards: list[np.ndarray], spec: NoiseSpec) -
     """Corrupt dataset.given_labels in place according to the noise spec.
 
     shards are the clients' row-index arrays, client k's at position k.
-    Symmetric or pair noise without client_variance corrupts the whole
-    training set with one transition matrix (before looking at the
-    partition). Otherwise one loop corrupts shard by shard, client k's
-    with its own sub-stream derived from (noise seed, k) so parallel
-    setup stays reproducible, and at its variance group's ratio (epsilon
-    itself without client_variance).
+    One loop corrupts group by group. Under single_class or
+    client_variance a group is client k's shard, on the sub-stream of
+    (noise seed, k) at its variance group's ratio, so parallel setup stays
+    reproducible; else the whole set on the unkeyed stream at epsilon > 0.
     """
     spec.validate()
     if spec.kind == "single_class" or spec.client_variance > 0:
         ratios = client_noise_ratios(spec.kind, spec.epsilon, spec.client_variance)
-        for k, rows in enumerate(shards):
-            eps = float(ratios[k * CLIENT_VARIANCE_GROUPS // len(shards)])
-            rng = make_rng(spec.seed, STREAM_NOISE, k)
-            true = dataset.true_labels[rows]
-            if spec.kind == "single_class":
-                dataset.given_labels[rows] = single_class_corruption(true, dataset.C, eps, rng)[0]
-            else:
-                tm = transition_matrix(spec.kind, eps, dataset.C)
-                dataset.given_labels[rows] = corrupt(true, tm, rng)
-        return
-    if spec.epsilon > 0:
-        tm = transition_matrix(spec.kind, spec.epsilon, dataset.C)
-        dataset.given_labels[:] = corrupt(
-            dataset.true_labels, tm, make_rng(spec.seed, STREAM_NOISE)
-        )
+        groups = [
+            (rows, (STREAM_NOISE, k), float(ratios[k * CLIENT_VARIANCE_GROUPS // len(shards)]))
+            for k, rows in enumerate(shards)
+        ]
+    else:
+        groups = [(slice(None), (STREAM_NOISE,), spec.epsilon)] if spec.epsilon > 0 else []
+    for rows, stream, eps in groups:
+        rng = make_rng(spec.seed, *stream)
+        true = dataset.true_labels[rows]
+        if spec.kind == "single_class":
+            dataset.given_labels[rows] = single_class_corruption(true, dataset.C, eps, rng)[0]
+        else:
+            tm = transition_matrix(spec.kind, eps, dataset.C)
+            dataset.given_labels[rows] = corrupt(true, tm, rng)

@@ -580,6 +580,28 @@ def test_cli_sweep_cell_is_a_run(tmp_path):
     assert out.read_bytes() == (outdir / "seed=6_noise.epsilon=0.1000001.csv").read_bytes()
 
 
+def test_cli_sweep_escapes_a_path_in_a_cell_name(tmp_path, monkeypatch):
+    # A value's % becomes %25, then its / %2F, so a grid over IDX files
+    # writes every CSV into --output-dir itself, and a value that reads
+    # like an escaped one is a cell of its own.
+    monkeypatch.chdir(tmp_path)
+    for stem, side in (("a", 2), ("b", 3)):
+        (tmp_path / stem).mkdir()
+        _write_idx(tmp_path / stem, side=side)
+    (tmp_path / "a%2Fimg").write_bytes((tmp_path / "a" / "img").read_bytes())
+    overrides = ["dataset.kind=idx", "dataset.labels=a/lab", "dataset.test_labels=a/lab", "fed.rounds=1"]
+    args = ["--config", BLOBS_CFG] + [a for ov in overrides for a in ("--override", ov)]
+    grid = ["--grid", "dataset.images,dataset.test_images=a/img,b/img,a%2Fimg", "--output-dir", "out"]
+    assert main(["sweep"] + args + grid) == 0
+    names = ["dataset.images=a%252Fimg.csv", "dataset.images=a%2Fimg.csv", "dataset.images=b%2Fimg.csv"]
+    assert sorted(os.listdir("out")) == names
+    csvs = [(tmp_path / "out" / name).read_bytes() for name in names]
+    assert csvs[0] == csvs[1] != csvs[2]
+    run = ["--override", "dataset.images=b/img", "--override", "dataset.test_images=b/img"]
+    assert main(["run"] + args + run + ["--output", "run.csv"]) == 0
+    assert (tmp_path / "run.csv").read_bytes() == csvs[2]
+
+
 @pytest.mark.parametrize(
     "args, error",
     [

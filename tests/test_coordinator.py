@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import itertools
+import math
 import multiprocessing
 import os
 import signal
@@ -32,7 +33,7 @@ from fednoise.localnode import (
     MethodSpec,
     r_schedule,
 )
-from fednoise.metrics import CSV_COLUMNS, write_csv
+from fednoise.metrics import CSV_COLUMNS, records_to_csv, write_csv
 from fednoise.noise import apply_noise
 from fednoise.numkit import ModelParams, cosine_similarity, init_params, mlp_forward
 from fednoise.seeds import STREAM_INIT, STREAM_LOCAL, STREAM_SELECT, make_rng
@@ -545,6 +546,41 @@ def test_training_reads_no_true_label(monkeypatch, method):
     if method != "ce_baseline":
         # The scramble reaches the server's measure of detection.
         assert [r.mask_precision for r in records] != [r.mask_precision for r in runs[1][1]]
+
+
+@pytest.mark.parametrize(
+    "shape, sizes",
+    [
+        # Shards of one or two rows: most clients hold a single class.
+        (["fed.num_clients=1999", "fed.clients_per_round=7", "hp.batch_size=3"], {1, 2}),
+        # One row each, below a batch.
+        (["fed.num_clients=2000", "fed.clients_per_round=5"], {1}),
+        # Ragged shards of 13 and 14 rows, neither a whole number of batches.
+        (["fed.num_clients=150", "fed.clients_per_round=6", "hp.batch_size=4"], {13, 14}),
+    ],
+    ids=["one_or_two_rows", "one_row", "ragged"],
+)
+@pytest.mark.parametrize("method", METHODS)
+def test_tiny_and_ragged_shards_train_end_to_end(monkeypatch, method, shape, sizes):
+    # The desk config for 3 rounds, pseudo-labels from round 2. Every
+    # method trains on these shards to the same records and weights at one
+    # and three processes, and every value of its CSV is finite.
+    cfg = resolve_config(
+        load_config(BLOBS_CFG, ["fed.rounds=3", "hp.t_pl=2", f"method={method}"] + shape)
+    )
+    train, test = build_datasets(cfg.dataset)
+    shards = partition_iid(train, cfg.fed.num_clients, cfg.seed)
+    assert {len(rows) for rows in shards} == sizes
+    apply_noise(train, shards, cfg.noise)
+    runs = []
+    for n in (1, 3):
+        _processes(monkeypatch, n)
+        params, records = run_training(train, test, shards, cfg.fed, cfg.hp, cfg.seed, method=method)
+        runs.append((params.theta.tobytes(), records))
+    assert runs[0] == runs[1]
+    rows = records_to_csv(runs[0][1]).splitlines()[2:]
+    assert len(rows) == cfg.fed.rounds
+    assert all(math.isfinite(float(value)) for row in rows for value in row.split(","))
 
 
 class _MergeReached(Exception):

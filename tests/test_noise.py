@@ -1,3 +1,6 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -257,6 +260,23 @@ def test_apply_noise_keys_a_client_by_its_position(rng, spec):
         else:
             want = corrupt(true, transition_matrix(spec.kind, eps, ds.C), stream)
         np.testing.assert_array_equal(ds.given_labels[rows], want)
+
+
+def test_apply_noise_corrupts_through_one_loop():
+    # Every setting corrupts its labels in the one loop: each corrupting
+    # call appears once, inside it, and no early return skips it. A new
+    # noise kind is one more branch of that loop.
+    tree = ast.parse(inspect.getsource(apply_noise))
+    loops = [node for node in ast.walk(tree) if isinstance(node, ast.For)]
+    assert len(loops) == 1
+    for where in (tree, loops[0]):
+        called = [
+            node.func.id for node in ast.walk(where)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        ]
+        for name in ("corrupt", "transition_matrix", "single_class_corruption"):
+            assert called.count(name) == 1, (name, called)
+    assert not any(isinstance(node, ast.Return) for node in ast.walk(tree))
 
 
 def test_noise_spec_validation():
