@@ -178,10 +178,11 @@ def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
     """The one judge of a config: a validated deep copy with tau filled in.
     Across sections, no more clients than the training rows (the blobs,
     the IDX subset, then the IDX training images), and an output that is
-    not a directory, in one that exists. The headers of the IDX files
-    are read last (idx_header), so a missing or malformed file raises
-    OSError or FormatError only once the config itself passes; the images
-    must then have pixels, and the test images be at least one, of the
+    not a directory, in one that exists, with a file name no longer than
+    that directory's file system allows. The headers of the IDX files are
+    read last (idx_header), so a missing or malformed file raises OSError
+    or FormatError only once the config itself passes; the images must
+    then have pixels, and the test images be at least one, of the
     training images' size."""
     out = copy.deepcopy(cfg)
     out.dataset.validate()
@@ -198,10 +199,15 @@ def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"method: must be one of {METHODS}, got {out.method!r}")
     if out.seed < 0:
         raise ConfigError("seed: must be >= 0")
-    if out.output and os.path.isdir(out.output):
-        raise ConfigError(f"output: {out.output!r} is a directory")
-    if out.output and not os.path.isdir(os.path.dirname(out.output) or "."):
-        raise ConfigError(f"output: the directory of {out.output!r} does not exist")
+    if out.output:
+        directory, name = os.path.split(out.output)
+        if os.path.isdir(out.output):
+            raise ConfigError(f"output: {out.output!r} is a directory")
+        if not os.path.isdir(directory or "."):
+            raise ConfigError(f"output: the directory of {out.output!r} does not exist")
+        limit = os.pathconf(directory or ".", "PC_NAME_MAX") if hasattr(os, "pathconf") else 0
+        if 0 < limit < len(os.fsencode(name)):
+            raise ConfigError(f"output: the file name {name!r} is longer than the file system's {limit} bytes")
     if spec.kind == "idx":
         rows, *size = idx_header(spec.images, spec.labels)
         test_rows, *test_size = idx_header(spec.test_images, spec.test_labels)

@@ -13,14 +13,20 @@ writes in place, and only into the parameters and the buffer it is given.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .errors import ContractViolation, TrainingDiverged
 
 # Norms below this are treated as zero vectors by cosine_similarity.
 ZERO_NORM_EPS = 1e-12
+
+# The C step of _sgd.c, built at import (before any process forks, so
+# workers inherit it), or None, where sgd_step runs its numpy body.
+_sgd_kernel = _native.load_sgd_kernel()
 
 
 def _blocks(vec: np.ndarray, d_in: int, d_h: int, n_classes: int) -> tuple[np.ndarray, ...]:
@@ -185,17 +191,38 @@ def sgd_step(
     """Momentum SGD in place: v <- momentum*v + g + wd*w; w <- w - lr*v.
 
     grads and velocity are laid out like params.theta. Weight decay is
-    not applied to biases.
+    not applied to biases. A non-finite gradient entry raises
+    TrainingDiverged and writes nothing. The step runs in the C kernel
+    where one was built; the numpy body below is its reference, and the
+    two give the same bits.
     """
+    theta = params.theta
     if lr <= 0:
         raise ContractViolation(f"sgd_step: lr must be positive, got {lr}")
     if not 0.0 <= momentum < 1.0:
         raise ContractViolation(f"sgd_step: momentum must be in [0,1), got {momentum}")
-    if grads.shape != params.theta.shape or velocity.shape != params.theta.shape:
+    if grads.shape != theta.shape or velocity.shape != theta.shape:
         raise ContractViolation(
             f"sgd_step: grads {grads.shape} and velocity {velocity.shape} "
-            f"must match theta {params.theta.shape}"
+            f"must match theta {theta.shape}"
         )
+    for name, arr in (("theta", theta), ("grads", grads), ("velocity", velocity)):
+        if arr.dtype != np.float64 or not (arr.flags.c_contiguous and arr.flags.writeable):
+            raise ContractViolation(f"sgd_step: {name} must be a C-contiguous, writeable float64 array")
+    if (
+        np.may_share_memory(theta, grads)
+        or np.may_share_memory(theta, velocity)
+        or np.may_share_memory(grads, velocity)
+    ):
+        raise ContractViolation("sgd_step: theta, grads and velocity must not overlap")
+    if _sgd_kernel is not None:
+        n1 = params.W1.size
+        n2 = n1 + params.b1.size
+        start = ctypes.c_double.from_buffer  # the first element, passed by reference
+        ends = (n1, n2, n2 + params.W2.size, theta.size)
+        if _sgd_kernel(start(theta), start(velocity), start(grads), *ends, lr, momentum, weight_decay):
+            raise TrainingDiverged("sgd_step: non-finite gradient entry")
+        return
     if not np.isfinite(grads).all():
         raise TrainingDiverged("sgd_step: non-finite gradient entry")
     velocity *= momentum
@@ -203,7 +230,7 @@ def sgd_step(
     vW1, _, vW2, _ = params.blocks(velocity)
     vW1 += weight_decay * params.W1
     vW2 += weight_decay * params.W2
-    params.theta -= lr * velocity
+    theta -= lr * velocity
 
 
 def cosine_similarity(U: np.ndarray, V: np.ndarray) -> np.ndarray | float:

@@ -357,8 +357,13 @@ def test_cli_runtime_error_exit_code(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "output, error",
-    [("no/such/dir/o.csv", "does not exist"), ("", "is a directory")],
-    ids=["missing_directory", "directory"],
+    [
+        ("no/such/dir/o.csv", "does not exist"),
+        ("", "is a directory"),
+        # Linux file systems allow names of up to 255 bytes.
+        ("x" * 252 + ".csv", "is longer than the file system's 255 bytes"),
+    ],
+    ids=["missing_directory", "directory", "name_too_long"],
 )
 def test_cli_run_checks_output_before_set_up(tmp_path, capsys, monkeypatch, output, error):
     # A CSV path that cannot be written is a config error before any data
@@ -626,10 +631,17 @@ def test_cli_sweep_escapes_a_path_in_a_cell_name(tmp_path, monkeypatch):
             ["--grid", "method=proposed", "--output-dir", "{cfg}"],
             "config error: --output-dir: cannot create '{cfg}'",
         ),
+        # The second value escapes to a name of 546 bytes; the blobs config
+        # never reads dataset.images, so only the name is wrong.
+        (
+            ["--grid", "dataset.images=b/img," + "./" * 130 + "a/img"],
+            "config error: output: the file name 'dataset.images=.%2F.%2F",
+        ),
     ],
     ids=[
         "pair_epsilon", "unknown_method", "int_value", "same_csv_method", "same_csv_epsilon",
         "no_methods", "empty_key", "empty_value", "key_on_two_axes", "output_key", "output_dir_is_a_file",
+        "name_too_long",
     ],
 )
 def test_cli_sweep_checks_every_cell_before_it_runs(tmp_path, capsys, args, error):

@@ -1,13 +1,15 @@
 import copy
+import itertools
 import math
 import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fednoise import numkit
 from fednoise.errors import ContractViolation, TrainingDiverged
 from fednoise.numkit import (
     ModelParams,
@@ -249,14 +251,96 @@ def test_sgd_rejects_bad_hyperparams(rng):
         sgd_step(p, g, np.zeros(3), lr=0.1, momentum=0.5, weight_decay=0.0)
 
 
-def test_sgd_diverged_gradient(rng):
+def _sgd_paths():
+    """sgd_step's C kernel, where one was built at import, then None, which
+    makes sgd_step run its numpy reference."""
+    return [kernel for kernel in (numkit._sgd_kernel,) if kernel is not None] + [None]
+
+
+def test_sgd_diverged_gradient(rng, monkeypatch):
+    # An inf or NaN in any block of the gradient, on either path, raises and
+    # leaves the weights and the momentum buffer as they were.
     p = tiny_params(rng)
-    before = p.theta.copy()
-    g = np.zeros_like(p.theta)
-    p.blocks(g)[2][0, 0] = np.nan
-    with pytest.raises(TrainingDiverged):
-        sgd_step(p, g, np.zeros_like(g), lr=0.1, momentum=0.5, weight_decay=0.0)
-    np.testing.assert_array_equal(p.theta, before)
+    for kernel in _sgd_paths():
+        monkeypatch.setattr(numkit, "_sgd_kernel", kernel)
+        for block, position, bad in itertools.product(range(4), (0, -1), (np.inf, -np.inf, np.nan)):
+            g = rng.normal(size=p.theta.shape)
+            v = rng.normal(size=p.theta.shape)
+            p.blocks(g)[block].flat[position] = bad
+            before = p.theta.tobytes(), v.tobytes()
+            with pytest.raises(TrainingDiverged):
+                sgd_step(p, g, v, lr=0.1, momentum=0.5, weight_decay=0.1)
+            assert (p.theta.tobytes(), v.tobytes()) == before, (kernel, block, position, bad)
+
+
+def test_sgd_rejects_arrays_the_kernel_cannot_take(rng, monkeypatch):
+    # The kernel reads raw pointers, so on both paths the three arrays must
+    # be C-contiguous, writeable float64 and apart; nothing is written.
+    p = tiny_params(rng)
+    n = p.theta.size
+    g = rng.normal(size=n)
+    read_only = np.zeros(n)
+    read_only.flags.writeable = False
+    cases = {
+        "strided velocity": (g, np.zeros(2 * n)[::2]),
+        "strided grads": (np.zeros(2 * n)[::2], np.zeros(n)),
+        "float32 grads": (g.astype(np.float32), np.zeros(n)),
+        "grads is velocity": (g, g),
+        "grads is theta": (p.theta, np.zeros(n)),
+        "read-only velocity": (g, read_only),
+    }
+    for kernel in _sgd_paths():
+        monkeypatch.setattr(numkit, "_sgd_kernel", kernel)
+        for case, (grads, velocity) in cases.items():
+            before = p.theta.tobytes(), velocity.tobytes()
+            with pytest.raises(ContractViolation):
+                sgd_step(p, grads, velocity, lr=0.1, momentum=0.5, weight_decay=0.1)
+            assert (p.theta.tobytes(), velocity.tobytes()) == before, (kernel, case)
+
+
+def _wide_floats(rng, n: int) -> np.ndarray:
+    """n finite float64s of either sign and every scale: random bit patterns
+    (the inf/NaN exponent excluded), subnormals, standard normals, +-0.0
+    and +-the largest float, mixed at random."""
+    bits = np.frombuffer(rng.bytes(8 * n), dtype=np.uint64).copy()
+    bits[((bits >> 52) & 0x7FF) == 0x7FF] ^= 1 << 52
+    subnormal = bits & 0x800FFFFFFFFFFFFF
+    big = np.finfo(np.float64).max
+    special = rng.choice([0.0, -0.0, big, -big], n)
+    kinds = [bits.view(np.float64), subnormal.view(np.float64), rng.standard_normal(n), special]
+    return np.choose(rng.integers(0, len(kinds), n), kinds)
+
+
+@pytest.mark.skipif(numkit._sgd_kernel is None, reason="no C compiler built the kernel")
+@given(
+    shape=st.sampled_from([(1, 1, 1), (10, 64, 4), (784, 64, 10), (6, 1, 3)]),
+    seed=st.integers(0, 2**32 - 1),
+    lr=st.floats(0.0, 1e300, exclude_min=True),
+    momentum=st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True),
+    weight_decay=st.just(0.0) | st.floats(0.0, 1e300),
+)
+@example(shape=(10, 64, 4), seed=0, lr=1e300, momentum=0.0, weight_decay=1e300)  # overflows
+def test_sgd_kernel_bit_equals_numpy_reference(shape, seed, lr, momentum, weight_decay):
+    # Two steps from the same state, by the kernel and by the numpy body,
+    # give the same bits: subnormals, overflow to +-inf, the NaN of
+    # inf - inf and -0.0 included. The second step starts from the first's
+    # non-finite entries.
+    rng = np.random.default_rng(seed)
+    d_in, d_h, C = shape
+    theta = _wide_floats(rng, d_in * d_h + d_h + d_h * C + C)
+    v0 = _wide_floats(rng, theta.size)
+    grads = [_wide_floats(rng, theta.size) for _ in range(2)]
+    out = []
+    for kernel in (numkit._sgd_kernel, None):
+        p, v = ModelParams(theta.copy(), d_in, d_h, C), v0.copy()
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+            mp.setattr(numkit, "_sgd_kernel", kernel)
+            for g in grads:
+                sgd_step(p, g, v, lr=lr, momentum=momentum, weight_decay=weight_decay)
+        out.append((p.theta.view(np.uint64), v.view(np.uint64)))
+    (theta_c, v_c), (theta_np, v_np) = out
+    np.testing.assert_array_equal(theta_c, theta_np)
+    np.testing.assert_array_equal(v_c, v_np)
 
 
 def test_copy_is_independent(rng):
