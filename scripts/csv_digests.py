@@ -18,7 +18,7 @@ other versions, where the references do not apply. If the reader of
 standard output goes away (as in `| head -1`), it prints nothing more
 but still runs and checks every run, and exits with the same status.
 
-Usage, from the root of a checkout (about 16 s on one CPU):
+Usage, from the root of a checkout (about 8 s on 2 CPUs, 9 s on one):
 
     python3 scripts/csv_digests.py [--check]
 """

@@ -209,11 +209,6 @@ def _run_round(
         clients.train.given_labels[pooled],
         clients.train.true_labels[pooled],
     )
-    # Divergence is undefined for a single participant; record 0.0 then.
-    if len(results) >= 2:
-        wdiv = weight_divergence([r.params.theta for r in results])
-    else:
-        wdiv = 0.0
     record = MetricsRecord(
         round=t,
         test_accuracy=evaluate_accuracy(params, test),
@@ -221,7 +216,7 @@ def _run_round(
         confident_fraction=confident,
         mask_precision=precision,
         mask_recall=recall,
-        weight_divergence=wdiv,
+        weight_divergence=weight_divergence([r.params.theta for r in results]),
         r_t=r_schedule(t, clients.hp),
     )
     for column in CSV_COLUMNS:

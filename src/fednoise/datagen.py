@@ -7,6 +7,7 @@ reads and converts only the rows a run keeps.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -105,49 +106,39 @@ def partition_iid(dataset: Dataset, num_clients: int, seed: int) -> list[np.ndar
     return [np.sort(part).astype(np.int64) for part in parts]
 
 
-def _read_be32(data: bytes, offset: int, path: str, what: str) -> int:
-    if offset + 4 > len(data):
-        raise FormatError(f"{path}: truncated {what} at byte {offset}")
-    return int.from_bytes(data[offset : offset + 4], "big")
+def _idx_dims(path: str, kind: str, magic: int) -> tuple[int, ...]:
+    """The dimension counts in the header of an IDX file of the given kind
+    ("image" or "label"). The low byte of the magic number is the number
+    of dimensions, and each dimension has one big-endian 32-bit count.
+    Raises FormatError, naming the kind and the byte offset, on a wrong
+    magic, a short header, or data shorter than the counts' product."""
+    size = 4 * (1 + (magic & 0xFF))
+    with open(path, "rb") as f:
+        head = f.read(size)
+        length = os.fstat(f.fileno()).st_size
+    found = int.from_bytes(head[:4], "big")
+    if len(head) >= 4 and found != magic:
+        raise FormatError(
+            f"{path}: bad {kind} magic 0x{found:08x} at byte 0, expected 0x{magic:08x}"
+        )
+    if len(head) < size:
+        raise FormatError(
+            f"{path}: truncated {kind} header at byte {len(head)}, expected {size} bytes"
+        )
+    dims = tuple(int.from_bytes(head[at : at + 4], "big") for at in range(4, size, 4))
+    need = size + math.prod(dims)
+    if length < need:
+        raise FormatError(f"{path}: truncated {kind} data at byte {length}, expected {need} bytes")
+    return dims
 
 
 def idx_header(images_path: str, labels_path: str) -> tuple[int, int, int]:
     """(count, rows, columns) of an IDX image/label file pair, from the
-    big-endian headers and the file sizes alone. Raises FormatError (with
-    the offending byte offset) on bad magic, truncation, or an image/label
-    count mismatch, and OSError if a file cannot be opened."""
-    with open(images_path, "rb") as f:
-        head = f.read(16)
-        size = os.fstat(f.fileno()).st_size
-    magic = _read_be32(head, 0, images_path, "magic")
-    if magic != IDX_IMAGE_MAGIC:
-        raise FormatError(
-            f"{images_path}: bad image magic 0x{magic:08x} at byte 0, "
-            f"expected 0x{IDX_IMAGE_MAGIC:08x}"
-        )
-    n = _read_be32(head, 4, images_path, "count")
-    rows = _read_be32(head, 8, images_path, "row count")
-    cols = _read_be32(head, 12, images_path, "column count")
-    need = 16 + n * rows * cols
-    if size < need:
-        raise FormatError(
-            f"{images_path}: truncated pixel data at byte {size}, expected {need} bytes"
-        )
-
-    with open(labels_path, "rb") as f:
-        head = f.read(8)
-        size = os.fstat(f.fileno()).st_size
-    magic_l = _read_be32(head, 0, labels_path, "magic")
-    if magic_l != IDX_LABEL_MAGIC:
-        raise FormatError(
-            f"{labels_path}: bad label magic 0x{magic_l:08x} at byte 0, "
-            f"expected 0x{IDX_LABEL_MAGIC:08x}"
-        )
-    n_l = _read_be32(head, 4, labels_path, "count")
-    if size < 8 + n_l:
-        raise FormatError(
-            f"{labels_path}: truncated label data at byte {size}, expected {8 + n_l} bytes"
-        )
+    headers (_idx_dims) and the file sizes alone. Raises FormatError
+    (with the offending byte offset) on bad magic, truncation, or an
+    image/label count mismatch, and OSError if a file cannot be opened."""
+    n, rows, cols = _idx_dims(images_path, "image", IDX_IMAGE_MAGIC)
+    (n_l,) = _idx_dims(labels_path, "label", IDX_LABEL_MAGIC)
     if n != n_l:
         raise FormatError(
             f"image/label count mismatch: {images_path} has {n}, {labels_path} has {n_l}"

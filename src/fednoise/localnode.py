@@ -71,7 +71,10 @@ METHODS = tuple(METHOD_SPECS)
 
 @dataclass
 class CentroidSet:
-    """One feature centroid per class; presence marks classes that have data."""
+    """One feature centroid per class; presence marks classes that have data.
+
+    Nothing writes a set in place: each step builds a new one, so a
+    broadcast set is shared, not copied."""
 
     C: int
     vectors: np.ndarray  # (C, d_h)
@@ -80,9 +83,6 @@ class CentroidSet:
     @staticmethod
     def empty(C: int, d_h: int) -> "CentroidSet":
         return CentroidSet(C=C, vectors=np.zeros((C, d_h)), presence=np.zeros(C, dtype=bool))
-
-    def copy(self) -> "CentroidSet":
-        return CentroidSet(self.C, self.vectors.copy(), self.presence.copy())
 
     @property
     def d_h(self) -> int:
@@ -360,7 +360,7 @@ def local_update(
         if round_t <= 1 or spec.centroids == "local" or not global_centroids.presence.any():
             running = class_mean_features(mlp_features(params, X[rows]), y, C)
         else:
-            running = global_centroids.copy()
+            running = global_centroids
     pseudo = None
     if spec.pseudo == "global" and round_t >= hp.t_pl:
         pseudo = global_pseudo_labels(global_params, X[rows])

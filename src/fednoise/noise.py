@@ -122,12 +122,12 @@ def client_noise_ratios(kind: str, epsilon: float, eta: float) -> np.ndarray:
 
 def single_class_corruption(
     labels: np.ndarray, C: int, epsilon: float, rng: np.random.Generator
-) -> tuple[np.ndarray, int]:
+) -> np.ndarray:
     """Make one uniformly chosen class entirely wrong; corrupt the rest at eps.
 
     Every example of the chosen class gets a uniform label over the other
     C-1 classes; remaining examples go through symmetric flipping at the
-    given ratio. Returns (corrupted labels, chosen class).
+    given ratio. Returns the corrupted labels.
     """
     if C < 2:
         raise ConfigError(f"single_class_corruption: need C >= 2, got {C}")
@@ -143,7 +143,7 @@ def single_class_corruption(
     rest = ~hit
     if epsilon > 0 and rest.any():
         out[rest] = corrupt(labels[rest], transition_matrix("symmetric", epsilon, C), rng)
-    return out, chosen
+    return out
 
 
 def apply_noise(dataset: "Dataset", shards: list[np.ndarray], spec: NoiseSpec) -> None:
@@ -168,7 +168,7 @@ def apply_noise(dataset: "Dataset", shards: list[np.ndarray], spec: NoiseSpec) -
         rng = make_rng(spec.seed, *stream)
         true = dataset.true_labels[rows]
         if spec.kind == "single_class":
-            dataset.given_labels[rows] = single_class_corruption(true, dataset.C, eps, rng)[0]
+            dataset.given_labels[rows] = single_class_corruption(true, dataset.C, eps, rng)
         else:
             tm = transition_matrix(spec.kind, eps, dataset.C)
             dataset.given_labels[rows] = corrupt(true, tm, rng)

@@ -8,12 +8,13 @@ shared across criteria, so the file stays well inside its time budgets.
 import math
 import os
 import pathlib
+import struct
 import time
 
 import numpy as np
 import pytest
 
-from fednoise.bench import DatasetSpec, ExperimentConfig, run_experiment
+from fednoise.bench import ExperimentConfig, load_config, run_experiment
 from fednoise.coordinator import (
     CENTROID_WEIGHT_FLOOR,
     FederationConfig,
@@ -35,36 +36,20 @@ from fednoise.noise import NoiseSpec, apply_noise, corrupt, transition_matrix
 from fednoise.numkit import ModelParams, cosine_similarity, init_params, mlp_backward, mlp_forward
 from fednoise.seeds import STREAM_NOISE, make_rng
 
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 # Desk-scale reference setup: 2,000 training points (4 classes x 500) in
 # 10-d, 20 clients with 5 selected per round, 100 rounds.
-N_CLIENTS = 20
-PER_ROUND = 5
-ROUNDS = 100
+DESK_CFG = str(CONFIGS / "blobs.cfg")
 
 _RUN_CACHE: dict = {}
 
 
-def desk_config(method: str, eps: float, eta: float = 0.0) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    cfg.dataset = DatasetSpec(
-        kind="blobs", classes=4, dim=10, train_per_class=500, test_per_class=125,
-        spread=0.7, seed=0,
+def desk_config(method: str, eps: float, eta: float = 0.0, *overrides: str) -> ExperimentConfig:
+    """The committed desk config with the method and noise a criterion sets."""
+    return load_config(
+        DESK_CFG,
+        [f"method={method}", f"noise.epsilon={eps}", f"noise.client_variance={eta}", *overrides],
     )
-    cfg.noise.kind = "symmetric"
-    cfg.noise.epsilon = eps
-    cfg.noise.client_variance = eta
-    cfg.noise.seed = 0
-    cfg.fed = FederationConfig(
-        num_clients=N_CLIENTS, clients_per_round=PER_ROUND, rounds=ROUNDS
-    )
-    cfg.hp = HyperParams(
-        hidden_dim=64, lambda_cen=1.0, lambda_e=0.8, t_pl=30, t_horizon=10,
-        local_epochs=5, batch_size=50, learning_rate=0.25, momentum=0.5,
-        weight_decay=1e-4,
-    )
-    cfg.method = method
-    cfg.seed = 0
-    return cfg
 
 
 def get_run(method: str, eps: float, eta: float = 0.0):
@@ -305,7 +290,7 @@ def test_criterion_4_clean_data_sanity():
     prop, t_prop = get_run("proposed", 0.0)
     acc_ce = ce[-1].test_accuracy
     acc_prop = prop[-1].test_accuracy
-    assert len(ce) == ROUNDS and len(prop) == ROUNDS
+    assert len(ce) == len(prop) == load_config(DESK_CFG).fed.rounds
     assert acc_ce >= 0.97, f"ce_baseline clean accuracy {acc_ce}"
     assert acc_prop >= 0.97, f"proposed clean accuracy {acc_prop}"
     assert t_ce + t_prop < 120.0
@@ -390,9 +375,7 @@ def test_criterion_8_determinism(tmp_path):
     """Byte-identical CSV across reruns."""
     paths = []
     for name in ("a", "b", "c", "d"):
-        cfg = desk_config("proposed", 0.4)
-        cfg.fed.rounds = 20
-        cfg.output = str(tmp_path / f"{name}.csv")
+        cfg = desk_config("proposed", 0.4, 0.0, "fed.rounds=20", f"output={tmp_path / name}.csv")
         run_experiment(cfg)
         paths.append(cfg.output)
     blobs = [pathlib.Path(p).read_bytes() for p in paths]
@@ -425,6 +408,13 @@ def _mnist_dir():
     return None
 
 
+def mnist_overrides(root: str, method: str) -> list[str]:
+    """configs/mnist_subset.cfg's four IDX paths under root, and the method."""
+    keys = ("images", "labels", "test_images", "test_labels")
+    paths = [f"dataset.{key}={os.path.join(root, name)}" for key, name in zip(keys, MNIST_FILES)]
+    return paths + [f"method={method}"]
+
+
 @pytest.mark.skipif(_mnist_dir() is None, reason="MNIST IDX files not present")
 def test_criterion_9_mnist_subset():
     """10k-example MNIST subset: proposed beats the baseline by >= 5 points."""
@@ -432,24 +422,7 @@ def test_criterion_9_mnist_subset():
     root = _mnist_dir()
     accs = {}
     for method in ("ce_baseline", "proposed"):
-        cfg = ExperimentConfig()
-        cfg.dataset = DatasetSpec(
-            kind="idx",
-            images=os.path.join(root, MNIST_FILES[0]),
-            labels=os.path.join(root, MNIST_FILES[1]),
-            test_images=os.path.join(root, MNIST_FILES[2]),
-            test_labels=os.path.join(root, MNIST_FILES[3]),
-            subset=10_000,
-        )
-        cfg.noise.kind = "symmetric"
-        cfg.noise.epsilon = 0.4
-        cfg.fed = FederationConfig(num_clients=20, clients_per_round=5, rounds=60)
-        cfg.hp = HyperParams(
-            hidden_dim=64, t_pl=20, t_horizon=10, local_epochs=5, batch_size=50,
-            learning_rate=0.25, momentum=0.5, weight_decay=1e-4,
-        )
-        cfg.method = method
-        cfg.seed = 0
+        cfg = load_config(str(CONFIGS / "mnist_subset.cfg"), mnist_overrides(root, method))
         _, records = run_experiment(cfg)
         accs[method] = last10(records)
     gap = accs["proposed"] - accs["ce_baseline"]
@@ -460,3 +433,31 @@ def test_criterion_9_mnist_subset():
         f"[criterion 9] PASS mnist subset: proposed={accs['proposed']:.4f} "
         f"ce={accs['ce_baseline']:.4f} (+{gap * 100:.1f} pts), {elapsed:.0f}s"
     )
+
+
+# ------------------------------------------------ the gates' committed configs
+
+
+def test_every_committed_config_loads():
+    """Every file under configs/ loads, so a misspelled key fails here, not
+    only in the gate that runs its config."""
+    paths = sorted(CONFIGS.iterdir())
+    assert {p.name for p in paths} >= {"blobs.cfg", "mnist_subset.cfg"}
+    for path in paths:
+        load_config(str(path))
+
+
+def test_mnist_subset_config_runs_one_round(tmp_path):
+    """Criterion 9's config, with its paths at small synthetic 28 x 28 IDX
+    files, resolves and runs one round: it cannot rot unseen while the
+    MNIST files are absent."""
+    rng = np.random.default_rng(9)
+    for (images, labels), n in ((MNIST_FILES[:2], 200), (MNIST_FILES[2:], 50)):
+        y = rng.integers(0, 10, size=n).astype(np.uint8)
+        pixels = rng.integers(0, 256, size=(n, 28, 28)).astype(np.uint8)
+        (tmp_path / images).write_bytes(struct.pack(">IIII", 0x803, n, 28, 28) + pixels.tobytes())
+        (tmp_path / labels).write_bytes(struct.pack(">II", 0x801, n) + y.tobytes())
+    overrides = mnist_overrides(str(tmp_path), "proposed") + ["fed.rounds=1"]
+    params, records = run_experiment(load_config(str(CONFIGS / "mnist_subset.cfg"), overrides))
+    assert params.d_in == 28 * 28
+    assert [r.round for r in records] == [1]

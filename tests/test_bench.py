@@ -819,7 +819,7 @@ def test_blas_pin_warns_when_numpy_came_first(code, preset, warns):
 
 
 def test_csv_digests_match_the_reference():
-    # The nine reference runs of scripts/csv_digests.py, about 18 s on 2 CPUs.
+    # The nine reference runs of scripts/csv_digests.py, about 8 s on 2 CPUs.
     proc = subprocess.run(
         [sys.executable, os.path.join(REPO_ROOT, "scripts", "csv_digests.py"), "--check"],
         capture_output=True, text=True, cwd=REPO_ROOT,

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import dataclasses
 import itertools
 import math
@@ -133,7 +134,7 @@ def _cents(vectors, presence=None):
 
 def test_aggregate_identical_upload_passes_through():
     prev = _cents([[1.0, 0.0], [0.0, 1.0]])
-    out = aggregate_global_centroids(prev, [prev.copy()])
+    out = aggregate_global_centroids(prev, [copy.deepcopy(prev)])
     np.testing.assert_allclose(out.vectors, prev.vectors, atol=1e-15)
 
 
@@ -205,7 +206,7 @@ def test_aggregate_brute_force_oracle(rng):
 def loop_aggregate_global_centroids(prev_global, client_sets, w_floor=1e-6):
     if not client_sets:
         raise ContractViolation("aggregate_global_centroids: no client centroid sets")
-    out = prev_global.copy()
+    out = copy.deepcopy(prev_global)
     for c in range(prev_global.C):
         holders = [cs for cs in client_sets if cs.presence[c]]
         if not holders:
@@ -247,7 +248,7 @@ def _same_centroids(a, b):
 @given(aggregate_cases())
 def test_aggregate_bit_equals_loop(case):
     prev, uploads = case
-    before = [cs.copy() for cs in [prev] + uploads]
+    before = copy.deepcopy([prev] + uploads)
     got = aggregate_global_centroids(prev, uploads)
     assert _same_centroids(got, loop_aggregate_global_centroids(prev, uploads))
     # No input is written.

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from fednoise.datagen import (
     CENTER_SEPARATION,
     Dataset,
+    idx_header,
     make_blob_split,
     load_idx,
     partition_iid,
@@ -268,6 +269,35 @@ def test_load_idx_truncated_header(tmp_path):
     lp.write_bytes(b"\x00\x00")
     with pytest.raises(FormatError, match="byte"):
         load_idx(str(ip), str(lp))
+
+
+@pytest.mark.parametrize("kind", ["image", "label"])
+@pytest.mark.parametrize("fault", ["bad_magic", "short_header", "short_data"])
+def test_idx_header_errors_name_the_file_kind_and_offset(tmp_path, rng, fault, kind):
+    # One reader parses both headers, so each fault reads alike in either
+    # file: the message names the broken file, its kind and the byte offset.
+    images = rng.integers(0, 256, size=(3, 2, 2)).astype(np.uint8)
+    files = dict(zip(("image", "label"), _idx_bytes(images, np.zeros(3, dtype=np.uint8))))
+    data, header = files[kind], {"image": 16, "label": 8}[kind]
+    magic = {"image": "0x00000803", "label": "0x00000801"}[kind]
+    files[kind], error = {
+        "bad_magic": (
+            b"\x00\x00\x09\x09" + data[4:],
+            f"bad {kind} magic 0x00000909 at byte 0, expected {magic}",
+        ),
+        "short_header": (
+            data[: header - 2],
+            f"truncated {kind} header at byte {header - 2}, expected {header} bytes",
+        ),
+        "short_data": (
+            data[:-1],
+            f"truncated {kind} data at byte {len(data) - 1}, expected {len(data)} bytes",
+        ),
+    }[fault]
+    ip, lp = _write_pair(tmp_path, files["image"], files["label"])
+    with pytest.raises(FormatError) as info:
+        idx_header(ip, lp)
+    assert str(info.value) == f"{ip if kind == 'image' else lp}: {error}"
 
 
 def test_subset_takes_prefix(tmp_path, rng):

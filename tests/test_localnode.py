@@ -1,4 +1,5 @@
 import ast
+import copy
 import dataclasses
 import math
 import os
@@ -181,7 +182,7 @@ def loop_class_mean_features(features, labels, C):
 def loop_blend_with_global(prev, fresh):
     if prev.C != fresh.C or prev.d_h != fresh.d_h:
         raise ContractViolation("blend_with_global: centroid sets have mismatched dims")
-    out = prev.copy()
+    out = copy.deepcopy(prev)
     for c in range(prev.C):
         if not fresh.presence[c]:
             continue
@@ -264,7 +265,7 @@ def blend_cases(draw):
 @given(blend_cases())
 def test_blend_with_global_bit_equals_loop(case):
     prev, fresh = case
-    before = prev.copy(), fresh.copy()
+    before = copy.deepcopy((prev, fresh))
     assert _same_centroids(blend_with_global(prev, fresh), loop_blend_with_global(prev, fresh))
     # Neither input is written.
     assert _same_centroids(prev, before[0]) and _same_centroids(fresh, before[1])
