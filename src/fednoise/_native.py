@@ -1,19 +1,22 @@
-"""The fused SGD step of _sgd.c, built with the system C compiler when
-fednoise is first imported, and loaded through ctypes.
+"""The C kernels, built into one library with the system C compiler when
+fednoise is first imported, and loaded through ctypes: the fused SGD
+step of _sgd.c (numkit.sgd_step) and the blob draw of _normal.c
+(datagen.make_blob_split).
 
 The compiler is $CC, else `cc`. The library is cached under
-${XDG_CACHE_HOME:-~/.cache}/fednoise, named by a SHA-256 of the source,
-the compiler's --version, the flags and the host CPU, so a -march=native
-build made for another CPU is never loaded. Where that directory cannot
-be made or written, the library is built in a private temporary one.
-If any step fails there is no kernel, and numkit.sgd_step runs its numpy
-body, which gives the same bits.
+${XDG_CACHE_HOME:-~/.cache}/fednoise, named by a SHA-256 of every
+source, the compiler's --version, the flags and the host CPU, so a
+-march=native build made for another CPU is never loaded. Where that
+directory cannot be made or written, the library is built in a private
+temporary one. If any step fails there are no kernels, and each caller
+runs its numpy lines, which give the same bits.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import hashlib
 import os
 import platform
@@ -21,11 +24,14 @@ import shlex
 import subprocess
 import tempfile
 
-SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_sgd.c")
+HERE = os.path.dirname(os.path.abspath(__file__))
+SOURCES = tuple(os.path.join(HERE, name) for name in ("_sgd.c", "_normal.c"))
 # -ffp-contract=off keeps a*b + c two roundings, as in numpy. Never add
 # -ffast-math or -Ofast: they reassociate and may set flush-to-zero for
 # the whole process.
 FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
+# After the sources, for linkers that drop a library no earlier input needs.
+LIBS = ("-lm",)
 COMPILE_TIMEOUT_S = 120
 # The /proc/cpuinfo entries that name a CPU and its instruction sets
 # (x86, then ARM); the others vary with time or between cores.
@@ -66,45 +72,71 @@ def _cache_dir() -> str | None:
 
 
 def _build(compiler: list[str], path: str) -> None:
-    """Compile SOURCE to a temporary file beside path, then move it there."""
+    """Compile SOURCES to a temporary file beside path, then move it there."""
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(path))
     os.close(fd)
     try:
-        _run(compiler + [*FLAGS, "-o", tmp, SOURCE])
+        _run(compiler + [*FLAGS, "-o", tmp, *SOURCES, *LIBS])
         os.replace(tmp, path)
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
 
 
-def _bind(path: str):
-    """The kernel of the library at path; pass each array as the c_double
-    at its start (ctypes.c_double.from_buffer), which ctypes passes by
-    reference."""
-    step = ctypes.CDLL(path).fednoise_sgd_step
-    step.argtypes = [ctypes.POINTER(ctypes.c_double)] * 3 + [ctypes.c_size_t] * 4 + [ctypes.c_double] * 3
-    step.restype = ctypes.c_int
-    return step
-
-
-def load_sgd_kernel():
-    """fednoise_sgd_step of _sgd.c as a ctypes function, built or taken from
-    the cache; None where no compiler runs or any step fails."""
+@functools.cache
+def _library() -> ctypes.CDLL | None:
+    """The library, built or taken from the cache, once per process; None
+    where no compiler runs or any step fails."""
     try:
         compiler = shlex.split(os.environ.get("CC") or "cc")
-        with open(SOURCE, "rb") as f:
-            key = hashlib.sha256(
-                b"\0".join((f.read(), _run(compiler + ["--version"]), " ".join(FLAGS).encode(), _host_cpu()))
-            ).hexdigest()
-        name = f"sgd-{key}.so"
+        parts = []
+        for source in SOURCES:
+            with open(source, "rb") as f:
+                parts.append(f.read())
+        parts += [_run(compiler + ["--version"]), " ".join(FLAGS + LIBS).encode(), _host_cpu()]
+        key = hashlib.sha256(b"\0".join(parts)).hexdigest()
+        name = f"kernels-{key}.so"
         cache = _cache_dir()
         if cache is None:
             with tempfile.TemporaryDirectory(prefix="fednoise-") as private:
                 _build(compiler, os.path.join(private, name))
-                return _bind(os.path.join(private, name))
+                return ctypes.CDLL(os.path.join(private, name))
         path = os.path.join(cache, name)
         if not os.path.exists(path):
             _build(compiler, path)
-        return _bind(path)
-    except (OSError, ValueError, AttributeError, subprocess.SubprocessError):
+        return ctypes.CDLL(path)
+    except (OSError, ValueError, subprocess.SubprocessError):
         return None
+
+
+def _function(name: str, argtypes: list, restype):
+    """The library's function of that name, typed; None without the library."""
+    library = _library()
+    if library is None:
+        return None
+    function = getattr(library, name)
+    function.argtypes = argtypes
+    function.restype = restype
+    return function
+
+
+def load_sgd_kernel():
+    """fednoise_sgd_step of _sgd.c as a ctypes function, or None; pass each
+    array as the c_double at its start (ctypes.c_double.from_buffer),
+    which ctypes passes by reference."""
+    return _function(
+        "fednoise_sgd_step",
+        [ctypes.POINTER(ctypes.c_double)] * 3 + [ctypes.c_size_t] * 4 + [ctypes.c_double] * 3,
+        ctypes.c_int,
+    )
+
+
+def load_normal_kernel():
+    """fednoise_normal_fill of _normal.c as a ctypes function, or None:
+    (state, out, rows, cols, spread, center), each array passed as the
+    address of its first element (ndarray.ctypes.data)."""
+    return _function(
+        "fednoise_normal_fill",
+        [ctypes.c_void_p, ctypes.c_void_p] + [ctypes.c_size_t] * 2 + [ctypes.c_double, ctypes.c_void_p],
+        None,
+    )

@@ -3,6 +3,10 @@
 Set-up writes every array once: the blob generator draws each class's
 train and test rows straight into the final arrays, and the IDX reader
 reads and converts only the rows a run keeps.
+
+The blob draw runs the C kernel of _normal.c where it loads and passes
+its probe (_checked); otherwise numpy's lines, which it reproduces bit
+for bit, run instead.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .errors import ConfigError, FormatError
 from .seeds import STREAM_BLOBS, STREAM_PARTITION, make_rng
 
@@ -22,6 +27,16 @@ IDX_LABEL_MAGIC = 0x00000801
 # Blob centers are pushed apart until their minimum pairwise distance is
 # at least this many spreads, so a clean run is nearly separable.
 CENTER_SEPARATION = 4.0
+
+# The kernel's probe: a Philox key, the draws made before it (so it
+# starts mid-block), the rows of its two blocks, its columns and spread.
+# This key's stream takes the ziggurat's tail 3 times and its wedge 27
+# times within the probe (tested).
+PROBE_KEY = 16
+PROBE_SKIP = 3
+PROBE_ROWS = (30, 3)
+PROBE_COLS = 67
+PROBE_SPREAD = 0.7
 
 
 @dataclass
@@ -41,6 +56,62 @@ class Dataset:
     @property
     def d_in(self) -> int:
         return self.X.shape[1]
+
+
+def _philox_words(rng: np.random.Generator) -> np.ndarray:
+    """The 11 uint64 words of a Philox generator's state that the kernel
+    reads and writes: counter, key, buffer and buffer_pos."""
+    state = rng.bit_generator.state
+    parts = (state["state"]["counter"], state["state"]["key"], state["buffer"], [state["buffer_pos"]])
+    return np.concatenate([np.asarray(part, dtype=np.uint64) for part in parts])
+
+
+def _draw_blocks(
+    kernel, rng: np.random.Generator, blocks: list[np.ndarray], spread: float, centers: np.ndarray
+) -> None:
+    """Fill class c's rows of each block in turn, class by class, with
+    standard normals times spread plus centers[c]. The kernel, where it
+    is not None, gives the bits of numpy's lines and leaves rng in the
+    state they leave; blocks and centers are C-contiguous float64."""
+    if kernel is None:
+        for c in range(len(centers)):
+            for block in blocks:
+                rng.standard_normal(out=block[c])
+                block[c] *= spread
+                block[c] += centers[c]
+        return
+    words = _philox_words(rng)
+    for c in range(len(centers)):
+        for block in blocks:
+            kernel(words.ctypes.data, block[c].ctypes.data, *block[c].shape, spread, centers[c].ctypes.data)
+    state = rng.bit_generator.state
+    state["state"]["counter"] = words[:4]
+    state["buffer"] = words[6:10]
+    state["buffer_pos"] = int(words[10])
+    rng.bit_generator.state = state
+
+
+def _checked(kernel):
+    """kernel where it gives numpy's bits and generator state on the probe,
+    else None. numpy does not promise the same Generator streams across
+    versions, so this check, not the kernel's code, keeps the bytes equal."""
+    if kernel is None:
+        return None
+    centers = (np.arange(PROBE_COLS) * 0.37 - 9.0)[None]
+    centers[0, :3] = (-0.0, 0.0, 1e300)
+    results = []
+    for k in (kernel, None):
+        rng = np.random.Generator(np.random.Philox(key=PROBE_KEY))
+        rng.standard_normal(PROBE_SKIP)
+        blocks = [np.empty((1, rows, PROBE_COLS)) for rows in PROBE_ROWS]
+        _draw_blocks(k, rng, blocks, PROBE_SPREAD, centers)
+        results.append([block.view(np.uint64) for block in blocks] + [_philox_words(rng)])
+    same = all(np.array_equal(a, b) for a, b in zip(*results))
+    return kernel if same else None
+
+
+# The blob draw of _normal.c, or None, where make_blob_split runs numpy's lines.
+_normal_kernel = _checked(_native.load_normal_kernel())
 
 
 def make_blob_split(
@@ -78,11 +149,7 @@ def make_blob_split(
     blocks = [X.reshape(C, m, d_in) for X, m in zip(Xs, sizes)]
     # Class c's train rows, then its test rows: the order of one
     # (C, train + test, d_in) draw, so the bytes match drawing it whole.
-    for c in range(C):
-        for block in blocks:
-            rng.standard_normal(out=block[c])
-            block[c] *= spread
-            block[c] += centers[c]
+    _draw_blocks(_normal_kernel, rng, blocks, spread, centers)
     labels = [np.repeat(np.arange(C, dtype=np.int64), m) for m in sizes]
     train, test = (
         Dataset(X=X, true_labels=y, given_labels=y.copy(), C=C) for X, y in zip(Xs, labels)

@@ -1,5 +1,10 @@
+import bisect
+import ctypes
 import hashlib
 import itertools
+import math
+import os
+import re
 import struct
 import tracemalloc
 
@@ -8,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fednoise import datagen
 from fednoise.datagen import (
     CENTER_SEPARATION,
     Dataset,
@@ -54,6 +60,67 @@ def make_then_split(C, train_per_class, test_per_class, d_in, spread, seed):
         return Dataset(X=X[idx], true_labels=labels[idx], given_labels=labels[idx], C=C)
 
     return take(train_idx), take(test_idx)
+
+
+def _ziggurat_tables():
+    """ki, wi and fi as _normal.c commits them, parsed from its source."""
+    with open(os.path.join(os.path.dirname(datagen.__file__), "_normal.c")) as f:
+        source = f.read()
+
+    def table(name):
+        body = re.search(rf"{name}\[256\] = \{{(.*?)\}};", source, re.S).group(1)
+        return [v.strip() for v in body.split(",") if v.strip()]
+
+    ki = np.array([int(v.removesuffix("ULL"), 16) for v in table("ki_double")], dtype=np.uint64)
+    return ki, [float.fromhex(v) for v in table("wi_double")], [float.fromhex(v) for v in table("fi_double")]
+
+
+KI, WI, FI = _ziggurat_tables()
+ZIGGURAT_INV_R = 0.27366123732975827203338247596
+
+
+def ziggurat_paths(words, n):
+    """Reference: replay numpy's acceptance test for n standard normals on
+    the raw Philox words that feed them; (tail, wedge, used): the draws
+    that reached the tail and the wedge (accepted or not), and the words
+    read. Every word passes the fast test or is found by a bisection over
+    those that fail it, so only the slow draws run in Python."""
+    idx = (words & np.uint64(0xFF)).astype(np.intp)
+    rabs = (words >> np.uint64(9)) & np.uint64(0x000FFFFFFFFFFFFF)
+    slow = np.flatnonzero(rabs >= KI[idx]).tolist()
+
+    def uniform(at):
+        return (int(words[at]) >> 11) * 2.0**-53
+
+    pos = made = tail = wedge = 0
+    while True:
+        k = bisect.bisect_left(slow, pos)
+        j = slow[k] if k < len(slow) else len(words)
+        if j - pos >= n - made:
+            return tail, wedge, pos + n - made
+        made, pos, i = made + j - pos, j + 1, int(idx[j])
+        if i == 0:
+            tail += 1
+            while True:
+                xx = -ZIGGURAT_INV_R * math.log1p(-uniform(pos))
+                yy = -math.log1p(-uniform(pos + 1))
+                pos += 2
+                if yy + yy > xx * xx:
+                    break
+            made += 1
+        else:
+            wedge += 1
+            x = int(rabs[j]) * WI[i]
+            made += (FI[i - 1] - FI[i]) * uniform(pos) + FI[i] < math.exp(-0.5 * x * x)
+            pos += 1
+
+
+def _paths_of_next(rng, n):
+    """ziggurat_paths of rng's next n standard normals, on a clone's raw
+    words; rng itself draws nothing."""
+    clone = np.random.Philox()
+    clone.state = rng.bit_generator.state
+    return ziggurat_paths(clone.random_raw(n + n // 20 + 1000), n)
 
 
 def decode_whole_file(images_path, labels_path):
@@ -173,6 +240,106 @@ def test_build_datasets_bytes_are_pinned(spec, digest):
     # true labels, and no array may alias another.
     _assert_no_shared_memory(train, test)
     assert h.hexdigest() == digest
+
+
+# ------------------------------------------------------ the blob draw kernel
+
+needs_kernel = pytest.mark.skipif(datagen._normal_kernel is None, reason="the draw kernel did not load")
+
+
+def numpy_draw(rng, out, spread, shift):
+    """Reference: the numpy lines the kernel replaces."""
+    rng.standard_normal(out=out)
+    out *= spread
+    out += shift
+
+
+def _assert_same_generators(a, b):
+    # Compared by what each draws next, one kind of draw after another.
+    for draw in (
+        lambda g: g.standard_normal(5),
+        lambda g: g.random(3),
+        lambda g: g.integers(0, 2**40, 3),
+        lambda g: g.integers(0, 7, 3, dtype=np.int32),
+    ):
+        assert draw(a).tobytes() == draw(b).tobytes()
+
+
+shifts = st.one_of(st.sampled_from([-0.0, 0.0, 1e300, -1e300, 1e16]), st.floats(-1e6, 1e6))
+
+
+@needs_kernel
+@given(
+    key=st.integers(0, 2**128 - 1),
+    prior=st.integers(0, 9),
+    half_word=st.booleans(),
+    rows=st.integers(0, 7),
+    cols=st.integers(1, 17),
+    spread=st.floats(1e-3, 1e3),
+    shift=st.lists(shifts, min_size=17, max_size=17),
+)
+def test_normal_kernel_bit_equals_numpy(key, prior, half_word, rows, cols, spread, shift):
+    # Every buffer position, with and without a kept 32-bit half word.
+    a, b = (np.random.Generator(np.random.Philox(key=key)) for _ in range(2))
+    for g in (a, b):
+        g.standard_normal(prior)
+        if half_word:
+            g.integers(0, 7, dtype=np.int32)
+    center = np.array(shift[:cols])
+    got, ref = np.empty((rows, cols)), np.empty((rows, cols))
+    datagen._draw_blocks(datagen._normal_kernel, a, [got[None]], spread, center[None])
+    numpy_draw(b, ref, spread, center)
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    _assert_same_generators(a, b)
+
+
+@needs_kernel
+def test_normal_kernel_two_million_draws_take_the_tail_and_the_wedge():
+    a, b = (np.random.Generator(np.random.Philox(key=2**100 + 7)) for _ in range(2))
+    tail, wedge, used = _paths_of_next(b, 2_000_000)
+    assert tail > 0 and wedge > 0
+    got, ref = np.empty((2000, 1000)), np.empty((2000, 1000))
+    center = np.linspace(-50.0, 50.0, 1000)
+    datagen._draw_blocks(datagen._normal_kernel, a, [got[None]], 1.3, center[None])
+    numpy_draw(b, ref, 1.3, center)
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    # The replay read as many words as numpy did.
+    replayed = np.random.Generator(np.random.Philox(key=2**100 + 7))
+    replayed.bit_generator.random_raw(used)
+    assert np.array_equal(datagen._philox_words(b), datagen._philox_words(replayed))
+    _assert_same_generators(a, b)
+
+
+def test_probe_takes_the_tail_and_the_wedge():
+    rng = np.random.Generator(np.random.Philox(key=datagen.PROBE_KEY))
+    rng.standard_normal(datagen.PROBE_SKIP)
+    tail, wedge, _ = _paths_of_next(rng, sum(datagen.PROBE_ROWS) * datagen.PROBE_COLS)
+    assert (tail, wedge) == (3, 27)
+
+
+@needs_kernel
+@pytest.mark.parametrize("fault", ["tail", "state"])
+def test_a_kernel_that_fails_its_probe_is_not_used(monkeypatch, fault):
+    kernel = datagen._normal_kernel
+
+    def faulty(state, out, rows, cols, spread, center):
+        kernel(state, out, rows, cols, spread, center)
+        if fault == "state":  # one word too few read, in the block's buffer
+            pos = ctypes.c_uint64.from_address(state + 10 * 8)
+            pos.value -= pos.value > 1
+            return
+        # The last bit of every value from the tail (|z| > r) flipped.
+        x = np.ctypeslib.as_array((ctypes.c_double * (rows * cols)).from_address(out)).reshape(rows, cols)
+        c = np.ctypeslib.as_array((ctypes.c_double * cols).from_address(center))
+        x.view(np.uint64)[np.abs((x - c) / spread) > 3.6541528853610087] ^= np.uint64(1)
+
+    assert datagen._checked(kernel) is kernel
+    assert datagen._checked(faulty) is None
+    # Where no kernel passes, make_blob_split runs numpy's lines.
+    monkeypatch.setattr(datagen, "_normal_kernel", datagen._checked(faulty))
+    train, test = make_blob_split(3, 8, 2, 5, 0.7, 4)
+    ref_train, ref_test = make_then_split(3, 8, 2, 5, 0.7, 4)
+    assert np.array_equal(train.X, ref_train.X) and np.array_equal(test.X, ref_test.X)
 
 
 def test_split_per_class_needs_leftover():
