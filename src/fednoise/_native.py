@@ -1,7 +1,8 @@
 """The C kernels, built into one library with the system C compiler when
 fednoise is first imported, and loaded through ctypes: the fused SGD
-step of _sgd.c (numkit.sgd_step) and the blob draw of _normal.c
-(datagen.make_blob_split).
+step of _sgd.c (numkit.sgd_step), the blob draw of _normal.c
+(datagen.make_blob_split) and the local step's bookkeeping of _local.c
+(localnode).
 
 The compiler is $CC, else `cc`. The library is cached under
 ${XDG_CACHE_HOME:-~/.cache}/fednoise, named by a SHA-256 of every
@@ -23,9 +24,10 @@ import platform
 import shlex
 import subprocess
 import tempfile
+from typing import Callable, NamedTuple
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-SOURCES = tuple(os.path.join(HERE, name) for name in ("_sgd.c", "_normal.c"))
+SOURCES = tuple(os.path.join(HERE, name) for name in ("_sgd.c", "_normal.c", "_local.c"))
 # -ffp-contract=off keeps a*b + c two roundings, as in numpy. Never add
 # -ffast-math or -Ofast: they reassociate and may set flush-to-zero for
 # the whole process.
@@ -109,11 +111,14 @@ def _library() -> ctypes.CDLL | None:
         return None
 
 
-def _function(name: str, argtypes: list, restype):
-    """The library's function of that name, typed; None without the library."""
+def _function(name: str, argtypes: list, restype, keep_gil: bool = False):
+    """The library's function of that name, typed; None without the library.
+    A call releases the GIL unless keep_gil."""
     library = _library()
     if library is None:
         return None
+    if keep_gil:
+        library = ctypes.PyDLL(library._name)
     function = getattr(library, name)
     function.argtypes = argtypes
     function.restype = restype
@@ -139,4 +144,37 @@ def load_normal_kernel():
         "fednoise_normal_fill",
         [ctypes.c_void_p, ctypes.c_void_p] + [ctypes.c_size_t] * 2 + [ctypes.c_double, ctypes.c_void_p],
         None,
+    )
+
+
+class LocalKernels(NamedTuple):
+    """The functions of _local.c, each array passed as ref(array)."""
+
+    loss: Callable
+    class_means: Callable
+    blend: Callable
+    small_loss: Callable
+
+
+# The first byte of an array as a ctypes object, which a pointer argument
+# takes by reference. It raises TypeError, or ValueError, unless the array
+# is C-contiguous, writeable and not empty.
+ref = ctypes.c_ubyte.from_buffer
+
+
+def load_local_kernels() -> LocalKernels | None:
+    """The functions of _local.c as ctypes functions, or None. Their calls
+    keep the GIL: each takes microseconds, about what handing the GIL to
+    another thread and back costs."""
+    if _library() is None:
+        return None
+    array, size, real = ctypes.POINTER(ctypes.c_ubyte), ctypes.c_size_t, ctypes.c_double
+    argtypes = {
+        "loss": [array] * 7 + [size] * 4 + [real] * 2 + [array] * 3,
+        "class_means": [array] * 2 + [size] * 3 + [array] * 2,
+        "blend": [array] * 5 + [size] * 2 + [array] * 2,
+        "small_loss": [array] + [size] * 2 + [array],
+    }
+    return LocalKernels(
+        *(_function(f"fednoise_{name}", argtypes[name], ctypes.c_int, keep_gil=True) for name in LocalKernels._fields)
     )

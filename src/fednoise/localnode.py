@@ -16,15 +16,22 @@ depend on the order clients run in.
 
 A client uploads its weights, centroids, mean loss and confident mask.
 It reads no true label: the server alone measures detection.
+
+The loss and its partials, the class means, the blend after its cosine
+and the small-loss selection run the C functions of _local.c where they
+load and pass their probe (_checked); otherwise, or for arrays those
+cannot take, their numpy lines, which give the same bits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
+from . import _native
+from ._native import ref
 from .datagen import Dataset
 from .errors import ConfigError, ContractViolation, TrainingDiverged
 from .numkit import (
@@ -36,6 +43,21 @@ from .numkit import (
     mlp_forward,
     sgd_step,
 )
+
+# The functions of _local.c, bound at the end of this module once they
+# pass their probe, or None, where every function runs its numpy lines.
+_local = None
+
+# The probe's (B, C, d_h) shapes: sums above 128 elements and below 8.
+PROBE_SHAPES = ((36, 10, 67), (5, 2, 3))
+PROBE_SEED = 7
+
+
+# What checking and passing an argument that the C functions cannot read
+# as numpy does raises: a non-array has no dtype, and ref takes only a
+# C-contiguous, writeable, non-empty array. Each caller then runs its
+# numpy lines.
+_UNFIT = (AttributeError, TypeError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -153,6 +175,13 @@ def small_loss_filter(losses: np.ndarray, r_t: float) -> np.ndarray:
     if not 0.0 < r_t <= 1.0:
         raise ContractViolation(f"small_loss_filter: r_t must be in (0,1], got {r_t}")
     k = min(math.ceil(r_t * losses.size), losses.size)
+    if _local is not None and losses.dtype == np.float64 and losses.ndim == 1:
+        kept = np.empty(k, dtype=np.int64)
+        try:
+            if not _local.small_loss(ref(losses), losses.size, k, ref(kept)):
+                return kept
+        except _UNFIT:
+            pass
     order = np.argsort(losses, kind="stable")
     return np.sort(order[:k])
 
@@ -162,6 +191,15 @@ def class_mean_features(features: np.ndarray, labels: np.ndarray, C: int) -> Cen
 
     Classes with no row get a zero vector and presence False.
     """
+    if _local is not None:
+        try:
+            B, d = features.shape
+            if features.dtype == np.float64 and labels.dtype == np.int64 and labels.shape == (B,):
+                vectors, presence = np.empty((C, d)), np.empty(C, dtype=bool)
+                if not _local.class_means(ref(features), ref(labels), B, d, C, ref(vectors), ref(presence)):
+                    return CentroidSet(C=C, vectors=vectors, presence=presence)
+        except _UNFIT:
+            pass
     counts = np.bincount(labels, minlength=C)
     presence = counts > 0
     # add.at sums each class's rows in row order from zero, as a per-class
@@ -186,6 +224,22 @@ def blend_with_global(prev: CentroidSet, fresh: CentroidSet) -> CentroidSet:
         raise ContractViolation("blend_with_global: centroid sets have mismatched dims")
     P, F = prev.vectors, fresh.vectors
     s = cosine_similarity(P[:, None, :], F[:, None, :])[:, :, 0]
+    if _local is not None:
+        try:
+            C, d = P.shape
+            had, has = prev.presence, fresh.presence
+            if (
+                P.dtype == F.dtype == np.float64
+                and F.shape == (C, d)
+                and had.dtype == has.dtype == bool
+                and had.shape == has.shape == (C,)
+            ):
+                vectors, presence = np.empty((C, d)), np.empty(C, dtype=bool)
+                args = ref(P), ref(F), ref(s), ref(had), ref(has)
+                if not _local.blend(*args, C, d, ref(vectors), ref(presence)):
+                    return CentroidSet(prev.C, vectors, presence)
+        except _UNFIT:
+            pass
     w = s * s
     blended = (1.0 - w) * P + w * F
     vectors = np.where(
@@ -268,6 +322,61 @@ def total_loss_and_grads(
     lam_e is 0. Returns (breakdown, dLoss/dlogits, dLoss/dhidden) ready
     for mlp_backward.
     """
+    out = _loss_kernel(rec, y, y_pseudo, mask, centroids, lam_cen, lam_e)
+    if out is None:
+        out = _loss_numpy(rec, y, y_pseudo, mask, centroids, lam_cen, lam_e)
+    (l_class, l_centroid, l_entropy), d_logits, d_hidden = out
+    total = l_class + lam_cen * l_centroid + lam_e * l_entropy
+    for name, value in (
+        ("classification", l_class),
+        ("centroid", l_centroid),
+        ("entropy", l_entropy),
+    ):
+        if not math.isfinite(value):
+            raise TrainingDiverged(f"{name} loss became non-finite")
+    return LossBreakdown(l_class, l_centroid, l_entropy, total), d_logits, d_hidden
+
+
+def _loss_kernel(rec, y, y_pseudo, mask, centroids, lam_cen, lam_e):
+    """total_loss_and_grads's terms and partials from _local.c, or None
+    where it is not loaded, cannot take these arrays or meets a label out
+    of range."""
+    if _local is None:
+        return None
+    probs, logp, hidden = rec.probs, rec.logp, rec.hidden
+    vectors = None if centroids is None else centroids.vectors
+    # Only the centroid term reads hidden; it and the pseudo-targets read mask.
+    masked = vectors is not None or y_pseudo is not None
+    try:
+        (B, C), d = probs.shape, hidden.shape[-1]
+        rows = 0 if vectors is None else len(vectors)
+        if not (
+            probs.dtype == logp.dtype == hidden.dtype == np.float64
+            and logp.shape == (B, C)
+            and hidden.shape == (B, d)
+            and y.dtype == np.int64
+            and y.shape == (B,)
+            and (not masked or (mask.dtype == np.int64 and mask.shape == (B,)))
+            and (y_pseudo is None or (y_pseudo.dtype == np.float64 and y_pseudo.shape == (B, C)))
+            and (vectors is None or (vectors.dtype == np.float64 and vectors.shape == (rows, d)))
+        ):
+            return None
+        grad = vectors is not None and lam_cen != 0.0
+        d_logits, d_hidden, terms = np.empty((B, C)), (np.empty if grad else np.zeros)((B, d)), np.empty(3)
+        if _local.loss(
+            ref(probs), ref(logp), None if vectors is None else ref(hidden), ref(y),
+            None if y_pseudo is None else ref(y_pseudo), ref(mask) if masked else None,
+            None if vectors is None else ref(vectors), rows, B, C, d, lam_cen, lam_e,
+            ref(d_logits), ref(d_hidden) if grad else None, ref(terms),
+        ):
+            return None
+    except _UNFIT:
+        return None
+    return terms.tolist(), d_logits, d_hidden
+
+
+def _loss_numpy(rec, y, y_pseudo, mask, centroids, lam_cen, lam_e):
+    """total_loss_and_grads's terms and partials, the reference of _loss_kernel."""
     B, C = rec.probs.shape
     onehot = np.zeros((B, C))
     onehot[np.arange(B), y] = 1.0
@@ -299,16 +408,7 @@ def total_loss_and_grads(
         l_centroid = float((mf * (diff**2).sum(axis=1)).sum() / B)
         if lam_cen != 0.0:
             d_hidden = lam_cen * (2.0 * mf[:, None] * diff) / B
-
-    total = l_class + lam_cen * l_centroid + lam_e * l_entropy
-    for name, value in (
-        ("classification", l_class),
-        ("centroid", l_centroid),
-        ("entropy", l_entropy),
-    ):
-        if not math.isfinite(value):
-            raise TrainingDiverged(f"{name} loss became non-finite")
-    return LossBreakdown(l_class, l_centroid, l_entropy, total), d_logits, d_hidden
+    return (l_class, l_centroid, l_entropy), d_logits, d_hidden
 
 
 def local_update(
@@ -401,3 +501,67 @@ def local_update(
     if spec.centroids != "global":
         running = CentroidSet.empty(C, params.d_h)
     return LocalUpdateResult(params, running, loss_sum / steps if steps else 0.0, mask)
+
+
+def _probe() -> bytes:
+    """Every result of the functions that _local.c backs, on fixed inputs,
+    as bytes: each of PROBE_SHAPES, -0.0 entries, an absent class, each
+    pair of presences, tied and NaN losses, and every switch of
+    total_loss_and_grads."""
+    out = []
+    for B, C, d in PROBE_SHAPES:
+        rng = np.random.default_rng(PROBE_SEED)
+        # Magnitudes from e^-20 to e^20, so a sum in another order would
+        # round differently.
+        scale = np.exp(rng.uniform(-20.0, 20.0, (B, C + d)))
+        hidden = rng.standard_normal((B, d)) * scale[:, C:]
+        hidden[0] = -0.0
+        logp = -scale[:, :C]
+        rec = ForwardRecord(hidden, rng.random((B, C)), logp)
+        y = rng.integers(0, C - 1, B)  # class C-1 has no row
+        mask = np.arange(B) % 3 % 2
+        pseudo = rng.dirichlet(np.ones(C), B)
+        means = class_mean_features(hidden, y, C)
+        P, F = rng.standard_normal((2, C, d))
+        P[0] = F[1] = -0.0
+        had, has = np.arange(C) % 2 == 0, np.arange(C) % 3 != 0
+        blended = blend_with_global(CentroidSet(C, P, had), CentroidSet(C, F, has))
+        out += [means.vectors, means.presence, blended.vectors, blended.presence]
+        for centroids in (None, means):
+            for y_pseudo in (None, pseudo):
+                for lam_cen in (0.0, 0.7):
+                    for lam_e in (0.0, 0.8):
+                        terms, d_logits, d_hidden = total_loss_and_grads(
+                            rec, y, y_pseudo, mask, centroids, lam_cen, lam_e
+                        )
+                        out += [np.array(astuple(terms)), d_logits, d_hidden]
+        losses = np.round(np.log(per_example_ce(logp, y)))
+        losses[:4] = (-0.0, 0.0, np.nan, losses[-1])
+        out += [losses] + [small_loss_filter(losses, r_t) for r_t in (0.3, 0.5, 1.0)]
+    # A sum of -0.0 alone: numpy adds it to +0.0.
+    zeros = np.full((3, 2), -0.0)
+    terms, d_logits, d_hidden = total_loss_and_grads(
+        ForwardRecord(zeros[:, :1].copy(), zeros, zeros), np.zeros(3, np.int64), None, None, None, 0.0, 0.0
+    )
+    out += [np.array(astuple(terms)), d_logits, d_hidden]
+    return b"".join(a.tobytes() for a in out)
+
+
+def _checked(kernels):
+    """kernels where every function gives its numpy lines' bits on the
+    probe with them, else None. numpy does not promise its reduction
+    orders, so this check, not the C code, keeps the bytes equal."""
+    global _local
+    if kernels is None:
+        return None
+    bound, results = _local, []
+    try:
+        for k in (kernels, None):
+            _local = k
+            results.append(_probe())
+    finally:
+        _local = bound
+    return kernels if results[0] == results[1] else None
+
+
+_local = _checked(_native.load_local_kernels())

@@ -25,7 +25,7 @@ from fednoise.bench import (
     run_experiment,
     summary_accuracy,
 )
-from fednoise import coordinator
+from fednoise import coordinator, localnode
 from fednoise.errors import ConfigError, TrainingDiverged
 from fednoise.localnode import METHODS, local_update
 from fednoise.metrics import read_csv
@@ -713,6 +713,24 @@ def test_diverging_run_fails_in_the_round_it_diverges(monkeypatch, processes, lr
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDiverged) as exc:
         run_experiment(cfg)
     assert str(exc.value) == error.format(first=first)
+
+
+@pytest.mark.parametrize("processes", [1, 3])
+@pytest.mark.parametrize("kernels", ["c", "numpy"])
+def test_a_diverging_loss_names_the_round_and_the_client(monkeypatch, processes, kernels):
+    # Round 1's first epoch turns the weights to inf; in the second, the
+    # loss of the next batch is NaN, on the C path of total_loss_and_grads
+    # and on its numpy lines (forked workers inherit the binding).
+    monkeypatch.setattr(coordinator, "_process_count", lambda clients: processes)
+    if kernels == "numpy":
+        monkeypatch.setattr(localnode, "_local", None)
+    cfg = load_config(BLOBS_CFG, ["hp.learning_rate=1e300", "fed.rounds=2", "hp.local_epochs=2"])
+    first = coordinator.select_clients(
+        cfg.fed.num_clients, cfg.fed.clients_per_round, make_rng(cfg.seed, STREAM_SELECT, 1)
+    )[0]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDiverged) as exc:
+        run_experiment(cfg)
+    assert str(exc.value) == f"round 1, client {first}: classification loss became non-finite"
 
 
 def test_cli_diverging_run_exits_two(tmp_path, capsys):

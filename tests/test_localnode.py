@@ -1,5 +1,6 @@
 import ast
 import copy
+import ctypes
 import dataclasses
 import math
 import os
@@ -11,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fednoise import localnode
 from fednoise.bench import load_config, run_experiment
 from fednoise.datagen import Dataset, make_blob_split, partition_iid
-from fednoise.errors import ConfigError, ContractViolation
+from fednoise.errors import ConfigError, ContractViolation, TrainingDiverged
 from fednoise.localnode import (
     METHODS,
     CentroidSet,
@@ -31,6 +33,7 @@ from fednoise.localnode import (
     total_loss_and_grads,
 )
 from fednoise.numkit import (
+    ForwardRecord,
     ModelParams,
     _softmax_and_log,
     cosine_similarity,
@@ -911,3 +914,195 @@ def test_local_update_reads_no_true_label(method):
     np.testing.assert_array_equal(a.centroids.presence, b.centroids.presence)
     assert a.mean_train_loss == b.mean_train_loss
     assert a.mask.tobytes() == b.mask.tobytes()
+
+
+# ------------------------------------------------- the C functions of _local.c
+
+
+needs_local = pytest.mark.skipif(localnode._local is None, reason="no C compiler built the kernels")
+
+
+def _on_both_paths(name, fn):
+    """fn() with the C functions of _local.c, then with numpy's lines; the
+    first run must call the C function of that name."""
+    calls = []
+    kernel = getattr(localnode._local, name)
+
+    def counted(*args):
+        calls.append(name)
+        return kernel(*args)
+
+    out = []
+    for kernels in (localnode._local._replace(**{name: counted}), None):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(localnode, "_local", kernels)
+            out.append(fn())
+    assert calls == [name], "the C function did not run"
+    return out
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    if a.dtype == np.bool_:
+        assert np.array_equal(a, b)
+    else:
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _with_signed_zeros(rng, a):
+    """a with about a tenth of its entries set to -0.0 or 0.0."""
+    hit = rng.random(a.shape) < 0.1
+    a[hit] = np.where(rng.random(a.shape) < 0.5, -0.0, 0.0)[hit]
+    return a
+
+
+def _mask(rng, kind, B):
+    return {"zeros": np.zeros(B, np.int64), "ones": np.ones(B, np.int64)}.get(kind, rng.integers(0, 2, B))
+
+
+@needs_local
+@given(
+    st.integers(1, 60), st.integers(2, 12), st.integers(1, 70), st.integers(0, 2**32 - 1),
+    st.sampled_from(["zeros", "ones", "mixed"]), st.booleans(), st.booleans(),
+    st.sampled_from([0.0, 0.7, 1.0]), st.sampled_from([0.0, 0.8]), st.booleans(),
+)
+def test_loss_kernel_bit_equals_numpy(B, C, d_h, seed, mask_kind, pseudo, centroids, lam_cen, lam_e, zero_logp):
+    rng = np.random.default_rng(seed)
+    probs, logp = _softmax_and_log(rng.normal(scale=3.0, size=(B, C)))
+    if zero_logp:  # every product the classification term sums is -0.0
+        logp[:] = -0.0
+    rec = ForwardRecord(_with_signed_zeros(rng, np.tanh(rng.normal(size=(B, d_h)))), probs, logp)
+    y = rng.integers(0, rng.integers(1, C + 1), B)  # a prefix of the classes
+    y_pseudo = rng.dirichlet(np.ones(C), B) if pseudo else None
+    cents = _cset(_with_signed_zeros(rng, rng.normal(size=(C, d_h)))) if centroids else None
+    mask = _mask(rng, mask_kind, B)
+    kernel, reference = _on_both_paths(
+        "loss", lambda: total_loss_and_grads(rec, y, y_pseudo, mask, cents, lam_cen, lam_e)
+    )
+    _same_bits(dataclasses.astuple(kernel[0]), dataclasses.astuple(reference[0]))
+    for got, want in zip(kernel[1:], reference[1:]):
+        _same_bits(got, want)
+
+
+@needs_local
+@given(st.integers(1, 60), st.integers(2, 12), st.integers(1, 70), st.integers(0, 2**32 - 1))
+def test_class_means_kernel_bit_equals_numpy(B, C, d_h, seed):
+    rng = np.random.default_rng(seed)
+    features = _with_signed_zeros(rng, rng.normal(size=(B, d_h)))
+    labels = rng.integers(0, rng.integers(1, C + 1), B)  # some classes have no row
+    kernel, reference = _on_both_paths("class_means", lambda: class_mean_features(features, labels, C))
+    _same_bits(kernel.vectors, reference.vectors)
+    _same_bits(kernel.presence, reference.presence)
+
+
+@needs_local
+@given(st.integers(2, 12), st.integers(1, 70), st.integers(0, 2**32 - 1))
+def test_blend_kernel_bit_equals_numpy(C, d_h, seed):
+    rng = np.random.default_rng(seed)
+    sets = []
+    for _ in range(2):
+        vectors = _with_signed_zeros(rng, rng.normal(size=(C, d_h)))
+        vectors[rng.random(C) < 0.2] = 0.0  # zero rows, whose cosine is 0
+        sets.append(CentroidSet(C, vectors, rng.random(C) < 0.6))
+    kernel, reference = _on_both_paths("blend", lambda: blend_with_global(*sets))
+    _same_bits(kernel.vectors, reference.vectors)
+    _same_bits(kernel.presence, reference.presence)
+
+
+@needs_local
+@given(
+    st.integers(1, 60), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0, exclude_min=True),
+    st.sampled_from([0.5, 0.1, 0.0]),
+)
+def test_small_loss_kernel_bit_equals_numpy(B, seed, r_t, nan_share):
+    # Rounded losses tie; -0.0 ties with 0.0; NaN sorts last.
+    rng = np.random.default_rng(seed)
+    losses = _with_signed_zeros(rng, np.round(rng.exponential(size=B), 1))
+    losses[rng.random(B) < nan_share] = np.nan
+    kernel, reference = _on_both_paths("small_loss", lambda: small_loss_filter(losses, r_t))
+    _same_bits(kernel, reference)
+
+
+@needs_local
+@pytest.mark.parametrize(
+    "term, spoil",
+    [
+        ("classification", lambda rec: rec.logp.__setitem__((0, slice(None)), -np.inf)),
+        ("centroid", lambda rec: rec.hidden.__setitem__((1, 0), np.nan)),
+        ("entropy", lambda rec: rec.probs.__setitem__((2, 1), np.inf)),
+    ],
+)
+def test_non_finite_term_raises_the_same_error_on_both_paths(rng, term, spoil):
+    params, X, y, pseudo, _, cents = _loss_instance(rng)
+    mask = np.ones(len(y), dtype=np.int64)
+    for kernels in (localnode._local, None):
+        rec = mlp_forward(params, X)
+        spoil(rec)
+        with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore", over="ignore"):
+            mp.setattr(localnode, "_local", kernels)
+            with pytest.raises(TrainingDiverged) as exc:
+                total_loss_and_grads(rec, y, pseudo, mask, cents, 1.0, 0.8)
+        assert str(exc.value) == f"{term} loss became non-finite"
+
+
+@needs_local
+@pytest.mark.parametrize("fault", ["loss", "class_means", "blend", "small_loss"])
+def test_a_kernel_that_fails_its_probe_is_not_used(monkeypatch, fault):
+    kernels = localnode._local
+
+    def faulty(*args):
+        # The kernel's result, with the lowest bit of its last array's
+        # first byte flipped.
+        status = getattr(kernels, fault)(*args)
+        ctypes.c_ubyte.from_address(ctypes.addressof(args[-1])).value ^= 1
+        return status
+
+    assert localnode._checked(kernels) is kernels
+    assert localnode._checked(kernels._replace(**{fault: faulty})) is None
+    assert localnode._local is kernels  # the probe put the binding back
+    # Where no kernel passes, the functions run numpy's lines: a local
+    # update gives the bits it gives with the kernels.
+    ds, shard = _blob_client(noisy=True)
+    gp = init_params(5, 8, 3, make_rng(0, 4))
+    hp = _hp(t_pl=1)
+    runs = []
+    for bound in (kernels, localnode._checked(kernels._replace(**{fault: faulty}))):
+        monkeypatch.setattr(localnode, "_local", bound)
+        res = local_update(ds, shard, gp, CentroidSet.empty(3, 8), 2, hp, make_rng(0, 6, 2, 0))
+        runs.append((res.params.theta.tobytes(), res.centroids.vectors.tobytes(), res.mask.tobytes()))
+    assert runs[0] == runs[1]
+
+
+def _outcome(fn):
+    """fn()'s result, or the type and message of what it raised."""
+    try:
+        return fn()
+    except Exception as e:  # noqa: BLE001
+        return type(e), str(e)
+
+
+@needs_local
+@pytest.mark.parametrize("bad", [-1, 3, 4])
+def test_a_label_out_of_range_runs_numpys_lines(rng, bad):
+    # The C functions read no label outside [0, C): they return at once
+    # and numpy's lines run, which wrap -1 and fail on the others.
+    params, X, y, pseudo, mask, cents = _loss_instance(rng, C=3)
+    rec = mlp_forward(params, X)
+    y = y.copy()
+    y[2] = bad
+    features = rng.normal(size=(len(y), 5))
+    for name, fn in [
+        ("loss", lambda: total_loss_and_grads(rec, y, pseudo, mask, cents, 1.0, 0.8)),
+        ("loss", lambda: total_loss_and_grads(rec, y, None, mask, None, 0.0, 0.0)),
+        ("class_means", lambda: class_mean_features(features, y, 3)),
+    ]:
+        kernel, reference = _on_both_paths(name, lambda: _outcome(fn))
+        if isinstance(reference, tuple) and isinstance(reference[0], type):
+            assert kernel == reference
+        elif name == "loss":
+            assert dataclasses.astuple(kernel[0]) == dataclasses.astuple(reference[0])
+            _same_bits(kernel[1], reference[1])
+            _same_bits(kernel[2], reference[2])
+        else:
+            _same_bits(kernel.vectors, reference.vectors)
