@@ -1,6 +1,6 @@
 /* The bookkeeping of localnode's local step, one function for each of
- * total_loss_and_grads, class_mean_features, blend_with_global (after
- * its cosine) and small_loss_filter (after its k).
+ * total_loss_and_grads, class_mean_features and blend_with_global (after
+ * its cosine).
  *
  * Each does numpy's operations element by element, in numpy's order, so
  * the bits equal numpy's: build with -ffp-contract=off and never with
@@ -178,48 +178,5 @@ int fednoise_blend(const double *P, const double *F, const double *s,
             memcpy(o, has[c] ? f : p, sizeof(double) * d);
         presence[c] = had[c] || has[c];
     }
-    return 0;
-}
-
-/* numpy's sort order of doubles: NaN after every number. */
-static int before(double a, double b)
-{
-    return a < b || (b != b && a == a);
-}
-
-/* small_loss_filter after its k (1 <= k <= n): the indices of
- * np.sort(np.argsort(losses, kind="stable")[:k]), in ascending order. */
-int fednoise_small_loss(const double *losses, size_t n, size_t k, int64_t *out)
-{
-    size_t *work = malloc(2 * n * sizeof *work);
-    if (!work)
-        return 1;
-    size_t *order = work, *merged = work + n;
-    for (size_t i = 0; i < n; i++)
-        order[i] = i;
-    /* Bottom-up merge sort, stable: the right run goes first only when
-     * strictly before. */
-    for (size_t run = 1; run < n; run *= 2) {
-        for (size_t lo = 0; lo < n; lo += 2 * run) {
-            size_t mid = lo + run < n ? lo + run : n, hi = lo + 2 * run < n ? lo + 2 * run : n;
-            size_t i = lo, j = mid, o = lo;
-            while (i < mid && j < hi)
-                merged[o++] = before(losses[order[j]], losses[order[i]]) ? order[j++] : order[i++];
-            while (i < mid)
-                merged[o++] = order[i++];
-            while (j < hi)
-                merged[o++] = order[j++];
-        }
-        size_t *swap = order;
-        order = merged;
-        merged = swap;
-    }
-    /* Keep i where (losses[i], i) is not after the k-th (x, last): k of them. */
-    size_t last = order[k - 1], o = 0;
-    double x = losses[last];
-    for (size_t i = 0; i < n && o < k; i++)
-        if (before(losses[i], x) || (!before(x, losses[i]) && i <= last))
-            out[o++] = (int64_t)i;
-    free(work);
     return 0;
 }

@@ -2,7 +2,8 @@
 fednoise is first imported, and loaded through ctypes: the fused SGD
 step of _sgd.c (numkit.sgd_step), the blob draw of _normal.c
 (datagen.make_blob_split) and the local step's bookkeeping of _local.c
-(localnode).
+(localnode). Each caller binds its functions with load; datagen and
+localnode keep theirs only where their probe passes checked.
 
 The compiler is $CC, else `cc`. The library is cached under
 ${XDG_CACHE_HOME:-~/.cache}/fednoise, named by a SHA-256 of every
@@ -24,7 +25,7 @@ import platform
 import shlex
 import subprocess
 import tempfile
-from typing import Callable, NamedTuple
+from typing import Callable
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SOURCES = tuple(os.path.join(HERE, name) for name in ("_sgd.c", "_normal.c", "_local.c"))
@@ -111,70 +112,42 @@ def _library() -> ctypes.CDLL | None:
         return None
 
 
-def _function(name: str, argtypes: list, restype, keep_gil: bool = False):
-    """The library's function of that name, typed; None without the library.
-    A call releases the GIL unless keep_gil."""
-    library = _library()
-    if library is None:
-        return None
-    if keep_gil:
-        library = ctypes.PyDLL(library._name)
-    function = getattr(library, name)
-    function.argtypes = argtypes
-    function.restype = restype
-    return function
-
-
-def load_sgd_kernel():
-    """fednoise_sgd_step of _sgd.c as a ctypes function, or None; pass each
-    array as the c_double at its start (ctypes.c_double.from_buffer),
-    which ctypes passes by reference."""
-    return _function(
-        "fednoise_sgd_step",
-        [ctypes.POINTER(ctypes.c_double)] * 3 + [ctypes.c_size_t] * 4 + [ctypes.c_double] * 3,
-        ctypes.c_int,
-    )
-
-
-def load_normal_kernel():
-    """fednoise_normal_fill of _normal.c as a ctypes function, or None:
-    (state, out, rows, cols, spread, center), each array passed as the
-    address of its first element (ndarray.ctypes.data)."""
-    return _function(
-        "fednoise_normal_fill",
-        [ctypes.c_void_p, ctypes.c_void_p] + [ctypes.c_size_t] * 2 + [ctypes.c_double, ctypes.c_void_p],
-        None,
-    )
-
-
-class LocalKernels(NamedTuple):
-    """The functions of _local.c, each array passed as ref(array)."""
-
-    loss: Callable
-    class_means: Callable
-    blend: Callable
-    small_loss: Callable
-
-
-# The first byte of an array as a ctypes object, which a pointer argument
+# The first byte of an array as a ctypes object, which an array argument
 # takes by reference. It raises TypeError, or ValueError, unless the array
 # is C-contiguous, writeable and not empty.
 ref = ctypes.c_ubyte.from_buffer
 
+_ARRAY, _SIZE, _REAL = ctypes.POINTER(ctypes.c_ubyte), ctypes.c_size_t, ctypes.c_double
+# The argument types of every C function, by its name after "fednoise_";
+# each returns an int status, 0 where it wrote its results. Each array is
+# passed as ref(array).
+ARGTYPES = {
+    "sgd_step": [_ARRAY] * 3 + [_SIZE] * 4 + [_REAL] * 3,
+    "normal_fill": [_ARRAY] * 2 + [_SIZE] * 2 + [_REAL, _ARRAY],
+    "loss": [_ARRAY] * 7 + [_SIZE] * 4 + [_REAL] * 2 + [_ARRAY] * 3,
+    "class_means": [_ARRAY] * 2 + [_SIZE] * 3 + [_ARRAY] * 2,
+    "blend": [_ARRAY] * 5 + [_SIZE] * 2 + [_ARRAY] * 2,
+}
 
-def load_local_kernels() -> LocalKernels | None:
-    """The functions of _local.c as ctypes functions, or None. Their calls
-    keep the GIL: each takes microseconds, about what handing the GIL to
-    another thread and back costs."""
-    if _library() is None:
+
+def load(name: str):
+    """The C function fednoise_<name> as a ctypes function typed from
+    ARGTYPES, or None where the library did not load. A call releases the
+    GIL."""
+    library = _library()
+    if library is None:
         return None
-    array, size, real = ctypes.POINTER(ctypes.c_ubyte), ctypes.c_size_t, ctypes.c_double
-    argtypes = {
-        "loss": [array] * 7 + [size] * 4 + [real] * 2 + [array] * 3,
-        "class_means": [array] * 2 + [size] * 3 + [array] * 2,
-        "blend": [array] * 5 + [size] * 2 + [array] * 2,
-        "small_loss": [array] + [size] * 2 + [array],
-    }
-    return LocalKernels(
-        *(_function(f"fednoise_{name}", argtypes[name], ctypes.c_int, keep_gil=True) for name in LocalKernels._fields)
-    )
+    function = getattr(library, f"fednoise_{name}")
+    function.argtypes = ARGTYPES[name]
+    function.restype = ctypes.c_int
+    return function
+
+
+def checked(kernels, probe: Callable[[object], bytes]):
+    """kernels where probe(kernels) gives the bytes of probe(None), the
+    numpy lines, else None. numpy promises neither its reduction orders
+    nor its Generator streams across versions, so this check, not the C
+    code, keeps the bytes equal."""
+    if kernels is None or probe(kernels) != probe(None):
+        return None
+    return kernels

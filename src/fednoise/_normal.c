@@ -16,7 +16,7 @@
  *
  * The state is 11 words: counter[4], key[2], buffer[4], buffer_pos, the
  * fields of numpy's Philox state of those names; it is read and written
- * back in place.
+ * back in place. It returns 0.
  */
 #include <math.h>
 #include <stddef.h>
@@ -436,8 +436,8 @@ static inline double standard_normal(stream *s)
     }
 }
 
-void fednoise_normal_fill(uint64_t *restrict state, double *restrict out, size_t rows, size_t cols,
-                          double spread, const double *restrict center)
+int fednoise_normal_fill(uint64_t *restrict state, double *restrict out, size_t rows, size_t cols,
+                         double spread, const double *restrict center)
 {
     stream s;
     memcpy(s.ctr, state, sizeof s.ctr);
@@ -453,7 +453,7 @@ void fednoise_normal_fill(uint64_t *restrict state, double *restrict out, size_t
     }
     if (s.len == 4) {  /* no block made: only the position moved */
         state[10] = s.pos;
-        return;
+        return 0;
     }
     /* The block of the last word read becomes numpy's buffer; the blocks
      * made after it were never read, so the counter steps back over them. */
@@ -467,4 +467,5 @@ void fednoise_normal_fill(uint64_t *restrict state, double *restrict out, size_t
     memcpy(state, s.ctr, sizeof s.ctr);
     memcpy(state + 6, s.buf + 4 * block, 4 * sizeof s.buf[0]);
     state[10] = s.pos - 4 * block;
+    return 0;
 }

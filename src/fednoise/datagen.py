@@ -5,7 +5,7 @@ train and test rows straight into the final arrays, and the IDX reader
 reads and converts only the rows a run keeps.
 
 The blob draw runs the C kernel of _normal.c where it loads and passes
-its probe (_checked); otherwise numpy's lines, which it reproduces bit
+its probe (_probe); otherwise numpy's lines, which it reproduces bit
 for bit, run instead.
 """
 
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _native
+from ._native import ref
 from .errors import ConfigError, FormatError
 from .seeds import STREAM_BLOBS, STREAM_PARTITION, make_rng
 
@@ -83,7 +84,8 @@ def _draw_blocks(
     words = _philox_words(rng)
     for c in range(len(centers)):
         for block in blocks:
-            kernel(words.ctypes.data, block[c].ctypes.data, *block[c].shape, spread, centers[c].ctypes.data)
+            if block[c].size:  # ref takes no empty array; the kernel would draw nothing
+                kernel(ref(words), ref(block[c]), *block[c].shape, spread, ref(centers[c]))
     state = rng.bit_generator.state
     state["state"]["counter"] = words[:4]
     state["buffer"] = words[6:10]
@@ -91,27 +93,20 @@ def _draw_blocks(
     rng.bit_generator.state = state
 
 
-def _checked(kernel):
-    """kernel where it gives numpy's bits and generator state on the probe,
-    else None. numpy does not promise the same Generator streams across
-    versions, so this check, not the kernel's code, keeps the bytes equal."""
-    if kernel is None:
-        return None
+def _probe(kernel) -> bytes:
+    """The probe's blocks and the generator's state after it, drawn with
+    kernel (or numpy's lines where None), as bytes."""
     centers = (np.arange(PROBE_COLS) * 0.37 - 9.0)[None]
     centers[0, :3] = (-0.0, 0.0, 1e300)
-    results = []
-    for k in (kernel, None):
-        rng = np.random.Generator(np.random.Philox(key=PROBE_KEY))
-        rng.standard_normal(PROBE_SKIP)
-        blocks = [np.empty((1, rows, PROBE_COLS)) for rows in PROBE_ROWS]
-        _draw_blocks(k, rng, blocks, PROBE_SPREAD, centers)
-        results.append([block.view(np.uint64) for block in blocks] + [_philox_words(rng)])
-    same = all(np.array_equal(a, b) for a, b in zip(*results))
-    return kernel if same else None
+    rng = np.random.Generator(np.random.Philox(key=PROBE_KEY))
+    rng.standard_normal(PROBE_SKIP)
+    blocks = [np.empty((1, rows, PROBE_COLS)) for rows in PROBE_ROWS]
+    _draw_blocks(kernel, rng, blocks, PROBE_SPREAD, centers)
+    return b"".join(a.tobytes() for a in blocks + [_philox_words(rng)])
 
 
 # The blob draw of _normal.c, or None, where make_blob_split runs numpy's lines.
-_normal_kernel = _checked(_native.load_normal_kernel())
+_normal_kernel = _native.checked(_native.load("normal_fill"), _probe)
 
 
 def make_blob_split(

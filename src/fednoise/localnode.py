@@ -17,16 +17,17 @@ depend on the order clients run in.
 A client uploads its weights, centroids, mean loss and confident mask.
 It reads no true label: the server alone measures detection.
 
-The loss and its partials, the class means, the blend after its cosine
-and the small-loss selection run the C functions of _local.c where they
-load and pass their probe (_checked); otherwise, or for arrays those
-cannot take, their numpy lines, which give the same bits.
+The loss and its partials, the class means and the blend after its
+cosine run the C functions of _local.c where they load and pass their
+probe (_probe); otherwise, or for arrays those cannot take, their numpy
+lines, which give the same bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,6 +44,15 @@ from .numkit import (
     mlp_forward,
     sgd_step,
 )
+
+
+class LocalKernels(NamedTuple):
+    """The functions of _local.c (their argument types in _native.ARGTYPES)."""
+
+    loss: Callable
+    class_means: Callable
+    blend: Callable
+
 
 # The functions of _local.c, bound at the end of this module once they
 # pass their probe, or None, where every function runs its numpy lines.
@@ -175,13 +185,6 @@ def small_loss_filter(losses: np.ndarray, r_t: float) -> np.ndarray:
     if not 0.0 < r_t <= 1.0:
         raise ContractViolation(f"small_loss_filter: r_t must be in (0,1], got {r_t}")
     k = min(math.ceil(r_t * losses.size), losses.size)
-    if _local is not None and losses.dtype == np.float64 and losses.ndim == 1:
-        kept = np.empty(k, dtype=np.int64)
-        try:
-            if not _local.small_loss(ref(losses), losses.size, k, ref(kept)):
-                return kept
-        except _UNFIT:
-            pass
     order = np.argsort(losses, kind="stable")
     return np.sort(order[:k])
 
@@ -503,65 +506,55 @@ def local_update(
     return LocalUpdateResult(params, running, loss_sum / steps if steps else 0.0, mask)
 
 
-def _probe() -> bytes:
-    """Every result of the functions that _local.c backs, on fixed inputs,
-    as bytes: each of PROBE_SHAPES, -0.0 entries, an absent class, each
-    pair of presences, tied and NaN losses, and every switch of
+def _probe(kernels: LocalKernels | None) -> bytes:
+    """Every result of the functions that _local.c backs, with _local bound
+    to kernels, on fixed inputs, as bytes: each of PROBE_SHAPES, -0.0
+    entries, an absent class, each pair of presences and every switch of
     total_loss_and_grads."""
-    out = []
-    for B, C, d in PROBE_SHAPES:
-        rng = np.random.default_rng(PROBE_SEED)
-        # Magnitudes from e^-20 to e^20, so a sum in another order would
-        # round differently.
-        scale = np.exp(rng.uniform(-20.0, 20.0, (B, C + d)))
-        hidden = rng.standard_normal((B, d)) * scale[:, C:]
-        hidden[0] = -0.0
-        logp = -scale[:, :C]
-        rec = ForwardRecord(hidden, rng.random((B, C)), logp)
-        y = rng.integers(0, C - 1, B)  # class C-1 has no row
-        mask = np.arange(B) % 3 % 2
-        pseudo = rng.dirichlet(np.ones(C), B)
-        means = class_mean_features(hidden, y, C)
-        P, F = rng.standard_normal((2, C, d))
-        P[0] = F[1] = -0.0
-        had, has = np.arange(C) % 2 == 0, np.arange(C) % 3 != 0
-        blended = blend_with_global(CentroidSet(C, P, had), CentroidSet(C, F, has))
-        out += [means.vectors, means.presence, blended.vectors, blended.presence]
-        for centroids in (None, means):
-            for y_pseudo in (None, pseudo):
-                for lam_cen in (0.0, 0.7):
-                    for lam_e in (0.0, 0.8):
-                        terms, d_logits, d_hidden = total_loss_and_grads(
-                            rec, y, y_pseudo, mask, centroids, lam_cen, lam_e
-                        )
-                        out += [np.array(astuple(terms)), d_logits, d_hidden]
-        losses = np.round(np.log(per_example_ce(logp, y)))
-        losses[:4] = (-0.0, 0.0, np.nan, losses[-1])
-        out += [losses] + [small_loss_filter(losses, r_t) for r_t in (0.3, 0.5, 1.0)]
-    # A sum of -0.0 alone: numpy adds it to +0.0.
-    zeros = np.full((3, 2), -0.0)
-    terms, d_logits, d_hidden = total_loss_and_grads(
-        ForwardRecord(zeros[:, :1].copy(), zeros, zeros), np.zeros(3, np.int64), None, None, None, 0.0, 0.0
-    )
-    out += [np.array(astuple(terms)), d_logits, d_hidden]
-    return b"".join(a.tobytes() for a in out)
-
-
-def _checked(kernels):
-    """kernels where every function gives its numpy lines' bits on the
-    probe with them, else None. numpy does not promise its reduction
-    orders, so this check, not the C code, keeps the bytes equal."""
     global _local
-    if kernels is None:
-        return None
-    bound, results = _local, []
+    bound, _local = _local, kernels
     try:
-        for k in (kernels, None):
-            _local = k
-            results.append(_probe())
+        out = []
+        for B, C, d in PROBE_SHAPES:
+            rng = np.random.default_rng(PROBE_SEED)
+            # Magnitudes from e^-20 to e^20, so a sum in another order would
+            # round differently.
+            scale = np.exp(rng.uniform(-20.0, 20.0, (B, C + d)))
+            hidden = rng.standard_normal((B, d)) * scale[:, C:]
+            hidden[0] = -0.0
+            rec = ForwardRecord(hidden, rng.random((B, C)), -scale[:, :C])
+            y = rng.integers(0, C - 1, B)  # class C-1 has no row
+            mask = np.arange(B) % 3 % 2
+            pseudo = rng.dirichlet(np.ones(C), B)
+            means = class_mean_features(hidden, y, C)
+            P, F = rng.standard_normal((2, C, d))
+            P[0] = F[1] = -0.0
+            had, has = np.arange(C) % 2 == 0, np.arange(C) % 3 != 0
+            blended = blend_with_global(CentroidSet(C, P, had), CentroidSet(C, F, has))
+            out += [means.vectors, means.presence, blended.vectors, blended.presence]
+            for centroids in (None, means):
+                for y_pseudo in (None, pseudo):
+                    for lam_cen in (0.0, 0.7):
+                        for lam_e in (0.0, 0.8):
+                            terms, d_logits, d_hidden = total_loss_and_grads(
+                                rec, y, y_pseudo, mask, centroids, lam_cen, lam_e
+                            )
+                            out += [np.array(astuple(terms)), d_logits, d_hidden]
+        # A sum of -0.0 alone: numpy adds it to +0.0.
+        zeros = np.full((3, 2), -0.0)
+        terms, d_logits, d_hidden = total_loss_and_grads(
+            ForwardRecord(zeros[:, :1].copy(), zeros, zeros), np.zeros(3, np.int64), None, None, None, 0.0, 0.0
+        )
+        out += [np.array(astuple(terms)), d_logits, d_hidden]
+        return b"".join(a.tobytes() for a in out)
     finally:
         _local = bound
-    return kernels if results[0] == results[1] else None
 
 
-_local = _checked(_native.load_local_kernels())
+def _loaded() -> LocalKernels | None:
+    """The functions of _local.c, or None where the library did not load."""
+    functions = [_native.load(name) for name in LocalKernels._fields]
+    return None if None in functions else LocalKernels(*functions)
+
+
+_local = _native.checked(_loaded(), _probe)

@@ -13,12 +13,12 @@ writes in place, and only into the parameters and the buffer it is given.
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _native
+from ._native import ref
 from .errors import ContractViolation, TrainingDiverged
 
 # Norms below this are treated as zero vectors by cosine_similarity.
@@ -26,7 +26,7 @@ ZERO_NORM_EPS = 1e-12
 
 # The C step of _sgd.c, built at import (before any process forks, so
 # workers inherit it), or None, where sgd_step runs its numpy body.
-_sgd_kernel = _native.load_sgd_kernel()
+_sgd_kernel = _native.load("sgd_step")
 
 
 def _blocks(vec: np.ndarray, d_in: int, d_h: int, n_classes: int) -> tuple[np.ndarray, ...]:
@@ -218,9 +218,8 @@ def sgd_step(
     if _sgd_kernel is not None:
         n1 = params.W1.size
         n2 = n1 + params.b1.size
-        start = ctypes.c_double.from_buffer  # the first element, passed by reference
         ends = (n1, n2, n2 + params.W2.size, theta.size)
-        if _sgd_kernel(start(theta), start(velocity), start(grads), *ends, lr, momentum, weight_decay):
+        if _sgd_kernel(ref(theta), ref(velocity), ref(grads), *ends, lr, momentum, weight_decay):
             raise TrainingDiverged("sgd_step: non-finite gradient entry")
         return
     if not np.isfinite(grads).all():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fednoise import datagen
+from fednoise import _native, datagen
 from fednoise.datagen import (
     CENTER_SEPARATION,
     Dataset,
@@ -323,20 +323,23 @@ def test_a_kernel_that_fails_its_probe_is_not_used(monkeypatch, fault):
     kernel = datagen._normal_kernel
 
     def faulty(state, out, rows, cols, spread, center):
-        kernel(state, out, rows, cols, spread, center)
+        # Each array comes as its first byte (_native.ref).
+        status = kernel(state, out, rows, cols, spread, center)
         if fault == "state":  # one word too few read, in the block's buffer
-            pos = ctypes.c_uint64.from_address(state + 10 * 8)
+            pos = ctypes.c_uint64.from_address(ctypes.addressof(state) + 10 * 8)
             pos.value -= pos.value > 1
-            return
+            return status
         # The last bit of every value from the tail (|z| > r) flipped.
-        x = np.ctypeslib.as_array((ctypes.c_double * (rows * cols)).from_address(out)).reshape(rows, cols)
-        c = np.ctypeslib.as_array((ctypes.c_double * cols).from_address(center))
+        x = (ctypes.c_double * (rows * cols)).from_address(ctypes.addressof(out))
+        x = np.ctypeslib.as_array(x).reshape(rows, cols)
+        c = np.ctypeslib.as_array((ctypes.c_double * cols).from_address(ctypes.addressof(center)))
         x.view(np.uint64)[np.abs((x - c) / spread) > 3.6541528853610087] ^= np.uint64(1)
+        return status
 
-    assert datagen._checked(kernel) is kernel
-    assert datagen._checked(faulty) is None
+    assert _native.checked(kernel, datagen._probe) is kernel
+    assert _native.checked(faulty, datagen._probe) is None
     # Where no kernel passes, make_blob_split runs numpy's lines.
-    monkeypatch.setattr(datagen, "_normal_kernel", datagen._checked(faulty))
+    monkeypatch.setattr(datagen, "_normal_kernel", _native.checked(faulty, datagen._probe))
     train, test = make_blob_split(3, 8, 2, 5, 0.7, 4)
     ref_train, ref_test = make_then_split(3, 8, 2, 5, 0.7, 4)
     assert np.array_equal(train.X, ref_train.X) and np.array_equal(test.X, ref_test.X)

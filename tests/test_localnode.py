@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fednoise import localnode
+from fednoise import _native, localnode
 from fednoise.bench import load_config, run_experiment
 from fednoise.datagen import Dataset, make_blob_split, partition_iid
 from fednoise.errors import ConfigError, ContractViolation, TrainingDiverged
@@ -1011,20 +1011,6 @@ def test_blend_kernel_bit_equals_numpy(C, d_h, seed):
 
 
 @needs_local
-@given(
-    st.integers(1, 60), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0, exclude_min=True),
-    st.sampled_from([0.5, 0.1, 0.0]),
-)
-def test_small_loss_kernel_bit_equals_numpy(B, seed, r_t, nan_share):
-    # Rounded losses tie; -0.0 ties with 0.0; NaN sorts last.
-    rng = np.random.default_rng(seed)
-    losses = _with_signed_zeros(rng, np.round(rng.exponential(size=B), 1))
-    losses[rng.random(B) < nan_share] = np.nan
-    kernel, reference = _on_both_paths("small_loss", lambda: small_loss_filter(losses, r_t))
-    _same_bits(kernel, reference)
-
-
-@needs_local
 @pytest.mark.parametrize(
     "term, spoil",
     [
@@ -1047,7 +1033,7 @@ def test_non_finite_term_raises_the_same_error_on_both_paths(rng, term, spoil):
 
 
 @needs_local
-@pytest.mark.parametrize("fault", ["loss", "class_means", "blend", "small_loss"])
+@pytest.mark.parametrize("fault", ["loss", "class_means", "blend"])
 def test_a_kernel_that_fails_its_probe_is_not_used(monkeypatch, fault):
     kernels = localnode._local
 
@@ -1058,8 +1044,8 @@ def test_a_kernel_that_fails_its_probe_is_not_used(monkeypatch, fault):
         ctypes.c_ubyte.from_address(ctypes.addressof(args[-1])).value ^= 1
         return status
 
-    assert localnode._checked(kernels) is kernels
-    assert localnode._checked(kernels._replace(**{fault: faulty})) is None
+    assert _native.checked(kernels, localnode._probe) is kernels
+    assert _native.checked(kernels._replace(**{fault: faulty}), localnode._probe) is None
     assert localnode._local is kernels  # the probe put the binding back
     # Where no kernel passes, the functions run numpy's lines: a local
     # update gives the bits it gives with the kernels.
@@ -1067,7 +1053,7 @@ def test_a_kernel_that_fails_its_probe_is_not_used(monkeypatch, fault):
     gp = init_params(5, 8, 3, make_rng(0, 4))
     hp = _hp(t_pl=1)
     runs = []
-    for bound in (kernels, localnode._checked(kernels._replace(**{fault: faulty}))):
+    for bound in (kernels, _native.checked(kernels._replace(**{fault: faulty}), localnode._probe)):
         monkeypatch.setattr(localnode, "_local", bound)
         res = local_update(ds, shard, gp, CentroidSet.empty(3, 8), 2, hp, make_rng(0, 6, 2, 0))
         runs.append((res.params.theta.tobytes(), res.centroids.vectors.tobytes(), res.mask.tobytes()))

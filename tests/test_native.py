@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from fednoise import datagen, localnode, numkit
+from fednoise import _native, datagen, localnode, numkit
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BLOBS_CFG = os.path.join(REPO_ROOT, "configs", "blobs.cfg")
@@ -98,8 +98,11 @@ def test_unwritable_cache_still_loads_the_kernel(tmp_path):
 
 def test_kernel_is_loaded_where_cc_exists():
     # A silent fallback to numpy would keep every result and lose the speed.
+    # Every function of _native.ARGTYPES is bound, and no other.
     if "CC" in os.environ:
         pytest.skip("CC names the compiler; this checks the default one")
-    assert CC is None or all(
-        kernel is not None for kernel in (numkit._sgd_kernel, datagen._normal_kernel, localnode._local)
-    )
+    if CC is None:
+        return
+    bound = (numkit._sgd_kernel, datagen._normal_kernel, *(localnode._local or [None]))
+    assert None not in bound
+    assert sorted(kernel.__name__ for kernel in bound) == sorted(f"fednoise_{name}" for name in _native.ARGTYPES)
