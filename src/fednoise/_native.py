@@ -32,7 +32,8 @@ SOURCES = tuple(os.path.join(HERE, name) for name in ("_sgd.c", "_normal.c", "_l
 # -ffp-contract=off keeps a*b + c two roundings, as in numpy. Never add
 # -ffast-math or -Ofast: they reassociate and may set flush-to-zero for
 # the whole process.
-FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
+# -pthread: the blob draw runs its parts on POSIX threads.
+FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-pthread", "-shared", "-fPIC")
 # After the sources, for linkers that drop a library no earlier input needs.
 LIBS = ("-lm",)
 COMPILE_TIMEOUT_S = 120
@@ -42,6 +43,14 @@ CPU_KEYS = (
     b"vendor_id", b"cpu family", b"model", b"model name", b"flags",
     b"CPU implementer", b"CPU architecture", b"CPU variant", b"CPU part", b"Features",
 )
+
+
+def usable_cpus() -> int:
+    """How many CPUs this process may run on: its affinity set, or 1 where
+    the platform cannot say."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 def _run(args: list[str]) -> bytes:
@@ -123,7 +132,7 @@ _ARRAY, _SIZE, _REAL = ctypes.POINTER(ctypes.c_ubyte), ctypes.c_size_t, ctypes.c
 # passed as ref(array).
 ARGTYPES = {
     "sgd_step": [_ARRAY] * 3 + [_SIZE] * 4 + [_REAL] * 3,
-    "normal_fill": [_ARRAY] * 2 + [_SIZE] * 2 + [_REAL, _ARRAY],
+    "normal_fill": [_ARRAY] * 2 + [_SIZE] * 2 + [_REAL, _ARRAY, _SIZE],
     "loss": [_ARRAY] * 7 + [_SIZE] * 4 + [_REAL] * 2 + [_ARRAY] * 3,
     "class_means": [_ARRAY] * 2 + [_SIZE] * 3 + [_ARRAY] * 2,
     "blend": [_ARRAY] * 5 + [_SIZE] * 2 + [_ARRAY] * 2,

@@ -1,6 +1,6 @@
 /* The blob draw of datagen.make_blob_split: rows of standard normals from
  * numpy's Philox4x64-10 stream, each scaled by spread and shifted by its
- * column's center, in one pass. It gives the bits of
+ * column's center. It gives the bits of
  *     rng.standard_normal(out=block); block *= spread; block += center
  * and leaves the generator in the state numpy would have left.
  *
@@ -14,14 +14,55 @@
  * reassociates: build with -ffp-contract=off and never with -ffast-math
  * or -Ofast. datagen checks the bits against numpy's before it uses this.
  *
+ * A block is drawn in 1 to MAX_PARTS parts, each but the first on its own
+ * thread, and the bits do not depend on how many:
+ *   - Philox is counter-based, so part p >= 1 starts at the Philox block
+ *     where its share of the normals should begin (its share times the
+ *     mean words a normal) by setting the counter.
+ *   - A normal's first word decides how many words it reads, so two
+ *     parses of one stream agree from the first word at which both start
+ *     a normal. Part p records where its first RECORD normals start; part
+ *     p - 1 draws until it starts a normal at one of those words, and
+ *     from that normal on part p's values are the true ones.
+ *   - Part 0 writes in place. Part p >= 1 cannot know its true place, so
+ *     it writes z*spread from a guessed index plus a margin, never past
+ *     where part p + 1 writes; after the joins one pass moves each part's
+ *     true values down into place, adding center.
+ *   - Whatever no part gave (the margin of the last part, or a part that
+ *     failed to meet the next) is drawn on from the stream of the part
+ *     before it, at its true place, in the same loop; the stream that
+ *     draws the last normal becomes the generator's state.
+ * Each part writes only its own range of out and every thread is joined
+ * before the call returns.
+ *
  * The state is 11 words: counter[4], key[2], buffer[4], buffer_pos, the
  * fields of numpy's Philox state of those names; it is read and written
- * back in place. It returns 0.
+ * back in place. It returns 0, or 1 having done nothing where parts is 0
+ * or above MAX_PARTS.
  */
 #include <math.h>
+#include <pthread.h>
+#include <sched.h>
+#include <stdatomic.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
+
+/* The most parts a block is drawn in; datagen.MAX_PARTS is the same. */
+#define MAX_PARTS 8
+/* How many of its first normals' word positions a part records. */
+#define RECORD 256
+/* numpy's ziggurat reads 1.0221 words a normal on average (measured over
+ * 2e7 normals of the key-5 stream), so the words of n normals are about
+ * n * WORDS_PER_10K / 10000, give or take 0.19 sqrt(n) (a variance of
+ * 0.036 a normal). A part's guessed index is the words before it over
+ * 1.0221, plus GUESS_SLACK and one in GUESS_SHARE: more than five of those
+ * deviations at every n, and more than eight from 2^17 normals up. A
+ * guess that falls short only costs time: the part is not met, and the
+ * part before draws on through it. */
+#define WORDS_PER_10K 10221
+#define GUESS_SLACK 64
+#define GUESS_SHARE 256
 
 /* Blocks made per refill: four independent counters interleaved hide the
  * latency of the 64x64->128-bit multiply. */
@@ -35,6 +76,7 @@
 #define MANTISSA 0x000FFFFFFFFFFFFFULL
 static const double ZIGGURAT_R = 3.6541528853610087963519472518;
 static const double ZIGGURAT_INV_R = 0.27366123732975827203338247596;
+static const double MINUS_ZERO = -0.0;
 
 /* numpy's ziggurat tables ki_double, wi_double and fi_double of
  * numpy/random/src/distributions/ziggurat_constants.h, as exact hex
@@ -342,6 +384,7 @@ typedef struct {
     uint64_t key[2];
     uint64_t buf[4 * LANES];  /* the words made; buf[pos..len) are unread */
     size_t pos, len;
+    uint64_t base;            /* the word position of buf[0] */
 } stream;
 
 static inline uint64_t mulhilo(uint64_t a, uint64_t b, uint64_t *hi)
@@ -357,6 +400,16 @@ static inline uint64_t mulhilo(uint64_t a, uint64_t b, uint64_t *hi)
     *hi = p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
     return a * b;
 #endif
+}
+
+/* ctr + by, carried across words; by = -1 steps back one. */
+static void add_counter(uint64_t ctr[4], uint64_t by, int negative)
+{
+    for (int i = 0; i < 4 && by; i++) {
+        uint64_t old = ctr[i];
+        ctr[i] = negative ? old - by : old + by;
+        by = negative ? old < by : ctr[i] < old;
+    }
 }
 
 /* The next LANES blocks into buf: counters ctr+1 .. ctr+LANES, each
@@ -386,6 +439,7 @@ static void refill(stream *s)
         }
     }
     memcpy(s->buf, x, sizeof x);
+    s->base += s->len;
     s->pos = 0;
     s->len = 4 * LANES;
 }
@@ -436,36 +490,223 @@ static inline double standard_normal(stream *s)
     }
 }
 
-int fednoise_normal_fill(uint64_t *restrict state, double *restrict out, size_t rows, size_t cols,
-                         double spread, const double *restrict center)
-{
+/* How a part's draw ended: it wrote all its room (FULL), it reached the
+ * first word of next's normal number met (MET), or it passed every word
+ * next recorded (PASSED). */
+enum { GO_ON, FULL, MET, PASSED };
+
+typedef struct part {
     stream s;
-    memcpy(s.ctr, state, sizeof s.ctr);
-    memcpy(s.key, state + 4, sizeof s.key);
-    memcpy(s.buf, state + 6, 4 * sizeof s.buf[0]);
-    s.pos = state[10];
-    s.len = 4;
-    for (size_t i = 0; i < rows; i++, out += cols) {
-        for (size_t j = 0; j < cols; j++) {
-            double t = standard_normal(&s) * spread;
-            out[j] = t + center[j];
-        }
+    uint64_t start;           /* the word position of its first normal */
+    double *out;              /* where its first value goes */
+    size_t room, made;        /* how many values it may write there, and wrote */
+    const double *center;     /* NULL where out is not the values' true place */
+    size_t col, cols;         /* the column of out[0], and the block's */
+    double spread;
+    struct part *next;        /* the part it stops at, or NULL */
+    int status;
+    size_t met;
+    uint64_t rec[RECORD];     /* the word positions of its first normals */
+    atomic_size_t recorded;   /* how many of rec are written */
+    atomic_int done;          /* its draw has ended */
+} part;
+
+/* Whether the normal that starts at word at is next's normal number
+ * *cursor (MET), starts past every word next records (PASSED), or
+ * neither (GO_ON); it waits while next has yet to record that far. */
+static int meet(part *next, uint64_t at, size_t *cursor)
+{
+    for (;;) {
+        int done = atomic_load_explicit(&next->done, memory_order_acquire);
+        size_t recorded = atomic_load_explicit(&next->recorded, memory_order_acquire);
+        while (*cursor < recorded && next->rec[*cursor] < at)
+            ++*cursor;
+        if (*cursor < recorded)
+            return next->rec[*cursor] == at ? MET : GO_ON;
+        if (done || recorded == RECORD)
+            return PASSED;
+        sched_yield();
     }
-    if (s.len == 4) {  /* no block made: only the position moved */
-        state[10] = s.pos;
+}
+
+/* Draw part arg's normals until it is FULL, MET or PASSED (its status),
+ * then mark it done. Each is z*spread + center[j]; a part whose values
+ * are not in their true place adds -0.0, which changes no value, with j
+ * held at 0. */
+static void *draw(void *arg)
+{
+    part *p = arg;
+    stream s = p->s;
+    double *out = p->out, spread = p->spread;
+    const double *center = p->center ? p->center : &MINUS_ZERO;
+    size_t made = 0, room = p->room, cols = p->center ? p->cols : 1, j = p->col, cursor = 0;
+    uint64_t from = p->next ? p->next->start : UINT64_MAX;
+    int status;
+    for (;;) {
+        uint64_t at = s.base + s.pos;
+        if (at >= from && (status = meet(p->next, at, &cursor)) != GO_ON)
+            break;
+        if (made == room) {
+            status = FULL;
+            break;
+        }
+        if (made < RECORD) {
+            p->rec[made] = at;
+            atomic_store_explicit(&p->recorded, made + 1, memory_order_release);
+        }
+        double t = standard_normal(&s) * spread;
+        out[made++] = t + center[j];
+        j = j + 1 == cols ? 0 : j + 1;
+    }
+    p->s = s;
+    p->made = made;
+    p->status = status;
+    p->met = cursor;
+    atomic_store_explicit(&p->done, 1, memory_order_release);
+    return NULL;
+}
+
+/* to[i] = from[i] + center[(col + i) % cols] for i < n, a row's run at a
+ * time; to <= from. */
+static void place(double *to, const double *from, size_t n, const double *center, size_t col, size_t cols)
+{
+    while (n) {
+        size_t run = cols - col < n ? cols - col : n;
+        for (size_t i = 0; i < run; i++)
+            to[i] = from[i] + center[col + i];
+        to += run;
+        from += run;
+        n -= run;
+        col = 0;
+    }
+}
+
+static void init_part(part *p, const stream *s, uint64_t start, double *out, size_t room,
+                      const double *center, size_t col, size_t cols, double spread, part *next)
+{
+    p->s = *s;
+    p->start = start;
+    p->out = out;
+    p->room = room;
+    p->made = 0;
+    p->center = center;
+    p->col = col;
+    p->cols = cols;
+    p->spread = spread;
+    p->next = next;
+    p->status = GO_ON;
+    p->met = 0;
+    atomic_init(&p->recorded, 0);
+    atomic_init(&p->done, 0);
+}
+
+/* Set up parts of n values at out, the first from the stream first. Part
+ * p starts at the first word of Philox block ctr + 1 + skip (word
+ * 4 - buffer_pos + 4 skip) near its share of the words, and writes from
+ * the index that word's normal should have, plus a margin, up to where
+ * part p + 1 writes. */
+static void plan(part *all, size_t parts, const stream *first, double *out, size_t n, size_t cols,
+                 double spread, const double *center)
+{
+    size_t guess[MAX_PARTS + 1];
+    guess[0] = 0;
+    guess[parts] = n;
+    init_part(&all[0], first, 0, out, 0, center, 0, cols, spread, NULL);
+    for (size_t p = 1; p < parts; p++) {
+        uint64_t word = (uint64_t)(n / parts * p) * WORDS_PER_10K / 10000;
+        uint64_t skip = word > 4 - first->pos ? (word - (4 - first->pos) + 3) / 4 : 0;
+        stream s = *first;
+        add_counter(s.ctr, skip, 0);
+        s.pos = s.len = 0;
+        s.base = 4 - first->pos + 4 * skip;
+        uint64_t index = s.base * 10000 / WORDS_PER_10K;
+        uint64_t at = index + GUESS_SLACK + index / GUESS_SHARE;
+        guess[p] = at < n ? at : n;
+        if (guess[p] < guess[p - 1])
+            guess[p] = guess[p - 1];
+        init_part(&all[p], &s, s.base, out + guess[p], 0, NULL, 0, cols, spread, NULL);
+    }
+    for (size_t p = 0; p < parts; p++) {
+        all[p].room = guess[p + 1] - guess[p];
+        all[p].next = p + 1 < parts ? &all[p + 1] : NULL;
+    }
+}
+
+/* Run every part, each but the first on a thread, started last to first
+ * so the part a part waits for has started; one whose thread cannot
+ * start runs here. All are joined on return. */
+static void run(part *all, size_t parts)
+{
+    pthread_t thread[MAX_PARTS];
+    int started[MAX_PARTS] = {0};
+    for (size_t p = parts - 1; p > 0; p--) {
+        started[p] = pthread_create(&thread[p], NULL, draw, &all[p]) == 0;
+        if (!started[p])
+            draw(&all[p]);
+    }
+    draw(&all[0]);
+    for (size_t p = 1; p < parts; p++)
+        if (started[p])
+            pthread_join(thread[p], NULL);
+}
+
+/* After run: in order, move each part that was met into place from the
+ * normal it was met at; where a part was not met (or its values were
+ * written over), draw on from the last stream at the true place, in
+ * tail. The stream that drew the last of the n values. */
+static stream *assemble(part *all, size_t parts, part *tail, double *out, size_t n)
+{
+    size_t cols = all[0].cols, x = all[0].made;  /* the values in place */
+    const double *center = all[0].center;
+    part *last = &all[0];
+    for (size_t q = 1; x < n;) {
+        if (last->status == MET) {
+            part *p = &all[q++];
+            size_t from = (size_t)(p->out - out) + last->met;
+            if (x <= from) {
+                place(out + x, p->out + last->met, p->made - last->met, center, x % cols, cols);
+                x += p->made - last->met;
+                last = p;
+                continue;
+            }
+        } else if (last->status == PASSED) {
+            q++;
+        }
+        stream s = last->s;
+        init_part(tail, &s, 0, out + x, n - x, center, x % cols, cols, all[0].spread, q < parts ? &all[q] : NULL);
+        draw(tail);
+        x += tail->made;
+        last = tail;
+    }
+    return &last->s;
+}
+
+int fednoise_normal_fill(uint64_t *restrict state, double *restrict out, size_t rows, size_t cols,
+                         double spread, const double *restrict center, size_t parts)
+{
+    if (parts == 0 || parts > MAX_PARTS)
+        return 1;
+    stream first;
+    memcpy(first.ctr, state, sizeof first.ctr);
+    memcpy(first.key, state + 4, sizeof first.key);
+    memcpy(first.buf, state + 6, 4 * sizeof first.buf[0]);
+    first.pos = state[10];
+    first.len = 4;
+    first.base = -(uint64_t)first.pos;  /* the next word is word 0 */
+    part all[MAX_PARTS], tail;
+    plan(all, parts, &first, out, rows * cols, cols, spread, center);
+    run(all, parts);
+    stream *s = assemble(all, parts, &tail, out, rows * cols);
+    if (s->len == 4) {  /* no block made: only the position moved */
+        state[10] = s->pos;
         return 0;
     }
     /* The block of the last word read becomes numpy's buffer; the blocks
      * made after it were never read, so the counter steps back over them. */
-    size_t block = (s.pos - 1) / 4;
-    uint64_t back = LANES - 1 - block;
-    for (int i = 0; i < 4 && back; i++) {
-        uint64_t old = s.ctr[i];
-        s.ctr[i] = old - back;
-        back = old < back;
-    }
-    memcpy(state, s.ctr, sizeof s.ctr);
-    memcpy(state + 6, s.buf + 4 * block, 4 * sizeof s.buf[0]);
-    state[10] = s.pos - 4 * block;
+    size_t block = (s->pos - 1) / 4;
+    add_counter(s->ctr, LANES - 1 - block, 1);
+    memcpy(state, s->ctr, sizeof s->ctr);
+    memcpy(state + 6, s->buf + 4 * block, 4 * sizeof s->buf[0]);
+    state[10] = s->pos - 4 * block;
     return 0;
 }

@@ -23,7 +23,6 @@ import contextlib
 import math
 import mmap
 import multiprocessing
-import os
 import pickle
 import threading
 import traceback
@@ -31,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .datagen import Dataset
 from .errors import ConfigError, ContractViolation, TrainingDiverged, WorkerExited
 from .localnode import (
@@ -226,18 +226,18 @@ def _run_round(
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on, or 1 where _ClientProcesses does not
-    fork workers: no CPU affinity to read, no fork start method, a daemonic
-    process (which may not have children), or other threads running (a
-    lock one of them holds at the fork would stay held in the worker)."""
+    """CPUs this process may run on (_native.usable_cpus), or 1 where
+    _ClientProcesses does not fork workers: no fork start method, a
+    daemonic process (which may not have children), or other threads
+    running (a lock one of them holds at the fork would stay held in the
+    worker). The blob draw's threads end before make_blob_split returns."""
     if (
-        not hasattr(os, "sched_getaffinity")
-        or "fork" not in multiprocessing.get_all_start_methods()
+        "fork" not in multiprocessing.get_all_start_methods()
         or multiprocessing.current_process().daemon
         or threading.active_count() > 1
     ):
         return 1
-    return len(os.sched_getaffinity(0))
+    return _native.usable_cpus()
 
 
 def _process_count(clients: int) -> int:

@@ -6,7 +6,8 @@ reads and converts only the rows a run keeps.
 
 The blob draw runs the C kernel of _normal.c where it loads and passes
 its probe (_probe); otherwise numpy's lines, which it reproduces bit
-for bit, run instead.
+for bit, run instead. The kernel draws a large block in parts, one
+thread each, with the same bits for any number of parts.
 """
 
 from __future__ import annotations
@@ -38,6 +39,18 @@ PROBE_SKIP = 3
 PROBE_ROWS = (30, 3)
 PROBE_COLS = 67
 PROBE_SPREAD = 0.7
+# The probe draws its blocks whole and in this many parts, so a kernel
+# whose split drifts is never used.
+PROBE_PARTS = (1, 3)
+
+# A block is drawn in one part per MIN_PART normals, up to the CPUs this
+# process may use and MAX_PARTS (the cap of _normal.c). On 2 CPUs two
+# parts beat one from about 2^15 normals a block (2^17: 0.72 ms against
+# 1.02 ms; 2^14 lost in one of two sets), so each part gets at least
+# 2^16: the 10-d desk blocks (5,000 normals) stay whole and the 784-d
+# ones (156,800 and 784,000) split.
+MIN_PART = 1 << 16
+MAX_PARTS = 8
 
 
 @dataclass
@@ -68,12 +81,20 @@ def _philox_words(rng: np.random.Generator) -> np.ndarray:
 
 
 def _draw_blocks(
-    kernel, rng: np.random.Generator, blocks: list[np.ndarray], spread: float, centers: np.ndarray
+    kernel,
+    rng: np.random.Generator,
+    blocks: list[np.ndarray],
+    spread: float,
+    centers: np.ndarray,
+    parts: int | None = None,
 ) -> None:
     """Fill class c's rows of each block in turn, class by class, with
     standard normals times spread plus centers[c]. The kernel, where it
     is not None, gives the bits of numpy's lines and leaves rng in the
-    state they leave; blocks and centers are C-contiguous float64."""
+    state they leave; blocks and centers are C-contiguous float64. It
+    draws each block in the given number of parts, else in one per
+    MIN_PART normals up to the usable CPUs and MAX_PARTS; it raises
+    ValueError, having drawn nothing, for a number outside 1..MAX_PARTS."""
     if kernel is None:
         for c in range(len(centers)):
             for block in blocks:
@@ -82,10 +103,14 @@ def _draw_blocks(
                 block[c] += centers[c]
         return
     words = _philox_words(rng)
+    cpus = _native.usable_cpus()
     for c in range(len(centers)):
         for block in blocks:
-            if block[c].size:  # ref takes no empty array; the kernel would draw nothing
-                kernel(ref(words), ref(block[c]), *block[c].shape, spread, ref(centers[c]))
+            n = block[c].size
+            if n:  # ref takes no empty array; the kernel would draw nothing
+                count = parts if parts is not None else max(1, min(cpus, n // MIN_PART, MAX_PARTS))
+                if kernel(ref(words), ref(block[c]), *block[c].shape, spread, ref(centers[c]), count):
+                    raise ValueError(f"the blob draw takes 1 to {MAX_PARTS} parts, not {count}")
     state = rng.bit_generator.state
     state["state"]["counter"] = words[:4]
     state["buffer"] = words[6:10]
@@ -95,14 +120,17 @@ def _draw_blocks(
 
 def _probe(kernel) -> bytes:
     """The probe's blocks and the generator's state after it, drawn with
-    kernel (or numpy's lines where None), as bytes."""
+    kernel (or numpy's lines where None) in each of PROBE_PARTS, as bytes."""
     centers = (np.arange(PROBE_COLS) * 0.37 - 9.0)[None]
     centers[0, :3] = (-0.0, 0.0, 1e300)
-    rng = np.random.Generator(np.random.Philox(key=PROBE_KEY))
-    rng.standard_normal(PROBE_SKIP)
-    blocks = [np.empty((1, rows, PROBE_COLS)) for rows in PROBE_ROWS]
-    _draw_blocks(kernel, rng, blocks, PROBE_SPREAD, centers)
-    return b"".join(a.tobytes() for a in blocks + [_philox_words(rng)])
+    drawn = []
+    for parts in PROBE_PARTS:
+        rng = np.random.Generator(np.random.Philox(key=PROBE_KEY))
+        rng.standard_normal(PROBE_SKIP)
+        blocks = [np.empty((1, rows, PROBE_COLS)) for rows in PROBE_ROWS]
+        _draw_blocks(kernel, rng, blocks, PROBE_SPREAD, centers, parts)
+        drawn += [a.tobytes() for a in blocks + [_philox_words(rng)]]
+    return b"".join(drawn)
 
 
 # The blob draw of _normal.c, or None, where make_blob_split runs numpy's lines.

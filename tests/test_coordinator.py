@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fednoise import coordinator, localnode
+from fednoise import _native, coordinator, localnode
 from fednoise.bench import build_datasets, load_config, resolve_config
 from fednoise.coordinator import (
     FederationConfig,
@@ -907,6 +907,17 @@ def test_usable_cpus_is_one_while_other_threads_run():
         other.join(10)
     assert not other.is_alive()
     assert coordinator._usable_cpus() == len(os.sched_getaffinity(0))
+
+
+def test_usable_cpus_reads_the_one_cpu_count(monkeypatch):
+    # The process count and the blob draw's part count read the same
+    # helper: the affinity set, or 1 where the platform has none.
+    assert _native.usable_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.setattr(_native, "usable_cpus", lambda: 5)
+    assert coordinator._usable_cpus() == 5
+    monkeypatch.undo()
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _native.usable_cpus() == coordinator._usable_cpus() == 1
 
 
 def _dies_in_worker_in_round_2(monkeypatch):

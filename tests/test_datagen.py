@@ -6,6 +6,8 @@ import math
 import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -62,13 +64,15 @@ def make_then_split(C, train_per_class, test_per_class, d_in, spread, seed):
     return take(train_idx), take(test_idx)
 
 
+with open(os.path.join(os.path.dirname(datagen.__file__), "_normal.c")) as f:
+    NORMAL_C = f.read()
+
+
 def _ziggurat_tables():
     """ki, wi and fi as _normal.c commits them, parsed from its source."""
-    with open(os.path.join(os.path.dirname(datagen.__file__), "_normal.c")) as f:
-        source = f.read()
 
     def table(name):
-        body = re.search(rf"{name}\[256\] = \{{(.*?)\}};", source, re.S).group(1)
+        body = re.search(rf"{name}\[256\] = \{{(.*?)\}};", NORMAL_C, re.S).group(1)
         return [v.strip() for v in body.split(",") if v.strip()]
 
     ki = np.array([int(v.removesuffix("ULL"), 16) for v in table("ki_double")], dtype=np.uint64)
@@ -77,14 +81,29 @@ def _ziggurat_tables():
 
 KI, WI, FI = _ziggurat_tables()
 ZIGGURAT_INV_R = 0.27366123732975827203338247596
+WORDS_PER_10K = int(re.search(r"#define WORDS_PER_10K (\d+)", NORMAL_C).group(1))
 
 
-def ziggurat_paths(words, n):
+def part_starts(n, parts, buffer_pos):
+    """The word positions (0 = the generator's next word) at which
+    _normal.c starts parts 1.. of an n-normal block: the first word of
+    the Philox block at or after its share of the words."""
+    first = 4 - buffer_pos
+    starts = []
+    for p in range(1, parts):
+        word = n // parts * p * WORDS_PER_10K // 10000
+        starts.append(first + 4 * (-(-(word - first) // 4) if word > first else 0))
+    return starts
+
+
+def ziggurat_paths(words, n, slow_spans=None):
     """Reference: replay numpy's acceptance test for n standard normals on
     the raw Philox words that feed them; (tail, wedge, used): the draws
     that reached the tail and the wedge (accepted or not), and the words
     read. Every word passes the fast test or is found by a bisection over
-    those that fail it, so only the slow draws run in Python."""
+    those that fail it, so only the slow draws run in Python. Each such
+    draw's (first word, word after its last, "tail" or "wedge") is
+    appended to slow_spans where given."""
     idx = (words & np.uint64(0xFF)).astype(np.intp)
     rabs = (words >> np.uint64(9)) & np.uint64(0x000FFFFFFFFFFFFF)
     slow = np.flatnonzero(rabs >= KI[idx]).tolist()
@@ -113,14 +132,16 @@ def ziggurat_paths(words, n):
             x = int(rabs[j]) * WI[i]
             made += (FI[i - 1] - FI[i]) * uniform(pos) + FI[i] < math.exp(-0.5 * x * x)
             pos += 1
+        if slow_spans is not None:
+            slow_spans.append((j, pos, "wedge" if i else "tail"))
 
 
-def _paths_of_next(rng, n):
+def _paths_of_next(rng, n, slow_spans=None):
     """ziggurat_paths of rng's next n standard normals, on a clone's raw
     words; rng itself draws nothing."""
     clone = np.random.Philox()
     clone.state = rng.bit_generator.state
-    return ziggurat_paths(clone.random_raw(n + n // 20 + 1000), n)
+    return ziggurat_paths(clone.random_raw(n + n // 20 + 1000), n, slow_spans)
 
 
 def decode_whole_file(images_path, labels_path):
@@ -242,6 +263,30 @@ def test_build_datasets_bytes_are_pinned(spec, digest):
     assert h.hexdigest() == digest
 
 
+# Prints the SHA-256 of the 784-d stand-in's X arrays at seed 5.
+DIGEST_784 = (
+    "import hashlib\n"
+    "from fednoise.bench import DatasetSpec, build_datasets\n"
+    "spec = DatasetSpec(classes=10, dim=784, train_per_class=1000, test_per_class=200, seed=5)\n"
+    "print(hashlib.sha256(b''.join(ds.X.tobytes() for ds in build_datasets(spec))).hexdigest())\n"
+)
+
+
+def test_blob_bytes_do_not_depend_on_cpus():
+    # One CPU draws every block whole; every CPU splits the 784-d blocks.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(datagen.__file__)))
+    cpu = min(os.sched_getaffinity(0))
+
+    def digest(**pin):
+        proc = subprocess.run(
+            [sys.executable, "-c", DIGEST_784], env=env, capture_output=True, text=True, timeout=300, **pin
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    assert digest(preexec_fn=lambda: os.sched_setaffinity(0, {cpu})) == digest()
+
+
 # ------------------------------------------------------ the blob draw kernel
 
 needs_kernel = pytest.mark.skipif(datagen._normal_kernel is None, reason="the draw kernel did not load")
@@ -277,9 +322,12 @@ shifts = st.one_of(st.sampled_from([-0.0, 0.0, 1e300, -1e300, 1e16]), st.floats(
     cols=st.integers(1, 17),
     spread=st.floats(1e-3, 1e3),
     shift=st.lists(shifts, min_size=17, max_size=17),
+    parts=st.integers(1, 4),
 )
-def test_normal_kernel_bit_equals_numpy(key, prior, half_word, rows, cols, spread, shift):
-    # Every buffer position, with and without a kept 32-bit half word.
+def test_normal_kernel_bit_equals_numpy(key, prior, half_word, rows, cols, spread, shift, parts):
+    # Every buffer position, with and without a kept 32-bit half word. On
+    # blocks this small the parts start a few words apart, so they meet
+    # anywhere, or start inside one another's normals, or get no room.
     a, b = (np.random.Generator(np.random.Philox(key=key)) for _ in range(2))
     for g in (a, b):
         g.standard_normal(prior)
@@ -287,27 +335,107 @@ def test_normal_kernel_bit_equals_numpy(key, prior, half_word, rows, cols, sprea
             g.integers(0, 7, dtype=np.int32)
     center = np.array(shift[:cols])
     got, ref = np.empty((rows, cols)), np.empty((rows, cols))
-    datagen._draw_blocks(datagen._normal_kernel, a, [got[None]], spread, center[None])
+    datagen._draw_blocks(datagen._normal_kernel, a, [got[None]], spread, center[None], parts)
     numpy_draw(b, ref, spread, center)
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
     _assert_same_generators(a, b)
 
 
-@needs_kernel
-def test_normal_kernel_two_million_draws_take_the_tail_and_the_wedge():
-    a, b = (np.random.Generator(np.random.Philox(key=2**100 + 7)) for _ in range(2))
-    tail, wedge, used = _paths_of_next(b, 2_000_000)
+def _draw_two_million(key, parts=None, slow=None):
+    """Draw 2000x1000 normals of the key's stream with the kernel (in the
+    given parts) and with numpy's lines, check they are the same bits and
+    leave the same generators, and return the kernel's generator."""
+    a, b = (np.random.Generator(np.random.Philox(key=key)) for _ in range(2))
+    tail, wedge, used = _paths_of_next(b, 2_000_000, slow)
     assert tail > 0 and wedge > 0
     got, ref = np.empty((2000, 1000)), np.empty((2000, 1000))
     center = np.linspace(-50.0, 50.0, 1000)
-    datagen._draw_blocks(datagen._normal_kernel, a, [got[None]], 1.3, center[None])
+    datagen._draw_blocks(datagen._normal_kernel, a, [got[None]], 1.3, center[None], parts)
     numpy_draw(b, ref, 1.3, center)
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
     # The replay read as many words as numpy did.
-    replayed = np.random.Generator(np.random.Philox(key=2**100 + 7))
+    replayed = np.random.Generator(np.random.Philox(key=key))
     replayed.bit_generator.random_raw(used)
     assert np.array_equal(datagen._philox_words(b), datagen._philox_words(replayed))
     _assert_same_generators(a, b)
+
+
+@needs_kernel
+def test_normal_kernel_two_million_draws_take_the_tail_and_the_wedge():
+    _draw_two_million(2**100 + 7)
+
+
+@needs_kernel
+@pytest.mark.parametrize(
+    "parts, key, inside",
+    [
+        (2, 2**100 + 2485, "wedge"),
+        (2, 2**100 + 1425, "tail"),
+        (3, 2**100 + 1861, "wedge"),
+        (3, 2**100 + 6733, "tail"),
+    ],
+    ids=["2-wedge", "2-tail", "3-wedge", "3-tail"],
+)
+def test_normal_kernel_parts_that_start_inside_a_slow_normal(parts, key, inside):
+    # Each key's stream has a slow normal (at its wedge test's uniform, or
+    # among its tail draws) across the first word of one of the parts, so
+    # that part's first normals are not the stream's and it is met later.
+    # In the wedge cases that uniform word, read as a first word, is slow
+    # too, so the part's parse also skips the word where the stream's next
+    # normal starts, and the part before must pass over a recorded word.
+    slow = []
+    _draw_two_million(key, parts, slow)
+    starts = part_starts(2_000_000, parts, 4)  # a fresh generator's buffer is used up
+    assert {kind for first, end, kind in slow for start in starts if first < start < end} == {inside}
+
+
+@needs_kernel
+@pytest.mark.parametrize("parts", [0, datagen.MAX_PARTS + 1])
+def test_normal_kernel_rejects_a_part_count_outside_its_cap(parts):
+    # Checked before any thread starts: nothing is drawn or written.
+    rng = np.random.Generator(np.random.Philox(key=3))
+    words = datagen._philox_words(rng)
+    out = np.full((1, 400, 1000), np.nan)
+    with pytest.raises(ValueError, match=f"1 to {datagen.MAX_PARTS} parts, not {parts}"):
+        datagen._draw_blocks(datagen._normal_kernel, rng, [out], 1.0, np.zeros((1, 1000)), parts)
+    assert np.isnan(out).all()
+    assert np.array_equal(datagen._philox_words(rng), words)
+    assert datagen._normal_kernel(_native.ref(words), _native.ref(out), 400, 1000, 1.0, _native.ref(out), parts) == 1
+    assert np.isnan(out).all() and np.array_equal(datagen._philox_words(rng), words)
+
+
+@needs_kernel
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no per-thread directory to count")
+def test_normal_kernel_joins_its_threads_before_it_returns():
+    # No thread of the draw is alive after it, so a fork after set-up
+    # copies no half-finished draw.
+    threads = len(os.listdir("/proc/self/task"))
+    rng = np.random.Generator(np.random.Philox(key=5))
+    out = np.empty((1, 300, 784))
+    datagen._draw_blocks(datagen._normal_kernel, rng, [out], 0.7, np.zeros((1, 784)), 3)
+    assert len(os.listdir("/proc/self/task")) == threads
+
+
+def test_draw_part_count_follows_block_size_and_cpus(monkeypatch):
+    # A part per MIN_PART normals, up to the usable CPUs and MAX_PARTS;
+    # the 10-d desk blocks stay whole and the 784-d ones split.
+    counts = []
+
+    def kernel(state, out, rows, cols, spread, center, parts):
+        counts.append((rows * cols, parts))
+        return 0
+
+    rng = np.random.Generator(np.random.Philox(key=1))
+    blocks = [np.zeros((1, rows, cols)) for rows, cols in ((500, 10), (200, 784), (1000, 784), (64, 1024))]
+    for cpus in (1, 2, 16):
+        monkeypatch.setattr(_native, "usable_cpus", lambda cpus=cpus: cpus)
+        counts.clear()
+        datagen._draw_blocks(kernel, rng, blocks, 1.0, np.zeros((1, 1)))
+        assert counts == [
+            (n, max(1, min(cpus, n // datagen.MIN_PART, datagen.MAX_PARTS)))
+            for n in (5000, 156_800, 784_000, 65_536)
+        ]
+    assert [parts for _, parts in counts] == [1, 2, 8, 1]
 
 
 def test_probe_takes_the_tail_and_the_wedge():
@@ -318,16 +446,21 @@ def test_probe_takes_the_tail_and_the_wedge():
 
 
 @needs_kernel
-@pytest.mark.parametrize("fault", ["tail", "state"])
+@pytest.mark.parametrize("fault", ["tail", "state", "split"])
 def test_a_kernel_that_fails_its_probe_is_not_used(monkeypatch, fault):
     kernel = datagen._normal_kernel
 
-    def faulty(state, out, rows, cols, spread, center):
+    def faulty(state, out, rows, cols, spread, center, parts):
         # Each array comes as its first byte (_native.ref).
-        status = kernel(state, out, rows, cols, spread, center)
+        status = kernel(state, out, rows, cols, spread, center, parts)
         if fault == "state":  # one word too few read, in the block's buffer
             pos = ctypes.c_uint64.from_address(ctypes.addressof(state) + 10 * 8)
             pos.value -= pos.value > 1
+            return status
+        if fault == "split":  # the last bit of the last value, where drawn in parts
+            if parts > 1:
+                last = ctypes.c_uint64.from_address(ctypes.addressof(out) + (rows * cols - 1) * 8)
+                last.value ^= 1
             return status
         # The last bit of every value from the tail (|z| > r) flipped.
         x = (ctypes.c_double * (rows * cols)).from_address(ctypes.addressof(out))
