@@ -17,10 +17,12 @@ depend on the order clients run in.
 A client uploads its weights, centroids, mean loss and confident mask.
 It reads no true label: the server alone measures detection.
 
-The loss and its partials, the class means and the blend after its
-cosine run the C functions of _local.c where they load and pass their
-probe (_probe); otherwise, or for arrays those cannot take, their numpy
-lines, which give the same bits.
+The loss and its partials, the class means, the similarity labels and
+the blend run the C functions of _local.c where they load and pass
+their probe (_probe); otherwise, or for arrays those cannot take, their
+numpy lines, which give the same bits. The similarity labels and the
+blend's cosines also need numpy's own BLAS calls (_calls); without them
+the labels come from numpy's lines and the blend's cosines from numpy.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from ._native import ref
 from .datagen import Dataset
 from .errors import ConfigError, ContractViolation, TrainingDiverged
 from .numkit import (
+    ZERO_NORM_EPS,
     ForwardRecord,
     ModelParams,
     cosine_similarity,
@@ -51,9 +54,12 @@ class LocalKernels(NamedTuple):
 
     loss: Callable
     class_means: Callable
+    similarity: Callable
     blend: Callable
 
 
+# numpy's own calls, which similarity and blend take, or None.
+_calls = _native.numpy_calls()
 # The functions of _local.c, bound at the end of this module once they
 # pass their probe, or None, where every function runs its numpy lines.
 _local = None
@@ -226,7 +232,6 @@ def blend_with_global(prev: CentroidSet, fresh: CentroidSet) -> CentroidSet:
     if prev.C != fresh.C or prev.d_h != fresh.d_h:
         raise ContractViolation("blend_with_global: centroid sets have mismatched dims")
     P, F = prev.vectors, fresh.vectors
-    s = cosine_similarity(P[:, None, :], F[:, None, :])[:, :, 0]
     if _local is not None:
         try:
             C, d = P.shape
@@ -237,12 +242,14 @@ def blend_with_global(prev: CentroidSet, fresh: CentroidSet) -> CentroidSet:
                 and had.dtype == has.dtype == bool
                 and had.shape == has.shape == (C,)
             ):
+                s = np.empty(C) if _calls is not None else _cosines(P, F)
                 vectors, presence = np.empty((C, d)), np.empty(C, dtype=bool)
-                args = ref(P), ref(F), ref(s), ref(had), ref(has)
-                if not _local.blend(*args, C, d, ref(vectors), ref(presence)):
+                args = ref(P), ref(F), ref(had), ref(has), C, d, ZERO_NORM_EPS, ref(s)
+                if not _local.blend(_calls, *args, ref(vectors), ref(presence)):
                     return CentroidSet(prev.C, vectors, presence)
         except _UNFIT:
             pass
+    s = _cosines(P, F)
     w = s * s
     blended = (1.0 - w) * P + w * F
     vectors = np.where(
@@ -253,10 +260,31 @@ def blend_with_global(prev: CentroidSet, fresh: CentroidSet) -> CentroidSet:
     return CentroidSet(prev.C, vectors, prev.presence | fresh.presence)
 
 
+def _cosines(P: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """The cosine of each row of P with the same row of F."""
+    return cosine_similarity(P[:, None, :], F[:, None, :])[:, :, 0]
+
+
 def similarity_labels(features: np.ndarray, centroids: CentroidSet) -> np.ndarray:
     """Nearest present centroid by cosine similarity; ties to the lowest class."""
     if not centroids.presence.any():
         raise ContractViolation("similarity_labels: no class has a centroid yet")
+    if _local is not None:
+        try:
+            (B, d), V, present = features.shape, centroids.vectors, centroids.presence
+            C = len(V)
+            if (
+                features.dtype == V.dtype == np.float64
+                and V.shape == (C, d)
+                and present.dtype == bool
+                and present.shape == (C,)
+            ):
+                labels = np.empty(B, dtype=np.int64)
+                args = ref(features), ref(V), ref(present), B, C, d, ZERO_NORM_EPS, ref(labels)
+                if not _local.similarity(_calls, *args):
+                    return labels
+        except _UNFIT:
+            pass
     sims = cosine_similarity(features, centroids.vectors)
     sims[:, ~centroids.presence] = -np.inf
     return sims.argmax(axis=1).astype(np.int64)
@@ -509,8 +537,8 @@ def local_update(
 def _probe(kernels: LocalKernels | None) -> bytes:
     """Every result of the functions that _local.c backs, with _local bound
     to kernels, on fixed inputs, as bytes: each of PROBE_SHAPES, -0.0
-    entries, an absent class, each pair of presences and every switch of
-    total_loss_and_grads."""
+    entries, zero and NaN rows, an absent class, a tie, each pair of
+    presences and every switch of total_loss_and_grads."""
     global _local
     bound, _local = _local, kernels
     try:
@@ -532,6 +560,11 @@ def _probe(kernels: LocalKernels | None) -> bytes:
             had, has = np.arange(C) % 2 == 0, np.arange(C) % 3 != 0
             blended = blend_with_global(CentroidSet(C, P, had), CentroidSet(C, F, has))
             out += [means.vectors, means.presence, blended.vectors, blended.presence]
+            # Similarity labels with a zero row and a NaN row of features,
+            # a tie between two classes and class C-1 absent.
+            features, vectors = hidden.copy(), hidden[:C].copy()
+            features[1], features[2, 0], vectors[1] = 0.0, np.nan, vectors[0]
+            out.append(similarity_labels(features, CentroidSet(C, vectors, np.arange(C) < C - 1)))
             for centroids in (None, means):
                 for y_pseudo in (None, pseudo):
                     for lam_cen in (0.0, 0.7):

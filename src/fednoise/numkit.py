@@ -9,11 +9,17 @@ checks stay clean.
 Parameters, gradients and the momentum buffer are flat float64 vectors
 in one layout: W1, b1, W2, b2, each block row-major. Only sgd_step
 writes in place, and only into the parameters and the buffer it is given.
+
+The forward and backward passes run the C functions of _local.c where
+they load and pass their probe (_probe), and the SGD step that of
+_sgd.c; otherwise, or for arrays those cannot take, their numpy lines,
+which give the same bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,6 +33,32 @@ ZERO_NORM_EPS = 1e-12
 # The C step of _sgd.c, built at import (before any process forks, so
 # workers inherit it), or None, where sgd_step runs its numpy body.
 _sgd_kernel = _native.load("sgd_step")
+
+
+class MlpKernels(NamedTuple):
+    """The forward and backward passes of _local.c (their argument types
+    in _native.ARGTYPES), which make numpy's own calls, _calls."""
+
+    forward: Callable
+    backward: Callable
+
+
+# numpy's own calls, or None, where there are no MlpKernels.
+_calls = _native.numpy_calls()
+# The passes of _local.c, bound at the end of this module once they pass
+# their probe, or None, where the forward and backward passes run their
+# numpy lines.
+_mlp = None
+
+# The probe's (B, d_in, d_h, C) shapes: a desk batch, a 784-d batch, a
+# ragged last batch and the smallest shape numpy hands to gemm.
+PROBE_SHAPES = ((50, 10, 64, 4), (50, 784, 64, 10), (7, 784, 64, 10), (2, 2, 2, 2))
+PROBE_SEED = 11
+
+# What passing an argument that the C functions cannot read as numpy does
+# raises: ref takes only a C-contiguous, writeable, non-empty array. The
+# caller then runs its numpy lines.
+_UNFIT = (TypeError, ValueError)
 
 
 def _blocks(vec: np.ndarray, d_in: int, d_h: int, n_classes: int) -> tuple[np.ndarray, ...]:
@@ -125,10 +157,35 @@ def _softmax_and_log(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e / total, z - np.log(total)
 
 
+def _forward_kernel(params: ModelParams, X: np.ndarray, outputs: int) -> tuple | None:
+    """The hidden layer, the logits (outputs 2) or the log-softmax (3),
+    and the softmax rows (3) from _local.c's forward pass, None for each
+    not asked for; or None where it is not bound or cannot take X."""
+    if _mlp is None or X.dtype != np.float64 or X.ndim != 2 or X.shape[1] != params.d_in:
+        return None
+    B, (d_in, d_h), C = len(X), params.W1.shape, len(params.b2)
+    hidden, logits, probs = np.empty((B, d_h)), None, None
+    if outputs > 1:
+        logits = np.empty((B, C))
+    if outputs > 2:
+        probs = np.empty((B, C))
+    try:
+        status = _mlp.forward(
+            _calls, ref(X), ref(params.theta), B, d_in, d_h, C, ref(hidden),
+            None if logits is None else ref(logits), None if probs is None else ref(probs),
+        )
+    except _UNFIT:
+        return None
+    return None if status else (hidden, logits, probs)
+
+
 def mlp_features(params: ModelParams, X: np.ndarray) -> np.ndarray:
     """The hidden layer of every forward pass: tanh(X W1 + b1), bias and tanh in place."""
     if X.ndim != 2 or X.shape[1] != params.d_in:
         raise ContractViolation(f"forward: X has shape {X.shape}, expected (B, {params.d_in})")
+    out = _forward_kernel(params, X, 1)
+    if out is not None:
+        return out[0]
     hidden = X @ params.W1
     hidden += params.b1
     return np.tanh(hidden, out=hidden)
@@ -136,12 +193,19 @@ def mlp_features(params: ModelParams, X: np.ndarray) -> np.ndarray:
 
 def mlp_logits(params: ModelParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hidden features and the classifier head's logits, hidden W2 + b2."""
+    out = _forward_kernel(params, X, 2)
+    if out is not None:
+        return out[:2]
     hidden = mlp_features(params, X)
     return hidden, hidden @ params.W2 + params.b2
 
 
 def mlp_forward(params: ModelParams, X: np.ndarray) -> ForwardRecord:
     """Forward pass: mlp_logits, then the softmax and log-softmax of the logits."""
+    out = _forward_kernel(params, X, 3)
+    if out is not None:
+        hidden, logp, probs = out
+        return ForwardRecord(hidden=hidden, probs=probs, logp=logp)
     hidden, logits = mlp_logits(params, X)
     probs, logp = _softmax_and_log(logits)
     return ForwardRecord(hidden=hidden, probs=probs, logp=logp)
@@ -160,16 +224,25 @@ def mlp_backward(
     d_logits is dLoss/dlogits; d_hidden is the direct dLoss/dhidden term
     (the centroid loss path), added to the classifier backprop path.
     """
-    B = X.shape[0]
-    if d_logits.shape != (B, params.n_classes):
-        raise ContractViolation(
-            f"mlp_backward: d_logits shape {d_logits.shape} != ({B}, {params.n_classes})"
-        )
-    if d_hidden.shape != (B, params.d_h):
-        raise ContractViolation(
-            f"mlp_backward: d_hidden shape {d_hidden.shape} != ({B}, {params.d_h})"
-        )
+    B, (d_in, d_h), C = X.shape[0], params.W1.shape, len(params.b2)
+    if d_logits.shape != (B, C):
+        raise ContractViolation(f"mlp_backward: d_logits shape {d_logits.shape} != ({B}, {C})")
+    if d_hidden.shape != (B, d_h):
+        raise ContractViolation(f"mlp_backward: d_hidden shape {d_hidden.shape} != ({B}, {d_h})")
     grads = np.empty_like(params.theta)
+    hidden = rec.hidden
+    if (
+        _mlp is not None
+        and X.dtype == hidden.dtype == d_logits.dtype == d_hidden.dtype == np.float64
+        and X.shape == (B, d_in)
+        and hidden.shape == (B, d_h)
+    ):
+        try:
+            arrays = ref(X), ref(params.theta), ref(hidden), ref(d_logits), ref(d_hidden)
+            if not _mlp.backward(_calls, *arrays, B, d_in, d_h, C, ref(grads)):
+                return grads
+        except _UNFIT:
+            pass
     dW1, db1, dW2, db2 = params.blocks(grads)
     np.matmul(rec.hidden.T, d_logits, out=dW2)
     d_logits.sum(axis=0, out=db2)
@@ -251,3 +324,52 @@ def cosine_similarity(U: np.ndarray, V: np.ndarray) -> np.ndarray | float:
     nu, nv = nu[..., :, None], nv[..., None, :]
     zero = np.minimum(nu, nv) < ZERO_NORM_EPS  # False where either norm is NaN
     return np.divide(dots, nu * nv, out=np.zeros(dots.shape), where=~zero)
+
+
+def _probe(kernels: MlpKernels | None) -> bytes:
+    """Every result of the forward and backward passes, with _mlp bound to
+    kernels, on fixed inputs, as bytes: each of PROBE_SHAPES, with -0.0
+    entries, a row that saturates tanh, a row with an inf entry, logits
+    of +-40 and of +-inf, and a NaN row; the backward pass with
+    d_hidden zero (no centroid term) and not."""
+    global _mlp
+    bound, _mlp = _mlp, kernels
+    out = []
+    try:
+        with np.errstate(all="ignore"):  # numpy's lines meet inf and NaN
+            for B, d_in, d_h, C in PROBE_SHAPES:
+                rng = np.random.default_rng(PROBE_SEED)
+                params = init_params(d_in, d_h, C, rng)
+                params.b1[...] = rng.standard_normal(d_h)
+                params.b2[...] = rng.uniform(-40.0, 40.0, C)
+                X = rng.standard_normal((B, d_in))
+                X[rng.random(X.shape) < 0.1] = -0.0
+                X[0] = -0.0
+                X[1] *= 1e3
+                X[-1, 0] = np.inf
+                spoilt, infinite = X.copy(), params.copy()
+                spoilt[1, -1] = np.nan
+                infinite.b2[:2] = np.inf, -np.inf
+                for p, x in ((params, X), (params, spoilt), (infinite, X)):
+                    rec = mlp_forward(p, x)
+                    out += [*astuple(rec), *mlp_logits(p, x), mlp_features(p, x)]
+                rec = mlp_forward(params, X)
+                d_logits = rng.standard_normal((B, C))
+                d_logits[0] = -0.0
+                partials = rng.standard_normal((B, d_h))
+                partials[rng.random((B, d_h)) < 0.1] = -0.0
+                for d_hidden in (np.zeros((B, d_h)), partials):
+                    out.append(mlp_backward(params, X, rec, d_logits, d_hidden))
+        return b"".join(a.tobytes() for a in out)
+    finally:
+        _mlp = bound
+
+
+def _loaded() -> MlpKernels | None:
+    """The passes of _local.c, or None where the library did not load or
+    numpy's calls were not found."""
+    functions = [_native.load(name) for name in MlpKernels._fields]
+    return None if _calls is None or None in functions else MlpKernels(*functions)
+
+
+_mlp = _native.checked(_loaded(), _probe)

@@ -25,7 +25,7 @@ from fednoise.bench import (
     run_experiment,
     summary_accuracy,
 )
-from fednoise import coordinator, localnode
+from fednoise import coordinator, localnode, numkit
 from fednoise.errors import ConfigError, TrainingDiverged
 from fednoise.localnode import METHODS, local_update
 from fednoise.metrics import read_csv
@@ -719,11 +719,12 @@ def test_diverging_run_fails_in_the_round_it_diverges(monkeypatch, processes, lr
 @pytest.mark.parametrize("kernels", ["c", "numpy"])
 def test_a_diverging_loss_names_the_round_and_the_client(monkeypatch, processes, kernels):
     # Round 1's first epoch turns the weights to inf; in the second, the
-    # loss of the next batch is NaN, on the C path of total_loss_and_grads
-    # and on its numpy lines (forked workers inherit the binding).
+    # loss of the next batch is NaN, on the C path of the local step and
+    # on its numpy lines (forked workers inherit the binding).
     monkeypatch.setattr(coordinator, "_process_count", lambda clients: processes)
     if kernels == "numpy":
         monkeypatch.setattr(localnode, "_local", None)
+        monkeypatch.setattr(numkit, "_mlp", None)
     cfg = load_config(BLOBS_CFG, ["hp.learning_rate=1e300", "fed.rounds=2", "hp.local_epochs=2"])
     first = coordinator.select_clients(
         cfg.fed.num_clients, cfg.fed.clients_per_round, make_rng(cfg.seed, STREAM_SELECT, 1)
@@ -731,6 +732,28 @@ def test_a_diverging_loss_names_the_round_and_the_client(monkeypatch, processes,
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDiverged) as exc:
         run_experiment(cfg)
     assert str(exc.value) == f"round 1, client {first}: classification loss became non-finite"
+
+
+def test_a_diverging_784d_client_names_the_round_and_the_client(monkeypatch):
+    # At 784-d, too, a learning rate of 1e300 fails the first client of
+    # round 1 with the same message on the C path and on numpy's lines.
+    monkeypatch.setattr(coordinator, "_process_count", lambda clients: 1)
+    cfg = load_config(BLOBS_CFG, [
+        "dataset.dim=784", "dataset.classes=10", "dataset.train_per_class=40", "dataset.test_per_class=10",
+        "hp.learning_rate=1e300", "fed.rounds=2", "hp.local_epochs=2",
+    ])
+    first = coordinator.select_clients(
+        cfg.fed.num_clients, cfg.fed.clients_per_round, make_rng(cfg.seed, STREAM_SELECT, 1)
+    )[0]
+    errors = []
+    for kernels in ("c", "numpy"):
+        if kernels == "numpy":
+            monkeypatch.setattr(localnode, "_local", None)
+            monkeypatch.setattr(numkit, "_mlp", None)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDiverged) as exc:
+            run_experiment(cfg)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1] and errors[0].startswith(f"round 1, client {first}: ")
 
 
 def test_cli_diverging_run_exits_two(tmp_path, capsys):

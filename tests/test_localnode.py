@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fednoise import _native, localnode
+from fednoise import _native, localnode, numkit
 from fednoise.bench import load_config, run_experiment
 from fednoise.datagen import Dataset, make_blob_split, partition_iid
 from fednoise.errors import ConfigError, ContractViolation, TrainingDiverged
@@ -1011,6 +1011,90 @@ def test_blend_kernel_bit_equals_numpy(C, d_h, seed):
 
 
 @needs_local
+@given(
+    st.integers(1, 60), st.integers(2, 10), st.sampled_from([1, 2, 8, 64]), st.integers(0, 2**32 - 1),
+    st.sampled_from([None, 0.0, np.nan, np.inf]), st.booleans(),
+)
+def test_similarity_kernel_bit_equals_numpy(B, C, d_h, seed, row, tie):
+    # Zero centroid rows (cosine 0), absent classes (-inf), a tie, and in
+    # some cases a feature row of zeros, NaN (the first NaN wins) or inf.
+    rng = np.random.default_rng(seed)
+    features = _with_signed_zeros(rng, rng.normal(size=(B, d_h)))
+    if row is not None:
+        features[rng.integers(B)] = row
+    vectors = _with_signed_zeros(rng, rng.normal(size=(C, d_h)))
+    vectors[rng.random(C) < 0.2] = 0.0
+    if tie:
+        vectors[-1] = vectors[0]
+    presence = rng.random(C) < 0.7
+    presence[rng.integers(C)] = True
+    cents = CentroidSet(C, vectors, presence)
+    with np.errstate(all="ignore"):
+        kernel, reference = _on_both_paths("similarity", lambda: similarity_labels(features, cents))
+    _same_bits(kernel, reference)
+
+
+def _kernels_off(mp):
+    """Every function of numkit and localnode on its numpy lines but sgd_step."""
+    mp.setattr(localnode, "_local", None)
+    mp.setattr(numkit, "_mlp", None)
+
+
+def _784_client(seed=0, C=10, n_per_class=12):
+    ds = make_blob_split(C, n_per_class, 0, 784, 0.7, seed)[0]
+    flip = np.arange(0, ds.n, 5)
+    ds.given_labels[flip] = (ds.given_labels[flip] + 1) % C
+    return ds, partition_iid(ds, 1, seed=seed)[0]
+
+
+@needs_local
+@pytest.mark.skipif(numkit._mlp is None, reason="no C compiler built the kernels")
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("client", ["desk", "784-d"])
+def test_local_update_bytes_are_the_same_without_the_kernels(method, client):
+    # Round 1 seeds the centroids from the shard; round 4 is past t_pl,
+    # with pseudo-labels and round 1's centroids as the broadcast set.
+    # Batches of 16 leave a ragged last batch.
+    ds, shard = _blob_client(noisy=True) if client == "desk" else _784_client()
+    hp = _hp()
+    gp = init_params(ds.X.shape[1], hp.hidden_dim, ds.C, make_rng(0, 4))
+    runs = []
+    for off in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if off:
+                _kernels_off(mp)
+            first = local_update(ds, shard, gp, CentroidSet.empty(ds.C, 8), 1, hp, make_rng(0, 6, 1, 0), method)
+            later = local_update(ds, shard, gp, first.centroids, 4, hp, make_rng(0, 6, 4, 0), method)
+        runs.append([
+            b"".join((r.params.theta.tobytes(), r.centroids.vectors.tobytes(), r.centroids.presence.tobytes(),
+                      r.mask.tobytes(), np.float64(r.mean_train_loss).tobytes()))
+            for r in (first, later)
+        ])
+    assert runs[0] == runs[1]
+
+
+def test_a_diverging_784d_client_raises_the_same_error_on_both_paths():
+    # A learning rate of 1e300 makes the client diverge in its first
+    # epoch, with the kernels and on numpy's lines alike; neither writes
+    # what it was given.
+    ds, shard = _784_client()
+    gp = init_params(784, 8, ds.C, make_rng(0, 4))
+    given = (ds.X, ds.given_labels, shard, gp.theta)
+    before = [a.tobytes() for a in given]
+    errors = []
+    for off in (False, True):
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+            if off:
+                _kernels_off(mp)
+            with pytest.raises(TrainingDiverged) as exc:
+                local_update(ds, shard, gp, CentroidSet.empty(ds.C, 8), 2, _hp(learning_rate=1e300),
+                             make_rng(0, 6, 2, 0))
+        errors.append(str(exc.value))
+        assert [a.tobytes() for a in given] == before
+    assert errors[0] == errors[1]
+
+
+@needs_local
 @pytest.mark.parametrize(
     "term, spoil",
     [
@@ -1033,7 +1117,7 @@ def test_non_finite_term_raises_the_same_error_on_both_paths(rng, term, spoil):
 
 
 @needs_local
-@pytest.mark.parametrize("fault", ["loss", "class_means", "blend"])
+@pytest.mark.parametrize("fault", ["loss", "class_means", "similarity", "blend"])
 def test_a_kernel_that_fails_its_probe_is_not_used(monkeypatch, fault):
     kernels = localnode._local
 

@@ -1,4 +1,6 @@
 import copy
+import ctypes
+import dataclasses
 import itertools
 import math
 import pickle
@@ -9,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fednoise import numkit
+from fednoise import _native, numkit
 from fednoise.errors import ContractViolation, TrainingDiverged
 from fednoise.numkit import (
     ModelParams,
@@ -19,6 +21,7 @@ from fednoise.numkit import (
     mlp_backward,
     mlp_features,
     mlp_forward,
+    mlp_logits,
     sgd_step,
 )
 
@@ -464,3 +467,145 @@ def test_cosine_bounded_and_symmetric(u, v):
     s = cosine_similarity(u, v)
     assert -1.0 - 1e-9 <= s <= 1.0 + 1e-9
     assert s == pytest.approx(cosine_similarity(v, u), abs=1e-12)
+
+
+# ------------------------------------ the forward and backward passes in C
+
+
+needs_mlp = pytest.mark.skipif(numkit._mlp is None, reason="no C compiler built the kernels")
+
+
+def _on_both_paths(fn):
+    """fn() with the passes of _local.c, then with numpy's lines (numpy's
+    warnings off), and the statuses the C functions returned."""
+    statuses = []
+
+    def counted(kernel):
+        def call(*args):
+            statuses.append(kernel(*args))
+            return statuses[-1]
+
+        return call
+
+    out = []
+    counting = numkit.MlpKernels(*map(counted, numkit._mlp))
+    for kernels in (counting, None):
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+            mp.setattr(numkit, "_mlp", kernels)
+            out.append(fn())
+    return out, statuses
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _spoil(a, rng, row):
+    """a with about a tenth of its entries -0.0 and, unless row is None,
+    that value in one of its rows."""
+    a[rng.random(a.shape) < 0.1] = -0.0
+    if row is not None:
+        a[rng.integers(len(a)), rng.integers(a.shape[1])] = row
+    return a
+
+
+ROWS = st.sampled_from([None, np.nan, np.inf, -np.inf])
+
+
+@needs_mlp
+@given(
+    B=st.integers(1, 60), d_in=st.sampled_from([1, 10, 784]), d_h=st.sampled_from([1, 64]),
+    C=st.integers(2, 10), seed=st.integers(0, 2**32 - 1), row=ROWS,
+)
+def test_forward_kernel_bit_equals_numpy(B, d_in, d_h, C, seed, row):
+    # Logits of about +-40 (b2), -0.0 entries of X and, in some cases, an
+    # inf or NaN entry in one row; B of 1, d_in or d_h of 1 (products
+    # numpy does not hand to gemm) and NaN logits run numpy's lines.
+    rng = np.random.default_rng(seed)
+    p = init_params(d_in, d_h, C, rng)
+    p.b1[...] = rng.normal(size=d_h)
+    p.b2[...] = rng.uniform(-40.0, 40.0, C)
+    X = _spoil(rng.normal(scale=3.0, size=(B, d_in)), rng, row)
+    (kernel, reference), statuses = _on_both_paths(
+        lambda: [*dataclasses.astuple(mlp_forward(p, X)), *mlp_logits(p, X), mlp_features(p, X)]
+    )
+    for got, want in zip(kernel, reference):
+        _same_bits(got, want)
+    if min(B, d_in, d_h) >= 2:
+        # mlp_forward's C pass refuses only a NaN logit; the other two run.
+        assert statuses[-2:] == [0, 0] and (statuses[0] == 0 or row is not None)
+
+
+@needs_mlp
+@given(
+    B=st.integers(1, 60), d_in=st.sampled_from([1, 10, 784]), d_h=st.sampled_from([1, 64]),
+    C=st.integers(2, 10), seed=st.integers(0, 2**32 - 1), row=ROWS, centroid_term=st.booleans(),
+)
+def test_backward_kernel_bit_equals_numpy(B, d_in, d_h, C, seed, row, centroid_term):
+    # A saturated tanh row (1 - h**2 is 0), -0.0 partials and, in some
+    # cases, an inf or NaN partial; d_hidden all zeros without the
+    # centroid term.
+    rng = np.random.default_rng(seed)
+    p = init_params(d_in, d_h, C, rng)
+    X = _spoil(rng.normal(size=(B, d_in)), rng, None)
+    X[0] *= 1e4
+    with np.errstate(all="ignore"):
+        rec = mlp_forward(p, X)
+    d_logits = _spoil(rng.normal(size=(B, C)), rng, row)
+    d_hidden = _spoil(rng.normal(size=(B, d_h)), rng, None) if centroid_term else np.zeros((B, d_h))
+    (kernel, reference), statuses = _on_both_paths(lambda: mlp_backward(p, X, rec, d_logits, d_hidden))
+    _same_bits(kernel, reference)
+    assert statuses == [0 if min(B, d_in, d_h) >= 2 else 1]
+
+
+@needs_mlp
+def test_arrays_the_passes_cannot_take_run_numpys_lines(rng):
+    # Another dtype, a non-contiguous or read-only X, and a theta that is
+    # a strided view: numpy's lines, same bits.
+    p = init_params(6, 5, 3, rng)
+    X = rng.normal(size=(8, 12))
+    strided = ModelParams(np.repeat(p.theta, 2)[::2], 6, 5, 3)
+    read_only = X[:, :6].copy()
+    read_only.flags.writeable = False
+    d_logits, d_hidden = np.ones((8, 3)), np.ones((8, 5))
+    for params, x in [(p, X[:, :6]), (p, X[:, :6].astype(np.float32)), (p, read_only), (strided, X[:, :6].copy())]:
+
+        def both():
+            rec = mlp_forward(params, x)
+            return [*dataclasses.astuple(rec), mlp_backward(params, x, rec, d_logits, d_hidden)]
+
+        (kernel, reference), statuses = _on_both_paths(both)
+        for got, want in zip(kernel, reference):
+            _same_bits(got, want)
+        assert statuses == []
+
+
+@needs_mlp
+def test_a_wrong_binding_fails_the_probe():
+    # np.sin's loop bound as tanh, or a dgemm that swaps its transpose
+    # flags (reading only inside its operands): the probe refuses both.
+    right = numkit._calls
+    assert _native.checked(numkit._mlp, numkit._probe) is numkit._mlp
+    wrong = _native.NumpyCalls.from_buffer_copy(right)
+    wrong.tanh, wrong.tanh_data = _native._double_loop(np.sin)
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    gemm_type = ctypes.CFUNCTYPE(
+        None, *[ctypes.c_int] * 3, i64, i64, i64, ctypes.c_double, ptr, i64, ptr, i64, ctypes.c_double, ptr, i64
+    )
+    dgemm = gemm_type(right.dgemm)
+    no_trans = 111  # CblasNoTrans
+
+    def flags_swapped(order, ta, tb, M, N, K, alpha, A, lda, B, ldb, beta, C, ldc):
+        lda, ldb = K if tb == no_trans else M, N if ta == no_trans else K
+        dgemm(order, tb, ta, M, N, K, alpha, A, lda, B, ldb, beta, C, ldc)
+
+    swapped = gemm_type(flags_swapped)
+    swapped_calls = _native.NumpyCalls.from_buffer_copy(right)
+    swapped_calls.dgemm = ctypes.cast(swapped, ctypes.c_void_p).value
+    for calls in (wrong, swapped_calls):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numkit, "_calls", calls)
+            assert _native.checked(numkit._mlp, numkit._probe) is None
+    assert numkit._calls is right
