@@ -381,27 +381,27 @@ int fednoise_similarity(const struct numpy_calls *np, const double *U, const dou
     return 0;
 }
 
-/* blend_with_global: with numpy's calls, the cosines s of each class's
- * pair of rows (cosine_similarity of the stacked rows, one dot each),
- * else s as given; then w = s*s, (1-w)*P + w*F where both sets have the
- * class, else the one that has it, else P. */
+/* blend_with_global: per class, where both sets have it, w = s*s for the
+ * cosine s of its pair of rows (cosine_similarity of the stacked rows,
+ * one dot each) and (1-w)*P + w*F; else the row of the set that has it,
+ * else P's. */
 int fednoise_blend(const struct numpy_calls *np, const double *P, const double *F,
                    const unsigned char *had, const unsigned char *has, size_t C, size_t d,
-                   double eps, double *s, double *out, unsigned char *presence)
+                   double eps, double *out, unsigned char *presence)
 {
-    for (size_t c = 0; c < C && np; c++) {
-        const double *p = P + c * d, *f = F + c * d;
-        s[c] = cosine(dot(np, p, f, d), sqrt(dot(np, p, p, d)), sqrt(dot(np, f, f, d)), eps);
-    }
+    if (!np)
+        return 1;
     for (size_t c = 0; c < C; c++) {
         const double *p = P + c * d, *f = F + c * d;
         double *o = out + c * d;
-        double w = s[c] * s[c];
-        if (had[c] && has[c])
+        if (had[c] && has[c]) {
+            double s = cosine(dot(np, p, f, d), sqrt(dot(np, p, p, d)), sqrt(dot(np, f, f, d)), eps);
+            double w = s * s;
             for (size_t j = 0; j < d; j++)
                 o[j] = (1.0 - w) * p[j] + w * f[j];
-        else
+        } else {
             memcpy(o, has[c] ? f : p, sizeof(double) * d);
+        }
         presence[c] = had[c] || has[c];
     }
     return 0;

@@ -219,7 +219,7 @@ ARGTYPES = {
     "loss": [_ARRAY] * 7 + [_SIZE] * 4 + [_REAL] * 2 + [_ARRAY] * 3,
     "class_means": [_ARRAY] * 2 + [_SIZE] * 3 + [_ARRAY] * 2,
     "similarity": [_CALLS] + [_ARRAY] * 3 + [_SIZE] * 3 + [_REAL, _ARRAY],
-    "blend": [_CALLS] + [_ARRAY] * 4 + [_SIZE] * 2 + [_REAL] + [_ARRAY] * 3,
+    "blend": [_CALLS] + [_ARRAY] * 4 + [_SIZE] * 2 + [_REAL] + [_ARRAY] * 2,
 }
 
 

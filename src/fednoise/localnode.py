@@ -21,8 +21,8 @@ The loss and its partials, the class means, the similarity labels and
 the blend run the C functions of _local.c where they load and pass
 their probe (_probe); otherwise, or for arrays those cannot take, their
 numpy lines, which give the same bits. The similarity labels and the
-blend's cosines also need numpy's own BLAS calls (_calls); without them
-the labels come from numpy's lines and the blend's cosines from numpy.
+blend also need numpy's own BLAS calls (_calls); without them both run
+their numpy lines.
 """
 
 from __future__ import annotations
@@ -232,7 +232,7 @@ def blend_with_global(prev: CentroidSet, fresh: CentroidSet) -> CentroidSet:
     if prev.C != fresh.C or prev.d_h != fresh.d_h:
         raise ContractViolation("blend_with_global: centroid sets have mismatched dims")
     P, F = prev.vectors, fresh.vectors
-    if _local is not None:
+    if _local is not None and _calls is not None:
         try:
             C, d = P.shape
             had, has = prev.presence, fresh.presence
@@ -242,14 +242,13 @@ def blend_with_global(prev: CentroidSet, fresh: CentroidSet) -> CentroidSet:
                 and had.dtype == has.dtype == bool
                 and had.shape == has.shape == (C,)
             ):
-                s = np.empty(C) if _calls is not None else _cosines(P, F)
                 vectors, presence = np.empty((C, d)), np.empty(C, dtype=bool)
-                args = ref(P), ref(F), ref(had), ref(has), C, d, ZERO_NORM_EPS, ref(s)
+                args = ref(P), ref(F), ref(had), ref(has), C, d, ZERO_NORM_EPS
                 if not _local.blend(_calls, *args, ref(vectors), ref(presence)):
                     return CentroidSet(prev.C, vectors, presence)
         except _UNFIT:
             pass
-    s = _cosines(P, F)
+    s = cosine_similarity(P[:, None, :], F[:, None, :])[:, :, 0]
     w = s * s
     blended = (1.0 - w) * P + w * F
     vectors = np.where(
@@ -260,16 +259,11 @@ def blend_with_global(prev: CentroidSet, fresh: CentroidSet) -> CentroidSet:
     return CentroidSet(prev.C, vectors, prev.presence | fresh.presence)
 
 
-def _cosines(P: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """The cosine of each row of P with the same row of F."""
-    return cosine_similarity(P[:, None, :], F[:, None, :])[:, :, 0]
-
-
 def similarity_labels(features: np.ndarray, centroids: CentroidSet) -> np.ndarray:
     """Nearest present centroid by cosine similarity; ties to the lowest class."""
     if not centroids.presence.any():
         raise ContractViolation("similarity_labels: no class has a centroid yet")
-    if _local is not None:
+    if _local is not None and _calls is not None:
         try:
             (B, d), V, present = features.shape, centroids.vectors, centroids.presence
             C = len(V)

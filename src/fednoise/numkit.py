@@ -164,6 +164,10 @@ def _forward_kernel(params: ModelParams, X: np.ndarray, outputs: int) -> tuple |
     if _mlp is None or X.dtype != np.float64 or X.ndim != 2 or X.shape[1] != params.d_in:
         return None
     B, (d_in, d_h), C = len(X), params.W1.shape, len(params.b2)
+    # A side of 1, where numpy's matmul takes no gemm, the C pass refuses:
+    # numpy's lines run without calling it.
+    if min(B, d_in, d_h, C) < 2:
+        return None
     hidden, logits, probs = np.empty((B, d_h)), None, None
     if outputs > 1:
         logits = np.empty((B, C))
@@ -233,6 +237,7 @@ def mlp_backward(
     hidden = rec.hidden
     if (
         _mlp is not None
+        and min(B, d_in, d_h, C) >= 2  # as in _forward_kernel
         and X.dtype == hidden.dtype == d_logits.dtype == d_hidden.dtype == np.float64
         and X.shape == (B, d_in)
         and hidden.shape == (B, d_h)

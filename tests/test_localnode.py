@@ -922,22 +922,23 @@ def test_local_update_reads_no_true_label(method):
 needs_local = pytest.mark.skipif(localnode._local is None, reason="no C compiler built the kernels")
 
 
-def _on_both_paths(name, fn):
+def _on_both_paths(name, fn, status=0):
     """fn() with the C functions of _local.c, then with numpy's lines; the
-    first run must call the C function of that name."""
-    calls = []
+    first run must call the C function of that name once, and it must
+    return status."""
+    statuses = []
     kernel = getattr(localnode._local, name)
 
     def counted(*args):
-        calls.append(name)
-        return kernel(*args)
+        statuses.append(kernel(*args))
+        return statuses[-1]
 
     out = []
     for kernels in (localnode._local._replace(**{name: counted}), None):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(localnode, "_local", kernels)
             out.append(fn())
-    assert calls == [name], "the C function did not run"
+    assert statuses == [status], f"the C function {name} returned {statuses}"
     return out
 
 
@@ -1029,8 +1030,10 @@ def test_similarity_kernel_bit_equals_numpy(B, C, d_h, seed, row, tie):
     presence = rng.random(C) < 0.7
     presence[rng.integers(C)] = True
     cents = CentroidSet(C, vectors, presence)
+    # A side of 1 is a product numpy's matmul does not hand to gemm.
+    status = 0 if min(B, C, d_h) >= 2 else 1
     with np.errstate(all="ignore"):
-        kernel, reference = _on_both_paths("similarity", lambda: similarity_labels(features, cents))
+        kernel, reference = _on_both_paths("similarity", lambda: similarity_labels(features, cents), status)
     _same_bits(kernel, reference)
 
 
@@ -1070,6 +1073,34 @@ def test_local_update_bytes_are_the_same_without_the_kernels(method, client):
                       r.mask.tobytes(), np.float64(r.mean_train_loss).tobytes()))
             for r in (first, later)
         ])
+    assert runs[0] == runs[1]
+
+
+@needs_local
+def test_without_numpys_calls_the_labels_and_blend_call_no_c(monkeypatch):
+    # Where numpy's BLAS and loops are not bound, similarity_labels and
+    # blend_with_global run their numpy lines without calling _local.c;
+    # the loss and class means still run in C, and the bytes are the same.
+    ds, shard = _blob_client(noisy=True)
+    gp = init_params(5, 8, 3, make_rng(0, 4))
+    hp = _hp(t_pl=1)
+    kernels, runs = localnode._local, []
+    for numpy_calls in (localnode._calls, None):
+        called = set()
+
+        def counted(name):
+            def call(*args):
+                called.add(name)
+                return getattr(kernels, name)(*args)
+
+            return call
+
+        monkeypatch.setattr(localnode, "_calls", numpy_calls)
+        monkeypatch.setattr(localnode, "_local", localnode.LocalKernels(*map(counted, kernels._fields)))
+        res = local_update(ds, shard, gp, CentroidSet.empty(3, 8), 2, hp, make_rng(0, 6, 2, 0))
+        runs.append((res.params.theta.tobytes(), res.centroids.vectors.tobytes(), res.mask.tobytes()))
+        on_c = set(kernels._fields) - ({"similarity", "blend"} if numpy_calls is None else set())
+        assert called == on_c
     assert runs[0] == runs[1]
 
 
@@ -1167,7 +1198,7 @@ def test_a_label_out_of_range_runs_numpys_lines(rng, bad):
         ("loss", lambda: total_loss_and_grads(rec, y, None, mask, None, 0.0, 0.0)),
         ("class_means", lambda: class_mean_features(features, y, 3)),
     ]:
-        kernel, reference = _on_both_paths(name, lambda: _outcome(fn))
+        kernel, reference = _on_both_paths(name, lambda: _outcome(fn), status=1)
         if isinstance(reference, tuple) and isinstance(reference[0], type):
             assert kernel == reference
         elif name == "loss":
