@@ -7,12 +7,13 @@ The runs are the four methods on configs/blobs.cfg; `proposed` on it for
 noise, noise.client_variance and single-class noise; and the
 benchmark's mnist784-ce and mnist784-proposed-pool2 workloads at seed 1,
 configured by perfbench/run.py itself. The first line names the numpy and BLAS
-versions, since the bytes depend on them, and the number of processes
-each run trains in, which they must not depend on; then one
-`<sha256>  <run>` line per run.
+versions and the core type whose kernels OpenBLAS chose, since the bytes
+depend on them, and the number of processes each run trains in, which
+they must not depend on; then one `<sha256>  <run>` line per run.
 
 With --check, the digests are also compared with the reference ones
-below, which hold for numpy 2.4.6 with scipy-openblas 0.3.31: the script
+below, which hold for numpy 2.4.6 with scipy-openblas 0.3.31 on its
+SkylakeX kernels (another core, Haswell say, gives other bytes): the script
 exits 1 and names each run whose digest differs, or exits 2 at once on
 other versions, where the references do not apply. If the reader of
 standard output goes away (as in `| head -1`), it prints nothing more
@@ -98,7 +99,10 @@ def main() -> int:
         for name in BENCH_WORKLOADS
     ]
     processes = sorted({pkg.coordinator._process_count(cfg.fed.clients_per_round) for _, cfg in runs})
-    say(f"numpy {env['numpy']}, BLAS {env['blas']}, processes {'/'.join(map(str, processes))}")
+    say(
+        f"numpy {env['numpy']}, BLAS {env['blas']}, core {pkg._native.blas_core()}, "
+        f"processes {'/'.join(map(str, processes))}"
+    )
     differ = []
     with tempfile.TemporaryDirectory() as tmp:
         for label, cfg in runs:

@@ -194,6 +194,20 @@ def _double_loop(ufunc: np.ufunc) -> tuple[int, int | None]:
 
 
 @functools.cache
+def blas_core() -> str:
+    """The core type whose kernels numpy's OpenBLAS chose when it loaded
+    (SkylakeX, Haswell, ...; OPENBLAS_CORETYPE forces one), read once per
+    process, or "unknown" where it cannot be read. The CSV bytes depend on
+    it: the kernels of different cores round dgemm and ddot differently."""
+    try:
+        corename = ctypes.CDLL(_blas_path()).scipy_openblas_get_corename64_
+    except (OSError, AttributeError, ValueError):
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+@functools.cache
 def numpy_calls() -> NumpyCalls | None:
     """numpy's own calls, once per process, or None where any of them
     cannot be found; then no C function makes them, and each of their

@@ -7,6 +7,13 @@ centroids, runs the selected clients' local updates, averages weights by
 shard size, and folds the uploaded class centroids into the global set
 by cosine-weighted averaging. run_training is a loop over it.
 
+A round's row holds the test accuracy of the model that round made, but
+the round does not compute it: round t + 1 evaluates round t's model,
+the one it broadcasts, on the coordinator after its own clients and
+while the workers run theirs, and run_training evaluates the last
+round's model after the loop. So the 784-d evaluation no longer waits
+at the end of each round with the workers idle.
+
 Only _ClientProcesses knows about processes: it runs each of a round's
 clients whole, in a process of its own where it can (_process_count
 says how many), and lets the kernel share the CPUs among them.
@@ -167,6 +174,12 @@ def run_training(
         raise ContractViolation(
             f"run_training: got {len(shards)} shards for {fed.num_clients} clients"
         )
+    if test.n == 0 or (test.d_in, test.C) != (train.d_in, train.C):
+        raise ContractViolation(
+            f"run_training: the test set has {test.n} examples of {test.d_in} features "
+            f"and {test.C} classes; it needs at least one, of the training set's "
+            f"{train.d_in} features and {train.C} classes"
+        )
     params = init_params(train.d_in, hp.hidden_dim, train.C, make_rng(seed, STREAM_INIT))
     state = RoundState(0, params, CentroidSet.empty(train.C, hp.hidden_dim))
     records = []
@@ -174,24 +187,32 @@ def run_training(
         _ClientProcesses(fed.clients_per_round, train, shards, hp, seed, method)
     ) as clients:
         while state.t < fed.rounds:
-            state, record = _run_round(state, clients, fed, test)
+            state, record, accuracy = _run_round(state, clients, fed, test)
+            if records:
+                records[-1].test_accuracy = accuracy
             records.append(record)
+    if records:
+        records[-1].test_accuracy = evaluate_accuracy(state.params, test)
     return state.params, records
 
 
 def _run_round(
     state: RoundState, clients: _ClientProcesses, fed: FederationConfig, test: Dataset
-) -> tuple[RoundState, MetricsRecord]:
-    """Round state.t + 1 of the run that clients serve: the state after it,
-    and its CSV row from the clients' uploads in ascending client order.
-    Detection is measured here, on the pooled masks against the training
-    set's true labels, which no client reads. Raises TrainingDiverged if
-    any value in the row is not finite."""
+) -> tuple[RoundState, MetricsRecord, float | None]:
+    """Round state.t + 1 of the run that clients serve: the state after it;
+    its CSV row from the clients' uploads in ascending client order, with
+    test_accuracy NaN, as this round's model is evaluated by the next
+    round or after the run; and the test accuracy of state's model, None
+    for the first state. Detection is measured here, on the pooled masks
+    against the training set's true labels, which no client reads. Raises
+    TrainingDiverged if any other value in the row is not finite."""
     t = state.t + 1
     chosen = select_clients(
         fed.num_clients, fed.clients_per_round, make_rng(clients.seed, STREAM_SELECT, t)
     )
-    results = clients.run(t, state.params, state.centroids, chosen)
+    # evaluate_accuracy is looked up when called, so a wrapper set on the module sees it.
+    evaluate = (lambda: evaluate_accuracy(state.params, test)) if state.t else None
+    results, accuracy = clients.run(t, state.params, state.centroids, chosen, evaluate)
     rows = [clients.shards[cid] for cid in chosen]
     sizes = [len(r) for r in rows]
     params = fedavg(results, sizes)
@@ -211,7 +232,7 @@ def _run_round(
     )
     record = MetricsRecord(
         round=t,
-        test_accuracy=evaluate_accuracy(params, test),
+        test_accuracy=math.nan,
         mean_train_loss=loss,
         confident_fraction=confident,
         mask_precision=precision,
@@ -220,9 +241,9 @@ def _run_round(
         r_t=r_schedule(t, clients.hp),
     )
     for column in CSV_COLUMNS:
-        if not math.isfinite(getattr(record, column)):
+        if column != "test_accuracy" and not math.isfinite(getattr(record, column)):
             raise TrainingDiverged(f"round {t}: {column} is not finite")
-    return RoundState(t, params, centroids), record
+    return RoundState(t, params, centroids), record, accuracy
 
 
 def _usable_cpus() -> int:
@@ -299,13 +320,15 @@ class _ClientProcesses:
             raise
 
     def run(
-        self, t: int, params: ModelParams, centroids: CentroidSet, chosen: np.ndarray
-    ) -> list[LocalUpdateResult]:
+        self, t: int, params: ModelParams, centroids: CentroidSet, chosen: np.ndarray, meanwhile=None
+    ) -> tuple[list[LocalUpdateResult], object]:
         """Run the chosen clients of round t from the global params and
-        centroids, and return their results in ascending id order, each
-        with a view of its slot as weights, valid until the next run.
-        Writes nothing it is given. If clients fail, raise the error of
-        the first failing position."""
+        centroids. Return their results in ascending id order, each with a
+        view of its slot as weights, valid until the next run, and what
+        meanwhile() returns (None without it), which rank 0 calls after
+        its own clients, while the workers run theirs. Writes nothing it
+        is given. If clients fail, raise the error of the first failing
+        position."""
         ids = chosen.tolist()
         self.broadcast.theta[...] = params.theta
         for w, conn in enumerate(self.conns, 1):
@@ -314,6 +337,7 @@ class _ClientProcesses:
             except OSError:
                 raise self._died(w, t) from None
         shares = [self._run_share(0, ids, centroids, t)]
+        aside = meanwhile() if meanwhile else None
         shares += [self._receive(w, t) for w in range(1, self.processes)]
 
         results: list = [None] * len(ids)
@@ -324,7 +348,7 @@ class _ClientProcesses:
         errors = dict(failure for _, failure in shares if failure is not None)
         if errors:
             raise errors[min(errors)]
-        return results
+        return results, aside
 
     def _run_share(self, rank, ids, centroids, t):
         """Run rank's clients of round t in order, each whole, from the

@@ -36,7 +36,7 @@ from fednoise.localnode import (
 )
 from fednoise.metrics import CSV_COLUMNS, records_to_csv, write_csv
 from fednoise.noise import apply_noise
-from fednoise.numkit import ModelParams, cosine_similarity, init_params, mlp_forward
+from fednoise.numkit import ModelParams, cosine_similarity, init_params, mlp_forward, mlp_logits
 from fednoise.seeds import STREAM_INIT, STREAM_LOCAL, STREAM_SELECT, make_rng
 
 
@@ -624,9 +624,9 @@ def test_a_new_method_is_one_row(monkeypatch):
     run = coordinator._ClientProcesses.run
 
     def recording_run(self, *args):
-        results = run(self, *args)
+        results, aside = run(self, *args)
         uploads.extend(r.centroids for r in results)
-        return results
+        return results, aside
 
     monkeypatch.setattr(coordinator._ClientProcesses, "run", recording_run)
     runs = []
@@ -723,12 +723,17 @@ def _first_state(train, hp, seed):
 
 def _rounds(state, fed, test, *args, until):
     """Go on from state to round `until` in fresh client processes, made
-    from args; the state after it and the rounds' records."""
+    from args; the state after it and the rounds' records. Each round
+    returns the accuracy of the model it was given, which completes the
+    row before it; the last row's is evaluated after the loop."""
     records = []
     with contextlib.closing(coordinator._ClientProcesses(fed.clients_per_round, *args)) as clients:
         while state.t < until:
-            state, record = coordinator._run_round(state, clients, fed, test)
+            state, record, accuracy = coordinator._run_round(state, clients, fed, test)
+            if records:
+                records[-1].test_accuracy = accuracy
             records.append(record)
+    records[-1].test_accuracy = evaluate_accuracy(state.params, test)
     return state, records
 
 
@@ -772,7 +777,7 @@ def test_a_round_writes_nothing_it_is_given(monkeypatch, processes, method):
     with contextlib.closing(coordinator._ClientProcesses(fed.clients_per_round, *args)) as clients:
         for _ in range(fed.rounds):
             before = held(state)
-            after, _ = coordinator._run_round(state, clients, fed, test)
+            after, _, _ = coordinator._run_round(state, clients, fed, test)
             assert held(state) == before
             state = after
     if method in ("proposed", "naive_pseudo_ablation"):
@@ -791,12 +796,112 @@ def test_every_result_reads_its_weights_from_its_slot(monkeypatch, processes):
     chosen = select_clients(fed.num_clients, 5, make_rng(4, STREAM_SELECT, 1))
     with contextlib.closing(coordinator._ClientProcesses(5, train, shards, hp, 4, "proposed")) as clients:
         for t in (1, hp.t_pl + 1):
-            results = clients.run(t, state.params, state.centroids, chosen)
+            results, aside = clients.run(t, state.params, state.centroids, chosen)
+            assert aside is None
             for p, (cid, res) in enumerate(zip(chosen, results)):
                 assert np.shares_memory(res.params.theta, clients.slots[p]), (t, p)
                 args = (train, shards[cid], state.params, state.centroids, t, hp)
                 want = coordinator.local_update(*args, make_rng(4, STREAM_LOCAL, t, cid))
                 np.testing.assert_array_equal(res.params.theta, want.params.theta)
+
+
+@pytest.mark.parametrize("processes", [1, 3])
+@pytest.mark.parametrize("rounds", [0, 1, 8])
+def test_each_row_holds_the_accuracy_of_its_own_rounds_model(monkeypatch, processes, rounds):
+    # A round evaluates the model it was given, round t - 1's, and the
+    # last model is evaluated after the loop; row t must still hold round
+    # t's model's accuracy, recomputed here from the states the rounds
+    # return. The coordinator evaluates each round's model once, in round
+    # order, and never the initial one: no evaluation at all at 0 rounds,
+    # only the final pass at 1.
+    _processes(monkeypatch, processes)
+    train, test, shards, fed, hp = _tiny_setup(eps=0.3)
+    fed.clients_per_round, fed.rounds = 5, rounds
+    evaluated = []
+    evaluate = coordinator.evaluate_accuracy
+
+    def recording_evaluate(params, dataset):
+        evaluated.append(params.theta.tobytes())
+        return evaluate(params, dataset)
+
+    monkeypatch.setattr(coordinator, "evaluate_accuracy", recording_evaluate)
+    _, records = run_training(train, test, shards, fed, hp, seed=4)
+    monkeypatch.setattr(coordinator, "evaluate_accuracy", evaluate)
+
+    state, models = _first_state(train, hp, 4), []
+    with contextlib.closing(coordinator._ClientProcesses(5, train, shards, hp, 4, "proposed")) as clients:
+        while state.t < rounds:
+            state, _, _ = coordinator._run_round(state, clients, fed, test)
+            models.append(state.params)
+    want = [float((mlp_logits(p, test.X)[1].argmax(axis=1) == test.true_labels).mean()) for p in models]
+    assert [r.test_accuracy for r in records] == want
+    assert evaluated == [p.theta.tobytes() for p in models]
+    # The accuracies change from round to round, so rows shifted by one differ.
+    assert rounds < 2 or want[:-1] != want[1:]
+    if rounds == 0:
+        assert records_to_csv(records).count("\n") == 2  # the tag and the header
+
+
+@pytest.mark.parametrize("processes", [1, 3])
+def test_the_coordinator_evaluates_after_its_own_clients(monkeypatch, processes):
+    # In round t, rank 0 runs its clients, then evaluates round t - 1's
+    # model (the one it broadcast) while the workers run theirs, and only
+    # then waits on them; the last round's model is evaluated after the
+    # loop. Five clients a round: rank 0 runs positions 0, 3 of three.
+    _processes(monkeypatch, processes)
+    train, test, shards, fed, hp = _tiny_setup(eps=0.3)
+    fed.clients_per_round, fed.rounds = 5, 3
+    events, coordinator_pid = [], os.getpid()
+    local_update, evaluate = coordinator.local_update, coordinator.evaluate_accuracy
+    receive = coordinator._ClientProcesses._receive
+
+    def recording_update(*args, **kwargs):
+        if os.getpid() == coordinator_pid:
+            events.append(("client", args[4]))
+        return local_update(*args, **kwargs)
+
+    def recording_evaluate(params, dataset):
+        events.append(("evaluate",))
+        return evaluate(params, dataset)
+
+    def recording_receive(self, w, t):
+        events.append(("wait", t))
+        return receive(self, w, t)
+
+    monkeypatch.setattr(coordinator, "local_update", recording_update)
+    monkeypatch.setattr(coordinator, "evaluate_accuracy", recording_evaluate)
+    monkeypatch.setattr(coordinator._ClientProcesses, "_receive", recording_receive)
+    run_training(train, test, shards, fed, hp, seed=4)
+    mine = len(range(0, fed.clients_per_round, processes))
+    want = []
+    for t in range(1, fed.rounds + 1):
+        want += [("client", t)] * mine + [("evaluate",)] * (t > 1) + [("wait", t)] * (processes - 1)
+    assert events == want + [("evaluate",)]
+
+
+@pytest.mark.parametrize("processes", [1, 3])
+@pytest.mark.parametrize("broken", ["no examples", "other features", "other classes"])
+def test_an_unusable_test_set_fails_before_any_client_runs(monkeypatch, processes, broken):
+    # The test set is checked before the workers are forked, so no client
+    # runs and no process is left: an empty one would fail only at the
+    # first evaluation, after a round of clients.
+    _processes(monkeypatch, processes)
+    train, test, shards, fed, hp = _tiny_setup()
+    test = {
+        "no examples": dataclasses.replace(
+            test, X=test.X[:0], true_labels=test.true_labels[:0], given_labels=test.given_labels[:0]
+        ),
+        "other features": dataclasses.replace(test, X=test.X[:, :3]),
+        "other classes": dataclasses.replace(test, C=test.C + 1),
+    }[broken]
+
+    def no_client(*args, **kwargs):
+        raise AssertionError("a client ran")
+
+    monkeypatch.setattr(coordinator, "local_update", no_client)
+    with pytest.raises(ContractViolation, match="run_training: the test set"):
+        run_training(train, test, shards, fed, hp, seed=0)
+    assert multiprocessing.active_children() == []
 
 
 def test_one_process_needs_no_fork(monkeypatch):

@@ -155,3 +155,22 @@ def test_a_wrong_binding_is_refused_and_numpy_writes_the_same_csv(tmp_path, wron
     loaded = _python(tmp_path, [wrong, *args, "--output", str(refused)], WRONG_BINDING)
     assert loaded == (True, True, wrong == "tanh", False)
     assert kernel.read_bytes() == refused.read_bytes()
+
+
+def test_blas_core_names_the_core_openblas_chose(tmp_path, monkeypatch):
+    # The CSV bytes depend on the core type whose kernels OpenBLAS chose
+    # at load, which OPENBLAS_CORETYPE forces: a fresh interpreter forced
+    # to Haswell (which needs AVX2) reads that name. Where numpy's BLAS
+    # cannot be read, the name is "unknown".
+    core = _native.blas_core()
+    if core == "unknown":
+        pytest.skip("numpy's BLAS is not scipy-openblas")
+    assert core.isidentifier()
+    monkeypatch.setattr(_native, "_blas_path", lambda: str(tmp_path / "missing.so"))
+    assert _native.blas_core.__wrapped__() == "unknown"
+    if b" avx2" not in _native._host_cpu():
+        pytest.skip("Haswell kernels need AVX2")
+    script = "from fednoise import _native; print(_native.blas_core())"
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"), OPENBLAS_CORETYPE="Haswell")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "Haswell\n"), proc.stderr
