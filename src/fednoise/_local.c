@@ -1,6 +1,8 @@
 /* The local step's arithmetic outside sgd_step: numkit's forward and
- * backward passes, and localnode's total_loss_and_grads,
- * class_mean_features, similarity_labels and blend_with_global.
+ * backward passes, and localnode's total_loss_and_grads and the step's
+ * bookkeeping in two calls: select (small_loss_filter, similarity_labels
+ * and confident_mask) before the loss and refresh (class_mean_features
+ * of the selected rows and blend_with_global) after the step.
  *
  * Each does numpy's operations in numpy's order, so the bits equal
  * numpy's: build with -ffp-contract=off and never with -ffast-math or
@@ -17,7 +19,8 @@
  * as bytes 0 or 1. A function that returns 1 has met an input it does
  * not reproduce numpy on (a label out of range, a product numpy would
  * not hand to gemm, a row max that is not one value), has no numpy
- * calls or could not allocate, and its caller runs numpy's lines.
+ * calls or could not allocate, and its caller runs numpy's lines
+ * (fednoise_forward's 2 is the one partial result).
  */
 #include <math.h>
 #include <stddef.h>
@@ -151,32 +154,39 @@ static int out_of_range(const int64_t *y, size_t n, size_t C)
 /* The max-shifted softmax and log-softmax of each row of z (B x C), from
  * one set of exponentials, as numkit._softmax_and_log: z = z - max, e =
  * exp(z), total = e.sum(axis=1), probs = e / total, and log-softmax z -
- * log(total) over z in place. Returns 1 where a row's max is not one
- * value: a row with a NaN, or whose max is zero with zeros of both signs
+ * log(total) over z in place. Every row is checked before any is
+ * shifted: returns 1, with z as it was, where a row's max is not one
+ * value, a row with a NaN or whose max is zero with zeros of both signs
  * (numpy's max may give either). */
 static int softmax(const struct numpy_calls *np, double *z, size_t B, size_t C, double *probs)
 {
+    double *max = malloc(sizeof(double) * 3 * B);
+    if (!max)
+        return 1;
+    double *total = max + B, *log_total = total + B;
     for (size_t i = 0; i < B; i++) {
-        double *row = z + i * C, max = row[0];
+        const double *row = z + i * C;
         int signs = 0;
+        max[i] = row[0];
         for (size_t j = 0; j < C; j++) {
-            if (isnan(row[j]))
+            if (isnan(row[j])) {
+                free(max);
                 return 1;
-            if (row[j] > max)
-                max = row[j];
+            }
+            if (row[j] > max[i])
+                max[i] = row[j];
         }
-        for (size_t j = 0; j < C && max == 0.0; j++)
+        for (size_t j = 0; j < C && max[i] == 0.0; j++)
             if (row[j] == 0.0)
                 signs |= signbit(row[j]) ? 2 : 1;
-        if (signs == 3)
+        if (signs == 3) {
+            free(max);
             return 1;
-        for (size_t j = 0; j < C; j++)
-            row[j] = row[j] - max;
+        }
     }
-    double *total = malloc(sizeof(double) * 2 * B);
-    if (!total)
-        return 1;
-    double *log_total = total + B;
+    for (size_t i = 0; i < B; i++)
+        for (size_t j = 0; j < C; j++)
+            z[i * C + j] = z[i * C + j] - max[i];
     unary(np->exp_loop, np->exp_data, z, probs, B * C);
     for (size_t i = 0; i < B; i++)
         total[i] = sum(probs + i * C, C);
@@ -187,14 +197,16 @@ static int softmax(const struct numpy_calls *np, double *z, size_t B, size_t C, 
     for (size_t i = 0; i < B; i++)
         for (size_t j = 0; j < C; j++)
             z[i * C + j] = z[i * C + j] - log_total[i];
-    free(total);
+    free(max);
     return 0;
 }
 
 /* numkit's forward pass of X (B x d_in) through theta's W1, b1, W2, b2:
  * hidden = tanh(X @ W1 + b1), the bias and tanh in place; then, where
  * logits is given, logits = hidden @ W2 + b2; and where probs is given
- * too, the softmax rows into probs and the log-softmax over the logits. */
+ * too, the softmax rows into probs and the log-softmax over the logits.
+ * Returns 2 where the softmax refuses a row: the hidden layer and the
+ * logits are written, and the caller takes numpy's softmax of them. */
 int fednoise_forward(const struct numpy_calls *np, const double *X, const double *theta,
                      size_t B, size_t d_in, size_t d_h, size_t C,
                      double *hidden, double *logits, double *probs)
@@ -209,7 +221,7 @@ int fednoise_forward(const struct numpy_calls *np, const double *X, const double
     if (gemm(np, NO_TRANS, NO_TRANS, B, C, d_h, hidden, W2, logits))
         return 1;
     add_rows(logits, b2, B, C);
-    return probs ? softmax(np, logits, B, C, probs) : 0;
+    return probs && softmax(np, logits, B, C, probs) ? 2 : 0;
 }
 
 /* numkit.mlp_backward: the gradient, laid out like theta, of a loss whose
@@ -315,13 +327,12 @@ int fednoise_loss(const double *probs, const double *logp, const double *hidden,
 }
 
 /* class_mean_features: each class's rows of X added to +0.0 in row
- * order, then divided by the count where there is one. */
-int fednoise_class_means(const double *X, const int64_t *y, size_t B, size_t d, size_t C,
-                         double *means, unsigned char *presence)
+ * order, then divided by the count where there is one. The labels are in
+ * range. */
+static int class_means(const double *X, const int64_t *y, size_t B, size_t d, size_t C,
+                       double *means, unsigned char *presence)
 {
-    if (out_of_range(y, B, C))
-        return 1;
-    size_t *counts = calloc(C ? C : 1, sizeof *counts);
+    size_t *counts = calloc(C, sizeof *counts);
     if (!counts)
         return 1;
     memset(means, 0, sizeof(double) * C * d);
@@ -346,12 +357,10 @@ int fednoise_class_means(const double *X, const int64_t *y, size_t B, size_t d, 
  * norm the root of its row's dot with itself), with absent classes
  * (present[c] 0) at -inf; ties to the lowest class and the first NaN
  * wins, as numpy's argmax. */
-int fednoise_similarity(const struct numpy_calls *np, const double *U, const double *V,
-                        const unsigned char *present, size_t B, size_t C, size_t d, double eps,
-                        int64_t *labels)
+static int similarity(const struct numpy_calls *np, const double *U, const double *V,
+                      const unsigned char *present, size_t B, size_t C, size_t d, double eps,
+                      int64_t *labels)
 {
-    if (!np)
-        return 1;
     double *dots = malloc(sizeof(double) * (B * C + B + C));
     if (!dots)
         return 1;
@@ -385,12 +394,10 @@ int fednoise_similarity(const struct numpy_calls *np, const double *U, const dou
  * cosine s of its pair of rows (cosine_similarity of the stacked rows,
  * one dot each) and (1-w)*P + w*F; else the row of the set that has it,
  * else P's. */
-int fednoise_blend(const struct numpy_calls *np, const double *P, const double *F,
-                   const unsigned char *had, const unsigned char *has, size_t C, size_t d,
-                   double eps, double *out, unsigned char *presence)
+static void blend(const struct numpy_calls *np, const double *P, const double *F,
+                  const unsigned char *had, const unsigned char *has, size_t C, size_t d,
+                  double eps, double *out, unsigned char *presence)
 {
-    if (!np)
-        return 1;
     for (size_t c = 0; c < C; c++) {
         const double *p = P + c * d, *f = F + c * d;
         double *o = out + c * d;
@@ -404,5 +411,121 @@ int fednoise_blend(const struct numpy_calls *np, const double *P, const double *
         }
         presence[c] = had[c] || has[c];
     }
+}
+
+/* x[a] before x[b] in numpy's sort order of float64: NaN after every
+ * number. */
+static int before(const double *x, int64_t a, int64_t b)
+{
+    return x[a] < x[b] || (isnan(x[b]) && !isnan(x[a]));
+}
+
+/* The indices 0..n-1 ordered by x, equal values (and NaNs) in index
+ * order, as numpy's stable argsort: a bottom-up merge sort between the
+ * buffers a and b, each of n. Returns the one that holds the order. */
+static int64_t *stable_order(const double *x, size_t n, int64_t *a, int64_t *b)
+{
+    for (size_t i = 0; i < n; i++)
+        a[i] = (int64_t)i;
+    for (size_t width = 1; width < n; width *= 2) {
+        for (size_t lo = 0; lo < n; lo += 2 * width) {
+            size_t mid = lo + width < n ? lo + width : n, hi = lo + 2 * width < n ? lo + 2 * width : n;
+            size_t i = lo, j = mid, k = lo;
+            while (i < mid && j < hi)
+                b[k++] = before(x, a[j], a[i]) ? a[j++] : a[i++];
+            while (i < mid)
+                b[k++] = a[i++];
+            while (j < hi)
+                b[k++] = a[j++];
+        }
+        int64_t *t = a;
+        a = b;
+        b = t;
+    }
+    return a;
+}
+
+/* One step's bookkeeping before the loss, for a batch of B rows whose
+ * labels are y, forward pass logp (B x C) and hidden (B x d), at the
+ * shard's rows idx:
+ *   - small_loss_filter: the k smallest per-example losses -logp[i, y[i]]
+ *     (ties to the lower index, NaN last), their indices ascending into
+ *     sel (k);
+ *   - confident_mask(similarity_labels(hidden, centroids), y) into
+ *     mask[idx] (mask has n rows), against the centroids V (C x d),
+ *     present where present[c].
+ * Returns 1, having written nothing, where a label or row is out of
+ * range, k is not in [1, B], no class is present or the similarity
+ * product is one numpy would not hand to gemm. */
+int fednoise_select(const struct numpy_calls *np, const double *logp, const double *hidden,
+                    const int64_t *y, const int64_t *idx, size_t B, size_t C, size_t d,
+                    const double *V, const unsigned char *present, double eps, size_t k,
+                    size_t n, int64_t *mask, int64_t *sel)
+{
+    int any = 0;
+    for (size_t c = 0; c < C; c++)
+        any |= present[c];
+    if (!np || !any || k < 1 || k > B || out_of_range(y, B, C) || out_of_range(idx, B, n))
+        return 1;
+    int64_t *labels = malloc(sizeof(int64_t) * 3 * B + sizeof(double) * B + B);
+    if (!labels)
+        return 1;
+    int64_t *a = labels + B, *b = a + B;
+    double *losses = (double *)(b + B);
+    unsigned char *kept = (unsigned char *)(losses + B);
+    if (similarity(np, hidden, V, present, B, C, d, eps, labels)) {
+        free(labels);
+        return 1;
+    }
+    for (size_t i = 0; i < B; i++)
+        losses[i] = -logp[i * C + y[i]];
+    const int64_t *order = stable_order(losses, B, a, b);
+    memset(kept, 0, B);
+    for (size_t i = 0; i < k; i++)
+        kept[order[i]] = 1;
+    for (size_t i = 0, j = 0; i < B; i++)
+        if (kept[i])
+            sel[j++] = (int64_t)i;
+    for (size_t i = 0; i < B; i++)
+        mask[idx[i]] = labels[i] == y[i];
+    free(labels);
     return 0;
+}
+
+/* One step's centroid refresh after sgd_step: the class means of the
+ * hidden layer under theta (as fednoise_forward) of the batch's rows sel
+ * (k of the B rows of X, d_in wide, gathered as X[sel]), by their labels
+ * y[sel]; folded into the running centroids P (C x d_h, present where
+ * had) by blend, or where replace, each mean in place of its class's
+ * row; into out and presence. Returns 1 where a row or label is out of
+ * range or the forward pass refuses (fewer than two rows, say). */
+int fednoise_refresh(const struct numpy_calls *np, const double *X, const double *theta,
+                     const int64_t *y, const int64_t *sel, size_t k, size_t B, size_t d_in,
+                     size_t d_h, size_t C, const double *P, const unsigned char *had, int replace,
+                     double eps, double *out, unsigned char *presence)
+{
+    if (!np || !k || out_of_range(sel, k, B))
+        return 1;
+    int64_t *labels = malloc(sizeof(int64_t) * k + sizeof(double) * (k * (d_in + d_h) + C * d_h) + C);
+    if (!labels)
+        return 1;
+    double *rows = (double *)(labels + k), *hidden = rows + k * d_in, *means = hidden + k * d_h;
+    unsigned char *has = (unsigned char *)(means + C * d_h);
+    for (size_t i = 0; i < k; i++) {
+        memcpy(rows + i * d_in, X + sel[i] * d_in, sizeof(double) * d_in);
+        labels[i] = y[sel[i]];
+    }
+    int status = out_of_range(labels, k, C)
+                 || fednoise_forward(np, rows, theta, k, d_in, d_h, C, hidden, NULL, NULL)
+                 || class_means(hidden, labels, k, d_h, C, means, has);
+    if (!status && replace) {
+        for (size_t c = 0; c < C; c++) {
+            memcpy(out + c * d_h, has[c] ? means + c * d_h : P + c * d_h, sizeof(double) * d_h);
+            presence[c] = had[c] || has[c];
+        }
+    } else if (!status) {
+        blend(np, P, means, had, has, C, d_h, eps, out, presence);
+    }
+    free(labels);
+    return status;
 }

@@ -223,17 +223,17 @@ def numpy_calls() -> NumpyCalls | None:
 _ARRAY, _SIZE, _REAL = ctypes.POINTER(ctypes.c_ubyte), ctypes.c_size_t, ctypes.c_double
 _CALLS = ctypes.POINTER(NumpyCalls)
 # The argument types of every C function, by its name after "fednoise_";
-# each returns an int status, 0 where it wrote its results. Each array is
-# passed as ref(array), and numpy's calls as the NumpyCalls or None.
+# each returns an int status, 0 where it wrote its results (forward's 2
+# is a partial one, see _local.c). Each array is passed as ref(array),
+# and numpy's calls as the NumpyCalls or None.
 ARGTYPES = {
     "sgd_step": [_ARRAY] * 3 + [_SIZE] * 4 + [_REAL] * 3,
     "normal_fill": [_ARRAY] * 2 + [_SIZE] * 2 + [_REAL, _ARRAY, _SIZE],
     "forward": [_CALLS] + [_ARRAY] * 2 + [_SIZE] * 4 + [_ARRAY] * 3,
     "backward": [_CALLS] + [_ARRAY] * 5 + [_SIZE] * 4 + [_ARRAY],
     "loss": [_ARRAY] * 7 + [_SIZE] * 4 + [_REAL] * 2 + [_ARRAY] * 3,
-    "class_means": [_ARRAY] * 2 + [_SIZE] * 3 + [_ARRAY] * 2,
-    "similarity": [_CALLS] + [_ARRAY] * 3 + [_SIZE] * 3 + [_REAL, _ARRAY],
-    "blend": [_CALLS] + [_ARRAY] * 4 + [_SIZE] * 2 + [_REAL] + [_ARRAY] * 2,
+    "select": [_CALLS] + [_ARRAY] * 4 + [_SIZE] * 3 + [_ARRAY] * 2 + [_REAL] + [_SIZE] * 2 + [_ARRAY] * 2,
+    "refresh": [_CALLS] + [_ARRAY] * 4 + [_SIZE] * 5 + [_ARRAY] * 2 + [ctypes.c_int, _REAL] + [_ARRAY] * 2,
 }
 
 

@@ -17,12 +17,14 @@ depend on the order clients run in.
 A client uploads its weights, centroids, mean loss and confident mask.
 It reads no true label: the server alone measures detection.
 
-The loss and its partials, the class means, the similarity labels and
-the blend run the C functions of _local.c where they load and pass
-their probe (_probe); otherwise, or for arrays those cannot take, their
-numpy lines, which give the same bits. The similarity labels and the
-blend also need numpy's own BLAS calls (_calls); without them both run
-their numpy lines.
+The loss and its partials run a C function of _local.c, and so does
+each step's bookkeeping, in two calls: select (the small-loss subset and
+the confident mask) before the loss and refresh (the fresh class means
+folded into the running centroids) after the step. Each is used where it
+loads and passes its probe (_probe); otherwise, or for arrays it cannot
+take, the numpy lines run, which give the same bits. select and refresh
+also need numpy's own BLAS calls (_calls); without them, or where either
+returns 1 (a side of 1, say), that step runs its numpy lines.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .numkit import (
     ForwardRecord,
     ModelParams,
     cosine_similarity,
+    init_params,
     mlp_backward,
     mlp_features,
     mlp_forward,
@@ -53,12 +56,11 @@ class LocalKernels(NamedTuple):
     """The functions of _local.c (their argument types in _native.ARGTYPES)."""
 
     loss: Callable
-    class_means: Callable
-    similarity: Callable
-    blend: Callable
+    select: Callable
+    refresh: Callable
 
 
-# numpy's own calls, which similarity and blend take, or None.
+# numpy's own calls, which select and refresh take, or None.
 _calls = _native.numpy_calls()
 # The functions of _local.c, bound at the end of this module once they
 # pass their probe, or None, where every function runs its numpy lines.
@@ -67,6 +69,10 @@ _local = None
 # The probe's (B, C, d_h) shapes: sums above 128 elements and below 8.
 PROBE_SHAPES = ((36, 10, 67), (5, 2, 3))
 PROBE_SEED = 7
+# The probe's input width and keep fractions: at 0.1 the cut falls inside
+# a tie of losses, at 0.8 (with B = 5) between an inf loss and a NaN.
+PROBE_D_IN = 9
+PROBE_KEEP = (0.1, 0.5, 0.8, 1.0)
 
 
 # What checking and passing an argument that the C functions cannot read
@@ -200,15 +206,6 @@ def class_mean_features(features: np.ndarray, labels: np.ndarray, C: int) -> Cen
 
     Classes with no row get a zero vector and presence False.
     """
-    if _local is not None:
-        try:
-            B, d = features.shape
-            if features.dtype == np.float64 and labels.dtype == np.int64 and labels.shape == (B,):
-                vectors, presence = np.empty((C, d)), np.empty(C, dtype=bool)
-                if not _local.class_means(ref(features), ref(labels), B, d, C, ref(vectors), ref(presence)):
-                    return CentroidSet(C=C, vectors=vectors, presence=presence)
-        except _UNFIT:
-            pass
     counts = np.bincount(labels, minlength=C)
     presence = counts > 0
     # add.at sums each class's rows in row order from zero, as a per-class
@@ -232,22 +229,6 @@ def blend_with_global(prev: CentroidSet, fresh: CentroidSet) -> CentroidSet:
     if prev.C != fresh.C or prev.d_h != fresh.d_h:
         raise ContractViolation("blend_with_global: centroid sets have mismatched dims")
     P, F = prev.vectors, fresh.vectors
-    if _local is not None and _calls is not None:
-        try:
-            C, d = P.shape
-            had, has = prev.presence, fresh.presence
-            if (
-                P.dtype == F.dtype == np.float64
-                and F.shape == (C, d)
-                and had.dtype == has.dtype == bool
-                and had.shape == has.shape == (C,)
-            ):
-                vectors, presence = np.empty((C, d)), np.empty(C, dtype=bool)
-                args = ref(P), ref(F), ref(had), ref(has), C, d, ZERO_NORM_EPS
-                if not _local.blend(_calls, *args, ref(vectors), ref(presence)):
-                    return CentroidSet(prev.C, vectors, presence)
-        except _UNFIT:
-            pass
     s = cosine_similarity(P[:, None, :], F[:, None, :])[:, :, 0]
     w = s * s
     blended = (1.0 - w) * P + w * F
@@ -263,22 +244,6 @@ def similarity_labels(features: np.ndarray, centroids: CentroidSet) -> np.ndarra
     """Nearest present centroid by cosine similarity; ties to the lowest class."""
     if not centroids.presence.any():
         raise ContractViolation("similarity_labels: no class has a centroid yet")
-    if _local is not None and _calls is not None:
-        try:
-            (B, d), V, present = features.shape, centroids.vectors, centroids.presence
-            C = len(V)
-            if (
-                features.dtype == V.dtype == np.float64
-                and V.shape == (C, d)
-                and present.dtype == bool
-                and present.shape == (C,)
-            ):
-                labels = np.empty(B, dtype=np.int64)
-                args = ref(features), ref(V), ref(present), B, C, d, ZERO_NORM_EPS, ref(labels)
-                if not _local.similarity(_calls, *args):
-                    return labels
-        except _UNFIT:
-            pass
     sims = cosine_similarity(features, centroids.vectors)
     sims[:, ~centroids.presence] = -np.inf
     return sims.argmax(axis=1).astype(np.int64)
@@ -436,6 +401,72 @@ def _loss_numpy(rec, y, y_pseudo, mask, centroids, lam_cen, lam_e):
     return (l_class, l_centroid, l_entropy), d_logits, d_hidden
 
 
+def _select(rec: ForwardRecord, y: np.ndarray, r_t: float, running: CentroidSet,
+            mask: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """A step's bookkeeping before the loss, for the batch at the shard
+    rows idx with labels y: its small-loss subset, small_loss_filter
+    (per_example_ce(rec.logp, y), r_t), returned, and its confident mask
+    against the running centroids, written into mask at idx. One call of
+    _local.c's select where it can take these arrays, else numpy's lines."""
+    if _local is not None and _calls is not None:
+        logp, hidden, V, present = rec.logp, rec.hidden, running.vectors, running.presence
+        try:
+            (B, C), d = logp.shape, V.shape[-1]
+            if (
+                logp.dtype == hidden.dtype == V.dtype == np.float64
+                and y.dtype == idx.dtype == mask.dtype == np.int64
+                and hidden.shape == (B, d)
+                and V.shape == (C, d)
+                and present.dtype == bool
+                and present.shape == (C,)
+                and y.shape == idx.shape == (B,)
+                and 0.0 < r_t <= 1.0
+            ):
+                sel = np.empty(math.ceil(r_t * B), dtype=np.int64)
+                args = ref(logp), ref(hidden), ref(y), ref(idx), B, C, d, ref(V), ref(present), ZERO_NORM_EPS
+                if not _local.select(_calls, *args, len(sel), len(mask), ref(mask), ref(sel)):
+                    return sel
+        except _UNFIT:
+            pass
+    sel = small_loss_filter(per_example_ce(rec.logp, y), r_t)
+    mask[idx] = confident_mask(similarity_labels(rec.hidden, running), y)
+    return sel
+
+
+def _refresh(params: ModelParams, X: np.ndarray, y: np.ndarray, sel: np.ndarray,
+             running: CentroidSet, C: int, replace: bool) -> CentroidSet:
+    """A step's bookkeeping after sgd_step: the class means of the batch
+    rows sel (of X, labelled y) from the just-updated extractor, folded
+    into the running centroids by blend_with_global or, where replace,
+    each in place of its class's centroid. One call of _local.c's refresh
+    where it can take these arrays, else numpy's lines."""
+    if _local is not None and _calls is not None:
+        V, had = running.vectors, running.presence
+        try:
+            (B, d_in), d_h = X.shape, V.shape[-1]
+            if (
+                X.dtype == V.dtype == np.float64
+                and y.dtype == sel.dtype == np.int64
+                and y.shape == (B,)
+                and sel.ndim == 1
+                and params.W1.shape == (d_in, d_h)
+                and V.shape == (C, d_h)
+                and had.dtype == bool
+                and had.shape == (C,)
+            ):
+                vectors, presence = np.empty((C, d_h)), np.empty(C, dtype=bool)
+                args = ref(X), ref(params.theta), ref(y), ref(sel), len(sel), B, d_in, d_h, C, ref(V), ref(had)
+                if not _local.refresh(_calls, *args, replace, ZERO_NORM_EPS, ref(vectors), ref(presence)):
+                    return CentroidSet(C, vectors, presence)
+        except _UNFIT:
+            pass
+    fresh = class_mean_features(mlp_features(params, X[sel]), y[sel], C)
+    if replace:
+        vectors = np.where(fresh.presence[:, None], fresh.vectors, running.vectors)
+        return CentroidSet(C, vectors, running.presence | fresh.presence)
+    return blend_with_global(running, fresh)
+
+
 def local_update(
     dataset: Dataset,
     rows: np.ndarray,
@@ -500,8 +531,7 @@ def local_update(
             Xb, yb = X[rows[idx]], y[idx]
             rec = mlp_forward(params, Xb)
             if spec.centroids != "none":
-                sel = small_loss_filter(per_example_ce(rec.logp, yb), r_t)
-                mask[idx] = confident_mask(similarity_labels(rec.hidden, running), yb)
+                sel = _select(rec, yb, r_t, running, mask, idx)
             yp = None if pseudo is None else pseudo[idx]
             losses, d_logits, d_hidden = total_loss_and_grads(
                 rec, yb, yp, mask[idx], running, lam_cen, lam_e
@@ -509,15 +539,7 @@ def local_update(
             grads = mlp_backward(params, Xb, rec, d_logits, d_hidden)
             sgd_step(params, grads, velocity, hp.learning_rate, hp.momentum, hp.weight_decay)
             if spec.centroids != "none":
-                # Class means come from the just-updated extractor, on the
-                # small-loss subset only, then fold into the running centroids.
-                fresh = class_mean_features(mlp_features(params, Xb[sel]), yb[sel], C)
-                if spec.centroids == "local":
-                    # Each fresh class mean replaces its running centroid.
-                    vectors = np.where(fresh.presence[:, None], fresh.vectors, running.vectors)
-                    running = CentroidSet(C, vectors, running.presence | fresh.presence)
-                else:
-                    running = blend_with_global(running, fresh)
+                running = _refresh(params, Xb, yb, sel, running, C, spec.centroids == "local")
             loss_sum += losses.total
             steps += 1
 
@@ -531,8 +553,10 @@ def local_update(
 def _probe(kernels: LocalKernels | None) -> bytes:
     """Every result of the functions that _local.c backs, with _local bound
     to kernels, on fixed inputs, as bytes: each of PROBE_SHAPES, -0.0
-    entries, zero and NaN rows, an absent class, a tie, each pair of
-    presences and every switch of total_loss_and_grads."""
+    entries, every switch of total_loss_and_grads; zero and NaN feature
+    rows, an absent class, a tie of cosines, ties of losses across the
+    cut, NaN and inf losses; each pair of presences, both refreshes and
+    a refresh of one row."""
     global _local
     bound, _local = _local, kernels
     try:
@@ -549,16 +573,6 @@ def _probe(kernels: LocalKernels | None) -> bytes:
             mask = np.arange(B) % 3 % 2
             pseudo = rng.dirichlet(np.ones(C), B)
             means = class_mean_features(hidden, y, C)
-            P, F = rng.standard_normal((2, C, d))
-            P[0] = F[1] = -0.0
-            had, has = np.arange(C) % 2 == 0, np.arange(C) % 3 != 0
-            blended = blend_with_global(CentroidSet(C, P, had), CentroidSet(C, F, has))
-            out += [means.vectors, means.presence, blended.vectors, blended.presence]
-            # Similarity labels with a zero row and a NaN row of features,
-            # a tie between two classes and class C-1 absent.
-            features, vectors = hidden.copy(), hidden[:C].copy()
-            features[1], features[2, 0], vectors[1] = 0.0, np.nan, vectors[0]
-            out.append(similarity_labels(features, CentroidSet(C, vectors, np.arange(C) < C - 1)))
             for centroids in (None, means):
                 for y_pseudo in (None, pseudo):
                     for lam_cen in (0.0, 0.7):
@@ -567,6 +581,39 @@ def _probe(kernels: LocalKernels | None) -> bytes:
                                 rec, y, y_pseudo, mask, centroids, lam_cen, lam_e
                             )
                             out += [np.array(astuple(terms)), d_logits, d_hidden]
+            # select: features with a zero row and a NaN row, centroids
+            # with a tie between two classes and class C-1 absent; losses
+            # i % 4, and then a NaN and an inf loss among them.
+            features, vectors = hidden.copy(), hidden[:C].copy()
+            features[1], features[2, 0], vectors[1] = 0.0, np.nan, vectors[0]
+            running = CentroidSet(C, vectors, np.arange(C) < C - 1)
+            logp = rec.logp.copy()
+            logp[np.arange(B), y] = -(np.arange(B) % 4.0)
+            spoilt = logp.copy()
+            spoilt[[1, 2], y[[1, 2]]] = np.nan, -np.inf
+            shard_mask, idx = np.zeros(B + 3, np.int64), rng.permutation(B + 3)[:B]
+            for z in (logp, spoilt):
+                for r_t in PROBE_KEEP:
+                    sel = _select(ForwardRecord(features, rec.probs, z), y, r_t, running, shard_mask, idx)
+                    out += [sel, shard_mask.copy()]
+            # Each class as every row's label: the masks spell out the
+            # similarity labels.
+            for c in range(C):
+                _select(ForwardRecord(features, rec.probs, logp), np.full(B, c), 1.0, running, shard_mask, idx)
+                out.append(shard_mask.copy())
+            # refresh: each class present before or not, the batch's rows,
+            # every other row and one row (which takes numpy's lines).
+            params = init_params(PROBE_D_IN, d, C, rng)
+            params.b1[...] = rng.standard_normal(d)
+            X = rng.standard_normal((B, PROBE_D_IN))
+            X[0] = -0.0
+            P = rng.standard_normal((C, d))
+            P[0] = -0.0
+            for had in (np.arange(C) % 2 == 0, np.arange(C) % 2 == 1):
+                for sel in (np.arange(B), np.arange(0, B, 2), np.array([1])):
+                    for replace in (False, True):
+                        fresh = _refresh(params, X, y, sel, CentroidSet(C, P, had), C, replace)
+                        out += [fresh.vectors, fresh.presence]
         # A sum of -0.0 alone: numpy adds it to +0.0.
         zeros = np.full((3, 2), -0.0)
         terms, d_logits, d_hidden = total_loss_and_grads(

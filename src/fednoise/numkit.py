@@ -160,7 +160,9 @@ def _softmax_and_log(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _forward_kernel(params: ModelParams, X: np.ndarray, outputs: int) -> tuple | None:
     """The hidden layer, the logits (outputs 2) or the log-softmax (3),
     and the softmax rows (3) from _local.c's forward pass, None for each
-    not asked for; or None where it is not bound or cannot take X."""
+    not asked for; or None where it is not bound or cannot take X. Where
+    the pass refuses a row's softmax (outputs 3), the logits in place of
+    the log-softmax and no softmax rows."""
     if _mlp is None or X.dtype != np.float64 or X.ndim != 2 or X.shape[1] != params.d_in:
         return None
     B, (d_in, d_h), C = len(X), params.W1.shape, len(params.b2)
@@ -180,6 +182,8 @@ def _forward_kernel(params: ModelParams, X: np.ndarray, outputs: int) -> tuple |
         )
     except _UNFIT:
         return None
+    if status == 2:  # hidden and logits written, the softmax refused
+        return hidden, logits, None
     return None if status else (hidden, logits, probs)
 
 
@@ -207,11 +211,11 @@ def mlp_logits(params: ModelParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def mlp_forward(params: ModelParams, X: np.ndarray) -> ForwardRecord:
     """Forward pass: mlp_logits, then the softmax and log-softmax of the logits."""
     out = _forward_kernel(params, X, 3)
-    if out is not None:
-        hidden, logp, probs = out
-        return ForwardRecord(hidden=hidden, probs=probs, logp=logp)
-    hidden, logits = mlp_logits(params, X)
-    probs, logp = _softmax_and_log(logits)
+    if out is None:
+        out = (*mlp_logits(params, X), None)
+    hidden, logp, probs = out
+    if probs is None:  # logp holds the logits
+        probs, logp = _softmax_and_log(logp)
     return ForwardRecord(hidden=hidden, probs=probs, logp=logp)
 
 

@@ -25,7 +25,7 @@ from fednoise.bench import (
     run_experiment,
     summary_accuracy,
 )
-from fednoise import coordinator, localnode, numkit
+from fednoise import _native, coordinator, localnode, numkit
 from fednoise.errors import ConfigError, TrainingDiverged
 from fednoise.localnode import METHODS, local_update
 from fednoise.metrics import read_csv
@@ -871,6 +871,56 @@ def test_csv_digests_match_the_reference():
     assert "check passed" in proc.stdout
 
 
+# Runs each named list of overrides of blobs.cfg four times in this one
+# process: with the C kernels bound and unbound (forked workers inherit
+# either), at one and three processes. Prints the OpenBLAS core type and
+# whether the kernels were bound, then each run's name and the number of
+# distinct CSVs its four variants wrote.
+_KERNELS_AND_PROCESSES = """
+import hashlib, json, os, sys
+from fednoise import _native, bench, coordinator, datagen, localnode, numkit
+config, out, runs = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+kernels = {(m, name): getattr(m, name) for m, name in
+           [(numkit, "_sgd_kernel"), (numkit, "_mlp"), (localnode, "_local"), (datagen, "_normal_kernel")]}
+print(_native.blas_core(), None not in kernels.values())
+for name, overrides in runs.items():
+    digests = set()
+    for processes in (1, 3):
+        for bound in (True, False):
+            for (module, attr), kernel in kernels.items():
+                setattr(module, attr, kernel if bound else None)
+            coordinator._process_count = lambda clients: processes
+            path = os.path.join(out, "metrics.csv")
+            bench.run_experiment(bench.load_config(config, overrides + [f"output={path}"]))
+            with open(path, "rb") as fh:
+                digests.add(hashlib.sha256(fh.read()).hexdigest())
+    print(name, len(digests))
+"""
+
+
+def test_bytes_under_a_forced_haswell_core_do_not_depend_on_kernels_or_processes(tmp_path):
+    # Another OpenBLAS core type gives other bytes (scripts/csv_digests.py
+    # keeps a reference set per core), but within one core the bytes still
+    # do not depend on the C kernels or the process count. The core is
+    # forced for the subprocess alone. About 10 s on 2 CPUs.
+    if _native.blas_core() == "unknown":
+        pytest.skip("numpy's BLAS is not scipy-openblas")
+    if b" avx2" not in _native._host_cpu():
+        pytest.skip("Haswell kernels need AVX2")
+    runs = {
+        "desk": ["method=proposed"],
+        "784-d": list(MNIST_SHAPED_3_ROUNDS) + ["method=proposed", "hp.t_pl=2"],
+    }
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"), OPENBLAS_CORETYPE="Haswell")
+    proc = subprocess.run(
+        [sys.executable, "-c", _KERNELS_AND_PROCESSES, BLOBS_CFG, str(tmp_path), json.dumps(runs)],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    kernels = "True" if numkit._mlp is not None and localnode._local is not None else "False"
+    assert proc.stdout.splitlines() == [f"Haswell {kernels}", "desk 1", "784-d 1"]
+
+
 # Runs scripts/csv_digests.py --check with run_experiment replaced by a
 # stub that writes one fixed CSV and counts its calls, and with reference
 # versions and digests that make the check pass, fail or not apply.
@@ -887,10 +937,10 @@ def stub(cfg):
         fh.write("stub")
 pkg.bench.run_experiment = stub
 env = csv_digests.perfbench.environment()
-csv_digests.REFERENCE_NUMPY = "0" if case == "unknown" else env["numpy"]
-csv_digests.REFERENCE_BLAS = env["blas"]
+key = ("0" if case == "unknown" else env["numpy"], env["blas"], pkg._native.blas_core())
 digest = "0" if case == "differ" else hashlib.sha256(b"stub").hexdigest()
-csv_digests.REFERENCE_DIGESTS = dict.fromkeys(csv_digests.REFERENCE_DIGESTS, digest)
+labels = next(iter(csv_digests.REFERENCE_DIGESTS.values()))
+csv_digests.REFERENCE_DIGESTS = {key: dict.fromkeys(labels, digest)}
 code = csv_digests.main()
 print(f"runs {len(runs)}", file=sys.stderr)
 sys.exit(code)

@@ -39,7 +39,9 @@ from fednoise.numkit import (
     cosine_similarity,
     init_params,
     mlp_backward,
+    mlp_features,
     mlp_forward,
+    sgd_step,
 )
 from fednoise.seeds import make_rng
 
@@ -297,7 +299,10 @@ def test_desk_run_with_loop_centroids_writes_same_csv(tmp_path, monkeypatch):
         return path.read_bytes()
 
     vectorized = run("vectorized.csv")
-    # Forked client workers inherit the patched module attributes.
+    # Forked client workers inherit the patched module attributes. Without
+    # numpy's calls the step's bookkeeping runs its numpy lines, which call
+    # the loop versions.
+    monkeypatch.setattr(localnode, "_calls", None)
     monkeypatch.setattr(localnode, "class_mean_features", loop_class_mean_features)
     monkeypatch.setattr(localnode, "blend_with_global", loop_blend_with_global)
     monkeypatch.setattr(coordinator, "aggregate_global_centroids", loop_aggregate_global_centroids)
@@ -752,9 +757,12 @@ def test_pseudo_labels_computed_only_from_t_pl(monkeypatch, method, per_update):
 @pytest.mark.parametrize("method", METHODS)
 def test_local_update_keep_fraction_follows_the_round(monkeypatch, method):
     # Each client derives its small-loss keep fraction from the round it
-    # is told, r_schedule(round_t). ce_baseline filters nothing.
+    # is told, r_schedule(round_t). ce_baseline filters nothing. Without
+    # numpy's calls the selection runs small_loss_filter; the C select's
+    # keep count is checked in test_a_step_makes_one_select_and_one_refresh.
     import fednoise.localnode as localnode
 
+    monkeypatch.setattr(localnode, "_calls", None)
     ds, shard = _blob_client(noisy=True)
     hp = _hp(tau=0.4, t_horizon=10, local_epochs=1)
     gp = init_params(5, 8, 3, make_rng(0, 4))
@@ -986,29 +994,69 @@ def test_loss_kernel_bit_equals_numpy(B, C, d_h, seed, mask_kind, pseudo, centro
         _same_bits(got, want)
 
 
+def _refresh_case(rng, B, C, d_h, d_in=6):
+    """params, a batch X (B x d_in) with -0.0 entries, labels from a
+    prefix of the classes and a random sorted subset of the rows."""
+    params = init_params(d_in, d_h, C, rng)
+    params.b1[...] = rng.normal(size=d_h)
+    X = _with_signed_zeros(rng, rng.normal(scale=2.0, size=(B, d_in)))
+    y = rng.integers(0, rng.integers(1, C + 1), B)  # some classes have no row
+    sel = np.flatnonzero(rng.random(B) < 0.7)
+    return params, X, y, sel if len(sel) else np.arange(B)
+
+
+def _refresh_status(sel, d_h):
+    # The forward pass of fewer than two rows, or of a side of 1, takes no
+    # gemm: refresh returns 1 and numpy's lines run.
+    return 0 if min(len(sel), d_h) >= 2 else 1
+
+
 @needs_local
 @given(st.integers(1, 60), st.integers(2, 12), st.integers(1, 70), st.integers(0, 2**32 - 1))
 def test_class_means_kernel_bit_equals_numpy(B, C, d_h, seed):
+    # refresh's class means: with no running centroid present, each
+    # present class adopts its fresh mean, so the result is the means.
     rng = np.random.default_rng(seed)
-    features = _with_signed_zeros(rng, rng.normal(size=(B, d_h)))
-    labels = rng.integers(0, rng.integers(1, C + 1), B)  # some classes have no row
-    kernel, reference = _on_both_paths("class_means", lambda: class_mean_features(features, labels, C))
-    _same_bits(kernel.vectors, reference.vectors)
-    _same_bits(kernel.presence, reference.presence)
+    params, X, y, sel = _refresh_case(rng, B, C, d_h)
+    empty = CentroidSet.empty(C, d_h)
+    for replace in (True, False):
+        kernel, reference = _on_both_paths(
+            "refresh", lambda: localnode._refresh(params, X, y, sel, empty, C, replace), _refresh_status(sel, d_h)
+        )
+        want = class_mean_features(mlp_features(params, X[sel]), y[sel], C)
+        for got in (kernel, reference):
+            _same_bits(got.vectors, want.vectors)
+            _same_bits(got.presence, want.presence)
 
 
 @needs_local
-@given(st.integers(2, 12), st.integers(1, 70), st.integers(0, 2**32 - 1))
-def test_blend_kernel_bit_equals_numpy(C, d_h, seed):
+@given(st.integers(1, 60), st.integers(2, 12), st.integers(1, 70), st.integers(0, 2**32 - 1))
+def test_blend_kernel_bit_equals_numpy(B, C, d_h, seed):
+    # refresh's blend of the fresh means into running centroids with zero
+    # rows (whose cosine is 0), for each pair of presences; and the
+    # replace of no_global_centroids_ablation.
     rng = np.random.default_rng(seed)
-    sets = []
-    for _ in range(2):
-        vectors = _with_signed_zeros(rng, rng.normal(size=(C, d_h)))
-        vectors[rng.random(C) < 0.2] = 0.0  # zero rows, whose cosine is 0
-        sets.append(CentroidSet(C, vectors, rng.random(C) < 0.6))
-    kernel, reference = _on_both_paths("blend", lambda: blend_with_global(*sets))
-    _same_bits(kernel.vectors, reference.vectors)
-    _same_bits(kernel.presence, reference.presence)
+    params, X, y, sel = _refresh_case(rng, B, C, d_h)
+    vectors = _with_signed_zeros(rng, rng.normal(size=(C, d_h)))
+    vectors[rng.random(C) < 0.2] = 0.0
+    running = CentroidSet(C, vectors, rng.random(C) < 0.6)
+    for replace in (False, True):
+        kernel, reference = _on_both_paths(
+            "refresh", lambda: localnode._refresh(params, X, y, sel, running, C, replace), _refresh_status(sel, d_h)
+        )
+        _same_bits(kernel.vectors, reference.vectors)
+        _same_bits(kernel.presence, reference.presence)
+
+
+def _select_on_both_paths(rec, y, r_t, running, n, idx, status):
+    """The subset and shard mask from _select with the C functions and
+    with numpy's lines, each from a fresh mask of n rows."""
+
+    def select():
+        mask = np.full(n, 7, dtype=np.int64)  # neither 0 nor 1: every write shows
+        return localnode._select(rec, y, r_t, running, mask, idx), mask
+
+    return _on_both_paths("select", select, status)
 
 
 @needs_local
@@ -1017,8 +1065,10 @@ def test_blend_kernel_bit_equals_numpy(C, d_h, seed):
     st.sampled_from([None, 0.0, np.nan, np.inf]), st.booleans(),
 )
 def test_similarity_kernel_bit_equals_numpy(B, C, d_h, seed, row, tie):
-    # Zero centroid rows (cosine 0), absent classes (-inf), a tie, and in
-    # some cases a feature row of zeros, NaN (the first NaN wins) or inf.
+    # select's similarity labels: zero centroid rows (cosine 0), absent
+    # classes (-inf), a tie, and in some cases a feature row of zeros, NaN
+    # (the first NaN wins) or inf. With each class as every row's label,
+    # the masks spell out the labels.
     rng = np.random.default_rng(seed)
     features = _with_signed_zeros(rng, rng.normal(size=(B, d_h)))
     if row is not None:
@@ -1030,11 +1080,40 @@ def test_similarity_kernel_bit_equals_numpy(B, C, d_h, seed, row, tie):
     presence = rng.random(C) < 0.7
     presence[rng.integers(C)] = True
     cents = CentroidSet(C, vectors, presence)
+    probs, logp = _softmax_and_log(rng.normal(size=(B, C)))
+    rec = ForwardRecord(features, probs, logp)
+    n = B + 5
+    idx = rng.permutation(n)[:B]
     # A side of 1 is a product numpy's matmul does not hand to gemm.
     status = 0 if min(B, C, d_h) >= 2 else 1
     with np.errstate(all="ignore"):
-        kernel, reference = _on_both_paths("similarity", lambda: similarity_labels(features, cents), status)
-    _same_bits(kernel, reference)
+        for y in [rng.integers(0, C, B)] + [np.full(B, c) for c in range(C)]:
+            (sel, mask), (want_sel, want_mask) = _select_on_both_paths(rec, y, 0.5, cents, n, idx, status)
+            _same_bits(sel, want_sel)
+            _same_bits(mask, want_mask)
+
+
+@needs_local
+@given(st.integers(1, 60), st.integers(2, 10), st.integers(0, 2**32 - 1), st.floats(0.01, 1.0))
+def test_select_kernel_bit_equals_numpy(B, C, seed, r_t):
+    # select's small-loss subset: losses with many ties (the cut falls
+    # inside a tie), -0.0, inf and NaN losses (NaN last).
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, C, B)
+    logp = -rng.integers(0, 4, (B, C)).astype(np.float64)
+    spoil = rng.random(B)
+    logp[spoil < 0.1, :] = np.nan
+    logp[(spoil >= 0.1) & (spoil < 0.2), :] = -np.inf
+    rec = ForwardRecord(rng.normal(size=(B, 4)), np.exp(logp), logp)
+    cents = CentroidSet(C, rng.normal(size=(C, 4)), np.ones(C, dtype=bool))
+    idx = rng.permutation(B)
+    status = 0 if B >= 2 else 1
+    (sel, mask), (want_sel, want_mask) = _select_on_both_paths(rec, y, r_t, cents, B, idx, status)
+    _same_bits(sel, want_sel)
+    _same_bits(mask, want_mask)
+    losses = -logp[np.arange(B), y]
+    ranked = sorted(range(B), key=lambda i: (np.isnan(losses[i]), np.nan_to_num(losses[i], nan=0.0), i))
+    assert sel.tolist() == sorted(ranked[: math.ceil(r_t * B)])
 
 
 def _kernels_off(mp):
@@ -1078,9 +1157,10 @@ def test_local_update_bytes_are_the_same_without_the_kernels(method, client):
 
 @needs_local
 def test_without_numpys_calls_the_labels_and_blend_call_no_c(monkeypatch):
-    # Where numpy's BLAS and loops are not bound, similarity_labels and
-    # blend_with_global run their numpy lines without calling _local.c;
-    # the loss and class means still run in C, and the bytes are the same.
+    # Where numpy's BLAS and loops are not bound, the step's bookkeeping
+    # (similarity labels, class means and blend) runs its numpy lines
+    # without calling _local.c's select or refresh; the loss still runs
+    # in C, and the bytes are the same.
     ds, shard = _blob_client(noisy=True)
     gp = init_params(5, 8, 3, make_rng(0, 4))
     hp = _hp(t_pl=1)
@@ -1099,9 +1179,115 @@ def test_without_numpys_calls_the_labels_and_blend_call_no_c(monkeypatch):
         monkeypatch.setattr(localnode, "_local", localnode.LocalKernels(*map(counted, kernels._fields)))
         res = local_update(ds, shard, gp, CentroidSet.empty(3, 8), 2, hp, make_rng(0, 6, 2, 0))
         runs.append((res.params.theta.tobytes(), res.centroids.vectors.tobytes(), res.mask.tobytes()))
-        on_c = set(kernels._fields) - ({"similarity", "blend"} if numpy_calls is None else set())
+        on_c = set(kernels._fields) - ({"select", "refresh"} if numpy_calls is None else set())
         assert called == on_c
     assert runs[0] == runs[1]
+
+
+def _counting_kernels(calls):
+    """localnode's kernels, each appending (name, args, status) to calls."""
+    kernels = localnode._local
+
+    def counted(name):
+        def call(*args):
+            calls.append((name, args, getattr(kernels, name)(*args)))
+            return calls[-1][2]
+
+        return call
+
+    return localnode.LocalKernels(*map(counted, kernels._fields))
+
+
+def _upload_bytes(res):
+    return b"".join((res.params.theta.tobytes(), res.centroids.vectors.tobytes(),
+                     res.centroids.presence.tobytes(), res.mask.tobytes(),
+                     np.float64(res.mean_train_loss).tobytes()))
+
+
+@needs_local
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("n, last", [(33, 1), (39, 7)])
+def test_local_update_bytes_are_the_same_without_the_kernels_on_ragged_shards(monkeypatch, method, n, last):
+    # Shards whose last batch of 16 has 1 or 7 rows, at round 1 (keep
+    # everything) and round 4 (past t_pl, keep 0.1: a batch of 7 keeps a
+    # single row, which refresh refuses, as does select on a batch of 1).
+    ds, _ = _blob_client(noisy=True)
+    shard = np.sort(np.random.default_rng(n).permutation(ds.n)[:n]).astype(np.int64)
+    hp = _hp(tau=0.9)
+    assert n % hp.batch_size == last and r_schedule(4, hp) == pytest.approx(0.1)
+    gp = init_params(5, hp.hidden_dim, 3, make_rng(0, 4))
+    runs, calls = [], []
+    for kernels in (_counting_kernels(calls), None):
+        monkeypatch.setattr(localnode, "_local", kernels)
+        first = local_update(ds, shard, gp, CentroidSet.empty(3, 8), 1, hp, make_rng(0, 6, 1, 0), method)
+        later = local_update(ds, shard, gp, first.centroids, 4, hp, make_rng(0, 6, 4, 0), method)
+        runs.append(_upload_bytes(first) + _upload_bytes(later))
+    assert runs[0] == runs[1]
+    statuses = {name: {status for called, _, status in calls if called == name} for name in ("select", "refresh")}
+    if method == "ce_baseline":
+        assert statuses == {"select": set(), "refresh": set()}
+    else:
+        # Both paths ran: the C calls and, where they refused, numpy's lines.
+        assert statuses["refresh"] == {0, 1}
+        assert statuses["select"] == ({0, 1} if last == 1 else {0})
+
+
+@needs_local
+@pytest.mark.parametrize("method", METHODS)
+def test_a_step_makes_one_select_and_one_refresh(monkeypatch, method):
+    # Each step of a method that keeps centroids makes one select call,
+    # keeping ceil(r_t * B) rows of its batch of B, and one refresh call;
+    # ce_baseline makes neither. Steps are counted by sgd_step.
+    ds, shard = _blob_client(noisy=True)
+    hp = _hp(tau=0.3, local_epochs=2)
+    gp = init_params(5, hp.hidden_dim, 3, make_rng(0, 4))
+    calls, steps = [], []
+    monkeypatch.setattr(localnode, "_local", _counting_kernels(calls))
+
+    def counted_step(*args):
+        steps.append(len(calls))
+        sgd_step(*args)
+
+    monkeypatch.setattr(localnode, "sgd_step", counted_step)
+    local_update(ds, shard, gp, CentroidSet.empty(3, 8), 2, hp, make_rng(0, 6, 2, 0), method)
+    names = [name for name, _, _ in calls]
+    assert len(steps) == hp.local_epochs * math.ceil(len(shard) / hp.batch_size)
+    if method == "ce_baseline":
+        assert names == ["loss"] * len(steps)
+        return
+    assert names == ["select", "loss", "refresh"] * len(steps)
+    # Each step's select comes before its sgd_step, and its refresh after.
+    assert steps == [3 * i + 2 for i in range(len(steps))]
+    r_t = r_schedule(2, hp)
+    for _, args, status in calls[::3]:
+        B, k = args[5], args[11]
+        assert status == 0 and k == math.ceil(r_t * B)
+
+
+@needs_local
+def test_the_probe_rejects_a_select_that_breaks_loss_ties_to_the_higher_index():
+    # A select that keeps the same number of rows, but of equal losses the
+    # later ones, fails the probe: its cut falls inside a tie. The same
+    # rewrite with ties to the lower index passes it.
+    kernels = localnode._local
+
+    def at(arg, dtype, shape):
+        """The array of dtype and shape that starts at the argument arg."""
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        return np.frombuffer((ctypes.c_ubyte * size).from_address(ctypes.addressof(arg)), dtype).reshape(shape)
+
+    def ties_to(direction):
+        def select(calls, logp, hidden, y, idx, B, C, d, V, present, eps, k, n, mask, sel):
+            status = kernels.select(calls, logp, hidden, y, idx, B, C, d, V, present, eps, k, n, mask, sel)
+            losses = -at(logp, np.float64, (B, C))[np.arange(B), at(y, np.int64, (B,))]
+            order = np.lexsort((direction * np.arange(B), losses))  # NaN last
+            at(sel, np.int64, (k,))[:] = np.sort(order[:k])
+            return status
+
+        return select
+
+    assert _native.checked(kernels._replace(select=ties_to(1)), localnode._probe) is not None
+    assert _native.checked(kernels._replace(select=ties_to(-1)), localnode._probe) is None
 
 
 def test_a_diverging_784d_client_raises_the_same_error_on_both_paths():
@@ -1148,7 +1334,7 @@ def test_non_finite_term_raises_the_same_error_on_both_paths(rng, term, spoil):
 
 
 @needs_local
-@pytest.mark.parametrize("fault", ["loss", "class_means", "similarity", "blend"])
+@pytest.mark.parametrize("fault", ["loss", "select", "refresh"])
 def test_a_kernel_that_fails_its_probe_is_not_used(monkeypatch, fault):
     kernels = localnode._local
 
@@ -1192,11 +1378,18 @@ def test_a_label_out_of_range_runs_numpys_lines(rng, bad):
     rec = mlp_forward(params, X)
     y = y.copy()
     y[2] = bad
-    features = rng.normal(size=(len(y), 5))
+    running = CentroidSet(3, rng.normal(size=(3, rec.hidden.shape[1])), np.ones(3, dtype=bool))
+    rows = np.arange(len(y))
+
+    def select():
+        shard_mask = np.zeros(len(y), dtype=np.int64)
+        return localnode._select(rec, y, 0.5, running, shard_mask, rows), shard_mask
+
     for name, fn in [
         ("loss", lambda: total_loss_and_grads(rec, y, pseudo, mask, cents, 1.0, 0.8)),
         ("loss", lambda: total_loss_and_grads(rec, y, None, mask, None, 0.0, 0.0)),
-        ("class_means", lambda: class_mean_features(features, y, 3)),
+        ("select", select),
+        ("refresh", lambda: localnode._refresh(params, X, y, rows, running, 3, False)),
     ]:
         kernel, reference = _on_both_paths(name, lambda: _outcome(fn), status=1)
         if isinstance(reference, tuple) and isinstance(reference[0], type):
@@ -1205,5 +1398,8 @@ def test_a_label_out_of_range_runs_numpys_lines(rng, bad):
             assert dataclasses.astuple(kernel[0]) == dataclasses.astuple(reference[0])
             _same_bits(kernel[1], reference[1])
             _same_bits(kernel[2], reference[2])
+        elif name == "select":
+            _same_bits(kernel[0], reference[0])
+            _same_bits(kernel[1], reference[1])
         else:
             _same_bits(kernel.vectors, reference.vectors)

@@ -541,6 +541,24 @@ def test_forward_kernel_bit_equals_numpy(B, d_in, d_h, C, seed, row):
 
 
 @needs_mlp
+def test_a_refused_softmax_row_makes_one_c_forward_call():
+    # A NaN entry of X, as in the probe's spoilt batch, makes a NaN row of
+    # logits. The C pass checks every row before it shifts any, so it
+    # refuses that row with the logits intact (status 2), and numpy's
+    # softmax runs on them: one C call, numpy's bits.
+    for B, d_in, d_h, C in numkit.PROBE_SHAPES:
+        rng = np.random.default_rng(numkit.PROBE_SEED)
+        p = init_params(d_in, d_h, C, rng)
+        X = rng.standard_normal((B, d_in))
+        X[1, -1] = np.nan
+        (kernel, reference), statuses = _on_both_paths(lambda: dataclasses.astuple(mlp_forward(p, X)))
+        assert statuses == [2]
+        for got, want in zip(kernel, reference):
+            _same_bits(got, want)
+        assert np.isnan(kernel[1][1]).all() and np.isfinite(np.delete(kernel[1], 1, axis=0)).all()
+
+
+@needs_mlp
 @given(
     B=st.integers(1, 60), d_in=st.sampled_from([1, 10, 784]), d_h=st.sampled_from([1, 64]),
     C=st.integers(2, 10), seed=st.integers(0, 2**32 - 1), row=ROWS, centroid_term=st.booleans(),
